@@ -26,6 +26,7 @@ from functools import cache
 from .partitions import (
     CycleType,
     Partition,
+    _rim_hooks,
     conjugate,
     enumerate_partitions,
     format_cycle_type,
@@ -53,31 +54,6 @@ def clear_character_cache() -> None:
     _MN_CACHE.clear()
 
 
-def _strip_removals(parts: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
-    """All ways to remove a length-k rim hook, as (smaller partition, sign) pairs.
-
-    Works on the first column hook scale: removing a hook moves one marker
-    from b down to b-k, and the sign counts the markers jumped over.
-    """
-    length = len(parts)
-    if not length:
-        return []
-    beta = [parts[i] + length - 1 - i for i in range(length)]
-    present = set(beta)
-    out = []
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in present:
-            continue
-        leg = sum(1 for c in beta if nb < c < b)
-        nbeta = sorted((present - {b}) | {nb}, reverse=True)
-        nparts = [nbeta[i] - (length - 1 - i) for i in range(length)]
-        while nparts and nparts[-1] == 0:
-            nparts.pop()
-        out.append((tuple(nparts), -1 if leg % 2 else 1))
-    return out
-
-
 def _chi(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     if not cycles:
         return 1
@@ -85,7 +61,12 @@ def _chi(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     val = _MN_CACHE.get(key)
     if val is None:
         k, rest = cycles[0], cycles[1:]
-        val = sum(sign * _chi(sub, rest) for sub, sign in _strip_removals(parts, k))
+        val = 0
+        for _, sub, leg in _rim_hooks(parts, k):
+            if leg % 2:
+                val -= _chi(sub, rest)
+            else:
+                val += _chi(sub, rest)
         _MN_CACHE[key] = val
     return val
 

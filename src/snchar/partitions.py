@@ -213,18 +213,46 @@ def remove_rim_hook(lam: Partition, hook: HookRef) -> tuple[Partition, int]:
     table = hook_lengths(lam)
     if table.get((hook.row, hook.col)) != hook:
         raise ValueError(f"{hook} is not a hook of {lam}")
-    parts = lam.parts
+    # the rim hook of a box starts at the end of the box's row
+    nparts, leg = next((p, leg) for row, p, leg in _rim_hooks(lam.parts, hook.length) if row == hook.row - 1)
+    assert leg == hook.leg
+    return Partition(nparts), (-1 if leg % 2 else 1)
+
+
+def _rim_hooks(parts: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """Every length-k rim hook of the partition parts, as (top row, smaller
+    partition, leg length) triples; rows are 0-based.
+
+    On the first column hook scale (beta numbers b_i = parts[i] + len - 1 - i)
+    removing the hook that starts in row i moves b_i down to b_i - k, past
+    the markers of the leg rows i+1 .. p-1. The smaller partition is a slice
+    of parts: each leg row moves up one row and loses a box, the hook's
+    bottom row p-1 becomes parts[i] - k + leg, and trailing zeros are dropped.
+    """
+    out = []
     length = len(parts)
-    beta = [parts[i] + length - 1 - i for i in range(length)]
-    b = beta[hook.row - 1]
-    nb = b - hook.length
-    # a genuine hook always frees the slot b - length on the first column scale
-    assert nb >= 0 and nb not in beta
-    nbeta = sorted((set(beta) - {b}) | {nb}, reverse=True)
-    nparts = [nbeta[i] - (length - 1 - i) for i in range(length)]
-    while nparts and nparts[-1] == 0:
-        nparts.pop()
-    return Partition(tuple(nparts)), (-1 if hook.leg % 2 else 1)
+    for i in range(length):
+        if parts[i] + length - 1 - i < k:
+            break  # beta numbers decrease, so no lower row has a k-hook
+        # beta_m > b_i - k  <=>  parts[m] - m > target
+        target = parts[i] - i - k
+        p = i + 1
+        while p < length and parts[p] - p > target:
+            p += 1
+        if p < length and parts[p] - p == target:
+            continue  # slot b_i - k is taken: no k-hook starts in row i
+        leg = p - 1 - i
+        if leg:
+            nparts = parts[:i] + tuple([x - 1 for x in parts[i + 1 : p]]) + (parts[i] - k + leg,) + parts[p:]
+        else:
+            nparts = parts[:i] + (parts[i] - k,) + parts[p:]
+        if p == length:
+            end = length
+            while end and not nparts[end - 1]:
+                end -= 1
+            nparts = nparts[:end]
+        out.append((i, nparts, leg))
+    return out
 
 
 def diagonal_hooks(lam: Partition) -> tuple[int, ...]:

@@ -12,6 +12,15 @@ collapse to Ramanujan sums and the whole computation stays in the integers:
 
     r * mult[j] = sum_{d | r} chi(type of sigma^d) * c_{r/d}(j).
 
+A Ramanujan sum c_q(j) depends on j only through gcd(j, q), so mult[j]
+depends on j only through g = gcd(j, r). Each profile is therefore computed
+once per divisor g of r,
+
+    r * mult_g = sum_{d | r} chi(type of sigma^d) * c_{r/d}(g),
+
+from a per-r table of the integers c_{r/d}(g), and then spread over the r
+residues; the fixed space dimension is the entry g = r.
+
 Every division is checked to be exact; a remainder signals a bug, never a
 rounding problem. spectrum_sn_direct recomputes profiles by reducing the
 defining sums in the cyclotomic ring (no Ramanujan sums) and is kept as an
@@ -29,6 +38,9 @@ The correction term
     T(j) = sum_k g_k * c_r(k - j)
 
 is integral and r * mult_plus/minus[j] = (r * mult_lam[j] +- T(j)) / 2.
+T is evaluated at every residue j, with c_r read off the same table: it is
+not confined to the primitive r-th roots (for 5,1^4 at 9^1 the two halves
+already differ at j = 0, 3 and 6).
 spectrum_an_numeric cross checks this path in floating point, deciding each
 conjugate's sign with a quadratic residue symbol instead of Gauss sums.
 """
@@ -38,7 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .characters_an import (
     MINUS,
@@ -235,8 +247,26 @@ class MinPoly:
         return {"r": self.r, "roots": sorted(self.roots), "rendered": self.rendered}
 
 
-def _chi_on_powers(lam: Partition, sigma: CycleType, r: int) -> dict[int, int]:
-    return {d: chi(lam, sigma.power(d)) for d in divisors(r)}
+@lru_cache(maxsize=256)
+def _ramanujan_table(r: int) -> tuple[tuple[int, ...], ...]:
+    """Row k lists c_{r/d}(g) for the k-th divisor g of r, over the divisors d of r."""
+    divs = divisors(r)
+    return tuple(tuple(ramanujan_sum(r // d, g) for d in divs) for g in divs)
+
+
+def _mult_by_gcd(lam: Partition, sigma: CycleType, r: int, gcds: tuple[int, ...]) -> dict[int, int]:
+    """Multiplicity of the eigenvalues zeta^j with gcd(j, r) = g, for each g in gcds:
+    r * mult_g = sum_{d | r} chi(sigma^d) * c_{r/d}(g)."""
+    divs = divisors(r)
+    chis = [chi(lam, sigma.power(d)) for d in divs]
+    table = _ramanujan_table(r)
+    out = {}
+    for g in gcds:
+        q, rem = divmod(sum(x * c for x, c in zip(chis, table[divs.index(g)])), r)
+        if rem:
+            raise RuntimeError("non-integer multiplicity (internal bug)")
+        out[g] = q
+    return out
 
 
 def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
@@ -244,15 +274,9 @@ def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
     r = sigma.order()
-    by_d = _chi_on_powers(lam, sigma, r)
-    mult = []
-    for j in range(r):
-        total = sum(by_d[d] * ramanujan_sum(r // d, j) for d in divisors(r))
-        q, rem = divmod(total, r)
-        if rem:
-            raise RuntimeError("non-integer multiplicity (internal bug)")
-        mult.append(q)
-    return SpectrumProfile(r, tuple(mult), degree(lam))
+    by_gcd = _mult_by_gcd(lam, sigma, r, divisors(r))
+    mult = tuple(by_gcd[math.gcd(j, r)] for j in range(r))
+    return SpectrumProfile(r, mult, degree(lam))
 
 
 def spectrum_sn_direct(lam: Partition, sigma: CycleType) -> SpectrumProfile:
@@ -346,9 +370,13 @@ def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
         return SpectrumProfile(r, tuple(m // 2 for m in base.mult), base.degree // 2)
     g = _principal_sqrt_vector(diagonal_hooks(lam), r)
     sign = 1 if label.variant == PLUS else -1
+    # c_r(m) depends on m only through gcd(m, r): column d = 1 of the table
+    c_r = dict(zip(divisors(r), (row[0] for row in _ramanujan_table(r))))
+    c_r_res = [c_r[math.gcd(m, r)] for m in range(r)]
+    terms = [(k, c) for k, c in enumerate(g) if c]
     mult = []
     for j in range(r):
-        t = sum(c * ramanujan_sum(r, k - j) for k, c in enumerate(g) if c)
+        t = sum(c * c_r_res[k - j] for k, c in terms)  # a negative index wraps mod r
         q, rem = divmod(r * base.mult[j] + sign * t, 2 * r)
         if rem:
             raise RuntimeError("non-integer split multiplicity (internal bug)")
@@ -388,9 +416,17 @@ def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType, *, snap: floa
                 values.append((x + sgn * kronecker_symbol(d, i) * root) / 2)
             else:
                 values.append(complex(x) / 2)
+    # each average sums r terms of size at most scale, with the angle reduced
+    # mod r: its rounding error stays below (r + 2) * scale * ulp(1.0)
+    scale = max(abs(v) for v in values)
+    if (r + 2) * scale * math.ulp(1.0) > 0.25:
+        raise ValueError(
+            f"float resolution lost: character values up to {scale:.3g} averaged over "
+            f"{r} powers cannot be snapped to integers; use spectrum_an"
+        )
     mult = []
     for j in range(r):
-        acc = sum(values[i] * cmath.exp(-2j * math.pi * i * j / r) for i in range(r)) / r
+        acc = sum(values[i] * cmath.exp(-2j * math.pi * (i * j % r) / r) for i in range(r)) / r
         nearest = round(acc.real)
         if abs(acc - nearest) > snap * max(1.0, abs(acc)):
             raise RuntimeError(f"numeric multiplicity {acc} does not snap to an integer")
@@ -435,13 +471,15 @@ def render_min_poly(mp: MinPoly) -> str:
     if mp.is_full():
         return "x-1" if r == 1 else f"x^{r}-1"
     comp = sorted(set(range(r)) - mp.roots)
-    comp_set = set(comp)
-    galois_closed = all(
-        k in comp_set for j in comp for k in range(r) if math.gcd(k, r) == math.gcd(j, r)
-    )
+    # the j with gcd(j, r) = g are the phi(r/g) exponents of the primitive (r/g)-th roots
+    missing_by_gcd: dict[int, int] = {}
+    for j in comp:
+        g = math.gcd(j, r)
+        missing_by_gcd[g] = missing_by_gcd.get(g, 0) + 1
+    galois_closed = all(count == euler_phi(r // g) for g, count in missing_by_gcd.items())
     whole = f"x^{r}-1"
     if galois_closed:
-        orders = sorted({r // math.gcd(j, r) for j in comp})
+        orders = sorted(r // g for g in missing_by_gcd)
         rendered = [_poly_str(cyclotomic(d)) for d in orders]
         if len(rendered) == 1:
             return f"({whole})/({rendered[0]})"
@@ -457,8 +495,4 @@ def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
     r = sigma.order()
-    total = sum(chi(lam, sigma.power(d)) * euler_phi(r // d) for d in divisors(r))
-    q, rem = divmod(total, r)
-    if rem:
-        raise RuntimeError("non-integer fixed space dimension (internal bug)")
-    return q
+    return _mult_by_gcd(lam, sigma, r, (r,))[r]

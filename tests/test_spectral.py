@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from snchar.characters_an import AnCharacterLabel, is_split
+from snchar.characters_an import AnCharacterLabel, is_split, special_class
 from snchar.characters_sn import chi, degree
 from snchar.partitions import (
     CycleType,
@@ -206,7 +206,7 @@ def test_fixed_space_known():
 
 
 def test_spectrum_direct_full_grid():
-    for n in range(1, 7):
+    for n in range(1, 9):
         for lam in enumerate_partitions(n):
             for mu in enumerate_partitions(n):
                 sigma = CycleType.from_partition(mu)
@@ -271,13 +271,42 @@ def test_spectrum_an_matches_numeric():
         ("3,3,3", "9^1"),
         ("3,3,3", "5^1 3^1 1^1"),
     ]
-    for lam_text, sig_text in samples:
-        lam = parse_partition(lam_text)
-        sigma = parse_cycle_type(sig_text)
+    cases = [(parse_partition(lam_text), parse_cycle_type(sig_text)) for lam_text, sig_text in samples]
+    # every split label at its distinguished class, where the Gauss-sum path runs
+    cases += [
+        (lam, special_class(lam))
+        for n in range(2, 21)
+        for lam in enumerate_partitions(n)
+        if is_split(lam)
+    ]
+    for lam, sigma in cases:
         for label in AnCharacterLabel.split_pair(lam):
             exact = spectrum_an(label, sigma)
             numeric = spectrum_an_numeric(label, sigma)
             assert exact == numeric
+
+
+def test_spectrum_an_numeric_rejects_lost_float_resolution():
+    lam = parse_partition("8,7,5,4,3,2^2,1")
+    sigma = special_class(lam)
+    assert sigma.order() == 165
+    for label in AnCharacterLabel.split_pair(lam):
+        with pytest.raises(ValueError, match="float resolution"):
+            spectrum_an_numeric(label, sigma)
+        assert sum(spectrum_an(label, sigma).mult) == degree(lam) // 2
+
+
+def test_spectrum_sn_large_order():
+    # order 60060 = lcm(13, 11, 7, 5, 4, 3); the alternating sum of the
+    # multiplicities is the trace at sigma^(r/2), which needs no Ramanujan sum
+    lam = parse_partition("10,8,6,5,4,3,2^2,1^5")
+    sigma = parse_cycle_type("13 11 7 5 4 3 1^2")
+    prof = spectrum_sn(lam, sigma)
+    assert prof.r == 60060
+    assert sum(prof.mult) == degree(lam)
+    assert fixed_space_dim(lam, sigma) == prof.mult[0]
+    alternating = sum(m if j % 2 == 0 else -m for j, m in enumerate(prof.mult))
+    assert alternating == chi(lam, sigma.power(prof.r // 2))
 
 
 def test_spectrum_an_restricted_equals_parent():

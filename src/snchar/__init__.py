@@ -72,7 +72,6 @@ from .partitions import (
     parse_cycle_type,
     parse_partition,
     partition_count,
-    power_cycle_type,
     remove_rim_hook,
 )
 from .specht import (

@@ -245,25 +245,19 @@ def min_degree_check(n: int) -> BoundReport:
     return BoundReport("min-degree", f"n={n}", tuple(clauses), 0)
 
 
+def _sweep_uniform(check, min_n: int, max_n: int, bits: int) -> list[BoundReport]:
+    """check(lam, r, n // r) for every n in range, every r | n and every partition lam of n."""
+    return [check(lam, r, n // r, bits=bits)
+            for n in range(min_n, max_n + 1) for r in divisors(n) for lam in enumerate_partitions(n)]
+
+
 def sweep_fomin_lulov(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
     """Every partition of every n in range, against every [r^m] with rm = n."""
-    out = []
-    for n in range(min_n, max_n + 1):
-        for r in divisors(n):
-            m = n // r
-            for lam in enumerate_partitions(n):
-                out.append(fomin_lulov_check(lam, r, m, bits=bits))
-    return out
+    return _sweep_uniform(fomin_lulov_check, min_n, max_n, bits)
 
 
 def sweep_estimate(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
-    out = []
-    for n in range(min_n, max_n + 1):
-        for r in divisors(n):
-            m = n // r
-            for lam in enumerate_partitions(n):
-                out.append(estimate_check(lam, r, m, bits=bits))
-    return out
+    return _sweep_uniform(estimate_check, min_n, max_n, bits)
 
 
 def sweep_robbins(max_n: int = 200, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .characters_sn import chi
 from .partitions import CycleType, Partition, conjugate, diagonal_hooks, enumerate_partitions
@@ -45,12 +46,12 @@ PLUS = "plus"
 MINUS = "minus"
 
 
-def split_square(c: int) -> tuple[int, int]:
-    """Write c = b*b*d with b > 0 and d squarefree; the sign of c stays in d."""
-    if c == 0:
-        raise ValueError("zero has no squarefree part")
-    b, d = 1, (1 if c > 0 else -1)
-    m = abs(c)
+@cache
+def _factorize(q: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of q >= 1 as (prime, exponent) pairs, by trial division."""
+    assert q >= 1
+    out = []
+    m = q
     p = 2
     while p * p <= m:
         e = 0
@@ -58,11 +59,23 @@ def split_square(c: int) -> tuple[int, int]:
             m //= p
             e += 1
         if e:
-            b *= p ** (e // 2)
-            if e % 2:
-                d *= p
+            out.append((p, e))
         p += 1 if p == 2 else 2
-    return b, d * m
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
+
+
+def split_square(c: int) -> tuple[int, int]:
+    """Write c = b*b*d with b > 0 and d squarefree; the sign of c stays in d."""
+    if c == 0:
+        raise ValueError("zero has no squarefree part")
+    b, d = 1, (1 if c > 0 else -1)
+    for p, e in _factorize(abs(c)):
+        b *= p ** (e // 2)
+        if e % 2:
+            d *= p
+    return b, d
 
 
 @dataclass(frozen=True)
@@ -176,7 +189,12 @@ class AlgebraicValue:
 
 def is_split(lam: Partition) -> bool:
     """True when the restriction of lam to even permutations splits in two."""
-    return lam == conjugate(lam)
+    return _splits(lam, conjugate(lam))
+
+
+def _splits(lam: Partition, conj: Partition) -> bool:
+    # self conjugate, on n >= 2 points: A_0 and A_1 have one irreducible
+    return lam == conj and lam.n >= 2
 
 
 def special_class(lam: Partition) -> CycleType | None:
@@ -193,10 +211,10 @@ def special_class(lam: Partition) -> CycleType | None:
 class AnCharacterLabel:
     """Label of an alternating group irreducible.
 
-    For lam not self conjugate the variant is "restricted" and lam is
+    For lam that does not split the variant is "restricted" and lam is
     normalized to the lexicographically larger member of the pair
     {lam, conjugate(lam)}, both of which restrict to the same irreducible.
-    For self conjugate lam the variants are "plus" and "minus".
+    For split lam (self conjugate, n >= 2) the variants are "plus" and "minus".
     """
 
     partition: Partition
@@ -213,7 +231,7 @@ class AnCharacterLabel:
             if other.parts > self.partition.parts:
                 object.__setattr__(self, "partition", other)
         elif not split:
-            raise ValueError(f"{self.partition} is not self conjugate; use restricted")
+            raise ValueError(f"{self.partition} does not split; use restricted")
 
     @classmethod
     def restricted(cls, lam: Partition) -> "AnCharacterLabel":
@@ -262,13 +280,13 @@ def an_irreducible_labels(n: int) -> list[AnCharacterLabel]:
     """All irreducible labels of the alternating group on n points.
 
     Conjugate pairs are listed once (under the lexicographically larger
-    partition); self conjugate partitions contribute plus and minus."""
+    partition); split partitions contribute plus and minus."""
     out: list[AnCharacterLabel] = []
     for lam in enumerate_partitions(n):
         other = conjugate(lam)
-        if lam == other:
+        if _splits(lam, other):
             out.extend(AnCharacterLabel.split_pair(lam))
-        elif lam.parts > other.parts:
+        elif lam.parts >= other.parts:
             out.append(AnCharacterLabel.restricted(lam))
     return out
 

@@ -75,7 +75,12 @@ def chi(lam: Partition, sigma: CycleType) -> int:
     """Character value of the irreducible labeled by lam at the class sigma."""
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
-    return _chi(lam.parts, sigma.lengths())
+    cycles = sigma.lengths()
+    try:
+        return _chi(lam.parts, cycles)
+    except RecursionError:
+        # _chi recurses once per cycle; finished memo entries stay valid
+        raise ValueError(f"class {sigma} has {len(cycles)} cycles, too many for the character recursion") from None
 
 
 @cache

@@ -16,6 +16,7 @@ family, and four sporadic pairs).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -289,10 +290,16 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     return cases, mismatches, exceptional
 
 
-def _sweep(kind: str, fn, min_n: int, max_n: int, threads: int) -> VerificationReport:
+def _sweep(kind: str, fn, floor: int, min_n: int, max_n: int, threads: int) -> VerificationReport:
+    """Run fn(n) for n = min_n .. max_n on at most threads worker processes."""
+    if min_n < floor or max_n < min_n:
+        raise ValueError(f"need {floor} <= min_n <= max_n; got {min_n}..{max_n}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1; got {threads}")
     ns = range(min_n, max_n + 1)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(ns))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_n = list(pool.map(fn, ns))
     else:
         per_n = [fn(n) for n in ns]
@@ -308,16 +315,12 @@ def _sweep(kind: str, fn, min_n: int, max_n: int, threads: int) -> VerificationR
 
 def verify_minpoly_sn(max_n: int, *, min_n: int = 3, threads: int = 1) -> VerificationReport:
     """Compare predicted and computed minimal polynomials over S_n sweeps."""
-    if min_n < 3 or max_n < min_n:
-        raise ValueError(f"need 3 <= min_n <= max_n; got {min_n}..{max_n}")
-    return _sweep("minpoly-sn", _minpoly_sn_single_n, min_n, max_n, threads)
+    return _sweep("minpoly-sn", _minpoly_sn_single_n, 3, min_n, max_n, threads)
 
 
 def verify_minpoly_an(max_n: int, *, min_n: int = 5, threads: int = 1) -> VerificationReport:
     """Compare predicted and computed minimal polynomials over A_n sweeps."""
-    if min_n < 5 or max_n < min_n:
-        raise ValueError(f"need 5 <= min_n <= max_n; got {min_n}..{max_n}")
-    return _sweep("minpoly-an", _minpoly_an_single_n, min_n, max_n, threads)
+    return _sweep("minpoly-an", _minpoly_an_single_n, 5, min_n, max_n, threads)
 
 
 def verify_eigenvalue_one(max_n: int, *, min_n: int = 3, threads: int = 1) -> VerificationReport:
@@ -326,6 +329,4 @@ def verify_eigenvalue_one(max_n: int, *, min_n: int = 3, threads: int = 1) -> Ve
     The exceptional list of the report is the computed set itself, one entry
     per pair whose image has no eigenvalue 1.
     """
-    if min_n < 3 or max_n < min_n:
-        raise ValueError(f"need 3 <= min_n <= max_n; got {min_n}..{max_n}")
-    return _sweep("eigenvalue-one", _eigenvalue_one_single_n, min_n, max_n, threads)
+    return _sweep("eigenvalue-one", _eigenvalue_one_single_n, 3, min_n, max_n, threads)

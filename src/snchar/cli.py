@@ -1,7 +1,8 @@
 """Command line surface: every computation and sweep, machine readable.
 
 Exit status: 0 on success, 1 when a verification sweep finds mismatches or a
-bound fails to certify, 2 on usage or validation errors. All numeric output
+bound fails to certify, 2 on usage or validation errors, 3 on an internal
+error (a failed consistency check inside the package). All numeric output
 is exact (decimal strings, surd syntax); only bound reports carry rounded
 decimals, and those are labeled with their working precision.
 """
@@ -137,40 +138,48 @@ def _cmd_fixdim(args) -> int:
     return 0
 
 
-def _uniform_rm(args) -> tuple[Partition, int, int]:
-    if args.lam is None or args.shape is None:
-        raise ValueError("this check needs --lambda and --shape")
-    lam = _parse_lam(args)
-    ct = parse_cycle_type(args.shape)
-    if len(ct.cycles) != 1:
-        raise ValueError(f"bound checks need a uniform shape r^m, got {ct}")
-    r, m = ct.cycles[0]
-    return lam, r, m
+# --check name: (the argument it needs, the bounds function, whether that takes bits);
+# functions are looked up by name on each call, so a rebound bounds attribute is what runs
+_BOUND_CHECKS = {
+    "fomin-lulov": ("shape", "fomin_lulov_check", True),
+    "estimate": ("shape", "estimate_check", True),
+    "robbins": ("n", "robbins_check", True),
+    "tail": ("n", "tail_inequalities_check", True),
+    "min-degree": ("n", "min_degree_check", False),
+    "sweep-fomin-lulov": ("max_n", "sweep_fomin_lulov", True),
+    "sweep-estimate": ("max_n", "sweep_estimate", True),
+    "sweep-robbins": ("max_n", "sweep_robbins", True),
+    "sweep-tail": ("max_n", "sweep_tail", True),
+}
+
+
+def _precision_bits(args) -> int:
+    if args.precision_bits is not None:
+        return args.precision_bits
+    raw = os.environ.get("SNCHAR_PRECISION_BITS", str(bounds_mod.DEFAULT_PRECISION_BITS))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"SNCHAR_PRECISION_BITS must be an integer, got {raw!r}") from None
 
 
 def _cmd_bounds(args) -> int:
-    bits = args.precision_bits
-    check = args.check
-    if check == "fomin-lulov":
-        lam, r, m = _uniform_rm(args)
-        reports = [bounds_mod.fomin_lulov_check(lam, r, m, bits=bits)]
-    elif check == "estimate":
-        lam, r, m = _uniform_rm(args)
-        reports = [bounds_mod.estimate_check(lam, r, m, bits=bits)]
-    elif check == "robbins":
-        reports = [bounds_mod.robbins_check(_require_n(args), bits=bits)]
-    elif check == "tail":
-        reports = [bounds_mod.tail_inequalities_check(_require_n(args), bits=bits)]
-    elif check == "min-degree":
-        reports = [bounds_mod.min_degree_check(_require_n(args))]
-    elif check == "sweep-fomin-lulov":
-        reports = bounds_mod.sweep_fomin_lulov(_require_max_n(args), bits=bits)
-    elif check == "sweep-estimate":
-        reports = bounds_mod.sweep_estimate(_require_max_n(args), bits=bits)
-    elif check == "sweep-robbins":
-        reports = bounds_mod.sweep_robbins(_require_max_n(args), bits=bits)
+    needs, name, takes_bits = _BOUND_CHECKS[args.check]
+    if needs == "shape":
+        if args.lam is None or args.shape is None:
+            raise ValueError("this check needs --lambda and --shape")
+        lam = _parse_lam(args)
+        ct = parse_cycle_type(args.shape)
+        if len(ct.cycles) != 1:
+            raise ValueError(f"bound checks need a uniform shape r^m, got {ct}")
+        positional = (lam, *ct.cycles[0])
+    elif getattr(args, needs) is None:
+        raise ValueError("this check needs --n" if needs == "n" else "sweeps need --max-n")
     else:
-        reports = bounds_mod.sweep_tail(_require_max_n(args), bits=bits)
+        positional = (getattr(args, needs),)
+    kwargs = {"bits": _precision_bits(args)} if takes_bits else {}
+    result = getattr(bounds_mod, name)(*positional, **kwargs)
+    reports = result if needs == "max_n" else [result]
     ok = all(rep.holds for rep in reports)
     if args.format == "json":
         print(json.dumps([rep.to_json_dict() for rep in reports], sort_keys=True, indent=2))
@@ -183,18 +192,6 @@ def _cmd_bounds(args) -> int:
         verdict = "all hold" if ok else "FAILURES above"
         print(f"{len(reports)} report(s): {verdict}")
     return 0 if ok else 1
-
-
-def _require_n(args) -> int:
-    if args.n is None:
-        raise ValueError("this check needs --n")
-    return args.n
-
-
-def _require_max_n(args) -> int:
-    if args.max_n is None:
-        raise ValueError("sweeps need --max-n")
-    return args.max_n
 
 
 def _cmd_verify(args) -> int:
@@ -265,15 +262,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fixdim)
 
     p = sub.add_parser("bounds", help="certified inequality checks")
-    p.add_argument("--check", required=True, choices=(
-        "fomin-lulov", "estimate", "robbins", "tail", "min-degree",
-        "sweep-fomin-lulov", "sweep-estimate", "sweep-robbins", "sweep-tail"))
+    p.add_argument("--check", required=True, choices=tuple(_BOUND_CHECKS))
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--shape", default=None, help="uniform shape r^m for the character bounds")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--precision-bits", type=int,
-                   default=int(os.environ.get("SNCHAR_PRECISION_BITS", bounds_mod.DEFAULT_PRECISION_BITS)))
+    p.add_argument("--precision-bits", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_bounds)
 
@@ -295,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

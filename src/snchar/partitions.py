@@ -6,7 +6,9 @@ Conventions used throughout the package:
   with exponent shorthand ("2^2,1^3" for (2,2,1,1,1));
 * a cycle type is a multiset of cycle lengths with fixed points stored
   explicitly, written as space separated atoms ("3^1 1^2");
-* boxes of a Young diagram are addressed by 1-based (row, column) pairs.
+* boxes of a Young diagram are addressed by 1-based (row, column) pairs;
+* the parsers refuse text spelling more than MAX_PARSE_N points, before
+  expanding it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "diagonal_hooks",
     "enumerate_partitions",
     "partition_count",
-    "power_cycle_type",
     "parse_partition",
     "format_partition",
     "parse_cycle_type",
@@ -153,9 +154,10 @@ class CycleType:
         """True when the class lies in A_n and breaks into two A_n classes.
 
         This happens exactly for even classes whose cycle lengths are odd and
-        pairwise distinct (fixed points count as a length-1 cycle).
+        pairwise distinct (fixed points count as a length-1 cycle), once
+        n >= 2: A_0 and A_1 have a single class.
         """
-        return self.is_even() and all(b == 1 and a % 2 for a, b in self.cycles)
+        return self.n >= 2 and self.is_even() and all(b == 1 and a % 2 for a, b in self.cycles)
 
     def power(self, i: int) -> "CycleType":
         """Cycle type of the i-th power of any permutation of this type."""
@@ -307,11 +309,6 @@ def partition_count(n: int) -> int:
     return total
 
 
-def power_cycle_type(sigma: CycleType, i: int) -> CycleType:
-    """Cycle type of sigma**i; each a-cycle falls apart into gcd(a,i) cycles."""
-    return sigma.power(i)
-
-
 def format_partition(lam: Partition) -> str:
     out = []
     for part, group in itertools.groupby(lam.parts):
@@ -322,20 +319,30 @@ def format_partition(lam: Partition) -> str:
 
 _ATOM = re.compile(r"(\d+)(?:\^(\d+))?")
 
+# parsed partitions and cycle types may move at most this many points
+MAX_PARSE_N = 10_000
+
+
+def _expand_atoms(atoms: list[str], kind: str) -> list[int]:
+    """The entries spelled by atoms "a" or "a^k", sized before they are expanded."""
+    pairs = []
+    for atom in atoms:
+        m = _ATOM.fullmatch(atom)
+        if not m:
+            raise ValueError(f"bad {kind} atom {atom!r}")
+        pairs.append((int(m.group(1)), int(m.group(2) or 1)))
+    # a zero part moves no point but would still be expanded: count it as one
+    if sum(max(a, 1) * k for a, k in pairs) > MAX_PARSE_N:
+        raise ValueError(f"{kind} too large: more than {MAX_PARSE_N} points")
+    return [a for a, k in pairs for _ in range(k)]
+
 
 def parse_partition(text: str) -> Partition:
     """Inverse of format_partition; repeats may be spelled out ("3,3") or not ("3^2")."""
     text = text.strip()
     if not text:
         return Partition(())
-    parts: list[int] = []
-    for atom in text.split(","):
-        atom = atom.strip()
-        m = _ATOM.fullmatch(atom)
-        if not m:
-            raise ValueError(f"bad partition atom {atom!r}")
-        parts.extend([int(m.group(1))] * int(m.group(2) or 1))
-    return Partition(tuple(parts))
+    return Partition(tuple(_expand_atoms([atom.strip() for atom in text.split(",")], "partition")))
 
 
 def format_cycle_type(sigma: CycleType) -> str:
@@ -347,10 +354,4 @@ def parse_cycle_type(text: str) -> CycleType:
     text = text.strip()
     if not text:
         return CycleType(())
-    lengths: list[int] = []
-    for atom in text.split():
-        m = _ATOM.fullmatch(atom)
-        if not m:
-            raise ValueError(f"bad cycle type atom {atom!r}")
-        lengths.extend([int(m.group(1))] * int(m.group(2) or 1))
-    return CycleType.from_lengths(lengths)
+    return CycleType.from_lengths(_expand_atoms(text.split(), "cycle type"))

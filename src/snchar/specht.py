@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache
 
 from .partitions import CycleType, Partition
-from .spectral import MinPoly, SpectrumProfile, cyclotomic, divisors, euler_phi
+from .spectral import MinPoly, SpectrumProfile, cyclotomic, divisors, euler_phi, min_poly
 
 __all__ = [
     "standard_tableaux",
@@ -214,5 +214,4 @@ def oracle_spectrum(lam: Partition, sigma: CycleType, *, limit: int = DEFAULT_LI
 
 
 def oracle_min_poly(lam: Partition, sigma: CycleType, *, limit: int = DEFAULT_LIMIT) -> MinPoly:
-    profile = oracle_spectrum(lam, sigma, limit=limit)
-    return MinPoly(profile.r, profile.support())
+    return min_poly(oracle_spectrum(lam, sigma, limit=limit))

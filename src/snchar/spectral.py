@@ -57,6 +57,7 @@ from .characters_an import (
     PLUS,
     RESTRICTED,
     AnCharacterLabel,
+    _factorize,
     special_class,
     split_square,
 )
@@ -80,25 +81,6 @@ __all__ = [
     "render_min_poly",
     "fixed_space_dim",
 ]
-
-
-@cache
-def _factorize(q: int) -> tuple[tuple[int, int], ...]:
-    assert q >= 1
-    out = []
-    m = q
-    p = 2
-    while p * p <= m:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return tuple(out)
 
 
 @cache
@@ -137,20 +119,19 @@ def ramanujan_sum(q: int, j: int) -> int:
     return sum(d * moebius(q // d) for d in divisors(g))
 
 
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient of integer polynomials (ascending coefficients), monic divisor,
-    remainder known to vanish."""
-    num = list(num)
+def _polydivmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending coefficients)
+    by a monic divisor."""
+    rem = list(num)
     dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
+    quot = [0] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        quot[i - dd] = c
         if c:
             for k in range(dd + 1):
-                num[i - dd + k] -= c * den[k]
-    assert not any(num), "nonzero remainder in exact division"
-    return out
+                rem[i - dd + k] -= c * den[k]
+    return quot, rem[:dd]
 
 
 @cache
@@ -160,20 +141,9 @@ def cyclotomic(d: int) -> tuple[int, ...]:
         raise ValueError("d must be positive")
     poly = [-1] + [0] * (d - 1) + [1]
     for e in divisors(d)[:-1]:
-        poly = _polydiv_exact(poly, cyclotomic(e))
+        poly, rem = _polydivmod(poly, cyclotomic(e))
+        assert not any(rem), "nonzero remainder in exact division"
     return tuple(poly)
-
-
-def _polyrem(vec: list[int], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Remainder of an integer polynomial modulo a monic integer polynomial."""
-    rem = list(vec)
-    dd = len(den) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            for k in range(dd + 1):
-                rem[i - dd + k] -= c * den[k]
-    return tuple(rem[:dd])
 
 
 def kronecker_symbol(a: int, m: int) -> int:
@@ -293,13 +263,13 @@ def spectrum_sn_direct(lam: Partition, sigma: CycleType) -> SpectrumProfile:
         vec = [0] * r
         for i in range(r):
             vec[(-i * j) % r] += chis[i]
-        rem0 = _polyrem(vec, phi_r)
+        rem0 = _polydivmod(vec, phi_r)[1]
         for u in units:
             gvec = [0] * r
             for k, c in enumerate(vec):
                 if c:
                     gvec[(k * u) % r] += c
-            if _polyrem(gvec, phi_r) != rem0:
+            if _polydivmod(gvec, phi_r)[1] != rem0:
                 raise RuntimeError("eigenvalue count is not Galois stable (internal bug)")
         if any(rem0[1:]):
             raise RuntimeError("eigenvalue count is not rational (internal bug)")

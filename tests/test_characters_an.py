@@ -100,6 +100,17 @@ def test_is_split_and_special_class():
     assert special_class(parse_partition("4,1")) is None
 
 
+def test_trivial_alternating_groups_do_not_split():
+    # () and (1) are self conjugate, but A_0 and A_1 have one irreducible
+    for lam in (parse_partition(""), parse_partition("1")):
+        assert not is_split(lam)
+        assert special_class(lam) is None
+        with pytest.raises(ValueError, match="does not split"):
+            AnCharacterLabel(lam, PLUS)
+    assert an_irreducible_labels(1) == [AnCharacterLabel.restricted(parse_partition("1"))]
+    assert an_irreducible_labels(0) == [AnCharacterLabel.restricted(parse_partition(""))]
+
+
 def test_label_normalization():
     lab = AnCharacterLabel.restricted(parse_partition("2,1,1"))
     assert lab.partition == parse_partition("3,1")
@@ -184,13 +195,13 @@ def test_split_half_degrees(case):
     assert chi_an(minus, ident) == d
 
 
-@pytest.mark.parametrize("n", range(5, 11))
+@pytest.mark.parametrize("n", range(0, 11))
 def test_label_and_class_counts_match(n):
     labels = an_irreducible_labels(n)
     classes = an_classes(n)
     assert len(labels) == len(classes)
     total = sum(an_class_size(sigma, half) for sigma, half in classes)
-    assert total == math.factorial(n) // 2
+    assert total == max(1, math.factorial(n) // 2)
 
 
 def test_an_class_size_split():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from snchar import classify
 from snchar.characters_an import AnCharacterLabel
 from snchar.classify import (
     Prediction,
@@ -199,6 +200,51 @@ def test_verify_threads_deterministic():
     serial_e = verify_eigenvalue_one(6)
     threaded_e = verify_eigenvalue_one(6, threads=3)
     assert serial_e == threaded_e
+
+
+@pytest.mark.parametrize("verify, floor", [
+    (verify_minpoly_sn, 3), (verify_minpoly_an, 5), (verify_eigenvalue_one, 3),
+])
+def test_verify_rejects_min_n_below_floor(verify, floor):
+    with pytest.raises(ValueError, match=f"need {floor} <= min_n"):
+        verify(floor + 1, min_n=floor - 1)
+    with pytest.raises(ValueError):
+        verify(floor - 1, min_n=floor)  # max_n below min_n
+    assert verify(floor, min_n=floor).n_min == floor
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records the worker count, starts nothing."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, cpus, max_n, workers", [
+    (5, 3, 6, 3),     # clamped to the core count
+    (5, 8, 4, 2),     # clamped to the number of n (3 and 4)
+    (2, 8, 6, 2),
+    (2, None, 6, None),  # unknown core count counts as one: sequential
+    (1, 8, 6, None),
+])
+def test_verify_worker_count_is_clamped(monkeypatch, threads, cpus, max_n, workers):
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
+    _InlineExecutor.started = []
+    report = verify_minpoly_sn(max_n, threads=threads)
+    assert _InlineExecutor.started == ([] if workers is None else [workers])
+    assert report == verify_minpoly_sn(max_n)
 
 
 def test_report_json_schema():

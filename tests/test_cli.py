@@ -182,6 +182,103 @@ def test_bounds_precision_env(capsys, monkeypatch):
     assert code == 0
 
 
+def test_bounds_precision_env_read_only_by_bounds(capsys, monkeypatch):
+    monkeypatch.setenv("SNCHAR_PRECISION_BITS", "abc")
+    code, out, err = run_cli(capsys, "degree", "--lambda", "3,2")
+    assert (code, out, err) == (0, "5\n", "")
+    code, out, err = run_cli(capsys, "bounds", "--check", "robbins", "--n", "10")
+    assert code == 2 and out == ""
+    assert err == "error: SNCHAR_PRECISION_BITS must be an integer, got 'abc'\n"
+    # an explicit --precision-bits wins over the variable
+    code, _, _ = run_cli(capsys, "bounds", "--check", "robbins", "--n", "10", "--precision-bits", "64")
+    assert code == 0
+
+
+BOUND_CHECKS = [
+    ("fomin-lulov", ["--lambda", "3,3", "--shape", "2^3"], 1),
+    ("estimate", ["--lambda", "4,2", "--shape", "3^2"], 1),
+    ("robbins", ["--n", "10"], 1),
+    ("tail", ["--n", "30"], 1),
+    ("min-degree", ["--n", "15"], 1),
+    ("sweep-fomin-lulov", ["--max-n", "6"], 84),  # sum of d(n) * p(n) over n <= 6
+    ("sweep-estimate", ["--max-n", "6"], 84),
+    ("sweep-robbins", ["--max-n", "20"], 20),
+    ("sweep-tail", ["--max-n", "30"], 8),
+]
+
+
+@pytest.mark.parametrize("check, args, count", BOUND_CHECKS, ids=[c for c, _, _ in BOUND_CHECKS])
+def test_every_bounds_check(capsys, check, args, count):
+    code, out, err = run_cli(capsys, "bounds", "--check", check, *args)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == f"{count} report(s): all hold"
+    # dropping the arguments gives the check's own usage message
+    code, out, err = run_cli(capsys, "bounds", "--check", check)
+    assert code == 2 and out == ""
+    needs = {"--lambda": "this check needs --lambda and --shape", "--n": "this check needs --n",
+             "--max-n": "sweeps need --max-n"}[args[0]]
+    assert err == f"error: {needs}\n"
+
+
+def test_bounds_check_choices_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(c for c, _, _ in BOUND_CHECKS) + "}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--check", "nope"])
+    assert exc.value.code == 2
+
+
+def test_bounds_needs_a_uniform_shape(capsys):
+    code, out, err = run_cli(
+        capsys, "bounds", "--check", "fomin-lulov", "--lambda", "3,3", "--shape", "2^2 1^2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: bound checks need a uniform shape r^m, got 2^2 1^2\n"
+
+
+def test_alternating_group_on_one_point(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--group", "an", "--lambda", "1", "--shape", "1^1")
+    assert (code, out, err) == (0, "[1] r=1 degree=1 mult=1\n", "")
+    code, out, err = run_cli(capsys, "char", "--group", "an", "--lambda", "1", "--shape", "1^1")
+    assert (code, out, err) == (0, "1\n", "")
+    code, out, err = run_cli(capsys, "minpoly", "--group", "an", "--lambda", "1", "--shape", "1^1")
+    assert (code, out, err) == (0, "x-1\n", "")
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    import snchar.cli as cli
+
+    def broken(lam):
+        raise RuntimeError("hook product must divide n! (internal bug)")
+
+    monkeypatch.setattr(cli, "degree", broken)
+    code, out, err = run_cli(capsys, "degree", "--lambda", "3,2")
+    assert (code, out) == (3, "")
+    assert err == "internal error: hook product must divide n! (internal bug)\n"
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_rejects_thread_count_below_one(capsys, threads):
+    code, out, err = run_cli(capsys, "verify", "minpoly-sn", "--max-n", "5", "--threads", threads)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: threads must be at least 1")
+
+
+def test_deep_class_exits_2(capsys):
+    # one recursion level per cycle: 3000 fixed points are too deep
+    code, out, err = run_cli(capsys, "char", "--lambda", "1500,1500", "--shape", "1^3000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: class 1^3000 has 3000 cycles")
+
+
+def test_oversized_input_exits_2(capsys):
+    code, out, err = run_cli(capsys, "degree", "--lambda", "1^1000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: partition too large")
+
+
 def test_bad_partition_exits_2(capsys):
     code, _, err = run_cli(capsys, "char", "--lambda", "junk", "--shape", "3^1")
     assert code == 2

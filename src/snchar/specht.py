@@ -1,16 +1,19 @@
 """Integral matrices of permutations acting on Specht modules.
 
 This is an oracle that never touches the character machinery: the matrix of
-sigma on the standard polytabloid basis is solved for over the rationals, and
-eigenvalue data is read off from kernel ranks of cyclotomic polynomials
-evaluated at the matrix. Traces and minimal polynomials computed here give an
-independent confirmation of the character based routes.
+sigma on the standard polytabloid basis is computed in integers only, and
+eigenvalue data is read off from kernel ranks of M(sigma^k) - I. Traces and
+minimal polynomials computed here give an independent confirmation of the
+character based routes.
 
-Tabloids are tuples of row sets. The polytabloid of a tableau T is the sum
-of sgn(q) * (tabloid of qT) over the column stabilizer of T. Evaluated at
-the tabloids of the standard tableaux themselves, the standard polytabloids
-form a matrix that is invertible over the integers, so expansion
-coefficients of any permuted polytabloid come out of one exact solve.
+The polytabloid of a tableau T is the sum of sgn(q) * (tabloid of qT) over
+the column stabilizer of T. Evaluated at the tabloids of the standard
+tableaux themselves, the standard polytabloids form an upper unitriangular
+matrix in the stored tableau order (the dominance argument of James, The
+Representation Theory of the Symmetric Groups, LNM 682, section 8), so the
+expansion coefficients of any permuted polytabloid come out of integer
+back-substitution. Internally a tabloid is the tuple of the rows of the
+points 1..n, so permuting it is one reindex.
 
 Everything here is exponential in nature; the default size cap is n = 8.
 """
@@ -19,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cache
 
 from .partitions import CycleType, Partition
-from .spectral import MinPoly, SpectrumProfile, cyclotomic, divisors, euler_phi, min_poly
+from .spectral import MinPoly, SpectrumProfile, divisors, euler_phi, min_poly
 
 __all__ = [
     "standard_tableaux",
@@ -69,52 +71,97 @@ def _perms_with_sign(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
-def _tabloid(tab: tuple[tuple[int, ...], ...]) -> tuple[frozenset, ...]:
-    return tuple(frozenset(row) for row in tab)
+def _rows_of_points(tab: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The tabloid of tab as the row index of each point 1..n."""
+    rows = [0] * sum(map(len, tab))
+    for i, row in enumerate(tab):
+        for x in row:
+            rows[x - 1] = i
+    return tuple(rows)
 
 
-def polytabloid(tab: tuple[tuple[int, ...], ...]) -> dict[tuple[frozenset, ...], int]:
-    """Signed sum of tabloids over the column stabilizer of tab."""
+def _point_polytabloid(tab: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], int]:
+    """Polytabloid of tab with each tabloid given by the rows of its points.
+
+    Column j of tab fills rows 0..len-1 in order, so the column permutation p
+    sends the point col[p[i]] to row i.
+    """
     ncols = len(tab[0]) if tab else 0
-    cols = [[row[j] for row in tab if j < len(row)] for j in range(ncols)]
-    result: dict[tuple[frozenset, ...], int] = {}
+    cols = [[row[j] - 1 for row in tab if j < len(row)] for j in range(ncols)]
+    rows = [0] * sum(map(len, tab))
+    result: dict[tuple[int, ...], int] = {}
     for combo in itertools.product(*(_perms_with_sign(len(c)) for c in cols)):
-        mapping: dict[int, int] = {}
         sign = 1
         for col, (p, s) in zip(cols, combo):
             sign *= s
-            for src, dst in enumerate(p):
-                mapping[col[src]] = col[dst]
-        key = tuple(frozenset(mapping[x] for x in row) for row in tab)
+            for i, src in enumerate(p):
+                rows[col[src]] = i
+        key = tuple(rows)
         result[key] = result.get(key, 0) + sign
     return {k: v for k, v in result.items() if v}
 
 
-def _invert(matrix: list[list[int]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise RuntimeError("singular polytabloid basis matrix (internal bug)")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+def polytabloid(tab: tuple[tuple[int, ...], ...]) -> dict[tuple[frozenset, ...], int]:
+    """Signed sum of tabloids over the column stabilizer of tab."""
+    out = {}
+    for rows, c in _point_polytabloid(tab).items():
+        sets = [set() for _ in tab]
+        for x, i in enumerate(rows, 1):
+            sets[i].add(x)
+        out[tuple(map(frozenset, sets))] = c
+    return out
 
 
 @cache
 def _module_data(parts: tuple[int, ...]):
+    """Pivot tabloids, tabloid -> ((t, coefficient in polytabloid t), ...), and
+    for each basis row s the nonzero entries (u, c), u > s, of the unitriangular
+    basis matrix base[s][u] = coefficient of pivot s in polytabloid u."""
     tableaux = _standard_tableaux(parts)
-    polys = tuple(polytabloid(t) for t in tableaux)
-    pivots = [_tabloid(t) for t in tableaux]
-    deg = len(tableaux)
-    base = [[polys[t].get(pivots[s], 0) for t in range(deg)] for s in range(deg)]
-    return polys, {p: i for i, p in enumerate(pivots)}, _invert(base)
+    pivots = tuple(_rows_of_points(t) for t in tableaux)
+    index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for t, tab in enumerate(tableaux):
+        for key, c in _point_polytabloid(tab).items():
+            index.setdefault(key, []).append((t, c))
+    upper = []
+    for s, pivot in enumerate(pivots):
+        row = dict(index.get(pivot, ()))
+        if row.get(s) != 1 or any(u < s for u in row):
+            raise RuntimeError("polytabloid basis matrix not upper unitriangular (internal bug)")
+        upper.append(tuple((u, c) for u, c in row.items() if u > s))
+    return pivots, {k: tuple(v) for k, v in index.items()}, tuple(upper)
+
+
+def _action(parts: tuple[int, ...], perm: tuple[int, ...]) -> list[list[int]]:
+    """Matrix of the permutation perm (1-based images) on the polytabloid basis.
+
+    The coefficient of pivot s in perm * e_t is that of perm^-1 applied to
+    pivot s in e_t, read from the index. These evaluations equal the basis
+    matrix times the wanted matrix, whose rows then follow by back-substitution.
+    """
+    pivots, index, upper = _module_data(parts)
+    deg = len(pivots)
+    src = [p - 1 for p in perm]
+    out: list[list[int]] = [[]] * deg
+    for s in range(deg - 1, -1, -1):
+        pivot = pivots[s]
+        row = [0] * deg
+        for t, c in index.get(tuple([pivot[p] for p in src]), ()):
+            row[t] = c
+        for u, c in upper[s]:
+            row = [a - c * b for a, b in zip(row, out[u])]
+        out[s] = row
+    return out
+
+
+def _checked_permutation(lam: Partition, sigma, limit: int) -> tuple[int, ...]:
+    n = lam.n
+    if n > limit:
+        raise ValueError(f"n={n} above limit={limit}")
+    perm = sigma.permutation() if isinstance(sigma, CycleType) else tuple(sigma)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
+    return perm
 
 
 def sigma_matrix(lam: Partition, sigma, *, limit: int = DEFAULT_LIMIT) -> list[list[int]]:
@@ -123,94 +170,70 @@ def sigma_matrix(lam: Partition, sigma, *, limit: int = DEFAULT_LIMIT) -> list[l
     sigma is a CycleType (its canonical representative acts) or an explicit
     permutation given as a tuple of 1-based images.
     """
-    n = lam.n
-    if n > limit:
-        raise ValueError(f"n={n} above limit={limit}")
-    perm = sigma.permutation() if isinstance(sigma, CycleType) else tuple(sigma)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
-    polys, pivot_index, inv = _module_data(lam.parts)
-    deg = len(polys)
-    moved = [[0] * deg for _ in range(deg)]
-    for t, poly in enumerate(polys):
-        for tabloid, c in poly.items():
-            key = tuple(frozenset(perm[x - 1] for x in row) for row in tabloid)
-            s = pivot_index.get(key)
-            if s is not None:
-                moved[s][t] = c
-    out = []
-    for i in range(deg):
-        row = []
-        for j in range(deg):
-            v = sum(inv[i][k] * moved[k][j] for k in range(deg))
-            if v.denominator != 1:
-                raise RuntimeError("non-integral action on the polytabloid lattice (internal bug)")
-            row.append(int(v))
-        out.append(row)
-    return out
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def _poly_at_matrix(coeffs: tuple[int, ...], m: list[list[int]]) -> list[list[int]]:
-    n = len(m)
-    out = [[coeffs[-1] * int(i == j) for j in range(n)] for i in range(n)]
-    for c in reversed(coeffs[:-1]):
-        out = _mat_mul(out, m)
-        for i in range(n):
-            out[i][i] += c
-    return out
+    return _action(lam.parts, _checked_permutation(lam, sigma, limit))
 
 
 def _rank(matrix: list[list[int]]) -> int:
-    """Fraction free (Bareiss) row reduction."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Exact rank by fraction free elimination, column by column.
+
+    Each eliminated row pval * row - f * pivot_row is divided by its content,
+    so entries stay small; rows without an entry in the pivot column are only
+    trimmed, and zero rows are dropped.
+    """
+    rows = [row for row in matrix if any(row)]
     rank = 0
-    prev = 1
-    for col in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][col]), None)
+    while rows and rows[0]:
+        piv = next((i for i, row in enumerate(rows) if row[0]), None)
         if piv is None:
+            rows = [row[1:] for row in rows]
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pval = m[rank][col]
-        for i in range(rank + 1, rows):
-            f = m[i][col]
-            for j in range(cols):
-                m[i][j] = (m[i][j] * pval - f * m[rank][j]) // prev
-        prev = pval
+        pivot = rows.pop(piv)
+        pval, ptail = pivot[0], pivot[1:]
         rank += 1
-        if rank == rows:
-            break
+        rest = []
+        for row in rows:
+            f = row[0]
+            if not f:
+                rest.append(row[1:])
+                continue
+            row = [a * pval - f * b for a, b in zip(row[1:], ptail)]
+            g = math.gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
+            if g:
+                rest.append(row)
+        rows = rest
     return rank
 
 
 def oracle_spectrum(lam: Partition, sigma: CycleType, *, limit: int = DEFAULT_LIMIT) -> SpectrumProfile:
-    """Eigenvalue multiplicities read off from cyclotomic kernel ranks.
+    """Eigenvalue multiplicities read off from kernel ranks of M(sigma^k) - I.
 
-    The kernel of Phi_d at the matrix has dimension euler_phi(d) times the
-    shared multiplicity of the primitive d-th roots of unity.
+    For k | r, f(k) = dim ker(M(sigma^k) - I) counts the eigenvalues whose
+    order divides k, so f(d) = sum_{e | d} euler_phi(e) * m_e, where m_e is
+    the shared multiplicity of the primitive e-th roots of unity.
     """
-    mat = sigma_matrix(lam, sigma, limit=limit)
+    perm = _checked_permutation(lam, sigma, limit)
+    deg = len(_module_data(lam.parts)[0])
     r = sigma.order()
-    deg = len(mat)
-    mult = [0] * r
+    m: dict[int, int] = {}
     for d in divisors(r):
-        ker = deg - _rank(_poly_at_matrix(cyclotomic(d), mat))
-        if ker:
-            phi = euler_phi(d)
-            if ker % phi:
-                raise RuntimeError("kernel dimension not a multiple of phi(d) (internal bug)")
-            md = ker // phi
-            for j in range(r):
-                if r // math.gcd(j, r) == d:
-                    mult[j] = md
-    return SpectrumProfile(r, tuple(mult), deg)
+        if d == r:
+            kernel = deg
+        else:
+            power = perm
+            for _ in range(d - 1):
+                power = tuple(perm[p - 1] for p in power)
+            mat = _action(lam.parts, power)
+            for i in range(deg):
+                mat[i][i] -= 1
+            kernel = deg - _rank(mat)
+        count = kernel - sum(euler_phi(e) * m[e] for e in m if d % e == 0)
+        phi = euler_phi(d)
+        if count % phi:
+            raise RuntimeError("kernel dimension not a multiple of phi(d) (internal bug)")
+        m[d] = count // phi
+    return SpectrumProfile(r, tuple(m[r // math.gcd(j, r)] for j in range(r)), deg)
 
 
 def oracle_min_poly(lam: Partition, sigma: CycleType, *, limit: int = DEFAULT_LIMIT) -> MinPoly:

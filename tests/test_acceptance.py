@@ -172,7 +172,7 @@ def test_criterion_4_flagship_values(capsys):
 
 def test_criterion_5_oracle_equivalence(capsys):
     problems = []
-    for n in range(1, 8):
+    for n in range(1, 9):
         lams = enumerate_partitions(n)
         shapes = [(1, n)] + _uniform_shapes(n)
         for lam in lams:

@@ -46,22 +46,40 @@ def test_polytabloid_known():
 
 
 def test_sigma_matrix_identity_and_homomorphism():
-    lam = parse_partition("3,2")
-    n = lam.n
-    ident = sigma_matrix(lam, tuple(range(1, n + 1)))
-    d = degree(lam)
-    assert ident == [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    # composition: the matrix of p∘q is M(p)·M(q)
-    p = (2, 3, 1, 5, 4)
-    q = (1, 3, 5, 2, 4)
-    pq = tuple(p[q[i] - 1] for i in range(n))
-    mp = sigma_matrix(lam, p)
-    mq = sigma_matrix(lam, q)
-    prod = [
-        [sum(mp[i][k] * mq[k][j] for k in range(d)) for j in range(d)]
-        for i in range(d)
+    cases = [
+        ("3,2", (2, 3, 1, 5, 4), (1, 3, 5, 2, 4)),
+        # degree 90 at n = 8: a long back-substitution chain
+        ("4,2,1,1", (3, 1, 2, 5, 6, 4, 8, 7), (2, 4, 6, 8, 1, 3, 5, 7)),
     ]
-    assert sigma_matrix(lam, pq) == prod
+    for text, p, q in cases:
+        lam = parse_partition(text)
+        n = lam.n
+        ident = sigma_matrix(lam, tuple(range(1, n + 1)))
+        d = degree(lam)
+        assert ident == [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+        # composition: the matrix of p∘q is M(p)·M(q)
+        pq = tuple(p[q[i] - 1] for i in range(n))
+        mp = sigma_matrix(lam, p)
+        mq = sigma_matrix(lam, q)
+        prod = [
+            [sum(mp[i][k] * mq[k][j] for k in range(d)) for j in range(d)]
+            for i in range(d)
+        ]
+        assert sigma_matrix(lam, pq) == prod
+
+
+def test_polytabloid_basis_matrix_is_upper_unitriangular():
+    # entry [s][t] is the coefficient of the tabloid of tableau s in the
+    # polytabloid of tableau t; sigma_matrix back-substitutes through it
+    for n in range(1, 9):
+        for lam in enumerate_partitions(n):
+            tabs = standard_tableaux(lam)
+            tabloids = [tuple(frozenset(row) for row in tab) for tab in tabs]
+            for t, tab in enumerate(tabs):
+                poly = polytabloid(tab)
+                column = [poly.get(tabloid, 0) for tabloid in tabloids]
+                assert column[t] == 1, (lam, t)
+                assert not any(column[t + 1 :]), (lam, t)
 
 
 def test_sigma_matrix_traces_match_character():
@@ -86,7 +104,7 @@ def test_sigma_matrix_rejects_bad_input():
 
 
 @st.composite
-def small_cases(draw, max_n=6):
+def small_cases(draw, max_n=7):
     n = draw(st.integers(min_value=1, max_value=max_n))
     lam = draw(st.sampled_from(enumerate_partitions(n)))
     mu = draw(st.sampled_from(enumerate_partitions(n)))
@@ -105,6 +123,21 @@ def test_oracle_min_poly_flagship():
     got = oracle_min_poly(lam, sigma)
     assert got == min_poly(spectrum_sn(lam, sigma))
     assert got.rendered == "(x^6-1)/(x^2+x+1)"
+
+
+def test_oracle_confirms_sporadic_eigenvalue_one_pairs_n8():
+    # the paper's sporadic pairs at n = 8: at the class 5*3 the images of
+    # (4,4) and (2^4) have no eigenvalue 1, those of (5,3) and (3^2,2) do;
+    # this route shares no code with the Ramanujan sums
+    sigma = parse_cycle_type("5^1 3^1")
+    fixed = {
+        text: oracle_spectrum(parse_partition(text), sigma).mult[0]
+        for text in ("4,4", "2^4", "5,3", "3^2,2")
+    }
+    assert fixed["4,4"] == 0
+    assert fixed["2^4"] == 0
+    assert fixed["5,3"] > 0
+    assert fixed["3^2,2"] > 0
 
 
 def test_oracle_spectrum_spot_n7():

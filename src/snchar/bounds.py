@@ -19,9 +19,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-from mpmath.libmp import to_rational
-
 from .characters_sn import chi, degree
 from .partitions import CycleType, Partition, conjugate, enumerate_partitions
 from .spectral import divisors
@@ -44,10 +41,17 @@ __all__ = [
 DEFAULT_PRECISION_BITS = 128
 
 
-@contextmanager
-def _interval_precision(bits: int):
+def _check_bits(bits: int) -> None:
     if bits < 8:
         raise ValueError(f"precision too small: {bits}")
+
+
+# mpmath is imported where it is used, so that importing the package does not load it
+@contextmanager
+def _interval_precision(bits: int):
+    import mpmath
+
+    _check_bits(bits)
     old = mpmath.iv.prec
     mpmath.iv.prec = bits
     try:
@@ -57,10 +61,14 @@ def _interval_precision(bits: int):
 
 
 def _inf(x) -> Fraction:
+    from mpmath.libmp import to_rational
+
     return Fraction(*to_rational(x._mpi_[0]))
 
 
 def _sup(x) -> Fraction:
+    from mpmath.libmp import to_rational
+
     return Fraction(*to_rational(x._mpi_[1]))
 
 
@@ -68,6 +76,8 @@ def _fmt(q: Fraction | int) -> str:
     q = Fraction(q)
     if q.denominator == 1 and abs(q.numerator) < 10**15:
         return str(q.numerator)
+    import mpmath
+
     with mpmath.workprec(80):
         return mpmath.nstr(mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator), 12)
 
@@ -120,6 +130,7 @@ def fomin_lulov_check(lam: Partition, r: int, m: int, *, bits: int = DEFAULT_PRE
     At r = 1 the two sides agree identically and the margin is 0.
     """
     _require_shape(lam, r, m)
+    _check_bits(bits)  # the exact branch below never enters _interval_precision
     n = lam.n
     val = abs(chi(lam, CycleType.uniform(r, m, n)))
     d = degree(lam)

@@ -108,13 +108,6 @@ class AlgebraicValue:
     def from_rational(cls, q) -> "AlgebraicValue":
         return cls(Fraction(q))
 
-    @classmethod
-    def sqrt_of(cls, c: int) -> "AlgebraicValue":
-        """The principal square root of the integer c (positive real, or
-        positive imaginary part for c < 0)."""
-        b, d = split_square(c)
-        return cls(Fraction(0), Fraction(b), d)
-
     @property
     def is_rational(self) -> bool:
         return self.d == 1

@@ -19,8 +19,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
-from .characters_an import MINUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels
+from .characters_an import MINUS, PLUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels
 from .partitions import CycleType, Partition, enumerate_partitions
 from .spectral import MinPoly, fixed_space_dim, min_poly, spectrum_an, spectrum_sn
 
@@ -86,23 +87,24 @@ def predict_sn(lam: Partition, r: int, m: int) -> Prediction:
     if n < 3:
         raise ValueError(f"classification starts at n = 3: {n}")
     _check_shape(n, r, m)
-    if lam == Partition((n,)):
+    parts = lam.parts
+    if parts == (n,):
         raise ValueError("the trivial character is excluded")
-    arg = (("sn", n, str(lam), r, m))
+    arg = ("sn", n, str(lam), r, m)
 
-    if lam == Partition((1,) * n):
+    if parts == (1,) * n:
         root = r // 2 if (m * (r - 1)) % 2 else 0
         return Prediction(*arg, (MinPoly(r, frozenset({root})),), "sign")
-    if lam == Partition((n - 1, 1)) and r == n:
+    if parts == (n - 1, 1) and r == n:
         return Prediction(*arg, (_without(n, {0}),), "standard")
-    if n >= 4 and lam == Partition((2,) + (1,) * (n - 2)) and r == n:
+    if n >= 4 and parts == (2,) + (1,) * (n - 2) and r == n:
         removed = {0} if n % 2 else {n // 2}
         return Prediction(*arg, (_without(n, removed),), "standard-twist")
-    if n == 6 and r == 6 and lam == Partition((3, 3)):
+    if parts == (3, 3) and r == 6:
         return Prediction(*arg, (_without(6, {2, 4}),), "3,3@6")
-    if n == 6 and r == 6 and lam == Partition((2, 2, 2)):
+    if parts == (2, 2, 2) and r == 6:
         return Prediction(*arg, (_without(6, {1, 5}),), "2,2,2@6")
-    if n == 4 and lam == Partition((2, 2)):
+    if parts == (2, 2):
         table = {
             (4, 1): MinPoly(4, frozenset({0, 2})),
             (3, 1): MinPoly(3, frozenset({1, 2})),
@@ -127,14 +129,14 @@ def predict_an(label: AnCharacterLabel, r: int, m: int) -> Prediction:
     if (m * (r - 1)) % 2:
         raise ValueError(f"shape {r}^{m} is odd, not in the alternating group")
     if label.variant == RESTRICTED:
-        if lam == Partition((n,)):
+        if lam.parts == (n,):
             raise ValueError("the trivial character is excluded")
         arg = ("an", n, str(label), r, m)
-        if lam == Partition((n - 1, 1)) and r == n:
+        if lam.parts == (n - 1, 1) and r == n:
             return Prediction(*arg, (_without(n, {0}),), "standard")
         return Prediction(*arg, (_full(r),), None)
     arg = ("an", n, f"[{lam}]+/-", r, m)
-    if n == 5 and lam == Partition((3, 1, 1)) and r == 5:
+    if lam.parts == (3, 1, 1) and r == 5:
         pair = (MinPoly(5, frozenset({0, 2, 3})), MinPoly(5, frozenset({0, 1, 4})))
         return Prediction(*arg, tuple(sorted(pair, key=_pair_key)), "3,1,1@5")
     return Prediction(*arg, (_full(r), _full(r)), None)
@@ -209,46 +211,33 @@ def _uniform_shapes(n: int, *, even_only: bool = False) -> list[tuple[int, int]]
     return out
 
 
-def _minpoly_sn_single_n(n: int) -> tuple[int, list, list]:
+def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
+    """Predicted against computed minimal polynomials of every nontrivial
+    irreducible of S_n or A_n (group "sn" or "an") at every uniform class.
+
+    Each label is paired with the labels whose spectra it is checked against:
+    itself, or both halves of a split pair, sorted as predict_an sorts them.
+    """
+    if group == "sn":
+        # (n) comes first: the trivial character is excluded
+        labels = [(lam, (lam,)) for lam in enumerate_partitions(n)[1:]]
+        shapes = _uniform_shapes(n)
+    else:
+        labels = [(label, AnCharacterLabel.split_pair(label.partition) if label.variant == PLUS else (label,))
+                  for label in an_irreducible_labels(n)[1:] if label.variant != MINUS]
+        shapes = _uniform_shapes(n, even_only=True)
+    classes = [(r, m, CycleType.uniform(r, m, n)) for r, m in shapes]
     cases = 0
     mismatches = []
     exceptional = []
-    shapes = _uniform_shapes(n)
-    trivial = Partition((n,))
-    for lam in enumerate_partitions(n):
-        if lam == trivial:
-            continue
-        for r, m in shapes:
-            pred = predict_sn(lam, r, m)
-            got = min_poly(spectrum_sn(lam, CycleType.uniform(r, m, n)))
-            cases += 1
-            if got != pred.polys[0]:
-                mismatches.append((n, str(lam), r, m, pred.polys[0].rendered, got.rendered))
-            if pred.clause:
-                exceptional.append((n, str(lam), r, m, pred.clause))
-    return cases, mismatches, exceptional
-
-
-def _minpoly_an_single_n(n: int) -> tuple[int, list, list]:
-    cases = 0
-    mismatches = []
-    exceptional = []
-    shapes = _uniform_shapes(n, even_only=True)
-    trivial = Partition((n,))
-    for label in an_irreducible_labels(n):
-        if label.variant == MINUS:
-            continue
-        if label.variant == RESTRICTED and label.partition == trivial:
-            continue
-        for r, m in shapes:
-            sigma = CycleType.uniform(r, m, n)
-            pred = predict_an(label, r, m)
-            if label.variant == RESTRICTED:
-                got = (min_poly(spectrum_an(label, sigma)),)
+    for label, computed in labels:
+        for r, m, sigma in classes:
+            if group == "sn":
+                pred = predict_sn(label, r, m)
+                got = (min_poly(spectrum_sn(label, sigma)),)
             else:
-                plus, minus = AnCharacterLabel.split_pair(label.partition)
-                halves = [min_poly(spectrum_an(plus, sigma)), min_poly(spectrum_an(minus, sigma))]
-                got = tuple(sorted(halves, key=_pair_key))
+                pred = predict_an(label, r, m)
+                got = tuple(sorted((min_poly(spectrum_an(c, sigma)) for c in computed), key=_pair_key))
             cases += 1
             if got != pred.polys:
                 mismatches.append(
@@ -262,32 +251,24 @@ def _minpoly_an_single_n(n: int) -> tuple[int, list, list]:
 
 
 def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
-    cases = 0
-    mismatches = []
-    trivial = Partition((n,))
+    lams = enumerate_partitions(n)
+    classes = [CycleType.from_partition(mu) for mu in lams]
     predicted = predict_no_eigenvalue_one(n)
     for r, m in _uniform_shapes(n):
         sigma = CycleType.uniform(r, m, n)
-        for lam in enumerate_partitions(n):
-            if lam == trivial:
-                continue
+        for lam in lams[1:]:  # (n) comes first: the trivial character is excluded
             pred = predict_sn(lam, r, m)
             if all(0 not in p.roots for p in pred.polys):
                 predicted.add((lam, sigma))
-    computed = set()
-    for lam in enumerate_partitions(n):
-        for mu in enumerate_partitions(n):
-            sigma = CycleType.from_partition(mu)
-            cases += 1
-            if fixed_space_dim(lam, sigma) == 0:
-                computed.add((lam, sigma))
+    computed = {(lam, sigma) for lam in lams for sigma in classes if fixed_space_dim(lam, sigma) == 0}
     order = lambda pair: (pair[0].parts, pair[1].cycles)
+    mismatches = []
     for lam, sigma in sorted(computed - predicted, key=order):
         mismatches.append((n, str(lam), str(sigma), "unpredicted"))
     for lam, sigma in sorted(predicted - computed, key=order):
         mismatches.append((n, str(lam), str(sigma), "predicted-but-eigenvalue-1-present"))
     exceptional = [(n, str(lam), str(sigma)) for lam, sigma in sorted(computed, key=order)]
-    return cases, mismatches, exceptional
+    return len(lams) ** 2, mismatches, exceptional
 
 
 def _sweep(kind: str, fn, floor: int, min_n: int, max_n: int, threads: int) -> VerificationReport:
@@ -315,12 +296,12 @@ def _sweep(kind: str, fn, floor: int, min_n: int, max_n: int, threads: int) -> V
 
 def verify_minpoly_sn(max_n: int, *, min_n: int = 3, threads: int = 1) -> VerificationReport:
     """Compare predicted and computed minimal polynomials over S_n sweeps."""
-    return _sweep("minpoly-sn", _minpoly_sn_single_n, 3, min_n, max_n, threads)
+    return _sweep("minpoly-sn", partial(_minpoly_single_n, "sn"), 3, min_n, max_n, threads)
 
 
 def verify_minpoly_an(max_n: int, *, min_n: int = 5, threads: int = 1) -> VerificationReport:
     """Compare predicted and computed minimal polynomials over A_n sweeps."""
-    return _sweep("minpoly-an", _minpoly_an_single_n, 5, min_n, max_n, threads)
+    return _sweep("minpoly-an", partial(_minpoly_single_n, "an"), 5, min_n, max_n, threads)
 
 
 def verify_eigenvalue_one(max_n: int, *, min_n: int = 3, threads: int = 1) -> VerificationReport:

@@ -54,15 +54,6 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
     def __str__(self) -> str:
         return format_partition(self)
 

@@ -36,6 +36,14 @@ def test_interval_precision_guard():
             pass
 
 
+def test_precision_checked_without_intervals():
+    # r = 1 is decided exactly, with no interval evaluation, yet bits is still checked
+    with pytest.raises(ValueError, match="precision too small: -7"):
+        fomin_lulov_check(parse_partition("2,1"), 1, 3, bits=-7)
+    with pytest.raises(ValueError, match="precision too small: -7"):
+        sweep_fomin_lulov(1, bits=-7)
+
+
 def test_fomin_lulov_r1_is_equality():
     report = fomin_lulov_check(parse_partition("3,2"), 1, 5)
     assert report.holds

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -263,3 +264,32 @@ def test_prediction_is_generic():
     special = predict_sn(parse_partition("5,1"), 6, 1)
     assert not special.is_generic
     assert isinstance(special, Prediction)
+
+
+def test_mismatches_report_prediction_then_computation(monkeypatch):
+    # predict the full x^r - 1 wherever a clause removes factors, and swap
+    # the two polynomials of every split prediction
+    monkeypatch.setattr(classify, "_without", lambda r, removed: MinPoly(r, frozenset(range(r))))
+    real = classify.predict_an
+
+    def swapped(label, r, m):
+        pred = real(label, r, m)
+        return dataclasses.replace(pred, polys=pred.polys[::-1])
+
+    monkeypatch.setattr(classify, "predict_an", swapped)
+    sn = verify_minpoly_sn(4)
+    assert not sn.ok
+    assert sn.mismatches == (
+        (3, "2,1", 3, 1, "x^3-1", "(x^3-1)/(x-1)"),
+        (4, "3,1", 4, 1, "x^4-1", "(x^4-1)/(x-1)"),
+        (4, "2,1^2", 4, 1, "x^4-1", "(x^4-1)/(x+1)"),
+    )
+    an = verify_minpoly_an(5)
+    # the halves keep the roots 0,1,4 and 0,2,3; that order is the computed one
+    keep_014, keep_023 = "(x^5-1)/((x-z5^2)(x-z5^3))", "(x^5-1)/((x-z5^1)(x-z5^4))"
+    assert an.mismatches == (
+        (5, "[4,1]", 5, 1, "x^5-1", "(x^5-1)/(x-1)"),
+        (5, "[3,1^2]+/-", 5, 1, f"{keep_023} | {keep_014}", f"{keep_014} | {keep_023}"),
+    )
+    # the clauses are still reported, mismatched or not
+    assert {e[1] for e in an.exceptional} == {"[4,1]", "[3,1^2]+/-"}

@@ -173,6 +173,14 @@ def test_bounds_failure_exit_code(capsys):
     assert "FAILURES above" in out
 
 
+def test_bounds_precision_checked_on_the_exact_branch(capsys):
+    # at r = 1 the two sides are equal and no interval is evaluated
+    code, out, err = run_cli(
+        capsys, "bounds", "--check", "fomin-lulov", "--lambda", "2,1", "--shape", "1^3", "--precision-bits", "-7",
+    )
+    assert (code, out, err) == (2, "", "error: precision too small: -7\n")
+
+
 def test_bounds_precision_env(capsys, monkeypatch):
     monkeypatch.setenv("SNCHAR_PRECISION_BITS", "8")
     code, _, _ = run_cli(capsys, "bounds", "--check", "robbins", "--n", "200")
@@ -310,6 +318,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0"
+
+
+def test_import_does_not_load_mpmath():
+    code = "import sys, snchar, snchar.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_verify_mismatches_exit_1(capsys, monkeypatch):
+    from snchar import classify
+    from snchar.spectral import MinPoly
+
+    monkeypatch.setattr(classify, "_without", lambda r, removed: MinPoly(r, frozenset(range(r))))
+    code, out, _ = run_cli(capsys, "verify", "minpoly-sn", "--max-n", "6")
+    assert code == 1
+    lines = out.splitlines()
+    mismatches = [line for line in lines if line.startswith("mismatch:")]
+    assert lines[0].startswith("minpoly-sn n=3..6: ") and f", {len(mismatches)} mismatches, " in lines[0]
+    assert "mismatch: 3 2,1 3 1 x^3-1 (x^3-1)/(x-1)" in mismatches
+    assert "mismatch: 6 3^2 6 1 x^6-1 (x^6-1)/(x^2+x+1)" in mismatches
 
 
 def test_runs_are_byte_identical():

@@ -61,18 +61,15 @@ from .classify import (
 )
 from .partitions import (
     CycleType,
-    HookRef,
     Partition,
     conjugate,
     diagonal_hooks,
     enumerate_partitions,
     format_cycle_type,
     format_partition,
-    hook_lengths,
     parse_cycle_type,
     parse_partition,
     partition_count,
-    remove_rim_hook,
 )
 from .specht import (
     oracle_min_poly,

@@ -1,10 +1,11 @@
 """Exact irreducible characters of symmetric groups.
 
 chi() peels rim hooks, always consuming the largest remaining cycle first,
-with a process wide memo keyed by (partition, remaining cycle multiset).
-Below the full_table limit of n = 16 the memo stays modest (a few entries per
-pair of a sub-partition and a suffix of a class type) and is never evicted;
-clear_character_cache() drops it explicitly.
+with a process wide memo keyed by (partition, remaining cycle multiset). Once
+only fixed points remain, the value is the number of standard tableaux of the
+remaining shape, read from the hook product that degree() also uses, so the
+memo holds no fixed-point tails. It grows with every n evaluated and is never
+evicted; clear_character_cache() drops it and the hook-product cache.
 
 Independent evaluation routes are provided so values can be cross checked:
 coefficient extraction from the generating product (chi_frobenius), closed
@@ -31,7 +32,6 @@ from .partitions import (
     enumerate_partitions,
     format_cycle_type,
     format_partition,
-    hook_lengths,
 )
 
 __all__ = [
@@ -52,11 +52,27 @@ _MN_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
 def clear_character_cache() -> None:
     _MN_CACHE.clear()
+    _standard_count.cache_clear()
+
+
+@cache
+def _standard_count(parts: tuple[int, ...]) -> int:
+    """Standard tableaux of shape parts: n! over the product of hook lengths."""
+    conj = [sum(1 for p in parts if p > j) for j in range(parts[0])] if parts else []
+    den = 1
+    for i, p in enumerate(parts):
+        for j in range(p):
+            den *= p - j + conj[j] - i - 1
+    d, rem = divmod(math.factorial(sum(parts)), den)
+    if rem:
+        raise RuntimeError("hook product must divide n! (internal bug)")
+    return d
 
 
 def _chi(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    if not cycles:
-        return 1
+    # cycles run longest first, so a leading fixed point leaves only 1^k
+    if not cycles or cycles[0] == 1:
+        return _standard_count(parts)
     key = (parts, cycles)
     val = _MN_CACHE.get(key)
     if val is None:
@@ -79,20 +95,13 @@ def chi(lam: Partition, sigma: CycleType) -> int:
     try:
         return _chi(lam.parts, cycles)
     except RecursionError:
-        # _chi recurses once per cycle; finished memo entries stay valid
+        # _chi recurses once per non-fixed cycle; finished memo entries stay valid
         raise ValueError(f"class {sigma} has {len(cycles)} cycles, too many for the character recursion") from None
 
 
-@cache
 def degree(lam: Partition) -> int:
     """Dimension n! / (product of hook lengths)."""
-    den = 1
-    for ref in hook_lengths(lam).values():
-        den *= ref.length
-    d, rem = divmod(math.factorial(lam.n), den)
-    if rem:
-        raise RuntimeError("hook product must divide n! (internal bug)")
-    return d
+    return _standard_count(lam.parts)
 
 
 def chi_frobenius(lam: Partition, sigma: CycleType, max_rows: int = 4) -> int:

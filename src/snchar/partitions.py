@@ -6,7 +6,6 @@ Conventions used throughout the package:
   with exponent shorthand ("2^2,1^3" for (2,2,1,1,1));
 * a cycle type is a multiset of cycle lengths with fixed points stored
   explicitly, written as space separated atoms ("3^1 1^2");
-* boxes of a Young diagram are addressed by 1-based (row, column) pairs;
 * the parsers refuse text spelling more than MAX_PARSE_N points, before
   expanding it.
 """
@@ -22,10 +21,7 @@ from functools import cache
 __all__ = [
     "Partition",
     "CycleType",
-    "HookRef",
     "conjugate",
-    "hook_lengths",
-    "remove_rim_hook",
     "diagonal_hooks",
     "enumerate_partitions",
     "partition_count",
@@ -56,16 +52,6 @@ class Partition:
 
     def __str__(self) -> str:
         return format_partition(self)
-
-
-@dataclass(frozen=True)
-class HookRef:
-    """One hook of a Young diagram: its 1-based box, length, and leg length."""
-
-    row: int
-    col: int
-    length: int
-    leg: int
 
 
 @dataclass(frozen=True)
@@ -184,32 +170,6 @@ def conjugate(lam: Partition) -> Partition:
     if not parts:
         return lam
     return Partition(tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)))
-
-
-def hook_lengths(lam: Partition) -> dict[tuple[int, int], HookRef]:
-    """Hook of every box, keyed by its (row, col)."""
-    conj = conjugate(lam).parts
-    table: dict[tuple[int, int], HookRef] = {}
-    for i, row_len in enumerate(lam.parts, start=1):
-        for j in range(1, row_len + 1):
-            leg = conj[j - 1] - i
-            table[(i, j)] = HookRef(i, j, row_len - j + leg + 1, leg)
-    return table
-
-
-def remove_rim_hook(lam: Partition, hook: HookRef) -> tuple[Partition, int]:
-    """Strip the rim hook anchored at hook's box.
-
-    Returns the smaller partition together with the sign (-1)**leg. The hook
-    must belong to the diagram of lam.
-    """
-    table = hook_lengths(lam)
-    if table.get((hook.row, hook.col)) != hook:
-        raise ValueError(f"{hook} is not a hook of {lam}")
-    # the rim hook of a box starts at the end of the box's row
-    nparts, leg = next((p, leg) for row, p, leg in _rim_hooks(lam.parts, hook.length) if row == hook.row - 1)
-    assert leg == hook.leg
-    return Partition(nparts), (-1 if leg % 2 else 1)
 
 
 def _rim_hooks(parts: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...], int]]:

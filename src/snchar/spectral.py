@@ -354,14 +354,18 @@ def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
     return SpectrumProfile(r, tuple(mult), base.degree // 2)
 
 
-def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType, *, snap: float = 1e-6) -> SpectrumProfile:
+# relative slack within which spectrum_an_numeric snaps a multiplicity to an integer
+_SNAP = 1e-6
+
+
+def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
     """Floating point cross check of spectrum_an.
 
     The conjugate surd values on powers hitting the distinguished class are
     resolved with a quadratic residue symbol (for squarefree d = 1 mod 4 the
     conjugation by i multiplies sqrt(d) by (d | i)), so this route shares no
     exact machinery with the Gauss sum path. Values are snapped to integers
-    within the given slack.
+    within the relative slack _SNAP.
     """
     lam = label.partition
     if lam.n != sigma.n:
@@ -398,7 +402,7 @@ def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType, *, snap: floa
     for j in range(r):
         acc = sum(values[i] * cmath.exp(-2j * math.pi * (i * j % r) / r) for i in range(r)) / r
         nearest = round(acc.real)
-        if abs(acc - nearest) > snap * max(1.0, abs(acc)):
+        if abs(acc - nearest) > _SNAP * max(1.0, abs(acc)):
             raise RuntimeError(f"numeric multiplicity {acc} does not snap to an integer")
         mult.append(nearest)
     deg = degree(lam) if label.variant == RESTRICTED else degree(lam) // 2

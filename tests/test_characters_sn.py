@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from snchar import characters_sn
 from snchar.characters_sn import (
     branch,
     chi,
@@ -23,10 +24,10 @@ from snchar.partitions import (
     Partition,
     conjugate,
     enumerate_partitions,
-    hook_lengths,
     parse_cycle_type,
     parse_partition,
 )
+from snchar.spectral import spectrum_sn
 
 
 @st.composite
@@ -82,11 +83,11 @@ def test_degree_known():
     assert degree(Partition(())) == 1
 
 
-@given(st.sampled_from([lam for n in range(1, 9) for lam in enumerate_partitions(n)]))
-def test_degree_hook_product(lam):
-    prod = math.prod(h.length for h in hook_lengths(lam).values())
-    assert degree(lam) * prod == math.factorial(lam.n)
-    assert chi(lam, CycleType.uniform(1, lam.n, lam.n)) == degree(lam)
+def test_degree_hook_product():
+    # the branching rule counts standard tableaux by their largest entry
+    for n in range(1, 13):
+        for lam in enumerate_partitions(n):
+            assert degree(lam) == sum(degree(mu) for mu in branch(lam))
 
 
 @given(labeled_pairs())
@@ -245,4 +246,15 @@ def test_cache_clear_is_safe():
     sigma = parse_cycle_type("5^1 3^1")
     before = chi(lam, sigma)
     clear_character_cache()
+    assert not characters_sn._MN_CACHE
+    assert characters_sn._standard_count.cache_info().currsize == 0
     assert chi(lam, sigma) == before
+
+
+def test_memo_holds_no_fixed_point_tails():
+    # a class that has shrunk to 1^k is answered by the hook product, unstored
+    clear_character_cache()
+    full_table(10)
+    spectrum_sn(parse_partition("7,5,4,3,2^2,1"), parse_cycle_type("7^1 5^1 3^1 2^1 1^7"))
+    assert characters_sn._MN_CACHE
+    assert all(cycles and cycles[0] != 1 for _, cycles in characters_sn._MN_CACHE)

@@ -1,13 +1,20 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from snchar.cli import main
 from snchar.partitions import parse_cycle_type, parse_partition
+
+
+# child interpreters import the package from this checkout, installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(capsys, *argv):
@@ -275,10 +282,14 @@ def test_verify_rejects_thread_count_below_one(capsys, threads):
 
 
 def test_deep_class_exits_2(capsys):
-    # one recursion level per cycle: 3000 fixed points are too deep
-    code, out, err = run_cli(capsys, "char", "--lambda", "1500,1500", "--shape", "1^3000")
+    # one recursion level per non-fixed cycle: 1500 transpositions are too deep
+    code, out, err = run_cli(capsys, "char", "--lambda", "1500,1500", "--shape", "2^1500")
     assert (code, out) == (2, "")
-    assert err.startswith("error: class 1^3000 has 3000 cycles")
+    assert err.startswith("error: class 2^1500 has 1500 cycles, too many for the character recursion")
+    # fixed points end the recursion at once: the value is the degree
+    code, out, _ = run_cli(capsys, "char", "--lambda", "1500,1500", "--shape", "1^3000")
+    assert code == 0
+    assert out == run_cli(capsys, "degree", "--lambda", "1500,1500")[1]
 
 
 def test_oversized_input_exits_2(capsys):
@@ -315,6 +326,7 @@ def test_module_entry_point():
          "--shape", "6^1"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0"
@@ -322,7 +334,7 @@ def test_module_entry_point():
 
 def test_import_does_not_load_mpmath():
     code = "import sys, snchar, snchar.cli; print('mpmath' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
@@ -343,7 +355,7 @@ def test_verify_mismatches_exit_1(capsys, monkeypatch):
 def test_runs_are_byte_identical():
     argv = [sys.executable, "-m", "snchar.cli", "verify", "minpoly-sn",
             "--max-n", "6", "--format", "json"]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
+    first = subprocess.run(argv, capture_output=True, text=True, env=CHILD_ENV)
+    second = subprocess.run(argv, capture_output=True, text=True, env=CHILD_ENV)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout

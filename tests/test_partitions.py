@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from snchar.partitions import (
     MAX_PARSE_N,
     CycleType,
-    HookRef,
     Partition,
+    _rim_hooks,
     conjugate,
     diagonal_hooks,
     enumerate_partitions,
-    hook_lengths,
     parse_cycle_type,
     parse_partition,
     partition_count,
-    remove_rim_hook,
 )
 
 
@@ -84,41 +82,20 @@ def test_conjugate_involution(lam):
     assert conjugate(conjugate(lam)) == lam
 
 
-@given(partitions())
-def test_conjugate_preserves_hook_multiset(lam):
-    mine = sorted(h.length for h in hook_lengths(lam).values())
-    theirs = sorted(h.length for h in hook_lengths(conjugate(lam)).values())
-    assert mine == theirs
-
-
-def test_hook_lengths_known():
-    table = hook_lengths(parse_partition("3,2"))
-    lengths = {key: h.length for key, h in table.items()}
-    assert lengths == {(1, 1): 4, (1, 2): 3, (1, 3): 1, (2, 1): 2, (2, 2): 1}
-    assert table[(1, 1)].leg == 1
-    assert table[(1, 2)].leg == 1
-    assert table[(2, 1)].leg == 0
-
-
-def test_remove_rim_hook_known():
-    lam = parse_partition("2,1")
-    table = hook_lengths(lam)
-    rest, sign = remove_rim_hook(lam, table[(1, 1)])
-    assert rest.parts == () and sign == -1
-    rest, sign = remove_rim_hook(lam, table[(2, 1)])
-    assert rest.parts == (2,) and sign == 1
-    rest, sign = remove_rim_hook(lam, table[(1, 2)])
-    assert rest.parts == (1, 1) and sign == 1
-    with pytest.raises(ValueError):
-        remove_rim_hook(lam, HookRef(1, 1, 2, 0))
-
-
 @given(partitions(max_n=10))
 def test_rim_hook_removal_shrinks(lam):
-    for hook in hook_lengths(lam).values():
-        rest, sign = remove_rim_hook(lam, hook)
-        assert rest.n == lam.n - hook.length
-        assert sign == (-1) ** hook.leg
+    n = lam.n
+    conj = conjugate(lam).parts
+    count = 0
+    for k in range(1, n + 1):
+        hooks = _rim_hooks(lam.parts, k)
+        count += len(hooks)
+        for _, sub, _ in hooks:
+            assert Partition(sub).n == n - k
+        # transposing the diagram swaps arm and leg: leg becomes k - 1 - leg
+        mirrored = sorted((conjugate(Partition(sub)).parts, k - 1 - leg) for _, sub, leg in hooks)
+        assert sorted((sub, leg) for _, sub, leg in _rim_hooks(conj, k)) == mirrored
+    assert count == n  # one rim hook per box
 
 
 def test_diagonal_hooks_known():

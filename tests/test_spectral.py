@@ -309,6 +309,14 @@ def test_spectrum_sn_large_order():
     assert alternating == chi(lam, sigma.power(prof.r // 2))
 
 
+def test_fixed_space_dim_large_n():
+    # n = 60, order 1021020: most powers sigma^d are rich in fixed points
+    lam = parse_partition("10,9,8,7,6,5,4,3^2,2,1^3")
+    sigma = parse_cycle_type("17^1 13^1 11^1 7^1 5^1 4^1 3^1")
+    assert sigma.order() == 1021020
+    assert fixed_space_dim(lam, sigma) == 1252728188828998435411086655244520
+
+
 def test_spectrum_an_restricted_equals_parent():
     label = AnCharacterLabel.restricted(parse_partition("4,1"))
     sigma = parse_cycle_type("5^1")

@@ -44,7 +44,6 @@ from .characters_sn import (
     chi_closed_form,
     chi_frobenius,
     chi_hook_on_uniform,
-    clear_character_cache,
     degree,
     full_table,
     sign_twist_check,

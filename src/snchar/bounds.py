@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters_sn import chi, degree
-from .partitions import CycleType, Partition, conjugate, enumerate_partitions
+from .partitions import CycleType, Partition, _sweep_range, conjugate, enumerate_partitions
 from .spectral import divisors
 
 __all__ = [
@@ -259,7 +259,7 @@ def min_degree_check(n: int) -> BoundReport:
 def _sweep_uniform(check, min_n: int, max_n: int, bits: int) -> list[BoundReport]:
     """check(lam, r, n // r) for every n in range, every r | n and every partition lam of n."""
     return [check(lam, r, n // r, bits=bits)
-            for n in range(min_n, max_n + 1) for r in divisors(n) for lam in enumerate_partitions(n)]
+            for n in _sweep_range(1, min_n, max_n) for r in divisors(n) for lam in enumerate_partitions(n)]
 
 
 def sweep_fomin_lulov(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
@@ -272,8 +272,8 @@ def sweep_estimate(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_
 
 
 def sweep_robbins(max_n: int = 200, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
-    return [robbins_check(n, bits=bits) for n in range(min_n, max_n + 1)]
+    return [robbins_check(n, bits=bits) for n in _sweep_range(1, min_n, max_n)]
 
 
 def sweep_tail(max_n: int = 200, *, min_n: int = 23, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
-    return [tail_inequalities_check(n, bits=bits) for n in range(min_n, max_n + 1)]
+    return [tail_inequalities_check(n, bits=bits) for n in _sweep_range(23, min_n, max_n)]

@@ -4,8 +4,9 @@ chi() peels rim hooks, always consuming the largest remaining cycle first,
 with a process wide memo keyed by (partition, remaining cycle multiset). Once
 only fixed points remain, the value is the number of standard tableaux of the
 remaining shape, read from the hook product that degree() also uses, so the
-memo holds no fixed-point tails. It grows with every n evaluated and is never
-evicted; clear_character_cache() drops it and the hook-product cache.
+memo holds no fixed-point tails. It serves every n (the recursion at n reuses
+keys first met below n) and bounds itself: an insert at _MEMO_CAP entries first
+clears it in place, with the hook-product cache. full_table(MAX_TABLE_N) fits.
 
 Independent evaluation routes are provided so values can be cross checked:
 coefficient extraction from the generating product (chi_frobenius), closed
@@ -44,15 +45,12 @@ __all__ = [
     "branch",
     "full_table",
     "CharacterTable",
-    "clear_character_cache",
 ]
 
+MAX_TABLE_N = 20
+MAX_FROBENIUS_ROWS = 4
+_MEMO_CAP = 1 << 19
 _MN_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-
-def clear_character_cache() -> None:
-    _MN_CACHE.clear()
-    _standard_count.cache_clear()
 
 
 @cache
@@ -83,6 +81,9 @@ def _chi(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
                 val -= _chi(sub, rest)
             else:
                 val += _chi(sub, rest)
+        if len(_MN_CACHE) >= _MEMO_CAP:
+            _MN_CACHE.clear()
+            _standard_count.cache_clear()
         _MN_CACHE[key] = val
     return val
 
@@ -96,7 +97,8 @@ def chi(lam: Partition, sigma: CycleType) -> int:
         return _chi(lam.parts, cycles)
     except RecursionError:
         # _chi recurses once per non-fixed cycle; finished memo entries stay valid
-        raise ValueError(f"class {sigma} has {len(cycles)} cycles, too many for the character recursion") from None
+        deep = len(cycles) - sigma.count_of(1)
+        raise ValueError(f"class {sigma} has {deep} non-fixed cycles, too many for the character recursion") from None
 
 
 def degree(lam: Partition) -> int:
@@ -104,18 +106,18 @@ def degree(lam: Partition) -> int:
     return _standard_count(lam.parts)
 
 
-def chi_frobenius(lam: Partition, sigma: CycleType, max_rows: int = 4) -> int:
+def chi_frobenius(lam: Partition, sigma: CycleType) -> int:
     """Character value by coefficient extraction from the generating product.
 
     With k rows and l_i = lam_i + k - i, the value is the coefficient of
     x1^l1 ... xk^lk in prod_{i<j}(x_i - x_j) * prod_cycles (x_1^a + ... + x_k^a).
-    Cost grows quickly with k, hence the row cap.
+    Cost grows quickly with k, hence the cap of MAX_FROBENIUS_ROWS rows.
     """
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
     k = len(lam.parts)
-    if k > max_rows:
-        raise ValueError(f"partition has {k} rows, cap is {max_rows}")
+    if k > MAX_FROBENIUS_ROWS:
+        raise ValueError(f"partition has {k} rows, cap is {MAX_FROBENIUS_ROWS}")
     if k == 0:
         return 1
     target = tuple(lam.parts[i] + (k - 1 - i) for i in range(k))
@@ -228,15 +230,10 @@ class CharacterTable:
         return buf.getvalue()
 
 
-def full_table(n: int, *, limit: int = 16) -> CharacterTable:
-    """Exact character table of the symmetric group on n points.
-
-    The limit guards the memo growth; raise it explicitly for larger tables.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > limit:
-        raise ValueError(f"n={n} above limit={limit}")
+def full_table(n: int) -> CharacterTable:
+    """Exact character table of the symmetric group on n <= MAX_TABLE_N points."""
+    if n > MAX_TABLE_N:
+        raise ValueError(f"n={n} above limit={MAX_TABLE_N}")
     lams = tuple(enumerate_partitions(n))
     classes = tuple(CycleType.from_partition(mu) for mu in lams)
     values = tuple(tuple(chi(lam, c) for c in classes) for lam in lams)

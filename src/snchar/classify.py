@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .characters_an import MINUS, PLUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels
-from .partitions import CycleType, Partition, enumerate_partitions
+from .partitions import CycleType, Partition, _sweep_range, enumerate_partitions
 from .spectral import MinPoly, fixed_space_dim, min_poly, spectrum_an, spectrum_sn
 
 __all__ = [
@@ -273,11 +273,9 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
 
 def _sweep(kind: str, fn, floor: int, min_n: int, max_n: int, threads: int) -> VerificationReport:
     """Run fn(n) for n = min_n .. max_n on at most threads worker processes."""
-    if min_n < floor or max_n < min_n:
-        raise ValueError(f"need {floor} <= min_n <= max_n; got {min_n}..{max_n}")
+    ns = _sweep_range(floor, min_n, max_n)
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads}")
-    ns = range(min_n, max_n + 1)
     workers = min(threads, os.cpu_count() or 1, len(ns))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

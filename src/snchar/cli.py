@@ -80,7 +80,7 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = full_table(args.n, limit=args.limit)
+    table = full_table(args.n)
     if args.format == "json":
         print(table.to_json())
     elif args.format == "csv":
@@ -245,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="full character table of S_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=16, help="guard for memo growth")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(handler=_cmd_table)
 

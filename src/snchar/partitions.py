@@ -237,6 +237,12 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return [Partition(p) for p in _partitions_below(n, max(n, 1))]
 
 
+def _sweep_range(floor: int, min_n: int, max_n: int) -> range:
+    if min_n < floor or max_n < min_n:
+        raise ValueError(f"need {floor} <= min_n <= max_n; got {min_n}..{max_n}")
+    return range(min_n, max_n + 1)
+
+
 @cache
 def partition_count(n: int) -> int:
     """p(n) by the pentagonal number recurrence, independent of the enumerator."""

@@ -15,7 +15,7 @@ expansion coefficients of any permuted polytabloid come out of integer
 back-substitution. Internally a tabloid is the tuple of the rows of the
 points 1..n, so permuting it is one reindex.
 
-Everything here is exponential in nature; the default size cap is n = 8.
+Everything here is exponential in nature, so n is capped at MAX_N = 8.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = [
     "oracle_min_poly",
 ]
 
-DEFAULT_LIMIT = 8
+MAX_N = 8
 
 
 @cache
@@ -154,23 +154,23 @@ def _action(parts: tuple[int, ...], perm: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def _checked_permutation(lam: Partition, sigma, limit: int) -> tuple[int, ...]:
+def _checked_permutation(lam: Partition, sigma) -> tuple[int, ...]:
     n = lam.n
-    if n > limit:
-        raise ValueError(f"n={n} above limit={limit}")
+    if n > MAX_N:
+        raise ValueError(f"n={n} above limit={MAX_N}")
     perm = sigma.permutation() if isinstance(sigma, CycleType) else tuple(sigma)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
     return perm
 
 
-def sigma_matrix(lam: Partition, sigma, *, limit: int = DEFAULT_LIMIT) -> list[list[int]]:
+def sigma_matrix(lam: Partition, sigma) -> list[list[int]]:
     """Integer matrix of sigma on the standard polytabloid basis.
 
     sigma is a CycleType (its canonical representative acts) or an explicit
     permutation given as a tuple of 1-based images.
     """
-    return _action(lam.parts, _checked_permutation(lam, sigma, limit))
+    return _action(lam.parts, _checked_permutation(lam, sigma))
 
 
 def _rank(matrix: list[list[int]]) -> int:
@@ -206,14 +206,14 @@ def _rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def oracle_spectrum(lam: Partition, sigma: CycleType, *, limit: int = DEFAULT_LIMIT) -> SpectrumProfile:
+def oracle_spectrum(lam: Partition, sigma: CycleType) -> SpectrumProfile:
     """Eigenvalue multiplicities read off from kernel ranks of M(sigma^k) - I.
 
     For k | r, f(k) = dim ker(M(sigma^k) - I) counts the eigenvalues whose
     order divides k, so f(d) = sum_{e | d} euler_phi(e) * m_e, where m_e is
     the shared multiplicity of the primitive e-th roots of unity.
     """
-    perm = _checked_permutation(lam, sigma, limit)
+    perm = _checked_permutation(lam, sigma)
     deg = len(_module_data(lam.parts)[0])
     r = sigma.order()
     m: dict[int, int] = {}
@@ -236,5 +236,5 @@ def oracle_spectrum(lam: Partition, sigma: CycleType, *, limit: int = DEFAULT_LI
     return SpectrumProfile(r, tuple(m[r // math.gcd(j, r)] for j in range(r)), deg)
 
 
-def oracle_min_poly(lam: Partition, sigma: CycleType, *, limit: int = DEFAULT_LIMIT) -> MinPoly:
-    return min_poly(oracle_spectrum(lam, sigma, limit=limit))
+def oracle_min_poly(lam: Partition, sigma: CycleType) -> MinPoly:
+    return min_poly(oracle_spectrum(lam, sigma))

@@ -133,6 +133,17 @@ def test_report_json_schema():
         assert set(clause) == {"name", "lhs", "rhs", "margin", "holds"}
 
 
+@pytest.mark.parametrize("sweep, floor", [
+    (sweep_fomin_lulov, 1), (sweep_estimate, 1), (sweep_robbins, 1), (sweep_tail, 23),
+])
+def test_sweeps_refuse_empty_ranges(sweep, floor):
+    # the range check of the verify sweeps, before any report is built
+    with pytest.raises(ValueError, match=rf"^need {floor} <= min_n <= max_n; got {floor}\.\.{floor - 1}$"):
+        sweep(floor - 1)
+    with pytest.raises(ValueError, match=rf"^need {floor} <= min_n <= max_n; got {floor - 1}\.\.30$"):
+        sweep(30, min_n=floor - 1)
+
+
 def test_sweeps_small_all_hold():
     fl = sweep_fomin_lulov(6)
     assert fl and all(rep.holds for rep in fl)

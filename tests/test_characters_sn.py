@@ -14,7 +14,6 @@ from snchar.characters_sn import (
     chi_closed_form,
     chi_frobenius,
     chi_hook_on_uniform,
-    clear_character_cache,
     degree,
     full_table,
     sign_twist_check,
@@ -66,9 +65,9 @@ def test_chi_full_table_s4():
 
 
 def test_full_table_limit():
-    with pytest.raises(ValueError):
-        full_table(17)
-    full_table(17, limit=17)  # explicit override works
+    with pytest.raises(ValueError, match="n=21 above limit=20"):
+        full_table(21)
+    assert len(full_table(17).partitions) == 297  # below the fixed cap of 20
 
 
 def test_chi_size_mismatch():
@@ -136,9 +135,6 @@ def test_frobenius_matches_recurrence():
 def test_frobenius_row_cap():
     with pytest.raises(ValueError):
         chi_frobenius(parse_partition("2,1,1,1,1"), parse_cycle_type("6^1"))
-    assert chi_frobenius(
-        parse_partition("2,1,1,1,1"), parse_cycle_type("6^1"), max_rows=5
-    ) == chi(parse_partition("2,1,1,1,1"), parse_cycle_type("6^1"))
 
 
 def test_closed_form_domain():
@@ -241,19 +237,26 @@ def test_table_serialization_roundtrip():
     assert table.value(lam, sigma) == chi(lam, sigma)
 
 
-def test_cache_clear_is_safe():
-    lam = parse_partition("4,3,1")
-    sigma = parse_cycle_type("5^1 3^1")
-    before = chi(lam, sigma)
-    clear_character_cache()
-    assert not characters_sn._MN_CACHE
-    assert characters_sn._standard_count.cache_info().currsize == 0
-    assert chi(lam, sigma) == before
+def test_memo_bounds_itself(monkeypatch):
+    # an insert at the cap empties the memo in place; no value changes
+    expected = full_table(9).values
+    sizes = []
+
+    class RecordingDict(dict):
+        def __setitem__(self, key, val):
+            super().__setitem__(key, val)
+            sizes.append(len(self))
+
+    memo = RecordingDict()
+    monkeypatch.setattr(characters_sn, "_MN_CACHE", memo)
+    monkeypatch.setattr(characters_sn, "_MEMO_CAP", 50)
+    assert full_table(9).values == expected
+    assert len(sizes) > 50 and max(sizes) <= 50  # inserts went past the cap, the memo never did
+    assert characters_sn._MN_CACHE is memo
 
 
 def test_memo_holds_no_fixed_point_tails():
     # a class that has shrunk to 1^k is answered by the hook product, unstored
-    clear_character_cache()
     full_table(10)
     spectrum_sn(parse_partition("7,5,4,3,2^2,1"), parse_cycle_type("7^1 5^1 3^1 2^1 1^7"))
     assert characters_sn._MN_CACHE

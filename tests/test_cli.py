@@ -114,6 +114,18 @@ def test_table_json(capsys):
     assert obj["values"][1][2] == "2"
 
 
+def test_table_size_cap(capsys):
+    code, out, err = run_cli(capsys, "table", "--n", "17", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 297  # header and one row per partition of 17
+    code, out, err = run_cli(capsys, "table", "--n", "21")
+    assert (code, out, err) == (2, "", "error: n=21 above limit=20\n")
+    # the cap is fixed: there is no option to raise it
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "4", "--limit", "4"])
+    assert exc.value.code == 2
+
+
 def test_verify_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "minpoly-an", "--max-n", "6")
     assert code == 0
@@ -235,6 +247,18 @@ def test_every_bounds_check(capsys, check, args, count):
     assert err == f"error: {needs}\n"
 
 
+@pytest.mark.parametrize("check, max_n, floor", [
+    ("sweep-fomin-lulov", "-3", 1),
+    ("sweep-estimate", "0", 1),
+    ("sweep-robbins", "0", 1),
+    ("sweep-tail", "22", 23),
+])
+def test_empty_bound_sweep_exits_2(capsys, check, max_n, floor):
+    code, out, err = run_cli(capsys, "bounds", "--check", check, "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert err == f"error: need {floor} <= min_n <= max_n; got {floor}..{max_n}\n"
+
+
 def test_bounds_check_choices_in_order(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--help"])
@@ -285,7 +309,11 @@ def test_deep_class_exits_2(capsys):
     # one recursion level per non-fixed cycle: 1500 transpositions are too deep
     code, out, err = run_cli(capsys, "char", "--lambda", "1500,1500", "--shape", "2^1500")
     assert (code, out) == (2, "")
-    assert err.startswith("error: class 2^1500 has 1500 cycles, too many for the character recursion")
+    assert err == "error: class 2^1500 has 1500 non-fixed cycles, too many for the character recursion\n"
+    # the message counts only the cycles that cost a recursion level
+    code, out, err = run_cli(capsys, "char", "--lambda", "1505,1500", "--shape", "2^1500 1^5")
+    assert (code, out) == (2, "")
+    assert err == "error: class 2^1500 1^5 has 1500 non-fixed cycles, too many for the character recursion\n"
     # fixed points end the recursion at once: the value is the degree
     code, out, _ = run_cli(capsys, "char", "--lambda", "1500,1500", "--shape", "1^3000")
     assert code == 0

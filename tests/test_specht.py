@@ -100,7 +100,6 @@ def test_sigma_matrix_rejects_bad_input():
         sigma_matrix(lam, (1, 2, 3))
     with pytest.raises(ValueError):
         sigma_matrix(parse_partition("5,4"), parse_cycle_type("9^1"))
-    sigma_matrix(parse_partition("5,4"), parse_cycle_type("9^1"), limit=9)
 
 
 @st.composite

@@ -88,17 +88,23 @@ def _chi(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     return val
 
 
+def _chi_tuples(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """chi on raw tuples of equal size: the parts of lam and the cycle lengths
+    of the class, longest first. The one entry that guards the recursion."""
+    try:
+        return _chi(parts, cycles)
+    except RecursionError:
+        # _chi recurses once per non-fixed cycle; finished memo entries stay valid
+        deep = sum(1 for c in cycles if c > 1)
+        sigma = CycleType.from_lengths(cycles)
+        raise ValueError(f"class {sigma} has {deep} non-fixed cycles, too many for the character recursion") from None
+
+
 def chi(lam: Partition, sigma: CycleType) -> int:
     """Character value of the irreducible labeled by lam at the class sigma."""
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
-    cycles = sigma.lengths()
-    try:
-        return _chi(lam.parts, cycles)
-    except RecursionError:
-        # _chi recurses once per non-fixed cycle; finished memo entries stay valid
-        deep = len(cycles) - sigma.count_of(1)
-        raise ValueError(f"class {sigma} has {deep} non-fixed cycles, too many for the character recursion") from None
+    return _chi_tuples(lam.parts, sigma.lengths())
 
 
 def degree(lam: Partition) -> int:

@@ -19,11 +19,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .characters_an import MINUS, PLUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels
+from .characters_sn import _chi_tuples
 from .partitions import CycleType, Partition, _sweep_range, enumerate_partitions
-from .spectral import MinPoly, fixed_space_dim, min_poly, spectrum_an, spectrum_sn
+from .spectral import MinPoly, _class_powers, euler_phi, min_poly, spectrum_an, spectrum_sn
 
 __all__ = [
     "Prediction",
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=256)
 def _full(r: int) -> MinPoly:
     return MinPoly(r, frozenset(range(r)))
 
@@ -251,8 +253,30 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
 
 
 def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
+    """Pairs without eigenvalue 1, read off the character table of S_n.
+
+    The fixed space of sigma's image has dimension
+    (1/r) * sum_{d | r} phi(r/d) * chi(sigma^d), and sigma^d is again a class
+    of S_n; so each class becomes a list of (column of sigma^d, phi(r/d))
+    pairs, built once, and each partition one row of character values.
+    """
     lams = enumerate_partitions(n)
     classes = [CycleType.from_partition(mu) for mu in lams]
+    column = {mu.parts: k for k, mu in enumerate(lams)}  # a class's lengths are its partition's parts
+    weights = []
+    for sigma in classes:
+        divs, powers = _class_powers(sigma)
+        r = divs[-1]
+        weights.append((r, [(column[cycles], euler_phi(r // d)) for d, cycles in zip(divs, powers)]))
+    computed = set()
+    for lam in lams:
+        row = [_chi_tuples(lam.parts, mu.parts) for mu in lams]
+        for sigma, (r, pairs) in zip(classes, weights):
+            dim, rem = divmod(sum(row[k] * phi for k, phi in pairs), r)
+            if rem:
+                raise RuntimeError("non-integer fixed space dimension (internal bug)")
+            if not dim:
+                computed.add((lam, sigma))
     predicted = predict_no_eigenvalue_one(n)
     for r, m in _uniform_shapes(n):
         sigma = CycleType.uniform(r, m, n)
@@ -260,7 +284,6 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
             pred = predict_sn(lam, r, m)
             if all(0 not in p.roots for p in pred.polys):
                 predicted.add((lam, sigma))
-    computed = {(lam, sigma) for lam in lams for sigma in classes if fixed_space_dim(lam, sigma) == 0}
     order = lambda pair: (pair[0].parts, pair[1].cycles)
     mismatches = []
     for lam, sigma in sorted(computed - predicted, key=order):

@@ -19,7 +19,9 @@ once per divisor g of r,
     r * mult_g = sum_{d | r} chi(type of sigma^d) * c_{r/d}(g),
 
 from a per-r table of the integers c_{r/d}(g), and then spread over the r
-residues; the fixed space dimension is the entry g = r.
+residues; the fixed space dimension is the entry g = r. The divisors of r
+and the cycle lengths of every sigma^d are built once per class and kept in
+a bounded cache, so a sweep over the partitions at one class powers it once.
 
 Every division is checked to be exact; a remainder signals a bug, never a
 rounding problem. spectrum_sn_direct recomputes profiles by reducing the
@@ -61,7 +63,7 @@ from .characters_an import (
     special_class,
     split_square,
 )
-from .characters_sn import chi, degree
+from .characters_sn import _chi_tuples, chi, degree
 from .partitions import CycleType, Partition, diagonal_hooks
 
 __all__ = [
@@ -83,7 +85,7 @@ __all__ = [
 ]
 
 
-@cache
+@lru_cache(maxsize=1024)
 def divisors(q: int) -> tuple[int, ...]:
     if q < 1:
         raise ValueError("q must be positive")
@@ -224,18 +226,27 @@ def _ramanujan_table(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(ramanujan_sum(r // d, g) for d in divs) for g in divs)
 
 
-def _mult_by_gcd(lam: Partition, sigma: CycleType, r: int, gcds: tuple[int, ...]) -> dict[int, int]:
-    """Multiplicity of the eigenvalues zeta^j with gcd(j, r) = g, for each g in gcds:
-    r * mult_g = sum_{d | r} chi(sigma^d) * c_{r/d}(g)."""
-    divs = divisors(r)
-    chis = [chi(lam, sigma.power(d)) for d in divs]
+@lru_cache(maxsize=1024)
+def _class_powers(sigma: CycleType) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The divisors d of sigma's order and, for each, the cycle lengths of
+    sigma^d, longest first: the classes every spectrum at sigma reads."""
+    divs = divisors(sigma.order())
+    return divs, tuple(sigma.power(d).lengths() for d in divs)
+
+
+def _mult_by_gcd(lam: Partition, sigma: CycleType, rows: range | tuple[int, ...]) -> list[int]:
+    """Multiplicity of the eigenvalues zeta^j with gcd(j, r) = g, for the
+    divisors g of r at the positions rows: r * mult_g = sum_{d | r} chi(sigma^d) * c_{r/d}(g)."""
+    divs, powers = _class_powers(sigma)
+    r = divs[-1]
+    chis = [_chi_tuples(lam.parts, cycles) for cycles in powers]
     table = _ramanujan_table(r)
-    out = {}
-    for g in gcds:
-        q, rem = divmod(sum(x * c for x, c in zip(chis, table[divs.index(g)])), r)
+    out = []
+    for k in rows:
+        q, rem = divmod(sum(x * c for x, c in zip(chis, table[k])), r)
         if rem:
             raise RuntimeError("non-integer multiplicity (internal bug)")
-        out[g] = q
+        out.append(q)
     return out
 
 
@@ -243,8 +254,9 @@ def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
     """Exact eigenvalue multiplicities of a symmetric group irreducible at sigma."""
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
-    r = sigma.order()
-    by_gcd = _mult_by_gcd(lam, sigma, r, divisors(r))
+    divs = _class_powers(sigma)[0]
+    r = divs[-1]
+    by_gcd = dict(zip(divs, _mult_by_gcd(lam, sigma, range(len(divs)))))
     mult = tuple(by_gcd[math.gcd(j, r)] for j in range(r))
     return SpectrumProfile(r, mult, degree(lam))
 
@@ -468,5 +480,5 @@ def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     """Dimension of the fixed space of sigma's image (multiplicity of eigenvalue 1)."""
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
-    r = sigma.order()
-    return _mult_by_gcd(lam, sigma, r, (r,))[r]
+    # the gcd r is the last divisor of r
+    return _mult_by_gcd(lam, sigma, (-1,))[0]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from snchar import classify
+from snchar import classify, spectral
 from snchar.characters_an import AnCharacterLabel
 from snchar.classify import (
     Prediction,
@@ -14,8 +14,8 @@ from snchar.classify import (
     verify_minpoly_an,
     verify_minpoly_sn,
 )
-from snchar.partitions import CycleType, Partition, parse_cycle_type, parse_partition
-from snchar.spectral import MinPoly, min_poly, spectrum_sn
+from snchar.partitions import CycleType, Partition, enumerate_partitions, parse_cycle_type, parse_partition
+from snchar.spectral import MinPoly, divisors, fixed_space_dim, min_poly, spectrum_sn
 
 
 def test_predict_sn_sign():
@@ -192,6 +192,36 @@ def test_verify_eigenvalue_one_small():
     assert (8, "2^4", "5^1 3^1") in triples
     assert (5, "2^2,1", "3^1 2^1") in triples
     assert (7, "2^2,1^3", "5^1 2^1") in triples
+
+
+def test_eigenvalue_one_kernel_matches_fixed_space_dim():
+    # the table-first kernel against fixed_space_dim, pair by pair
+    report = verify_eigenvalue_one(10)
+    expected = {
+        (n, str(lam), str(sigma))
+        for n in range(3, 11)
+        for lam in enumerate_partitions(n)
+        for sigma in map(CycleType.from_partition, enumerate_partitions(n))
+        if fixed_space_dim(lam, sigma) == 0
+    }
+    assert set(report.exceptional) == expected
+    assert len(report.exceptional) == len(expected)
+
+
+def test_eigenvalue_one_kernel_powers_each_class_once(monkeypatch):
+    classes = [CycleType.from_partition(mu) for mu in enumerate_partitions(10)]
+    bound = sum(len(divisors(sigma.order())) for sigma in classes)
+    calls = []
+    real = CycleType.power
+
+    def counted(self, i):
+        calls.append(i)
+        return real(self, i)
+
+    spectral._class_powers.cache_clear()
+    monkeypatch.setattr(CycleType, "power", counted)
+    assert verify_eigenvalue_one(10, min_n=10).ok
+    assert 0 < len(calls) <= bound
 
 
 def test_verify_threads_deterministic():

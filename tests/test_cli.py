@@ -320,6 +320,14 @@ def test_deep_class_exits_2(capsys):
     assert out == run_cli(capsys, "degree", "--lambda", "1500,1500")[1]
 
 
+@pytest.mark.parametrize("command", ["fixdim", "minpoly", "spectrum"])
+def test_deep_class_exits_2_on_spectrum_path(capsys, command):
+    # the spectrum path evaluates the powers sigma^d through the same guard as char
+    code, out, err = run_cli(capsys, command, "--lambda", "1500,1500", "--shape", "2^1500")
+    assert (code, out) == (2, "")
+    assert err == "error: class 2^1500 has 1500 non-fixed cycles, too many for the character recursion\n"
+
+
 def test_oversized_input_exits_2(capsys):
     code, out, err = run_cli(capsys, "degree", "--lambda", "1^1000000000")
     assert (code, out) == (2, "")

@@ -19,12 +19,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
-from .characters_an import MINUS, PLUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels
+from .characters_an import MINUS, PLUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels, special_class
 from .characters_sn import _chi_tuples
 from .partitions import CycleType, Partition, _sweep_range, enumerate_partitions
-from .spectral import MinPoly, _class_powers, euler_phi, min_poly, spectrum_an, spectrum_sn
+from .spectral import MinPoly, _class_powers, _full_min_poly, _phis, min_poly, spectrum_an, spectrum_sn
 
 __all__ = [
     "Prediction",
@@ -36,11 +36,6 @@ __all__ = [
     "verify_minpoly_an",
     "verify_eigenvalue_one",
 ]
-
-
-@lru_cache(maxsize=256)
-def _full(r: int) -> MinPoly:
-    return MinPoly(r, frozenset(range(r)))
 
 
 def _without(r: int, removed) -> MinPoly:
@@ -89,11 +84,16 @@ def predict_sn(lam: Partition, r: int, m: int) -> Prediction:
     if n < 3:
         raise ValueError(f"classification starts at n = 3: {n}")
     _check_shape(n, r, m)
-    parts = lam.parts
-    if parts == (n,):
+    if lam.parts == (n,):
         raise ValueError("the trivial character is excluded")
-    arg = ("sn", n, str(lam), r, m)
+    return _predict_sn(lam, str(lam), r, m)
 
+
+def _predict_sn(lam: Partition, text: str, r: int, m: int) -> Prediction:
+    """predict_sn for checked arguments, with lam already formatted as text."""
+    n = lam.n
+    parts = lam.parts
+    arg = ("sn", n, text, r, m)
     if parts == (1,) * n:
         root = r // 2 if (m * (r - 1)) % 2 else 0
         return Prediction(*arg, (MinPoly(r, frozenset({root})),), "sign")
@@ -114,7 +114,12 @@ def predict_sn(lam: Partition, r: int, m: int) -> Prediction:
         }
         if (r, m) in table:
             return Prediction(*arg, (table[(r, m)],), "2,2@4")
-    return Prediction(*arg, (_full(r),), None)
+    return Prediction(*arg, (_full_min_poly(r),), None)
+
+
+def _an_text(label: AnCharacterLabel) -> str:
+    """A prediction's label: the restricted label, or the pair [lam]+/- of split halves."""
+    return str(label) if label.variant == RESTRICTED else f"[{label.partition}]+/-"
 
 
 def predict_an(label: AnCharacterLabel, r: int, m: int) -> Prediction:
@@ -130,18 +135,24 @@ def predict_an(label: AnCharacterLabel, r: int, m: int) -> Prediction:
     _check_shape(n, r, m)
     if (m * (r - 1)) % 2:
         raise ValueError(f"shape {r}^{m} is odd, not in the alternating group")
+    if label.variant == RESTRICTED and lam.parts == (n,):
+        raise ValueError("the trivial character is excluded")
+    return _predict_an(label, _an_text(label), r, m)
+
+
+def _predict_an(label: AnCharacterLabel, text: str, r: int, m: int) -> Prediction:
+    """predict_an for checked arguments, with the label already formatted as text."""
+    lam = label.partition
+    n = lam.n
+    arg = ("an", n, text, r, m)
     if label.variant == RESTRICTED:
-        if lam.parts == (n,):
-            raise ValueError("the trivial character is excluded")
-        arg = ("an", n, str(label), r, m)
         if lam.parts == (n - 1, 1) and r == n:
             return Prediction(*arg, (_without(n, {0}),), "standard")
-        return Prediction(*arg, (_full(r),), None)
-    arg = ("an", n, f"[{lam}]+/-", r, m)
+        return Prediction(*arg, (_full_min_poly(r),), None)
     if lam.parts == (3, 1, 1) and r == 5:
         pair = (MinPoly(5, frozenset({0, 2, 3})), MinPoly(5, frozenset({0, 1, 4})))
         return Prediction(*arg, tuple(sorted(pair, key=_pair_key)), "3,1,1@5")
-    return Prediction(*arg, (_full(r), _full(r)), None)
+    return Prediction(*arg, (_full_min_poly(r), _full_min_poly(r)), None)
 
 
 def predict_no_eigenvalue_one(n: int) -> set[tuple[Partition, CycleType]]:
@@ -217,29 +228,38 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
     """Predicted against computed minimal polynomials of every nontrivial
     irreducible of S_n or A_n (group "sn" or "an") at every uniform class.
 
-    Each label is paired with the labels whose spectra it is checked against:
-    itself, or both halves of a split pair, sorted as predict_an sorts them.
+    Each label is checked against its own spectrum, or against both halves
+    of a split pair, sorted as predict_an sorts them. Away from the pair's
+    distinguished class the halves share one halved spectrum, computed once.
+    Labels are formatted once per label, not once per class.
     """
     if group == "sn":
         # (n) comes first: the trivial character is excluded
-        labels = [(lam, (lam,)) for lam in enumerate_partitions(n)[1:]]
+        labels = [(lam, str(lam), None, None) for lam in enumerate_partitions(n)[1:]]
         shapes = _uniform_shapes(n)
+        predict, spectrum = _predict_sn, spectrum_sn
     else:
-        labels = [(label, AnCharacterLabel.split_pair(label.partition) if label.variant == PLUS else (label,))
+        # a restricted label has no halves and no distinguished class (special_class is None)
+        labels = [(label, _an_text(label),
+                   AnCharacterLabel.split_pair(label.partition) if label.variant == PLUS else None,
+                   special_class(label.partition))
                   for label in an_irreducible_labels(n)[1:] if label.variant != MINUS]
         shapes = _uniform_shapes(n, even_only=True)
+        predict, spectrum = _predict_an, spectrum_an
     classes = [(r, m, CycleType.uniform(r, m, n)) for r, m in shapes]
     cases = 0
     mismatches = []
     exceptional = []
-    for label, computed in labels:
+    for label, text, halves, special in labels:
         for r, m, sigma in classes:
-            if group == "sn":
-                pred = predict_sn(label, r, m)
-                got = (min_poly(spectrum_sn(label, sigma)),)
+            pred = predict(label, text, r, m)
+            if halves is None:
+                got = (min_poly(spectrum(label, sigma)),)
+            elif sigma != special:
+                half = min_poly(spectrum(label, sigma))
+                got = (half, half)
             else:
-                pred = predict_an(label, r, m)
-                got = tuple(sorted((min_poly(spectrum_an(c, sigma)) for c in computed), key=_pair_key))
+                got = tuple(sorted((min_poly(spectrum(c, sigma)) for c in halves), key=_pair_key))
             cases += 1
             if got != pred.polys:
                 mismatches.append(
@@ -267,7 +287,7 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     for sigma in classes:
         divs, powers = _class_powers(sigma)
         r = divs[-1]
-        weights.append((r, [(column[cycles], euler_phi(r // d)) for d, cycles in zip(divs, powers)]))
+        weights.append((r, [(column[cycles], phi) for phi, cycles in zip(_phis(r), powers)]))
     computed = set()
     for lam in lams:
         row = [_chi_tuples(lam.parts, mu.parts) for mu in lams]
@@ -278,11 +298,11 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
             if not dim:
                 computed.add((lam, sigma))
     predicted = predict_no_eigenvalue_one(n)
-    for r, m in _uniform_shapes(n):
-        sigma = CycleType.uniform(r, m, n)
-        for lam in lams[1:]:  # (n) comes first: the trivial character is excluded
-            pred = predict_sn(lam, r, m)
-            if all(0 not in p.roots for p in pred.polys):
+    uniform = [(r, m, CycleType.uniform(r, m, n)) for r, m in _uniform_shapes(n)]
+    for lam in lams[1:]:  # (n) comes first: the trivial character is excluded
+        text = str(lam)
+        for r, m, sigma in uniform:
+            if all(0 not in p.roots for p in _predict_sn(lam, text, r, m).polys):
                 predicted.add((lam, sigma))
     order = lambda pair: (pair[0].parts, pair[1].cycles)
     mismatches = []

@@ -23,6 +23,10 @@ from .spectral import fixed_space_dim, min_poly, spectrum_an, spectrum_sn
 
 __all__ = ["main"]
 
+# spectrum, and minpoly --format json, list one entry per r-th root of unity;
+# above this order r they refuse, and minpoly (text) and fixdim still answer
+MAX_LISTED_R = 1 << 20
+
 
 def _parse_lam(args) -> Partition:
     lam = parse_partition(args.lam)
@@ -47,9 +51,17 @@ def _an_labels(lam: Partition, variant: str | None) -> list[AnCharacterLabel]:
     return [AnCharacterLabel(lam, variant)]
 
 
-def _emit(args, obj: dict, text: str) -> None:
+def _check_listed(what: str, sigma: CycleType) -> None:
+    r = sigma.order()
+    if r > MAX_LISTED_R:
+        raise ValueError(f"{what} lists one entry per r-th root of unity, and class {sigma} has order "
+                         f"r = {r} > MAX_LISTED_R = {MAX_LISTED_R}; use minpoly (text format) or fixdim")
+
+
+def _emit(args, payload, text: str) -> None:
+    """Print text, or for --format json the dict payload() builds; only then is it built."""
     if args.format == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        print(json.dumps(payload(), sort_keys=True, indent=2))
     else:
         print(text)
 
@@ -59,7 +71,7 @@ def _cmd_char(args) -> int:
     sigma = _parse_shape(args, lam.n)
     if args.group == "sn":
         value = chi(lam, sigma)
-        _emit(args, {"group": "sn", "lambda": str(lam), "shape": str(sigma), "value": str(value)}, str(value))
+        _emit(args, lambda: {"group": "sn", "lambda": str(lam), "shape": str(sigma), "value": str(value)}, str(value))
         return 0
     labels = _an_labels(lam, args.variant)
     rows = []
@@ -68,14 +80,14 @@ def _cmd_char(args) -> int:
         value = chi_an(label, sigma)
         rows.append({"label": str(label), "value": value.to_json_dict(), "rendered": str(value)})
         lines.append(f"{label} {value}" if len(labels) > 1 else str(value))
-    _emit(args, {"group": "an", "lambda": str(lam), "shape": str(sigma), "values": rows}, "\n".join(lines))
+    _emit(args, lambda: {"group": "an", "lambda": str(lam), "shape": str(sigma), "values": rows}, "\n".join(lines))
     return 0
 
 
 def _cmd_degree(args) -> int:
     lam = _parse_lam(args)
     d = degree(lam)
-    _emit(args, {"lambda": str(lam), "degree": str(d)}, str(d))
+    _emit(args, lambda: {"lambda": str(lam), "degree": str(d)}, str(d))
     return 0
 
 
@@ -97,36 +109,39 @@ def _cmd_table(args) -> int:
 def _cmd_spectrum(args) -> int:
     lam = _parse_lam(args)
     sigma = _parse_shape(args, lam.n)
+    _check_listed("spectrum", sigma)
     if args.group == "sn":
         profile = spectrum_sn(lam, sigma)
         text = f"r={profile.r} degree={profile.degree} mult=" + ",".join(map(str, profile.mult))
-        _emit(args, {"group": "sn", "lambda": str(lam), "shape": str(sigma), **profile.to_json_dict()}, text)
+        _emit(args, lambda: {"group": "sn", "lambda": str(lam), "shape": str(sigma), **profile.to_json_dict()}, text)
         return 0
-    rows = []
-    lines = []
-    for label in _an_labels(lam, args.variant):
-        profile = spectrum_an(label, sigma)
-        rows.append({"label": str(label), **profile.to_json_dict()})
-        lines.append(f"{label} r={profile.r} degree={profile.degree} mult=" + ",".join(map(str, profile.mult)))
-    _emit(args, {"group": "an", "lambda": str(lam), "shape": str(sigma), "spectra": rows}, "\n".join(lines))
+    profiles = [(label, spectrum_an(label, sigma)) for label in _an_labels(lam, args.variant)]
+    lines = [f"{label} r={profile.r} degree={profile.degree} mult=" + ",".join(map(str, profile.mult))
+             for label, profile in profiles]
+    _emit(args,
+          lambda: {"group": "an", "lambda": str(lam), "shape": str(sigma),
+                   "spectra": [{"label": str(label), **profile.to_json_dict()} for label, profile in profiles]},
+          "\n".join(lines))
     return 0
 
 
 def _cmd_minpoly(args) -> int:
     lam = _parse_lam(args)
     sigma = _parse_shape(args, lam.n)
+    if args.format == "json":
+        _check_listed("minpoly --format json", sigma)
     if args.group == "sn":
         poly = min_poly(spectrum_sn(lam, sigma))
-        _emit(args, {"group": "sn", "lambda": str(lam), "shape": str(sigma), **poly.to_json_dict()}, poly.rendered)
+        _emit(args, lambda: {"group": "sn", "lambda": str(lam), "shape": str(sigma), **poly.to_json_dict()},
+              poly.rendered)
         return 0
     labels = _an_labels(lam, args.variant)
-    rows = []
-    lines = []
-    for label in labels:
-        poly = min_poly(spectrum_an(label, sigma))
-        rows.append({"label": str(label), **poly.to_json_dict()})
-        lines.append(f"{label} {poly.rendered}" if len(labels) > 1 else poly.rendered)
-    _emit(args, {"group": "an", "lambda": str(lam), "shape": str(sigma), "minpolys": rows}, "\n".join(lines))
+    polys = [(label, min_poly(spectrum_an(label, sigma))) for label in labels]
+    lines = [f"{label} {poly.rendered}" if len(labels) > 1 else poly.rendered for label, poly in polys]
+    _emit(args,
+          lambda: {"group": "an", "lambda": str(lam), "shape": str(sigma),
+                   "minpolys": [{"label": str(label), **poly.to_json_dict()} for label, poly in polys]},
+          "\n".join(lines))
     return 0
 
 
@@ -134,7 +149,7 @@ def _cmd_fixdim(args) -> int:
     lam = _parse_lam(args)
     sigma = _parse_shape(args, lam.n)
     dim = fixed_space_dim(lam, sigma)
-    _emit(args, {"lambda": str(lam), "shape": str(sigma), "fixdim": str(dim)}, str(dim))
+    _emit(args, lambda: {"lambda": str(lam), "shape": str(sigma), "fixdim": str(dim)}, str(dim))
     return 0
 
 

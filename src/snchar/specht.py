@@ -233,7 +233,8 @@ def oracle_spectrum(lam: Partition, sigma: CycleType) -> SpectrumProfile:
         if count % phi:
             raise RuntimeError("kernel dimension not a multiple of phi(d) (internal bug)")
         m[d] = count // phi
-    return SpectrumProfile(r, tuple(m[r // math.gcd(j, r)] for j in range(r)), deg)
+    # the j with gcd(j, r) = g are the primitive (r/g)-th roots
+    return SpectrumProfile._from_gcd(r, tuple(m[r // g] for g in divisors(r)), deg)
 
 
 def oracle_min_poly(lam: Partition, sigma: CycleType) -> MinPoly:

@@ -18,10 +18,14 @@ once per divisor g of r,
 
     r * mult_g = sum_{d | r} chi(type of sigma^d) * c_{r/d}(g),
 
-from a per-r table of the integers c_{r/d}(g), and then spread over the r
-residues; the fixed space dimension is the entry g = r. The divisors of r
-and the cycle lengths of every sigma^d are built once per class and kept in
-a bounded cache, so a sweep over the partitions at one class powers it once.
+from a per-r table of the integers c_{r/d}(g), and stored that way: a
+SpectrumProfile holds one multiplicity per divisor g (the fixed space
+dimension is the entry g = r) and spreads it over the r residues only when
+mult is read. A minimal polynomial whose root set is a union of Galois
+orbits is likewise held as its set of gcds, so min_poly and render_min_poly
+never scan range(r). The divisors of r and the cycle lengths of every
+sigma^d are built once per class and kept in a bounded cache, so a sweep
+over the partitions at one class powers it once.
 
 Every division is checked to be exact; a remainder signals a bug, never a
 rounding problem. spectrum_sn_direct recomputes profiles by reducing the
@@ -40,9 +44,9 @@ The correction term
     T(j) = sum_k g_k * c_r(k - j)
 
 is integral and r * mult_plus/minus[j] = (r * mult_lam[j] +- T(j)) / 2.
-T is evaluated at every residue j, with c_r read off the same table: it is
-not confined to the primitive r-th roots (for 5,1^4 at 9^1 the two halves
-already differ at j = 0, 3 and 6).
+T is evaluated, and the profile stored, at every residue j, with c_r read
+off the same table: it is not confined to the primitive r-th roots (for
+5,1^4 at 9^1 the two halves already differ at j = 0, 3 and 6).
 spectrum_an_numeric cross checks this path in floating point, deciding each
 conjugate's sign with a quadratic residue symbol instead of Gauss sums.
 """
@@ -51,8 +55,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import cache, lru_cache
+import operator
+from functools import lru_cache
+from itertools import compress
 
 from .characters_an import (
     MINUS,
@@ -136,15 +141,43 @@ def _polydivmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[i
     return quot, rem[:dd]
 
 
-@cache
+def _times_binomial(poly: list[int], e: int) -> list[int]:
+    """poly * (x^e - 1), ascending coefficients."""
+    out = [-c for c in poly] + [0] * e
+    out[e:] = [a + c for a, c in zip(out[e:], poly)]
+    return out
+
+
+def _over_binomial(poly: list[int], e: int) -> list[int]:
+    """The exact quotient poly / (x^e - 1), ascending coefficients.
+
+    From the low end, quot[i] = quot[i - e] - poly[i], one block of e at a
+    time; the division is exact iff the last e entries of that run vanish.
+    """
+    n = len(poly)
+    quot = [-c for c in poly[:e]]
+    for start in range(e, n, e):
+        quot += [a - c for a, c in zip(quot[start - e : start], poly[start : start + e])]
+    if any(quot[n - e :]):
+        raise RuntimeError("nonzero remainder in exact division (internal bug)")
+    del quot[n - e :]
+    return quot
+
+
+@lru_cache(maxsize=256)
 def cyclotomic(d: int) -> tuple[int, ...]:
-    """Coefficients of the d-th cyclotomic polynomial, ascending."""
+    """Coefficients of the d-th cyclotomic polynomial, ascending, as the
+    Moebius product prod_{e | d} (x^e - 1)^mu(d/e) of binomials."""
     if d < 1:
         raise ValueError("d must be positive")
-    poly = [-1] + [0] * (d - 1) + [1]
-    for e in divisors(d)[:-1]:
-        poly, rem = _polydivmod(poly, cyclotomic(e))
-        assert not any(rem), "nonzero remainder in exact division"
+    mus = [(e, moebius(d // e)) for e in divisors(d)]
+    poly = [1]
+    for e, mu in mus:
+        if mu == 1:
+            poly = _times_binomial(poly, e)
+    for e, mu in mus:
+        if mu == -1:
+            poly = _over_binomial(poly, e)
     return tuple(poly)
 
 
@@ -172,51 +205,164 @@ def kronecker_symbol(a: int, m: int) -> int:
     return result if m == 1 else 0
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=256)
+def _phis(r: int) -> tuple[int, ...]:
+    """phi(r/g) for the divisors g of r: how many j in range(r) have gcd(j, r) = g."""
+    return tuple(euler_phi(r // g) for g in divisors(r))
+
+
+def _spread(r: int, per_gcd) -> list:
+    """The per-residue list whose entry j is per_gcd's value at g = gcd(j, r),
+    per_gcd being aligned with divisors(r)."""
+    out = [0] * r
+    # ascending divisors: the last g written at j is the largest one dividing j, gcd(j, r)
+    for g, value in zip(divisors(r), per_gcd):
+        out[::g] = [value] * (r // g)
+    return out
+
+
 class SpectrumProfile:
     """Eigenvalue multiplicities of a permutation image: mult[j] counts the
-    eigenvalue exp(2*pi*i*j/r), and r is the permutation's order."""
+    eigenvalue exp(2*pi*i*j/r), and r is the permutation's order.
 
-    r: int
-    mult: tuple[int, ...]
-    degree: int
+    A profile that is constant on Galois orbits (every symmetric group one,
+    and alternating ones away from the distinguished class) is built with
+    one multiplicity per divisor g of r, shared by the j with gcd(j, r) = g;
+    its mult is spread out on first access. Equality and hashing compare
+    values, whichever way a profile was built.
+    """
 
-    def __post_init__(self) -> None:
-        if self.r < 1 or len(self.mult) != self.r:
+    __slots__ = ("r", "degree", "_mult", "_by_gcd")
+
+    def __init__(self, r: int, mult: tuple[int, ...], degree: int) -> None:
+        mult = tuple(mult)
+        if r < 1 or len(mult) != r:
             raise ValueError("mult must list one entry per r-th root")
-        if any(m < 0 for m in self.mult):
+        if any(m < 0 for m in mult):
             raise RuntimeError("negative multiplicity (internal bug)")
-        if sum(self.mult) != self.degree:
+        if sum(mult) != degree:
             raise RuntimeError("multiplicities must sum to the degree (internal bug)")
+        self.r, self.degree, self._mult, self._by_gcd = r, degree, mult, None
+
+    @classmethod
+    def _from_gcd(cls, r: int, by_gcd: tuple[int, ...], degree: int) -> SpectrumProfile:
+        """The profile with multiplicity by_gcd[k] at every j whose gcd with r
+        is the k-th divisor of r; phi(r/g) residues share each entry."""
+        phis = _phis(r)
+        if len(by_gcd) != len(phis):
+            raise ValueError("by_gcd must list one entry per divisor of r")
+        if min(by_gcd) < 0:
+            raise RuntimeError("negative multiplicity (internal bug)")
+        if sum(map(operator.mul, phis, by_gcd)) != degree:
+            raise RuntimeError("multiplicities must sum to the degree (internal bug)")
+        self = object.__new__(cls)
+        self.r, self.degree, self._mult, self._by_gcd = r, degree, None, tuple(by_gcd)
+        return self
+
+    @property
+    def mult(self) -> tuple[int, ...]:
+        if self._mult is None:
+            self._mult = tuple(_spread(self.r, self._by_gcd))
+        return self._mult
 
     def support(self) -> frozenset[int]:
-        return frozenset(j for j, m in enumerate(self.mult) if m)
+        if self._by_gcd is not None:
+            return min_poly(self).roots
+        return frozenset(j for j, m in enumerate(self._mult) if m)
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "degree": self.degree, "mult": list(self.mult)}
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpectrumProfile):
+            return NotImplemented
+        if (self.r, self.degree) != (other.r, other.degree):
+            return False
+        if self._by_gcd is not None and other._by_gcd is not None:
+            return self._by_gcd == other._by_gcd
+        return self.mult == other.mult
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        # the multiplicities of the eigenvalues 1 (g = r) and zeta_r (g = 1)
+        if self._by_gcd is not None:
+            return hash((self.r, self.degree, self._by_gcd[-1], self._by_gcd[0]))
+        return hash((self.r, self.degree, self._mult[0], self._mult[1 % self.r]))
+
+    def __repr__(self) -> str:
+        return f"SpectrumProfile(r={self.r}, mult={self.mult}, degree={self.degree})"
+
+
+def _galois_gcds(r: int, roots: frozenset[int]) -> frozenset[int] | None:
+    """The gcds with r of a root set that is a union of Galois orbits, else None."""
+    counts: dict[int, int] = {}
+    for j in roots:
+        g = math.gcd(j, r)
+        counts[g] = counts.get(g, 0) + 1
+    phi = dict(zip(divisors(r), _phis(r)))
+    return frozenset(counts) if all(c == phi[g] for g, c in counts.items()) else None
+
+
 class MinPoly:
     """Minimal polynomial of a finite order matrix, as the set of exponents j
-    of its eigenvalues exp(2*pi*i*j/r)."""
+    of its eigenvalues exp(2*pi*i*j/r).
 
-    r: int
-    roots: frozenset[int]
+    A root set closed under the Galois action (all j of equal gcd with r
+    together) is held as its set of gcds, and roots is derived from it on
+    first access. Equality and hashing compare that canonical form, so a
+    polynomial built from residues equals the same one built from gcds.
+    """
 
-    def __post_init__(self) -> None:
-        if self.r < 1 or not self.roots or any(not 0 <= j < self.r for j in self.roots):
+    __slots__ = ("r", "_roots", "_gcds")
+
+    def __init__(self, r: int, roots: frozenset[int]) -> None:
+        roots = frozenset(roots)
+        if r < 1 or not roots or any(not 0 <= j < r for j in roots):
             raise ValueError("roots must be a nonempty subset of range(r)")
+        self.r, self._roots, self._gcds = r, roots, _galois_gcds(r, roots)
+
+    @classmethod
+    def _from_gcds(cls, r: int, gcds: frozenset[int]) -> MinPoly:
+        """The polynomial whose roots are the j with gcd(j, r) in gcds (nonempty, dividing r)."""
+        self = object.__new__(cls)
+        self.r, self._roots, self._gcds = r, None, gcds
+        return self
+
+    @property
+    def roots(self) -> frozenset[int]:
+        if self._roots is None:
+            kept = _spread(self.r, [g in self._gcds for g in divisors(self.r)])
+            self._roots = frozenset(compress(range(self.r), kept))
+        return self._roots
 
     @property
     def rendered(self) -> str:
         return render_min_poly(self)
 
     def is_full(self) -> bool:
-        return len(self.roots) == self.r
+        return self._gcds is not None and len(self._gcds) == len(divisors(self.r))
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "roots": sorted(self.roots), "rendered": self.rendered}
+
+    def _key(self) -> tuple:
+        return (self.r, self._gcds) if self._gcds is not None else (self.r, None, self._roots)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MinPoly):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"MinPoly(r={self.r}, roots={self.roots!r})"
+
+
+@lru_cache(maxsize=256)
+def _full_min_poly(r: int) -> MinPoly:
+    """x^r - 1, shared by every full spectrum of order r."""
+    return MinPoly._from_gcds(r, frozenset(divisors(r)))
 
 
 @lru_cache(maxsize=256)
@@ -234,31 +380,28 @@ def _class_powers(sigma: CycleType) -> tuple[tuple[int, ...], tuple[tuple[int, .
     return divs, tuple(sigma.power(d).lengths() for d in divs)
 
 
-def _mult_by_gcd(lam: Partition, sigma: CycleType, rows: range | tuple[int, ...]) -> list[int]:
-    """Multiplicity of the eigenvalues zeta^j with gcd(j, r) = g, for the
-    divisors g of r at the positions rows: r * mult_g = sum_{d | r} chi(sigma^d) * c_{r/d}(g)."""
+def _mult_by_gcd(lam: Partition, sigma: CycleType, rows: slice = slice(None)) -> tuple[int, list[int]]:
+    """sigma's order r and the multiplicities m_g of the eigenvalues zeta^j with
+    gcd(j, r) = g, for the divisors g of r in the slice rows of divisors(r):
+    r * m_g = sum_{d | r} chi(sigma^d) * c_{r/d}(g)."""
     divs, powers = _class_powers(sigma)
     r = divs[-1]
     chis = [_chi_tuples(lam.parts, cycles) for cycles in powers]
-    table = _ramanujan_table(r)
     out = []
-    for k in rows:
-        q, rem = divmod(sum(x * c for x, c in zip(chis, table[k])), r)
+    for row in _ramanujan_table(r)[rows]:
+        q, rem = divmod(sum(map(operator.mul, chis, row)), r)
         if rem:
             raise RuntimeError("non-integer multiplicity (internal bug)")
         out.append(q)
-    return out
+    return r, out
 
 
 def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
     """Exact eigenvalue multiplicities of a symmetric group irreducible at sigma."""
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
-    divs = _class_powers(sigma)[0]
-    r = divs[-1]
-    by_gcd = dict(zip(divs, _mult_by_gcd(lam, sigma, range(len(divs)))))
-    mult = tuple(by_gcd[math.gcd(j, r)] for j in range(r))
-    return SpectrumProfile(r, mult, degree(lam))
+    r, by_gcd = _mult_by_gcd(lam, sigma)
+    return SpectrumProfile._from_gcd(r, by_gcd, degree(lam))
 
 
 def spectrum_sn_direct(lam: Partition, sigma: CycleType) -> SpectrumProfile:
@@ -347,9 +490,9 @@ def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
         return base
     r = base.r
     if sigma != special_class(lam):
-        if any(m % 2 for m in base.mult):
+        if any(m % 2 for m in base._by_gcd):
             raise RuntimeError("odd multiplicity away from the distinguished class (internal bug)")
-        return SpectrumProfile(r, tuple(m // 2 for m in base.mult), base.degree // 2)
+        return SpectrumProfile._from_gcd(r, tuple(m // 2 for m in base._by_gcd), base.degree // 2)
     g = _principal_sqrt_vector(diagonal_hooks(lam), r)
     sign = 1 if label.variant == PLUS else -1
     # c_r(m) depends on m only through gcd(m, r): column d = 1 of the table
@@ -424,7 +567,12 @@ def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType) -> SpectrumPr
 def min_poly(profile: SpectrumProfile) -> MinPoly:
     """Minimal polynomial support; finite order matrices are diagonalizable,
     so the minimal polynomial is squarefree with the spectrum as root set."""
-    return MinPoly(profile.r, profile.support())
+    r, by_gcd = profile.r, profile._by_gcd
+    if by_gcd is None:
+        return MinPoly(r, profile.support())
+    if all(by_gcd):
+        return _full_min_poly(r)
+    return MinPoly._from_gcds(r, frozenset(g for g, m in zip(divisors(r), by_gcd) if m))
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:
@@ -456,20 +604,15 @@ def render_min_poly(mp: MinPoly) -> str:
     r = mp.r
     if mp.is_full():
         return "x-1" if r == 1 else f"x^{r}-1"
-    comp = sorted(set(range(r)) - mp.roots)
-    # the j with gcd(j, r) = g are the phi(r/g) exponents of the primitive (r/g)-th roots
-    missing_by_gcd: dict[int, int] = {}
-    for j in comp:
-        g = math.gcd(j, r)
-        missing_by_gcd[g] = missing_by_gcd.get(g, 0) + 1
-    galois_closed = all(count == euler_phi(r // g) for g, count in missing_by_gcd.items())
     whole = f"x^{r}-1"
-    if galois_closed:
-        orders = sorted(r // g for g in missing_by_gcd)
+    if mp._gcds is not None:
+        # the missing j with gcd(j, r) = g are the primitive (r/g)-th roots: divide out Phi_{r/g}
+        orders = sorted(r // g for g in divisors(r) if g not in mp._gcds)
         rendered = [_poly_str(cyclotomic(d)) for d in orders]
         if len(rendered) == 1:
             return f"({whole})/({rendered[0]})"
         return f"({whole})/({''.join(f'({p})' for p in rendered)})"
+    comp = sorted(set(range(r)) - mp.roots)
     atoms = "".join(f"(x-z{r}^{j})" for j in comp)
     if len(comp) == 1:
         return f"({whole})/{atoms}"
@@ -481,4 +624,4 @@ def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
     # the gcd r is the last divisor of r
-    return _mult_by_gcd(lam, sigma, (-1,))[0]
+    return _mult_by_gcd(lam, sigma, slice(-1, None))[1][0]

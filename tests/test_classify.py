@@ -296,17 +296,27 @@ def test_prediction_is_generic():
     assert isinstance(special, Prediction)
 
 
+def test_generic_prediction_shares_the_computed_full_polynomial():
+    # one x^r - 1 object per r, so the sweep's comparison is an identity check
+    lam = parse_partition("4,2")
+    pred = predict_sn(lam, 3, 2)
+    got = min_poly(spectrum_sn(lam, CycleType.uniform(3, 2, 6)))
+    assert pred.polys[0] is got and got.is_full()
+    assert got == MinPoly(3, frozenset(range(3)))
+
+
 def test_mismatches_report_prediction_then_computation(monkeypatch):
     # predict the full x^r - 1 wherever a clause removes factors, and swap
     # the two polynomials of every split prediction
     monkeypatch.setattr(classify, "_without", lambda r, removed: MinPoly(r, frozenset(range(r))))
-    real = classify.predict_an
+    # the sweep predicts through the private _predict_an, which takes the label text it formats once
+    real = classify._predict_an
 
-    def swapped(label, r, m):
-        pred = real(label, r, m)
+    def swapped(label, text, r, m):
+        pred = real(label, text, r, m)
         return dataclasses.replace(pred, polys=pred.polys[::-1])
 
-    monkeypatch.setattr(classify, "predict_an", swapped)
+    monkeypatch.setattr(classify, "_predict_an", swapped)
     sn = verify_minpoly_sn(4)
     assert not sn.ok
     assert sn.mismatches == (

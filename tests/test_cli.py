@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from snchar import cli
 from snchar.cli import main
 from snchar.partitions import parse_cycle_type, parse_partition
 
@@ -332,6 +334,41 @@ def test_oversized_input_exits_2(capsys):
     code, out, err = run_cli(capsys, "degree", "--lambda", "1^1000000000")
     assert (code, out) == (2, "")
     assert err.startswith("error: partition too large")
+
+
+# 19*17*13*11*7*5 = 1616615, above MAX_LISTED_R = 2^20, on 72 points
+BIG_ORDER_SHAPE = "19^1 17^1 13^1 11^1 7^1 5^1"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("spectrum",), "spectrum"),
+    (("spectrum", "--format", "json"), "spectrum"),
+    (("spectrum", "--group", "an"), "spectrum"),
+    (("minpoly", "--format", "json"), "minpoly --format json"),
+    (("minpoly", "--format", "json", "--group", "an"), "minpoly --format json"),
+])
+def test_listing_above_max_listed_r_exits_2(capsys, argv, what):
+    code, out, err = run_cli(capsys, *argv, "--lambda", "71,1", "--shape", BIG_ORDER_SHAPE)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {what} lists one entry per r-th root of unity, and class {BIG_ORDER_SHAPE} has "
+                   "order r = 1616615 > MAX_LISTED_R = 1048576; use minpoly (text format) or fixdim\n")
+    # the per-divisor answers are not listings
+    assert run_cli(capsys, "fixdim", "--lambda", "71,1", "--shape", BIG_ORDER_SHAPE)[:2] == (0, "5\n")
+
+
+def test_max_listed_r_admits_order_1021020():
+    assert cli.MAX_LISTED_R == 1 << 20
+    cli._check_listed("spectrum", parse_cycle_type("17^1 13^1 11^1 7^1 5^1 4^1 3^1"))
+
+
+def test_minpoly_renders_every_cyclotomic_factor_of_order_30030(capsys):
+    # the trivial character keeps only the root 1: x^30030 - 1 over its 63 other cyclotomic factors
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "minpoly", "--lambda", "41", "--shape", "13^1 11^1 7^1 5^1 3^1 2^1")
+    assert time.perf_counter() - start < 30
+    assert (code, err) == (0, "")
+    assert out.startswith("(x^30030-1)/((x+1)(x^2+x+1)(x^4+x^3+x^2+x+1)(x^2-x+1)(x^6+x^5+x^4+x^3+x^2+x+1)(")
+    assert out.endswith("+1))\n") and out.count(")(") == 62
 
 
 def test_bad_partition_exits_2(capsys):

@@ -1,5 +1,7 @@
 import cmath
 import math
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from snchar.partitions import (
 from snchar.spectral import (
     MinPoly,
     SpectrumProfile,
+    _poly_str,
     _principal_sqrt_vector,
     cyclotomic,
     divisors,
@@ -85,6 +88,38 @@ def test_cyclotomic_product_is_xn_minus_1(n):
     assert prod == expected
 
 
+def _cyclotomic_by_long_division(d, memo={}):
+    # the former construction: divide x^d - 1 by every Phi_e, e a proper divisor of d
+    if d not in memo:
+        poly = [-1] + [0] * (d - 1) + [1]
+        for e in divisors(d)[:-1]:
+            den = _cyclotomic_by_long_division(e)
+            quot = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(poly) - 1, len(den) - 2, -1):
+                c = quot[i - len(den) + 1] = poly[i]
+                for k, b in enumerate(den):
+                    poly[i - len(den) + 1 + k] -= c * b
+            assert not any(poly[: len(den) - 1])
+            poly = quot
+        memo[d] = tuple(poly)
+    return memo[d]
+
+
+def test_cyclotomic_matches_long_division():
+    for d in range(1, 121):
+        assert cyclotomic(d) == _cyclotomic_by_long_division(d)
+    assert cyclotomic(210) == _cyclotomic_by_long_division(210)
+
+
+def test_cyclotomic_large_squarefree_order_is_fast():
+    # 30030 = 2*3*5*7*11*13 has 64 divisors; long division took about a minute
+    start = time.perf_counter()
+    phi = cyclotomic(30030)
+    assert time.perf_counter() - start < 20
+    assert len(phi) - 1 == euler_phi(30030) == 5760
+    assert phi[0] == phi[-1] == 1 and phi == phi[::-1]
+
+
 def test_kronecker_symbol_known():
     assert [kronecker_symbol(j, 5) for j in range(1, 5)] == [1, -1, -1, 1]
     assert kronecker_symbol(0, 5) == 0
@@ -109,6 +144,81 @@ def test_spectrum_profile_validation():
     prof = SpectrumProfile(3, (1, 0, 2), 3)
     assert prof.support() == frozenset({0, 2})
     assert prof.to_json_dict() == {"r": 3, "degree": 3, "mult": [1, 0, 2]}
+
+
+def test_spectrum_profile_storage_forms_agree():
+    for n in range(1, 8):
+        for lam in enumerate_partitions(n):
+            for mu in enumerate_partitions(n):
+                by_gcd = spectrum_sn(lam, CycleType.from_partition(mu))
+                by_residue = SpectrumProfile(by_gcd.r, by_gcd.mult, by_gcd.degree)
+                assert by_gcd == by_residue and by_residue == by_gcd
+                assert hash(by_gcd) == hash(by_residue)
+                assert by_gcd.support() == by_residue.support()
+                assert by_gcd.to_json_dict() == by_residue.to_json_dict()
+    prof = spectrum_sn(parse_partition("3,3"), parse_cycle_type("6^1"))
+    assert prof != SpectrumProfile(6, (1, 1, 0, 2, 1, 0), 5)
+    assert prof == SpectrumProfile._from_gcd(6, (1, 0, 2, 1), 5)
+    with pytest.raises(RuntimeError):
+        SpectrumProfile._from_gcd(6, (1, 0, 2, 1), 6)
+    with pytest.raises(RuntimeError):
+        SpectrumProfile._from_gcd(2, (2, -1), 1)
+
+
+def _render_by_scan(r, roots):
+    # the former renderer: scan range(r) and group the missing exponents by gcd
+    if len(roots) == r:
+        return "x-1" if r == 1 else f"x^{r}-1"
+    comp = sorted(set(range(r)) - roots)
+    missing = {}
+    for j in comp:
+        missing[math.gcd(j, r)] = missing.get(math.gcd(j, r), 0) + 1
+    whole = f"x^{r}-1"
+    if all(count == euler_phi(r // g) for g, count in missing.items()):
+        rendered = [_poly_str(cyclotomic(r // g)) for g in sorted(missing, reverse=True)]
+        if len(rendered) == 1:
+            return f"({whole})/({rendered[0]})"
+        return f"({whole})/({''.join(f'({p})' for p in rendered)})"
+    atoms = "".join(f"(x-z{r}^{j})" for j in comp)
+    return f"({whole})/{atoms}" if len(comp) == 1 else f"({whole})/({atoms})"
+
+
+def test_min_poly_storage_forms_agree():
+    profiles = [
+        spectrum_sn(lam, CycleType.from_partition(mu))
+        for n in range(1, 10)
+        for lam in enumerate_partitions(n)
+        for mu in enumerate_partitions(n)
+    ]
+    for n in range(5, 10):
+        labels = [label for lam in enumerate_partitions(n) for label in
+                  (AnCharacterLabel.split_pair(lam) if is_split(lam) else (AnCharacterLabel.restricted(lam),))]
+        classes = [CycleType.from_partition(mu) for mu in enumerate_partitions(n)]
+        profiles += [spectrum_an(label, sigma) for label in labels for sigma in classes if sigma.is_even()]
+    not_galois_closed = 0
+    for prof in profiles:
+        got = min_poly(prof)
+        roots = frozenset(j for j, m in enumerate(prof.mult) if m)
+        ref = MinPoly(prof.r, roots)
+        assert got == ref and ref == got and hash(got) == hash(ref)
+        assert got.roots == roots and got.is_full() == (len(roots) == prof.r)
+        assert got.rendered == ref.rendered == _render_by_scan(prof.r, roots)
+        not_galois_closed += ref._gcds is None
+    assert not_galois_closed  # the split halves at their distinguished classes
+
+
+def test_min_poly_large_order_stays_per_divisor():
+    # n = 60, order 1021020: the full x^r - 1 is decided per divisor, with no r-sized list
+    lam = parse_partition("10,9,8,7,6,5,4,3^2,2,1^3")
+    sigma = parse_cycle_type("17^1 13^1 11^1 7^1 5^1 4^1 3^1")
+    tracemalloc.start()
+    try:
+        rendered = min_poly(spectrum_sn(lam, sigma)).rendered
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rendered == "x^1021020-1"
+    assert peak < 20 * 2**20
 
 
 def test_min_poly_validation():

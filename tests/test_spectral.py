@@ -89,7 +89,7 @@ def test_cyclotomic_product_is_xn_minus_1(n):
 
 
 def _cyclotomic_by_long_division(d, memo={}):
-    # the former construction: divide x^d - 1 by every Phi_e, e a proper divisor of d
+    # reference: long division of x^d - 1 by every Phi_e, e a proper divisor of d
     if d not in memo:
         poly = [-1] + [0] * (d - 1) + [1]
         for e in divisors(d)[:-1]:
@@ -112,7 +112,7 @@ def test_cyclotomic_matches_long_division():
 
 
 def test_cyclotomic_large_squarefree_order_is_fast():
-    # 30030 = 2*3*5*7*11*13 has 64 divisors; long division took about a minute
+    # 30030 = 2*3*5*7*11*13 has 64 divisors; repeated long division takes about a minute
     start = time.perf_counter()
     phi = cyclotomic(30030)
     assert time.perf_counter() - start < 20
@@ -166,7 +166,7 @@ def test_spectrum_profile_storage_forms_agree():
 
 
 def _render_by_scan(r, roots):
-    # the former renderer: scan range(r) and group the missing exponents by gcd
+    # reference renderer: scan range(r) and group the missing exponents by gcd
     if len(roots) == r:
         return "x-1" if r == 1 else f"x^{r}-1"
     comp = sorted(set(range(r)) - roots)

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .characters_an import MINUS, PLUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels, special_class
-from .characters_sn import _chi_tuples
 from .partitions import CycleType, Partition, _sweep_range, enumerate_partitions
-from .spectral import MinPoly, _class_powers, _full_min_poly, _phis, min_poly, spectrum_an, spectrum_sn
+from .spectral import MinPoly, _fixed_space_dims, _full_min_poly, min_poly, spectrum_an, spectrum_sn
 
 __all__ = [
     "Prediction",
@@ -273,30 +272,16 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
 
 
 def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
-    """Pairs without eigenvalue 1, read off the character table of S_n.
-
-    The fixed space of sigma's image has dimension
-    (1/r) * sum_{d | r} phi(r/d) * chi(sigma^d), and sigma^d is again a class
-    of S_n; so each class becomes a list of (column of sigma^d, phi(r/d))
-    pairs, built once, and each partition one row of character values.
-    """
+    """Pairs without eigenvalue 1, read off the character table of S_n: one
+    row of fixed space dimensions per partition, over every class."""
     lams = enumerate_partitions(n)
     classes = [CycleType.from_partition(mu) for mu in lams]
-    column = {mu.parts: k for k, mu in enumerate(lams)}  # a class's lengths are its partition's parts
-    weights = []
-    for sigma in classes:
-        divs, powers = _class_powers(sigma)
-        r = divs[-1]
-        weights.append((r, [(column[cycles], phi) for phi, cycles in zip(_phis(r), powers)]))
-    computed = set()
-    for lam in lams:
-        row = [_chi_tuples(lam.parts, mu.parts) for mu in lams]
-        for sigma, (r, pairs) in zip(classes, weights):
-            dim, rem = divmod(sum(row[k] * phi for k, phi in pairs), r)
-            if rem:
-                raise RuntimeError("non-integer fixed space dimension (internal bug)")
-            if not dim:
-                computed.add((lam, sigma))
+    computed = {
+        (lam, sigma)
+        for lam, dims in zip(lams, _fixed_space_dims(lams, classes))
+        for sigma, dim in zip(classes, dims)
+        if not dim
+    }
     predicted = predict_no_eigenvalue_one(n)
     uniform = [(r, m, CycleType.uniform(r, m, n)) for r, m in _uniform_shapes(n)]
     for lam in lams[1:]:  # (n) comes first: the trivial character is excluded

@@ -18,14 +18,19 @@ once per divisor g of r,
 
     r * mult_g = sum_{d | r} chi(type of sigma^d) * c_{r/d}(g),
 
-from a per-r table of the integers c_{r/d}(g), and stored that way: a
-SpectrumProfile holds one multiplicity per divisor g (the fixed space
-dimension is the entry g = r) and spreads it over the r residues only when
-mult is read. A minimal polynomial whose root set is a union of Galois
-orbits is likewise held as its set of gcds, so min_poly and render_min_poly
-never scan range(r). The divisors of r and the cycle lengths of every
-sigma^d are built once per class and kept in a bounded cache, so a sweep
-over the partitions at one class powers it once.
+from a per-r table of the integers c_{r/d}(g), each by Hoelder's closed form
+c_q(j) = mu(q/g') * phi(q) / phi(q/g') with g' = gcd(q, j), and stored that
+way: a SpectrumProfile holds one multiplicity per divisor g and spreads it
+over the r residues only when mult is read. The fixed space dimension is the
+entry g = r, where c_{r/d}(r) = phi(r/d); one kernel evaluates it without
+the table, for lists of partitions and classes, as a row of characters per
+partition against (column of sigma^d, phi(r/d)) pairs per class. A minimal
+polynomial whose root set is a union of Galois orbits is likewise held as
+its set of gcds, so min_poly and render_min_poly never scan range(r); the
+cyclotomic factors it divides out are Moebius products of power series
+(1 - x^e)^mu(d/e), truncated at degree phi(d). The divisors of r and the
+cycle lengths of every sigma^d are built once per class and kept in a
+bounded cache, so a sweep over the partitions at one class powers it once.
 
 Every division is checked to be exact; a remainder signals a bug, never a
 rounding problem. spectrum_sn_direct recomputes profiles by reducing the
@@ -46,7 +51,8 @@ The correction term
 is integral and r * mult_plus/minus[j] = (r * mult_lam[j] +- T(j)) / 2.
 T is evaluated, and the profile stored, at every residue j, with c_r read
 off the same table: it is not confined to the primitive r-th roots (for
-5,1^4 at 9^1 the two halves already differ at j = 0, 3 and 6).
+5,1^4 at 9^1 the two halves already differ at j = 0, 3 and 6). At up to
+about r^2 steps per half, this path refuses orders above MAX_SPLIT_R.
 spectrum_an_numeric cross checks this path in floating point, deciding each
 conjugate's sign with a quadratic residue symbol instead of Gauss sums.
 """
@@ -122,8 +128,10 @@ def ramanujan_sum(q: int, j: int) -> int:
     """Sum of the j-th powers of the primitive q-th roots of unity."""
     if q < 1:
         raise ValueError("q must be positive")
-    g = math.gcd(j, q)
-    return sum(d * moebius(q // d) for d in divisors(g))
+    # Hoelder: with g = gcd(j, q), c_q(j) = mu(q/g) * phi(q) / phi(q/g)
+    m = q // math.gcd(j, q)
+    mu = moebius(m)
+    return mu * euler_phi(q) // euler_phi(m) if mu else 0
 
 
 def _polydivmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -141,43 +149,27 @@ def _polydivmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[i
     return quot, rem[:dd]
 
 
-def _times_binomial(poly: list[int], e: int) -> list[int]:
-    """poly * (x^e - 1), ascending coefficients."""
-    out = [-c for c in poly] + [0] * e
-    out[e:] = [a + c for a, c in zip(out[e:], poly)]
-    return out
-
-
-def _over_binomial(poly: list[int], e: int) -> list[int]:
-    """The exact quotient poly / (x^e - 1), ascending coefficients.
-
-    From the low end, quot[i] = quot[i - e] - poly[i], one block of e at a
-    time; the division is exact iff the last e entries of that run vanish.
-    """
-    n = len(poly)
-    quot = [-c for c in poly[:e]]
-    for start in range(e, n, e):
-        quot += [a - c for a, c in zip(quot[start - e : start], poly[start : start + e])]
-    if any(quot[n - e :]):
-        raise RuntimeError("nonzero remainder in exact division (internal bug)")
-    del quot[n - e :]
-    return quot
-
-
 @lru_cache(maxsize=256)
 def cyclotomic(d: int) -> tuple[int, ...]:
-    """Coefficients of the d-th cyclotomic polynomial, ascending, as the
-    Moebius product prod_{e | d} (x^e - 1)^mu(d/e) of binomials."""
+    """Coefficients of the d-th cyclotomic polynomial, ascending: for d > 1 the
+    power series prod_{e | d} (1 - x^e)^mu(d/e), built in place up to degree phi(d)."""
     if d < 1:
         raise ValueError("d must be positive")
-    mus = [(e, moebius(d // e)) for e in divisors(d)]
-    poly = [1]
-    for e, mu in mus:
-        if mu == 1:
-            poly = _times_binomial(poly, e)
-    for e, mu in mus:
-        if mu == -1:
-            poly = _over_binomial(poly, e)
+    if d == 1:
+        return (-1, 1)
+    n = euler_phi(d)
+    poly = [1] + [0] * n
+    for e in divisors(d):
+        mu = moebius(d // e)
+        if not mu or e > n:
+            continue
+        if mu == 1:  # times 1 - x^e: poly[i] -= poly[i - e], read before any write
+            poly[e:] = map(operator.sub, poly[e:], poly[: n + 1 - e])
+        else:  # over 1 - x^e, times sum_k x^(ke): poly[i] += poly[i - e], block by block upwards
+            for i in range(e, n + 1, e):
+                poly[i : i + e] = map(operator.add, poly[i : i + e], poly[i - e : i])
+    if poly[n] != 1 or poly != poly[::-1]:
+        raise RuntimeError(f"cyclotomic polynomial of order {d} is not monic and palindromic (internal bug)")
     return tuple(poly)
 
 
@@ -380,27 +372,43 @@ def _class_powers(sigma: CycleType) -> tuple[tuple[int, ...], tuple[tuple[int, .
     return divs, tuple(sigma.power(d).lengths() for d in divs)
 
 
-def _mult_by_gcd(lam: Partition, sigma: CycleType, rows: slice = slice(None)) -> tuple[int, list[int]]:
-    """sigma's order r and the multiplicities m_g of the eigenvalues zeta^j with
-    gcd(j, r) = g, for the divisors g of r in the slice rows of divisors(r):
-    r * m_g = sum_{d | r} chi(sigma^d) * c_{r/d}(g)."""
-    divs, powers = _class_powers(sigma)
-    r = divs[-1]
-    chis = [_chi_tuples(lam.parts, cycles) for cycles in powers]
+def _fixed_space_dims(lams: list[Partition], classes: list[CycleType]) -> list[list[int]]:
+    """Row i, entry k: the fixed space dimension (1/r) * sum_{d | r} phi(r/d) * chi(sigma^d)
+    of sigma = classes[k] under lams[i]. A column is a class some sigma^d reaches."""
+    column: dict[tuple[int, ...], int] = {}
+    weights = []
+    for sigma in classes:
+        divs, powers = _class_powers(sigma)
+        r = divs[-1]
+        weights.append((r, [(column.setdefault(cycles, len(column)), phi)
+                            for phi, cycles in zip(_phis(r), powers)]))
     out = []
-    for row in _ramanujan_table(r)[rows]:
-        q, rem = divmod(sum(map(operator.mul, chis, row)), r)
-        if rem:
-            raise RuntimeError("non-integer multiplicity (internal bug)")
-        out.append(q)
-    return r, out
+    for lam in lams:
+        row = [_chi_tuples(lam.parts, cycles) for cycles in column]
+        dims = []
+        for r, pairs in weights:
+            dim, rem = divmod(sum(row[k] * phi for k, phi in pairs), r)
+            if rem:
+                raise RuntimeError("non-integer fixed space dimension (internal bug)")
+            dims.append(dim)
+        out.append(dims)
+    return out
 
 
 def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
     """Exact eigenvalue multiplicities of a symmetric group irreducible at sigma."""
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
-    r, by_gcd = _mult_by_gcd(lam, sigma)
+    divs, powers = _class_powers(sigma)
+    r = divs[-1]
+    chis = [_chi_tuples(lam.parts, cycles) for cycles in powers]
+    # r * m_g = sum_{d | r} chi(sigma^d) * c_{r/d}(g), one row of the table per divisor g
+    by_gcd = []
+    for row in _ramanujan_table(r):
+        m, rem = divmod(sum(map(operator.mul, chis, row)), r)
+        if rem:
+            raise RuntimeError("non-integer multiplicity (internal bug)")
+        by_gcd.append(m)
     return SpectrumProfile._from_gcd(r, by_gcd, degree(lam))
 
 
@@ -473,12 +481,16 @@ def _principal_sqrt_vector(hooks: tuple[int, ...], r: int) -> list[int]:
     return vec
 
 
+# a split half at its distinguished class costs up to about r^2 steps: 0.8 s for 2047,1^2046 at r = 4093
+MAX_SPLIT_R = 1 << 12
+
+
 def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
     """Exact eigenvalue multiplicities of an alternating group irreducible.
 
     For a split label on a class that splits, the profile belongs to the
     class of the canonical representative; the companion class has plus and
-    minus swapped.
+    minus swapped. At that distinguished class r must not exceed MAX_SPLIT_R.
     """
     lam = label.partition
     if lam.n != sigma.n:
@@ -493,6 +505,9 @@ def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
         if any(m % 2 for m in base._by_gcd):
             raise RuntimeError("odd multiplicity away from the distinguished class (internal bug)")
         return SpectrumProfile._from_gcd(r, tuple(m // 2 for m in base._by_gcd), base.degree // 2)
+    if r > MAX_SPLIT_R:
+        raise ValueError(f"the split halves of {lam} at their distinguished class {sigma} take about r^2 steps, "
+                         f"and r = {r} > MAX_SPLIT_R = {MAX_SPLIT_R}")
     g = _principal_sqrt_vector(diagonal_hooks(lam), r)
     sign = 1 if label.variant == PLUS else -1
     # c_r(m) depends on m only through gcd(m, r): column d = 1 of the table
@@ -623,5 +638,4 @@ def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     """Dimension of the fixed space of sigma's image (multiplicity of eigenvalue 1)."""
     if lam.n != sigma.n:
         raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
-    # the gcd r is the last divisor of r
-    return _mult_by_gcd(lam, sigma, slice(-1, None))[1][0]
+    return _fixed_space_dims([lam], [sigma])[0][0]

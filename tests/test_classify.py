@@ -15,7 +15,7 @@ from snchar.classify import (
     verify_minpoly_sn,
 )
 from snchar.partitions import CycleType, Partition, enumerate_partitions, parse_cycle_type, parse_partition
-from snchar.spectral import MinPoly, divisors, fixed_space_dim, min_poly, spectrum_sn
+from snchar.spectral import MinPoly, divisors, min_poly, spectrum_sn, spectrum_sn_direct
 
 
 def test_predict_sn_sign():
@@ -194,15 +194,16 @@ def test_verify_eigenvalue_one_small():
     assert (7, "2^2,1^3", "5^1 2^1") in triples
 
 
-def test_eigenvalue_one_kernel_matches_fixed_space_dim():
-    # the table-first kernel against fixed_space_dim, pair by pair
-    report = verify_eigenvalue_one(10)
+def test_eigenvalue_one_kernel_matches_cyclotomic_ring_route():
+    # the table-first kernel against spectrum_sn_direct, which reduces the
+    # eigenvalue counts in the cyclotomic ring and shares no Ramanujan sum with it
+    report = verify_eigenvalue_one(8)
     expected = {
         (n, str(lam), str(sigma))
-        for n in range(3, 11)
+        for n in range(3, 9)
         for lam in enumerate_partitions(n)
         for sigma in map(CycleType.from_partition, enumerate_partitions(n))
-        if fixed_space_dim(lam, sigma) == 0
+        if spectrum_sn_direct(lam, sigma).mult[0] == 0
     }
     assert set(report.exceptional) == expected
     assert len(report.exceptional) == len(expected)

@@ -361,6 +361,22 @@ def test_max_listed_r_admits_order_1021020():
     cli._check_listed("spectrum", parse_cycle_type("17^1 13^1 11^1 7^1 5^1 4^1 3^1"))
 
 
+# 13*11*9*7*5 = 45045: the distinguished class of the split pair 7^5,5^2, above MAX_SPLIT_R
+@pytest.mark.parametrize("verb", ["minpoly", "spectrum"])
+def test_split_class_above_max_split_r_exits_2(capsys, verb):
+    code, out, err = run_cli(capsys, verb, "--group", "an", "--lambda", "7^5,5^2", "--shape", "13^1 11^1 9^1 7^1 5^1")
+    assert (code, out) == (2, "")
+    assert err == ("error: the split halves of 7^5,5^2 at their distinguished class 13^1 11^1 9^1 7^1 5^1 take "
+                   "about r^2 steps, and r = 45045 > MAX_SPLIT_R = 4096\n")
+
+
+def test_split_class_below_max_split_r_answers(capsys):
+    # 11*9*7*5 = 3465, the distinguished class of 6^4,4^2
+    code, out, err = run_cli(capsys, "minpoly", "--group", "an", "--lambda", "6^4,4^2", "--shape", "11^1 9^1 7^1 5^1")
+    assert (code, err) == (0, "")
+    assert out == "[6^4,4^2]+ x^3465-1\n[6^4,4^2]- x^3465-1\n"
+
+
 def test_minpoly_renders_every_cyclotomic_factor_of_order_30030(capsys):
     # the trivial character keeps only the root 1: x^30030 - 1 over its 63 other cyclotomic factors
     start = time.perf_counter()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from snchar import spectral
 from snchar.characters_an import AnCharacterLabel, is_split, special_class
 from snchar.characters_sn import chi, degree
 from snchar.partitions import (
@@ -112,12 +113,14 @@ def test_cyclotomic_matches_long_division():
 
 
 def test_cyclotomic_large_squarefree_order_is_fast():
-    # 30030 = 2*3*5*7*11*13 has 64 divisors; repeated long division takes about a minute
-    start = time.perf_counter()
-    phi = cyclotomic(30030)
-    assert time.perf_counter() - start < 20
-    assert len(phi) - 1 == euler_phi(30030) == 5760
-    assert phi[0] == phi[-1] == 1 and phi == phi[::-1]
+    # 30030 = 2*3*5*7*11*13 has 64 divisors; repeated long division takes about a minute.
+    # 510510 = 30030*17: a Moebius product that multiplies in every numerator first took 6.5 s
+    for d, deg, limit in ((30030, 5760, 20), (510510, 92160, 3)):
+        start = time.perf_counter()
+        phi = cyclotomic.__wrapped__(d)  # uncached, whatever ran before
+        assert time.perf_counter() - start < limit
+        assert len(phi) - 1 == euler_phi(d) == deg
+        assert phi[0] == phi[-1] == 1 and phi == phi[::-1]
 
 
 def test_kronecker_symbol_known():
@@ -424,7 +427,10 @@ def test_fixed_space_dim_large_n():
     lam = parse_partition("10,9,8,7,6,5,4,3^2,2,1^3")
     sigma = parse_cycle_type("17^1 13^1 11^1 7^1 5^1 4^1 3^1")
     assert sigma.order() == 1021020
+    spectral._ramanujan_table.cache_clear()
     assert fixed_space_dim(lam, sigma) == 1252728188828998435411086655244520
+    # the fixed space needs phi(r/d), not the d(r)^2 Ramanujan sums of a whole spectrum
+    assert spectral._ramanujan_table.cache_info().currsize == 0
 
 
 def test_spectrum_an_restricted_equals_parent():

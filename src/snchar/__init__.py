@@ -9,6 +9,7 @@ interval arithmetic. An independent Specht module oracle reproduces the same
 spectra from integer matrices alone.
 """
 
+from .arith import cyclotomic, divisors, euler_phi, kronecker_symbol, moebius, split_square
 from .bounds import (
     DEFAULT_PRECISION_BITS,
     BoundClause,
@@ -35,7 +36,6 @@ from .characters_an import (
     chi_an,
     is_split,
     special_class,
-    split_square,
 )
 from .characters_sn import (
     CharacterTable,
@@ -80,13 +80,8 @@ from .specht import (
 from .spectral import (
     MinPoly,
     SpectrumProfile,
-    cyclotomic,
-    divisors,
-    euler_phi,
     fixed_space_dim,
-    kronecker_symbol,
     min_poly,
-    moebius,
     ramanujan_sum,
     render_min_poly,
     spectrum_an,

@@ -19,9 +19,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import divisors
 from .characters_sn import chi, degree
 from .partitions import CycleType, Partition, _sweep_range, conjugate, enumerate_partitions
-from .spectral import divisors
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",

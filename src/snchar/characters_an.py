@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
+from .arith import split_square
 from .characters_sn import chi
-from .partitions import CycleType, Partition, conjugate, diagonal_hooks, enumerate_partitions
+from .partitions import CycleType, Partition, _check_alternating, conjugate, diagonal_hooks, enumerate_partitions
 
 __all__ = [
     "RESTRICTED",
@@ -32,7 +32,6 @@ __all__ = [
     "MINUS",
     "AlgebraicValue",
     "AnCharacterLabel",
-    "split_square",
     "is_split",
     "special_class",
     "chi_an",
@@ -44,38 +43,6 @@ __all__ = [
 RESTRICTED = "restricted"
 PLUS = "plus"
 MINUS = "minus"
-
-
-@cache
-def _factorize(q: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of q >= 1 as (prime, exponent) pairs, by trial division."""
-    assert q >= 1
-    out = []
-    m = q
-    p = 2
-    while p * p <= m:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return tuple(out)
-
-
-def split_square(c: int) -> tuple[int, int]:
-    """Write c = b*b*d with b > 0 and d squarefree; the sign of c stays in d."""
-    if c == 0:
-        raise ValueError("zero has no squarefree part")
-    b, d = 1, (1 if c > 0 else -1)
-    for p, e in _factorize(abs(c)):
-        b *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    return b, d
 
 
 @dataclass(frozen=True)
@@ -248,10 +215,7 @@ def chi_an(label: AnCharacterLabel, sigma: CycleType, *, other_half: bool = Fals
     the distinguished class of a split label.
     """
     lam = label.partition
-    if lam.n != sigma.n:
-        raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
-    if not sigma.is_even():
-        raise ValueError(f"class {sigma} is odd, not in the alternating group")
+    _check_alternating(lam, sigma)
     x = chi(lam, sigma)
     if label.variant == RESTRICTED:
         return AlgebraicValue.from_rational(x)

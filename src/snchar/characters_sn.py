@@ -28,6 +28,7 @@ from functools import cache
 from .partitions import (
     CycleType,
     Partition,
+    _check_sizes,
     _rim_hooks,
     conjugate,
     enumerate_partitions,
@@ -102,8 +103,7 @@ def _chi_tuples(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
 
 def chi(lam: Partition, sigma: CycleType) -> int:
     """Character value of the irreducible labeled by lam at the class sigma."""
-    if lam.n != sigma.n:
-        raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
+    _check_sizes(lam, sigma)
     return _chi_tuples(lam.parts, sigma.lengths())
 
 
@@ -119,8 +119,7 @@ def chi_frobenius(lam: Partition, sigma: CycleType) -> int:
     x1^l1 ... xk^lk in prod_{i<j}(x_i - x_j) * prod_cycles (x_1^a + ... + x_k^a).
     Cost grows quickly with k, hence the cap of MAX_FROBENIUS_ROWS rows.
     """
-    if lam.n != sigma.n:
-        raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
+    _check_sizes(lam, sigma)
     k = len(lam.parts)
     if k > MAX_FROBENIUS_ROWS:
         raise ValueError(f"partition has {k} rows, cap is {MAX_FROBENIUS_ROWS}")
@@ -152,8 +151,7 @@ def chi_closed_form(lam: Partition, sigma: CycleType) -> int | None:
     2-cycles, and 3-cycles. Returns None when lam is not one of the covered
     shapes for its n (the caller decides how to report that).
     """
-    if lam.n != sigma.n:
-        raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
+    _check_sizes(lam, sigma)
     n = lam.n
     p = lam.parts
     i1 = sigma.count_of(1)

@@ -17,7 +17,6 @@ family, and four sporadic pairs).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -306,6 +305,9 @@ def _sweep(kind: str, fn, floor: int, min_n: int, max_n: int, threads: int) -> V
         raise ValueError(f"threads must be at least 1; got {threads}")
     workers = min(threads, os.cpu_count() or 1, len(ns))
     if workers > 1:
+        # imported here, so that importing the package does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_n = list(pool.map(fn, ns))
     else:

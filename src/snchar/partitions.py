@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -100,7 +101,7 @@ class CycleType:
 
     @property
     def n(self) -> int:
-        return sum(a * b for a, b in self.cycles)
+        return sum(itertools.starmap(operator.mul, self.cycles))
 
     def lengths(self) -> tuple[int, ...]:
         """All cycle lengths with multiplicity, longest first."""
@@ -163,6 +164,19 @@ class CycleType:
 
     def __str__(self) -> str:
         return format_cycle_type(self)
+
+
+def _check_sizes(lam: Partition, sigma: CycleType) -> None:
+    """The rule every (lam, sigma) function applies: both on the same n points."""
+    if lam.n != sigma.n:
+        raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
+
+
+def _check_alternating(lam: Partition, sigma: CycleType) -> None:
+    """_check_sizes, and sigma must be an even class, a class of the alternating group."""
+    _check_sizes(lam, sigma)
+    if not sigma.is_even():
+        raise ValueError(f"class {sigma} is odd, not in the alternating group")
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -24,8 +24,9 @@ import itertools
 import math
 from functools import cache
 
+from .arith import divisors, euler_phi
 from .partitions import CycleType, Partition
-from .spectral import MinPoly, SpectrumProfile, divisors, euler_phi, min_poly
+from .spectral import MinPoly, SpectrumProfile, min_poly
 
 __all__ = [
     "standard_tableaux",

@@ -26,11 +26,11 @@ entry g = r, where c_{r/d}(r) = phi(r/d); one kernel evaluates it without
 the table, for lists of partitions and classes, as a row of characters per
 partition against (column of sigma^d, phi(r/d)) pairs per class. A minimal
 polynomial whose root set is a union of Galois orbits is likewise held as
-its set of gcds, so min_poly and render_min_poly never scan range(r); the
-cyclotomic factors it divides out are Moebius products of power series
-(1 - x^e)^mu(d/e), truncated at degree phi(d). The divisors of r and the
-cycle lengths of every sigma^d are built once per class and kept in a
-bounded cache, so a sweep over the partitions at one class powers it once.
+its set of gcds, so min_poly and render_min_poly never scan range(r). The
+integer arithmetic (divisors, Moebius, phi, cyclotomic polynomials) lives in
+arith. The divisors of r and the cycle lengths of every sigma^d are built
+once per class and kept in a bounded cache, so a sweep over the partitions
+at one class powers it once.
 
 Every division is checked to be exact; a remainder signals a bug, never a
 rounding problem. spectrum_sn_direct recomputes profiles by reducing the
@@ -65,27 +65,15 @@ import operator
 from functools import lru_cache
 from itertools import compress
 
-from .characters_an import (
-    MINUS,
-    PLUS,
-    RESTRICTED,
-    AnCharacterLabel,
-    _factorize,
-    special_class,
-    split_square,
-)
+from .arith import _polydivmod, cyclotomic, divisors, euler_phi, kronecker_symbol, moebius, split_square
+from .characters_an import PLUS, RESTRICTED, AnCharacterLabel, special_class
 from .characters_sn import _chi_tuples, chi, degree
-from .partitions import CycleType, Partition, diagonal_hooks
+from .partitions import CycleType, Partition, _check_alternating, _check_sizes, diagonal_hooks
 
 __all__ = [
     "SpectrumProfile",
     "MinPoly",
-    "divisors",
-    "moebius",
-    "euler_phi",
-    "cyclotomic",
     "ramanujan_sum",
-    "kronecker_symbol",
     "spectrum_sn",
     "spectrum_sn_direct",
     "spectrum_an",
@@ -96,34 +84,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1024)
-def divisors(q: int) -> tuple[int, ...]:
-    if q < 1:
-        raise ValueError("q must be positive")
-    divs = [1]
-    for p, e in _factorize(q):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return tuple(sorted(divs))
-
-
-def moebius(q: int) -> int:
-    if q < 1:
-        raise ValueError("q must be positive")
-    fac = _factorize(q)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def euler_phi(q: int) -> int:
-    if q < 1:
-        raise ValueError("q must be positive")
-    out = q
-    for p, _ in _factorize(q):
-        out = out // p * (p - 1)
-    return out
-
-
 def ramanujan_sum(q: int, j: int) -> int:
     """Sum of the j-th powers of the primitive q-th roots of unity."""
     if q < 1:
@@ -132,69 +92,6 @@ def ramanujan_sum(q: int, j: int) -> int:
     m = q // math.gcd(j, q)
     mu = moebius(m)
     return mu * euler_phi(q) // euler_phi(m) if mu else 0
-
-
-def _polydivmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials (ascending coefficients)
-    by a monic divisor."""
-    rem = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(rem) - dd)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        quot[i - dd] = c
-        if c:
-            for k in range(dd + 1):
-                rem[i - dd + k] -= c * den[k]
-    return quot, rem[:dd]
-
-
-@lru_cache(maxsize=256)
-def cyclotomic(d: int) -> tuple[int, ...]:
-    """Coefficients of the d-th cyclotomic polynomial, ascending: for d > 1 the
-    power series prod_{e | d} (1 - x^e)^mu(d/e), built in place up to degree phi(d)."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    if d == 1:
-        return (-1, 1)
-    n = euler_phi(d)
-    poly = [1] + [0] * n
-    for e in divisors(d):
-        mu = moebius(d // e)
-        if not mu or e > n:
-            continue
-        if mu == 1:  # times 1 - x^e: poly[i] -= poly[i - e], read before any write
-            poly[e:] = map(operator.sub, poly[e:], poly[: n + 1 - e])
-        else:  # over 1 - x^e, times sum_k x^(ke): poly[i] += poly[i - e], block by block upwards
-            for i in range(e, n + 1, e):
-                poly[i : i + e] = map(operator.add, poly[i : i + e], poly[i - e : i])
-    if poly[n] != 1 or poly != poly[::-1]:
-        raise RuntimeError(f"cyclotomic polynomial of order {d} is not monic and palindromic (internal bug)")
-    return tuple(poly)
-
-
-def kronecker_symbol(a: int, m: int) -> int:
-    """The quadratic residue symbol (a | m) for m > 0."""
-    if m <= 0:
-        raise ValueError("m must be positive")
-    result = 1
-    while m % 2 == 0:
-        m //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    a %= m
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if m % 8 in (3, 5):
-                result = -result
-        a, m = m, a
-        if a % 4 == 3 and m % 4 == 3:
-            result = -result
-        a %= m
-    return result if m == 1 else 0
 
 
 @lru_cache(maxsize=256)
@@ -397,8 +294,7 @@ def _fixed_space_dims(lams: list[Partition], classes: list[CycleType]) -> list[l
 
 def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
     """Exact eigenvalue multiplicities of a symmetric group irreducible at sigma."""
-    if lam.n != sigma.n:
-        raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
+    _check_sizes(lam, sigma)
     divs, powers = _class_powers(sigma)
     r = divs[-1]
     chis = [_chi_tuples(lam.parts, cycles) for cycles in powers]
@@ -415,8 +311,7 @@ def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
 def spectrum_sn_direct(lam: Partition, sigma: CycleType) -> SpectrumProfile:
     """Independent slow route: reduce the eigenvalue counting sums in the
     cyclotomic ring and insist every Galois conjugate reduces identically."""
-    if lam.n != sigma.n:
-        raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
+    _check_sizes(lam, sigma)
     r = sigma.order()
     chis = [chi(lam, sigma.power(i)) for i in range(r)]
     phi_r = cyclotomic(r)
@@ -493,10 +388,7 @@ def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
     minus swapped. At that distinguished class r must not exceed MAX_SPLIT_R.
     """
     lam = label.partition
-    if lam.n != sigma.n:
-        raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
-    if not sigma.is_even():
-        raise ValueError(f"class {sigma} is odd, not in the alternating group")
+    _check_alternating(lam, sigma)
     base = spectrum_sn(lam, sigma)
     if label.variant == RESTRICTED:
         return base
@@ -538,10 +430,7 @@ def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType) -> SpectrumPr
     within the relative slack _SNAP.
     """
     lam = label.partition
-    if lam.n != sigma.n:
-        raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
-    if not sigma.is_even():
-        raise ValueError(f"class {sigma} is odd, not in the alternating group")
+    _check_alternating(lam, sigma)
     r = sigma.order()
     if label.variant == RESTRICTED:
         values = [complex(chi(lam, sigma.power(i))) for i in range(r)]
@@ -636,6 +525,5 @@ def render_min_poly(mp: MinPoly) -> str:
 
 def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     """Dimension of the fixed space of sigma's image (multiplicity of eigenvalue 1)."""
-    if lam.n != sigma.n:
-        raise ValueError(f"size mismatch: partition of {lam.n} vs class of {sigma.n}")
+    _check_sizes(lam, sigma)
     return _fixed_space_dims([lam], [sigma])[0][0]

@@ -1,0 +1,88 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from snchar import arith
+from snchar.arith import _factorize, divisors
+from snchar.spectral import ramanujan_sum
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "snchar"
+# the child interpreter imports the package from this checkout, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+
+# every public function of arith, and ramanujan_sum, called with q in the argument that must be >= 1;
+# split_square takes any nonzero integer, so only 0 is out of range there
+NONPOSITIVE_CALLS = {
+    "divisors": "divisors(q)",
+    "moebius": "moebius(q)",
+    "euler_phi": "euler_phi(q)",
+    "cyclotomic": "cyclotomic(q)",
+    "kronecker_symbol": "kronecker_symbol(3, q)",
+    "split_square": "split_square(0 * q)",
+    "ramanujan_sum": "ramanujan_sum(q, 0)",
+}
+
+
+def test_every_public_function_is_probed():
+    assert set(NONPOSITIVE_CALLS) == set(arith.__all__) | {"ramanujan_sum"}
+
+
+@pytest.mark.parametrize("name", sorted(NONPOSITIVE_CALLS))
+@pytest.mark.parametrize("q", [0, -1, -12])
+def test_nonpositive_argument_raises_value_error(name, q):
+    with pytest.raises(ValueError, match="positive|zero"):
+        eval(NONPOSITIVE_CALLS[name], {**vars(arith), "ramanujan_sum": ramanujan_sum, "q": q})
+
+
+def test_nonpositive_argument_raises_value_error_under_optimize():
+    # python -O strips assert statements; the q >= 1 checks must not be asserts
+    code = "\n".join([
+        "from snchar.arith import *",
+        "from snchar.spectral import ramanujan_sum",
+        "for call in %r:" % sorted(NONPOSITIVE_CALLS.values()),
+        "    for q in (0, -1, -12):",
+        "        try:",
+        "            eval(call)",
+        "        except ValueError:",
+        "            continue",
+        "        raise SystemExit(f'{call} accepted q={q}')",
+        "print('ok')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def test_factor_cache_is_bounded():
+    assert _factorize.cache_info().maxsize == divisors.cache_info().maxsize == 1024
+
+
+def _package_imports(path: Path) -> list[tuple[str, list[str]]]:
+    """(module, imported names) for every package-relative import of one source file."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.append((node.module or "", [alias.name for alias in node.names]))
+        elif isinstance(node, ast.Import):
+            out.extend((alias.name, []) for alias in node.names if alias.name.startswith("snchar"))
+    return out
+
+
+def test_arith_imports_no_package_module():
+    assert _package_imports(SRC / "arith.py") == []
+
+
+def test_specht_oracle_is_independent_of_the_character_routes():
+    imports = dict(_package_imports(SRC / "specht.py"))
+    assert not set(imports) & {"characters_sn", "characters_an", "classify", "bounds"}
+    assert set(imports.get("spectral", ())) <= {"SpectrumProfile", "MinPoly", "min_poly"}
+
+
+def test_no_module_imports_a_private_name_of_characters_an():
+    for path in SRC.glob("*.py"):
+        for module, names in _package_imports(path):
+            if module == "characters_an":
+                assert not [n for n in names if n.startswith("_")], path.name

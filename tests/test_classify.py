@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 
@@ -271,7 +272,7 @@ class _InlineExecutor:
     (1, 8, 6, None),
 ])
 def test_verify_worker_count_is_clamped(monkeypatch, threads, cpus, max_n, workers):
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
     _InlineExecutor.started = []
     report = verify_minpoly_sn(max_n, threads=threads)
@@ -334,3 +335,28 @@ def test_mismatches_report_prediction_then_computation(monkeypatch):
     )
     # the clauses are still reported, mismatched or not
     assert {e[1] for e in an.exceptional} == {"[4,1]", "[3,1^2]+/-"}
+
+
+def test_eigenvalue_one_mismatches_name_both_directions(monkeypatch):
+    # drop a listed pair that no uniform class covers (sign character at the odd class 3^1 2^1)
+    # and list a pair that has eigenvalue 1 (the identity under 3,1)
+    real = classify.predict_no_eigenvalue_one
+    dropped = (Partition((1,) * 5), CycleType.from_lengths([3, 2]))
+    added = (Partition((3, 1)), CycleType.from_lengths([1, 1, 1, 1]))
+
+    def edited(n):
+        pairs = real(n)
+        if n == 5:
+            pairs.remove(dropped)
+        if n == 4:
+            pairs.add(added)
+        return pairs
+
+    monkeypatch.setattr(classify, "predict_no_eigenvalue_one", edited)
+    report = verify_eigenvalue_one(5)
+    assert not report.ok
+    assert report.mismatches == (
+        (4, "3,1", "1^4", "predicted-but-eigenvalue-1-present"),
+        (5, "1^5", "3^1 2^1", "unpredicted"),
+    )
+    assert report.exceptional == verify_eigenvalue_one(5).exceptional

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -126,6 +127,27 @@ def test_table_size_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--n", "4", "--limit", "4"])
     assert exc.value.code == 2
+
+
+def test_table_text(capsys):
+    code, out, err = run_cli(capsys, "table", "--n", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "partition  4^1  3^1 1^1  2^2  2^1 1^2  1^4",
+        "        4    1        1    1        1    1",
+        "      3,1   -1        0   -1        1    3",
+        "      2^2    0       -1    2        0    2",
+        "    2,1^2    1        0   -1       -1    3",
+        "      1^4   -1        1    1       -1    1",
+    ]
+
+
+def test_verify_min_n(capsys):
+    code, out, err = run_cli(capsys, "verify", "minpoly-sn", "--min-n", "6", "--max-n", "7", "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert (obj["n_min"], obj["n_max"], obj["cases"]) == (6, 7, 206)
+    assert {entry[0] for entry in obj["exceptional"]} == {6, 7}
 
 
 def test_verify_text(capsys):
@@ -427,6 +449,12 @@ def test_import_does_not_load_mpmath():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+def test_import_does_not_load_the_process_pool():
+    code = "import sys, snchar, snchar.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 def test_verify_mismatches_exit_1(capsys, monkeypatch):
     from snchar import classify
     from snchar.spectral import MinPoly
@@ -448,3 +476,19 @@ def test_runs_are_byte_identical():
     second = subprocess.run(argv, capture_output=True, text=True, env=CHILD_ENV)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("snchar ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_line_examples(capsys, line):
+    # each example exits 0 and, where a "# ..." comment follows, prints exactly that
+    argv = shlex.split(line, comments=True)
+    code, out, err = run_cli(capsys, *argv[1:])
+    assert (code, err) == (0, "")
+    if "#" in line:
+        assert out == line.split("#", 1)[1].strip() + "\n"

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from snchar import characters_an, characters_sn, spectral
+from snchar.characters_an import AnCharacterLabel
 from snchar.partitions import (
     MAX_PARSE_N,
     CycleType,
@@ -268,3 +271,37 @@ def test_class_size_is_integral_ratio():
             ct = CycleType.from_partition(lam)
             cent = Fraction(math.factorial(n), ct.class_size())
             assert cent.denominator == 1
+
+
+# every public function of the character and spectral layers that takes a
+# partition (lam) or an alternating label (label) and a class (sigma)
+PAIR_FUNCTIONS = [
+    getattr(mod, name)
+    for mod in (characters_sn, characters_an, spectral)
+    for name in mod.__all__
+    if inspect.isfunction(getattr(mod, name))
+    and list(inspect.signature(getattr(mod, name)).parameters)[:2] in (["lam", "sigma"], ["label", "sigma"])
+]
+ALTERNATING_FUNCTIONS = [fn for fn in PAIR_FUNCTIONS if "label" in inspect.signature(fn).parameters]
+
+
+def _first_argument(fn, lam):
+    return AnCharacterLabel.restricted(lam) if fn in ALTERNATING_FUNCTIONS else lam
+
+
+def test_pair_functions_found():
+    assert len(PAIR_FUNCTIONS) == 10
+    assert [fn.__name__ for fn in ALTERNATING_FUNCTIONS] == ["chi_an", "spectrum_an", "spectrum_an_numeric"]
+
+
+@pytest.mark.parametrize("fn", PAIR_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_pair_functions_refuse_a_size_mismatch(fn):
+    # the class is odd too: the size rule is checked first
+    with pytest.raises(ValueError, match=r"^size mismatch: partition of 4 vs class of 5$"):
+        fn(_first_argument(fn, parse_partition("3,1")), parse_cycle_type("2^1 1^3"))
+
+
+@pytest.mark.parametrize("fn", ALTERNATING_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_alternating_functions_refuse_an_odd_class(fn):
+    with pytest.raises(ValueError, match=r"^class 2\^1 1\^2 is odd, not in the alternating group$"):
+        fn(_first_argument(fn, parse_partition("3,1")), parse_cycle_type("2^1 1^2"))

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from snchar import spectral
-from snchar.characters_an import AnCharacterLabel, is_split, special_class
+from snchar.characters_an import AnCharacterLabel, an_irreducible_labels, is_split, special_class
 from snchar.characters_sn import chi, degree
 from snchar.partitions import (
     CycleType,
@@ -397,6 +397,16 @@ def test_spectrum_an_matches_numeric():
             exact = spectrum_an(label, sigma)
             numeric = spectrum_an_numeric(label, sigma)
             assert exact == numeric
+
+
+def test_spectrum_an_numeric_restricted_labels():
+    for n in range(2, 9):
+        for label in an_irreducible_labels(n):
+            if label.variant == "restricted":
+                for mu in enumerate_partitions(n):
+                    sigma = CycleType.from_partition(mu)
+                    if sigma.is_even():
+                        assert spectrum_an_numeric(label, sigma) == spectrum_an(label, sigma)
 
 
 def test_spectrum_an_numeric_rejects_lost_float_resolution():

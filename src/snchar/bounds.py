@@ -224,6 +224,10 @@ def _min_degree_rows(n: int) -> list[tuple[str, tuple[int, ...], int]]:
     return rows
 
 
+# min_degree_check holds every partition of n: at n = 50 (204 226 of them) it takes about 5.4 s and 122 MB
+MAX_MIN_DEGREE_N = 50
+
+
 def min_degree_check(n: int) -> BoundReport:
     """The smallest nontrivial degrees of S_n, with their attaining shapes.
 
@@ -236,6 +240,8 @@ def min_degree_check(n: int) -> BoundReport:
     """
     if n < 15:
         raise ValueError(f"table starts at n = 15: {n}")
+    if n > MAX_MIN_DEGREE_N:
+        raise ValueError(f"min-degree holds every partition of n, and n = {n} > MAX_MIN_DEGREE_N = {MAX_MIN_DEGREE_N}")
     by_degree: dict[int, set[Partition]] = {}
     for lam in enumerate_partitions(n):
         by_degree.setdefault(degree(lam), set()).add(lam)

@@ -20,9 +20,11 @@ import os
 from dataclasses import dataclass
 from functools import partial
 
-from .characters_an import MINUS, PLUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels, special_class
+from .characters_an import MINUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels, special_class
+from .characters_sn import degree
 from .partitions import CycleType, Partition, _sweep_range, enumerate_partitions
-from .spectral import MinPoly, _fixed_space_dims, _full_min_poly, min_poly, spectrum_an, spectrum_sn
+from .spectral import (MinPoly, SpectrumProfile, _an_profile, _divisor_sums, _fixed_space_weights,
+                       _full_min_poly, _ramanujan_table, min_poly)
 
 __all__ = [
     "Prediction",
@@ -213,51 +215,43 @@ class VerificationReport:
 
 
 def _uniform_shapes(n: int, *, even_only: bool = False) -> list[tuple[int, int]]:
-    out = []
-    for r in range(2, n + 1):
-        for m in range(1, n // r + 1):
-            if even_only and (m * (r - 1)) % 2:
-                continue
-            out.append((r, m))
-    return out
+    return [(r, m) for r in range(2, n + 1) for m in range(1, n // r + 1) if not (even_only and m * (r - 1) % 2)]
 
 
 def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
     """Predicted against computed minimal polynomials of every nontrivial
     irreducible of S_n or A_n (group "sn" or "an") at every uniform class.
 
-    Each label is checked against its own spectrum, or against both halves
-    of a split pair, sorted as predict_an sorts them. Away from the pair's
-    distinguished class the halves share one halved spectrum, computed once.
-    Labels are formatted once per label, not once per class.
+    The parent spectra come from one _divisor_sums pass over the labels'
+    partitions. An A_n label is checked against its own spectrum, or against
+    both halves of a split pair, sorted as predict_an sorts them.
     """
     if group == "sn":
         # (n) comes first: the trivial character is excluded
-        labels = [(lam, str(lam), None, None) for lam in enumerate_partitions(n)[1:]]
+        labels = lams = enumerate_partitions(n)[1:]
         shapes = _uniform_shapes(n)
-        predict, spectrum = _predict_sn, spectrum_sn
     else:
-        # a restricted label has no halves and no distinguished class (special_class is None)
-        labels = [(label, _an_text(label),
-                   AnCharacterLabel.split_pair(label.partition) if label.variant == PLUS else None,
-                   special_class(label.partition))
-                  for label in an_irreducible_labels(n)[1:] if label.variant != MINUS]
+        labels = [label for label in an_irreducible_labels(n)[1:] if label.variant != MINUS]
+        lams = [label.partition for label in labels]
         shapes = _uniform_shapes(n, even_only=True)
-        predict, spectrum = _predict_an, spectrum_an
-    classes = [(r, m, CycleType.uniform(r, m, n)) for r, m in shapes]
+    classes = [CycleType.uniform(r, m, n) for r, m in shapes]
     cases = 0
     mismatches = []
     exceptional = []
-    for label, text, halves, special in labels:
-        for r, m, sigma in classes:
-            pred = predict(label, text, r, m)
-            if halves is None:
-                got = (min_poly(spectrum(label, sigma)),)
-            elif sigma != special:
-                half = min_poly(spectrum(label, sigma))
-                got = (half, half)
+    for label, lam, rows in zip(labels, lams, _divisor_sums(lams, classes, _ramanujan_table)):
+        deg = degree(lam)
+        if group == "sn":
+            text = str(lam)
+        else:
+            text, special = _an_text(label), special_class(lam)
+            halves = (label,) if label.variant == RESTRICTED else AnCharacterLabel.split_pair(lam)
+        for (r, m), sigma, by_gcd in zip(shapes, classes, rows):
+            base = SpectrumProfile._from_gcd(r, by_gcd, deg)
+            if group == "sn":
+                pred, got = _predict_sn(lam, text, r, m), (min_poly(base),)
             else:
-                got = tuple(sorted((min_poly(spectrum(c, sigma)) for c in halves), key=_pair_key))
+                pred = _predict_an(label, text, r, m)
+                got = tuple(sorted((min_poly(_an_profile(h, sigma, base, special)) for h in halves), key=_pair_key))
             cases += 1
             if got != pred.polys:
                 mismatches.append(
@@ -277,8 +271,8 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     classes = [CycleType.from_partition(mu) for mu in lams]
     computed = {
         (lam, sigma)
-        for lam, dims in zip(lams, _fixed_space_dims(lams, classes))
-        for sigma, dim in zip(classes, dims)
+        for lam, dims in zip(lams, _divisor_sums(lams, classes, _fixed_space_weights))
+        for sigma, (dim,) in zip(classes, dims)
         if not dim
     }
     predicted = predict_no_eigenvalue_one(n)

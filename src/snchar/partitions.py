@@ -16,6 +16,7 @@ import itertools
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
@@ -75,10 +76,7 @@ class CycleType:
 
     @classmethod
     def from_lengths(cls, lengths) -> "CycleType":
-        counts: dict[int, int] = {}
-        for a in lengths:
-            counts[a] = counts.get(a, 0) + 1
-        return cls(tuple(sorted(counts.items(), reverse=True)))
+        return cls(tuple(sorted(Counter(lengths).items(), reverse=True)))
 
     @classmethod
     def from_partition(cls, lam: Partition) -> "CycleType":
@@ -233,22 +231,24 @@ def diagonal_hooks(lam: Partition) -> tuple[int, ...]:
     return tuple(out)
 
 
-@cache
-def _partitions_below(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_below(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n, lexicographically decreasing: (n) first, (1^n) last."""
+    """All partitions of n, lexicographically decreasing: (n) first, (1^n) last.
+
+    Each follows from the one before, with no memo: the last part above 1
+    drops by one to h, and the boxes it and the trailing 1s free are refilled
+    greedily with parts of size at most h."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition(p) for p in _partitions_below(n, max(n, 1))]
+    out = []
+    parts = [n] if n else []
+    while True:
+        out.append(Partition(tuple(parts)))
+        k = parts.index(1) if 1 in parts else len(parts)  # the trailing 1s start at k
+        if not k:
+            return out
+        h = parts[k - 1] - 1
+        q, rest = divmod(len(parts) - k + 1, h)
+        parts[k - 1:] = [h] * (q + 1) + ([rest] if rest else [])
 
 
 def _sweep_range(floor: int, min_n: int, max_n: int) -> range:

@@ -22,15 +22,15 @@ from a per-r table of the integers c_{r/d}(g), each by Hoelder's closed form
 c_q(j) = mu(q/g') * phi(q) / phi(q/g') with g' = gcd(q, j), and stored that
 way: a SpectrumProfile holds one multiplicity per divisor g and spreads it
 over the r residues only when mult is read. The fixed space dimension is the
-entry g = r, where c_{r/d}(r) = phi(r/d); one kernel evaluates it without
-the table, for lists of partitions and classes, as a row of characters per
-partition against (column of sigma^d, phi(r/d)) pairs per class. A minimal
-polynomial whose root set is a union of Galois orbits is likewise held as
-its set of gcds, so min_poly and render_min_poly never scan range(r). The
-integer arithmetic (divisors, Moebius, phi, cyclotomic polynomials) lives in
-arith. The divisors of r and the cycle lengths of every sigma^d are built
-once per class and kept in a bounded cache, so a sweep over the partitions
-at one class powers it once.
+row g = r alone, where c_{r/d}(r) = phi(r/d). One kernel, _divisor_sums,
+serves spectrum_sn, fixed_space_dim and every sweep in classify: for lists
+of partitions and classes it evaluates one character row per partition over
+the classes sigma^d reached, and weights it by the whole table, or for the
+fixed space by the row phi(r/d) alone, building no table. The powers sigma^d
+of a class are built once, in a bounded cache. A minimal polynomial whose
+root set is a union of Galois orbits is likewise held as its set of gcds, so
+min_poly and render_min_poly never scan range(r). The integer arithmetic
+(divisors, Moebius, phi, cyclotomic polynomials) lives in arith.
 
 Every division is checked to be exact; a remainder signals a bug, never a
 rounding problem. spectrum_sn_direct recomputes profiles by reducing the
@@ -62,6 +62,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections import Counter
 from functools import lru_cache
 from itertools import compress
 
@@ -183,10 +184,7 @@ class SpectrumProfile:
 
 def _galois_gcds(r: int, roots: frozenset[int]) -> frozenset[int] | None:
     """The gcds with r of a root set that is a union of Galois orbits, else None."""
-    counts: dict[int, int] = {}
-    for j in roots:
-        g = math.gcd(j, r)
-        counts[g] = counts.get(g, 0) + 1
+    counts = Counter(math.gcd(j, r) for j in roots)
     phi = dict(zip(divisors(r), _phis(r)))
     return frozenset(counts) if all(c == phi[g] for g, c in counts.items()) else None
 
@@ -262,50 +260,48 @@ def _ramanujan_table(r: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=1024)
-def _class_powers(sigma: CycleType) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The divisors d of sigma's order and, for each, the cycle lengths of
+def _class_powers(sigma: CycleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """sigma's order r and, for each divisor d of r, the cycle lengths of
     sigma^d, longest first: the classes every spectrum at sigma reads."""
-    divs = divisors(sigma.order())
-    return divs, tuple(sigma.power(d).lengths() for d in divs)
+    r = sigma.order()
+    return r, tuple(sigma.power(d).lengths() for d in divisors(r))
 
 
-def _fixed_space_dims(lams: list[Partition], classes: list[CycleType]) -> list[list[int]]:
-    """Row i, entry k: the fixed space dimension (1/r) * sum_{d | r} phi(r/d) * chi(sigma^d)
-    of sigma = classes[k] under lams[i]. A column is a class some sigma^d reaches."""
+def _divisor_sums(lams: list[Partition], classes: list[CycleType], weights):
+    """Yield, for each lam in turn, one list per class sigma of order r: the
+    sums (1/r) * sum_{d | r} w(d) * chi^lam(sigma^d), one per row w of
+    weights(r), each row aligned with divisors(r). A column is a class some
+    sigma^d reaches; each lam evaluates each column once."""
     column: dict[tuple[int, ...], int] = {}
-    weights = []
+    plan = []
     for sigma in classes:
-        divs, powers = _class_powers(sigma)
-        r = divs[-1]
-        weights.append((r, [(column.setdefault(cycles, len(column)), phi)
-                            for phi, cycles in zip(_phis(r), powers)]))
-    out = []
+        r, powers = _class_powers(sigma)
+        plan.append((r, [column.setdefault(cycles, len(column)) for cycles in powers], weights(r)))
     for lam in lams:
         row = [_chi_tuples(lam.parts, cycles) for cycles in column]
-        dims = []
-        for r, pairs in weights:
-            dim, rem = divmod(sum(row[k] * phi for k, phi in pairs), r)
-            if rem:
-                raise RuntimeError("non-integer fixed space dimension (internal bug)")
-            dims.append(dim)
-        out.append(dims)
-    return out
+        sums = []
+        for r, cols, rows in plan:
+            chis = [row[k] for k in cols]
+            out = []
+            for w in rows:
+                m, rem = divmod(sum(map(operator.mul, chis, w)), r)
+                if rem:
+                    raise RuntimeError("non-integer multiplicity (internal bug)")
+                out.append(m)
+            sums.append(out)
+        yield sums
+
+
+def _fixed_space_weights(r: int) -> tuple[tuple[int, ...]]:
+    """The g = r row of the Ramanujan table alone: c_{r/d}(r) = phi(r/d)."""
+    return (_phis(r),)
 
 
 def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
     """Exact eigenvalue multiplicities of a symmetric group irreducible at sigma."""
     _check_sizes(lam, sigma)
-    divs, powers = _class_powers(sigma)
-    r = divs[-1]
-    chis = [_chi_tuples(lam.parts, cycles) for cycles in powers]
-    # r * m_g = sum_{d | r} chi(sigma^d) * c_{r/d}(g), one row of the table per divisor g
-    by_gcd = []
-    for row in _ramanujan_table(r):
-        m, rem = divmod(sum(map(operator.mul, chis, row)), r)
-        if rem:
-            raise RuntimeError("non-integer multiplicity (internal bug)")
-        by_gcd.append(m)
-    return SpectrumProfile._from_gcd(r, by_gcd, degree(lam))
+    [by_gcd] = next(_divisor_sums([lam], [sigma], _ramanujan_table))
+    return SpectrumProfile._from_gcd(sigma.order(), by_gcd, degree(lam))
 
 
 def spectrum_sn_direct(lam: Partition, sigma: CycleType) -> SpectrumProfile:
@@ -389,22 +385,26 @@ def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
     """
     lam = label.partition
     _check_alternating(lam, sigma)
-    base = spectrum_sn(lam, sigma)
+    return _an_profile(label, sigma, spectrum_sn(lam, sigma), special_class(lam))
+
+
+def _an_profile(label: AnCharacterLabel, sigma: CycleType, base: SpectrumProfile,
+                special: CycleType | None) -> SpectrumProfile:
+    """spectrum_an from base = spectrum_sn(lam, sigma) and special = special_class(lam), lam = label.partition."""
     if label.variant == RESTRICTED:
         return base
     r = base.r
-    if sigma != special_class(lam):
+    if sigma != special:
         if any(m % 2 for m in base._by_gcd):
             raise RuntimeError("odd multiplicity away from the distinguished class (internal bug)")
         return SpectrumProfile._from_gcd(r, tuple(m // 2 for m in base._by_gcd), base.degree // 2)
     if r > MAX_SPLIT_R:
-        raise ValueError(f"the split halves of {lam} at their distinguished class {sigma} take about r^2 steps, "
-                         f"and r = {r} > MAX_SPLIT_R = {MAX_SPLIT_R}")
-    g = _principal_sqrt_vector(diagonal_hooks(lam), r)
+        raise ValueError(f"the split halves of {label.partition} at their distinguished class {sigma} take "
+                         f"about r^2 steps, and r = {r} > MAX_SPLIT_R = {MAX_SPLIT_R}")
+    g = _principal_sqrt_vector(diagonal_hooks(label.partition), r)
     sign = 1 if label.variant == PLUS else -1
     # c_r(m) depends on m only through gcd(m, r): column d = 1 of the table
-    c_r = dict(zip(divisors(r), (row[0] for row in _ramanujan_table(r))))
-    c_r_res = [c_r[math.gcd(m, r)] for m in range(r)]
+    c_r_res = _spread(r, [row[0] for row in _ramanujan_table(r)])
     terms = [(k, c) for k, c in enumerate(g) if c]
     mult = []
     for j in range(r):
@@ -526,4 +526,4 @@ def render_min_poly(mp: MinPoly) -> str:
 def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     """Dimension of the fixed space of sigma's image (multiplicity of eigenvalue 1)."""
     _check_sizes(lam, sigma)
-    return _fixed_space_dims([lam], [sigma])[0][0]
+    return next(_divisor_sums([lam], [sigma], _fixed_space_weights))[0][0]

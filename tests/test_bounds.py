@@ -5,6 +5,7 @@ import pytest
 
 from snchar.bounds import (
     DEFAULT_PRECISION_BITS,
+    MAX_MIN_DEGREE_N,
     _inf,
     _interval_precision,
     _sup,
@@ -119,6 +120,14 @@ def test_min_degree_n22():
 def test_min_degree_guard():
     with pytest.raises(ValueError):
         min_degree_check(14)
+
+
+def test_min_degree_refuses_n_above_the_cap():
+    assert min_degree_check(MAX_MIN_DEGREE_N - 10).holds
+    with pytest.raises(ValueError, match="MAX_MIN_DEGREE_N = 50"):
+        min_degree_check(MAX_MIN_DEGREE_N + 1)
+    with pytest.raises(ValueError, match=r"n = 100 > MAX_MIN_DEGREE_N"):
+        min_degree_check(100)
 
 
 def test_report_json_schema():

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -224,6 +225,39 @@ def test_eigenvalue_one_kernel_powers_each_class_once(monkeypatch):
     monkeypatch.setattr(CycleType, "power", counted)
     assert verify_eigenvalue_one(10, min_n=10).ok
     assert 0 < len(calls) <= bound
+
+
+def test_minpoly_sweep_evaluates_each_character_column_once(monkeypatch):
+    # one chi per nontrivial partition and distinct power class of the uniform classes, not per (label, class)
+    n = 10
+    classes = [CycleType.uniform(r, m, n) for r in range(2, n + 1) for m in range(1, n // r + 1)]
+    columns = {sigma.power(d).lengths() for sigma in classes for d in divisors(sigma.order())}
+    bound = (len(enumerate_partitions(n)) - 1) * len(columns)
+    calls = []
+    real = spectral._chi_tuples
+
+    def counted(parts, cycles):
+        calls.append((parts, cycles))
+        return real(parts, cycles)
+
+    monkeypatch.setattr(spectral, "_chi_tuples", counted)
+    assert verify_minpoly_sn(n, min_n=n).ok
+    assert 0 < len(calls) <= bound
+    assert not {"spectrum_sn", "spectrum_an"} & set(vars(classify))
+
+
+# sha256 of json.dumps(report.to_json_dict(), sort_keys=True): the report bytes must not drift
+REPORT_DIGESTS = [
+    (verify_minpoly_sn, 10, "bc0657065cb7d57cc30ff2e5a04bc9d44528cf42e2ccfbbdd05bf8cd861ef26c"),
+    (verify_minpoly_an, 11, "7dcc4ad81183a13514d7d10eec6cd0f6edf67032d34330d74ea7fc2666b8e8a1"),
+    (verify_eigenvalue_one, 9, "da9697815d2368f8a588465632a0ff0ebd96dc87affea1bdb84b4aaade67a5e9"),
+]
+
+
+@pytest.mark.parametrize("verify, n, digest", REPORT_DIGESTS, ids=[v.__name__ for v, _, _ in REPORT_DIGESTS])
+def test_report_bytes_are_pinned(verify, n, digest):
+    text = json.dumps(verify(n).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_verify_threads_deterministic():

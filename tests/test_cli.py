@@ -202,6 +202,15 @@ def test_bounds_min_degree_json(capsys):
     assert clauses[-1]["name"] == "separation"
 
 
+def test_bounds_min_degree_above_the_cap_exits_2_at_once(capsys):
+    # p(100) is about 1.9e8: without the cap this would run out of memory
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--check", "min-degree", "--n", "100")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: min-degree holds every partition of n, and n = 100 > MAX_MIN_DEGREE_N = 50\n"
+
+
 def test_bounds_sweep(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--check", "sweep-robbins", "--max-n", "20")
     assert code == 0

@@ -1,5 +1,7 @@
+import gc
 import inspect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -158,6 +160,21 @@ def test_enumerate_partitions_order_and_count():
         assert items[-1].parts == (1,) * n
         assert all(a.parts > b.parts for a, b in zip(items, items[1:]))
         assert all(p.n == n for p in items)
+
+
+def test_enumerate_partitions_keeps_nothing_after_the_call():
+    assert enumerate_partitions(0) == [Partition(())]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        count = len(enumerate_partitions(35))
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count == partition_count(35)
+    # the 14 883 partitions of 35 are dropped with the list: no memo outlives the call
+    assert after - before < 1 << 16
 
 
 def test_cycle_type_normalization():

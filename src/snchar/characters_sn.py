@@ -1,12 +1,17 @@
 """Exact irreducible characters of symmetric groups.
 
-chi() peels rim hooks, always consuming the largest remaining cycle first,
-with a process wide memo keyed by (partition, remaining cycle multiset). Once
-only fixed points remain, the value is the number of standard tableaux of the
-remaining shape, read from the hook product that degree() also uses, so the
-memo holds no fixed-point tails. It serves every n (the recursion at n reuses
-keys first met below n) and bounds itself: an insert at _MEMO_CAP entries first
-clears it in place, with the hook-product cache. full_table(MAX_TABLE_N) fits.
+chi() runs the Murnaghan-Nakayama rule on beta sets (James & Kerber 2.7): a
+partition is an int bitmask with a bead at bit lam_i + l - 1 - i for each of
+its l rows, a k-rim hook moves a bead from b to the empty slot b - k, and its
+leg length is the number of beads in between. Beads of zero rows are shifted
+off after each move, so each shape has one mask. The recursion consumes the
+largest remaining cycle first, with a process wide memo keyed by (mask,
+remaining cycles). Once only fixed points remain, the value is the number of
+standard tableaux, read from the hook product (cached as tails, never in the
+memo). The memo serves every n (the recursion at n reuses keys first met
+below n) and bounds itself: an insert at _MEMO_CAP entries first clears it
+in place, with the tails. full_table(MAX_TABLE_N) fits. degree() computes
+the hook product uncached.
 
 Independent evaluation routes are provided so values can be cross checked:
 coefficient extraction from the generating product (chi_frobenius), closed
@@ -29,7 +34,6 @@ from .partitions import (
     CycleType,
     Partition,
     _check_sizes,
-    _rim_hooks,
     conjugate,
     enumerate_partitions,
     format_cycle_type,
@@ -51,65 +55,105 @@ __all__ = [
 MAX_TABLE_N = 20
 MAX_FROBENIUS_ROWS = 4
 _MEMO_CAP = 1 << 19
-_MN_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+_MN_CACHE: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
-@cache
-def _standard_count(parts: tuple[int, ...]) -> int:
-    """Standard tableaux of shape parts: n! over the product of hook lengths."""
-    conj = [sum(1 for p in parts if p > j) for j in range(parts[0])] if parts else []
-    den = 1
+def _beta_set(parts: tuple[int, ...]) -> int:
+    """The beta set of a partition as a bitmask: bit parts[i] + len - 1 - i per row."""
+    top = len(parts) - 1
+    mask = 0
     for i, p in enumerate(parts):
-        for j in range(p):
-            den *= p - j + conj[j] - i - 1
-    d, rem = divmod(math.factorial(sum(parts)), den)
+        mask |= 1 << (p + top - i)
+    return mask
+
+
+def _rim_hooks(mask: int, k: int) -> list[tuple[int, int]]:
+    """Every length-k rim hook of the beta set mask, as (smaller beta set, leg
+    length) pairs. A hook is a bead at b >= k whose slot b - k is empty; its
+    leg is the number of beads at b - k + 1 .. b - 1."""
+    out = []
+    legs = (1 << (k - 1)) - 1
+    movable = mask & ~(mask << k) & -(1 << k)
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        sub = mask ^ low ^ (low >> k)
+        if sub & 1:  # the hook emptied the last row: shift off the zero rows' beads
+            sub >>= (~sub & (sub + 1)).bit_length() - 1
+        out.append((sub, (mask >> (low.bit_length() - k) & legs).bit_count()))
+    return out
+
+
+def _standard_count(mask: int) -> int:
+    """Standard tableaux of the shape with beta set mask: n! over the product
+    of hook lengths. The hooks of the row with a bead at b are b - e for the
+    empty slots e below b, so there are n of them."""
+    holes: list[int] = []
+    n = 0
+    den = 1
+    for b, bead in enumerate(bin(mask)[:1:-1]):
+        if bead == "1":
+            for e in holes:
+                den *= b - e
+            n += len(holes)
+        else:
+            holes.append(b)
+    d, rem = divmod(math.factorial(n), den)
     if rem:
         raise RuntimeError("hook product must divide n! (internal bug)")
     return d
 
 
-def _chi(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+# the recursion's fixed-point tails, cleared with the memo
+_tail_count = cache(_standard_count)
+
+
+def _chi(mask: int, cycles: tuple[int, ...]) -> int:
     # cycles run longest first, so a leading fixed point leaves only 1^k
     if not cycles or cycles[0] == 1:
-        return _standard_count(parts)
-    key = (parts, cycles)
+        return _tail_count(mask)
+    key = (mask, cycles)
     val = _MN_CACHE.get(key)
     if val is None:
         k, rest = cycles[0], cycles[1:]
         val = 0
-        for _, sub, leg in _rim_hooks(parts, k):
+        for sub, leg in _rim_hooks(mask, k):
             if leg % 2:
                 val -= _chi(sub, rest)
             else:
                 val += _chi(sub, rest)
         if len(_MN_CACHE) >= _MEMO_CAP:
             _MN_CACHE.clear()
-            _standard_count.cache_clear()
+            _tail_count.cache_clear()
         _MN_CACHE[key] = val
     return val
 
 
-def _chi_tuples(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """chi on raw tuples of equal size: the parts of lam and the cycle lengths
-    of the class, longest first. The one entry that guards the recursion."""
-    try:
-        return _chi(parts, cycles)
-    except RecursionError:
-        # _chi recurses once per non-fixed cycle; finished memo entries stay valid
-        deep = sum(1 for c in cycles if c > 1)
-        sigma = CycleType.from_lengths(cycles)
-        raise ValueError(f"class {sigma} has {deep} non-fixed cycles, too many for the character recursion") from None
+def _chi_row(mask: int, columns) -> list[int]:
+    """chi of the beta set mask at each column, a tuple of cycle lengths
+    longest first summing to the shape's size. The one entry that guards the
+    recursion."""
+    row = []
+    for cycles in columns:
+        try:
+            row.append(_chi(mask, cycles))
+        except RecursionError:
+            # _chi recurses once per non-fixed cycle; finished memo entries stay valid
+            deep = sum(1 for c in cycles if c > 1)
+            sigma = CycleType.from_lengths(cycles)
+            raise ValueError(f"class {sigma} has {deep} non-fixed cycles, too many for the character recursion") from None
+    return row
 
 
 def chi(lam: Partition, sigma: CycleType) -> int:
     """Character value of the irreducible labeled by lam at the class sigma."""
     _check_sizes(lam, sigma)
-    return _chi_tuples(lam.parts, sigma.lengths())
+    return _chi_row(_beta_set(lam.parts), [sigma.lengths()])[0]
 
 
 def degree(lam: Partition) -> int:
     """Dimension n! / (product of hook lengths)."""
-    return _standard_count(lam.parts)
+    return _standard_count(_beta_set(lam.parts))
 
 
 def chi_frobenius(lam: Partition, sigma: CycleType) -> int:

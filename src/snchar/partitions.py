@@ -48,6 +48,14 @@ class Partition:
             raise ValueError(f"parts must be weakly decreasing: {parts!r}")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
+        """The partition of parts, which the caller guarantees are positive
+        ints in weakly decreasing order: built without __post_init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        return self
+
     @property
     def n(self) -> int:
         return sum(self.parts)
@@ -184,42 +192,6 @@ def conjugate(lam: Partition) -> Partition:
     return Partition(tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)))
 
 
-def _rim_hooks(parts: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """Every length-k rim hook of the partition parts, as (top row, smaller
-    partition, leg length) triples; rows are 0-based.
-
-    On the first column hook scale (beta numbers b_i = parts[i] + len - 1 - i)
-    removing the hook that starts in row i moves b_i down to b_i - k, past
-    the markers of the leg rows i+1 .. p-1. The smaller partition is a slice
-    of parts: each leg row moves up one row and loses a box, the hook's
-    bottom row p-1 becomes parts[i] - k + leg, and trailing zeros are dropped.
-    """
-    out = []
-    length = len(parts)
-    for i in range(length):
-        if parts[i] + length - 1 - i < k:
-            break  # beta numbers decrease, so no lower row has a k-hook
-        # beta_m > b_i - k  <=>  parts[m] - m > target
-        target = parts[i] - i - k
-        p = i + 1
-        while p < length and parts[p] - p > target:
-            p += 1
-        if p < length and parts[p] - p == target:
-            continue  # slot b_i - k is taken: no k-hook starts in row i
-        leg = p - 1 - i
-        if leg:
-            nparts = parts[:i] + tuple([x - 1 for x in parts[i + 1 : p]]) + (parts[i] - k + leg,) + parts[p:]
-        else:
-            nparts = parts[:i] + (parts[i] - k,) + parts[p:]
-        if p == length:
-            end = length
-            while end and not nparts[end - 1]:
-                end -= 1
-            nparts = nparts[:end]
-        out.append((i, nparts, leg))
-    return out
-
-
 def diagonal_hooks(lam: Partition) -> tuple[int, ...]:
     """Hook lengths of the main diagonal boxes, strictly decreasing."""
     conj = conjugate(lam).parts
@@ -236,13 +208,14 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
     Each follows from the one before, with no memo: the last part above 1
     drops by one to h, and the boxes it and the trailing 1s free are refilled
-    greedily with parts of size at most h."""
+    greedily with parts of size at most h. The walk only yields valid
+    partitions, so they are built unchecked."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = []
     parts = [n] if n else []
     while True:
-        out.append(Partition(tuple(parts)))
+        out.append(Partition._unchecked(tuple(parts)))
         k = parts.index(1) if 1 in parts else len(parts)  # the trailing 1s start at k
         if not k:
             return out

@@ -37,24 +37,24 @@ rounding problem. spectrum_sn_direct recomputes profiles by reducing the
 defining sums in the cyclotomic ring (no Ramanujan sums) and is kept as an
 independent slow route for tests.
 
-For split alternating group labels the same average needs the two conjugate
-character values on powers hitting the distinguished class (exactly the
-powers sigma^i with gcd(i, r) = 1 when sigma itself is distinguished). Their
-surd parts are assembled exactly from quadratic Gauss sums: with diagonal
-hook lengths a_1 .. a_l and G_a = sum_t zeta_r^{(r/a) t^2}, the product of
-the G_{a_i}, corrected by -1 when the number of hooks congruent to 3 mod 4
-is 2 or 3 mod 4, is an exponent vector for the principal square root needed.
-The correction term
+For a split alternating group label at its distinguished class, the powers
+sigma^i with gcd(i, r) = 1 stay in that class, and there chi_plus - chi_minus
+= b * sqrt(d) * psi(i), with b^2 d = eps * (product of diagonal hooks),
+eps = chi(sigma) = +-1 (read off the parent profile as the trace), d = 1 mod 4
+squarefree and psi = (d | .) of conductor f = |d|. So
+r * mult_plus/minus[j] = (r * mult_lam[j] +- T(j)) / 2, where T(j) is b*sqrt(d)
+times the Gauss sum of psi induced to modulus r. Its closed form (Montgomery &
+Vaughan, Multiplicative Number Theory I, Thm 9.10), with g = gcd(j, r),
+r' = r/g and t = r'/f, is
 
-    T(j) = sum_k g_k * c_r(k - j)
+    T(j) = b * f * (phi(r) / phi(r')) * mu(t) * psi(t) * psi(j/g)  if f | r', else 0.
 
-is integral and r * mult_plus/minus[j] = (r * mult_lam[j] +- T(j)) / 2.
-T is evaluated, and the profile stored, at every residue j, with c_r read
-off the same table: it is not confined to the primitive r-th roots (for
-5,1^4 at 9^1 the two halves already differ at j = 0, 3 and 6). At up to
-about r^2 steps per half, this path refuses orders above MAX_SPLIT_R.
-spectrum_an_numeric cross checks this path in floating point, deciding each
-conjugate's sign with a quadratic residue symbol instead of Gauss sums.
+T is not confined to the primitive r-th roots (for 5,1^4 at 9^1 the halves
+already differ at j = 0, 3 and 6), so these profiles are stored per residue,
+in O(r) steps; orders above MAX_SPLIT_R, the listing cap, are refused.
+_gauss_correction recomputes T from products of quadratic Gauss sum vectors
+in about r^2 steps, as an independent slow route for tests, and
+spectrum_an_numeric cross checks the path in floating point.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ from collections import Counter
 from functools import lru_cache
 from itertools import compress
 
-from .arith import _polydivmod, cyclotomic, divisors, euler_phi, kronecker_symbol, moebius, split_square
+from .arith import _factorize, _polydivmod, cyclotomic, divisors, euler_phi, kronecker_symbol, moebius, split_square
 from .characters_an import PLUS, RESTRICTED, AnCharacterLabel, special_class
-from .characters_sn import _chi_tuples, chi, degree
+from .characters_sn import _beta_set, _chi_row, chi, degree
 from .partitions import CycleType, Partition, _check_alternating, _check_sizes, diagonal_hooks
 
 __all__ = [
@@ -271,14 +271,15 @@ def _divisor_sums(lams: list[Partition], classes: list[CycleType], weights):
     """Yield, for each lam in turn, one list per class sigma of order r: the
     sums (1/r) * sum_{d | r} w(d) * chi^lam(sigma^d), one per row w of
     weights(r), each row aligned with divisors(r). A column is a class some
-    sigma^d reaches; each lam evaluates each column once."""
+    sigma^d reaches; each lam evaluates each column once, in one _chi_row
+    call on its beta set."""
     column: dict[tuple[int, ...], int] = {}
     plan = []
     for sigma in classes:
         r, powers = _class_powers(sigma)
         plan.append((r, [column.setdefault(cycles, len(column)) for cycles in powers], weights(r)))
     for lam in lams:
-        row = [_chi_tuples(lam.parts, cycles) for cycles in column]
+        row = _chi_row(_beta_set(lam.parts), column)
         sums = []
         for r, cols, rows in plan:
             chis = [row[k] for k in cols]
@@ -372,8 +373,51 @@ def _principal_sqrt_vector(hooks: tuple[int, ...], r: int) -> list[int]:
     return vec
 
 
-# a split half at its distinguished class costs up to about r^2 steps: 0.8 s for 2047,1^2046 at r = 4093
-MAX_SPLIT_R = 1 << 12
+def _gauss_correction(hooks: tuple[int, ...], r: int) -> list[int]:
+    """Independent slow route for tests: the split correction T(j) at every
+    residue j, as sum_k g_k * c_r(k - j) over the Gauss-sum exponent vector g
+    of the principal square root. About r^2 steps."""
+    g = _principal_sqrt_vector(hooks, r)
+    # c_r(m) depends on m only through gcd(m, r): column d = 1 of the table
+    c_r_res = _spread(r, [row[0] for row in _ramanujan_table(r)])
+    terms = [(k, c) for k, c in enumerate(g) if c]
+    return [sum(c * c_r_res[k - j] for k, c in terms) for j in range(r)]  # a negative index wraps mod r
+
+
+def _quadratic_character(d: int) -> list[int]:
+    """(d | x) for x in range(|d|), d squarefree and 1 mod 4, as a product of
+    Legendre symbols: 14x faster than kronecker_symbol per residue at 2^20."""
+    f = abs(d)
+    psi = [1] * f
+    for q, _ in _factorize(f):
+        legendre = [-1] * q
+        legendre[0] = 0
+        for x in range(1, (q + 1) // 2):
+            legendre[x * x % q] = 1
+        psi = [v * legendre[x % q] for x, v in enumerate(psi)]
+    return psi
+
+
+def _split_correction(hooks: tuple[int, ...], eps: int, r: int) -> tuple[dict[int, int], list[int]]:
+    """The closed form of T (module docstring) as (coeff, psi): T(j) =
+    coeff[g] * psi[j/g mod f] for g = gcd(j, r) in coeff, else 0. j = 0 has
+    r' = 1, so it is in coeff only when f = 1, and then psi[0] = 1."""
+    b, d = split_square(eps * math.prod(hooks))
+    if d % 4 != 1:
+        raise RuntimeError("the surd of a split character must be 1 mod 4 (internal bug)")
+    f = abs(d)
+    psi = _quadratic_character(d)
+    phi_r = euler_phi(r)
+    coeff = {}
+    for g in divisors(r):
+        rp = r // g
+        if rp % f == 0 and (c := moebius(rp // f) * psi[rp // f % f]):
+            coeff[g] = b * f * phi_r // euler_phi(rp) * c
+    return coeff, psi
+
+
+# a split half at its distinguished class lists one multiplicity per residue: cli.MAX_LISTED_R
+MAX_SPLIT_R = 1 << 20
 
 
 def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
@@ -399,19 +443,29 @@ def _an_profile(label: AnCharacterLabel, sigma: CycleType, base: SpectrumProfile
             raise RuntimeError("odd multiplicity away from the distinguished class (internal bug)")
         return SpectrumProfile._from_gcd(r, tuple(m // 2 for m in base._by_gcd), base.degree // 2)
     if r > MAX_SPLIT_R:
-        raise ValueError(f"the split halves of {label.partition} at their distinguished class {sigma} take "
-                         f"about r^2 steps, and r = {r} > MAX_SPLIT_R = {MAX_SPLIT_R}")
-    g = _principal_sqrt_vector(diagonal_hooks(label.partition), r)
+        raise ValueError(f"the split halves of {label.partition} at their distinguished class {sigma} list "
+                         f"one multiplicity per residue, and r = {r} > MAX_SPLIT_R = {MAX_SPLIT_R}")
+    # chi(sigma) is the trace: the j with gcd(j, r) = g sum to mu(r/g)
+    by_gcd = dict(zip(divisors(r), base._by_gcd))
+    eps = sum(m * moebius(r // g) for g, m in by_gcd.items())
+    if abs(eps) != 1:
+        raise RuntimeError("parent value on the distinguished class must be +-1 (internal bug)")
+    coeff, psi = _split_correction(diagonal_hooks(label.partition), eps, r)
+    f = len(psi)
     sign = 1 if label.variant == PLUS else -1
-    # c_r(m) depends on m only through gcd(m, r): column d = 1 of the table
-    c_r_res = _spread(r, [row[0] for row in _ramanujan_table(r)])
-    terms = [(k, c) for k, c in enumerate(g) if c]
+    # mult[j] depends on j only through (g, T(j)): equal entries share one int, so r
+    # copies of degree-sized integers are not held (511^2,2^509 at r = 1040399 took 1.2 GB)
+    shared: dict[tuple[int, int], int] = {}
     mult = []
     for j in range(r):
-        t = sum(c * c_r_res[k - j] for k, c in terms)  # a negative index wraps mod r
-        q, rem = divmod(r * base.mult[j] + sign * t, 2 * r)
-        if rem:
-            raise RuntimeError("non-integer split multiplicity (internal bug)")
+        g = math.gcd(j, r)
+        t = coeff.get(g, 0) * psi[j // g % f]
+        q = shared.get((g, t))
+        if q is None:
+            q, rem = divmod(r * by_gcd[g] + sign * t, 2 * r)
+            if rem:
+                raise RuntimeError("non-integer split multiplicity (internal bug)")
+            shared[g, t] = q
         mult.append(q)
     return SpectrumProfile(r, tuple(mult), base.degree // 2)
 

@@ -1,14 +1,20 @@
 import csv
+import gc
 import io
 import json
 import math
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snchar import characters_sn
+from snchar.bounds import min_degree_check
 from snchar.characters_sn import (
+    MAX_FROBENIUS_ROWS,
+    _beta_set,
+    _rim_hooks,
     branch,
     chi,
     chi_closed_form,
@@ -35,6 +41,27 @@ def labeled_pairs(draw, max_n=9):
     lam = draw(st.sampled_from(enumerate_partitions(n)))
     mu = draw(st.sampled_from(enumerate_partitions(n)))
     return lam, CycleType.from_partition(mu)
+
+
+@st.composite
+def partitions_of(draw, n, max_rows=None):
+    """A partition of n, part by part, with at most max_rows rows when given."""
+    parts = []
+    rest = cap = n
+    while rest:
+        # the rows left must still hold rest, each at most this part
+        low = 1 if max_rows is None else -(-rest // (max_rows - len(parts)))
+        part = draw(st.integers(min_value=low, max_value=min(rest, cap)))
+        parts.append(part)
+        rest -= part
+        cap = part
+    return Partition(tuple(parts))
+
+
+def _parts(mask):
+    """The partition whose beta set is mask (rows of length zero dropped)."""
+    beads = [b for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1]
+    return tuple(p for p in (b - (len(beads) - 1 - i) for i, b in enumerate(beads)) if p)
 
 
 def test_chi_known_3_3():
@@ -261,3 +288,49 @@ def test_memo_holds_no_fixed_point_tails():
     spectrum_sn(parse_partition("7,5,4,3,2^2,1"), parse_cycle_type("7^1 5^1 3^1 2^1 1^7"))
     assert characters_sn._MN_CACHE
     assert all(cycles and cycles[0] != 1 for _, cycles in characters_sn._MN_CACHE)
+
+
+@given(st.integers(min_value=1, max_value=10).flatmap(partitions_of))
+def test_rim_hook_removal_shrinks(lam):
+    n = lam.n
+    mask, conj = _beta_set(lam.parts), _beta_set(conjugate(lam).parts)
+    assert _parts(mask) == lam.parts
+    count = 0
+    for k in range(1, n + 1):
+        hooks = _rim_hooks(mask, k)
+        count += len(hooks)
+        for sub, _ in hooks:
+            assert sum(_parts(sub)) == n - k
+            assert _beta_set(_parts(sub)) == sub  # zero rows shifted off: one mask per shape
+        # transposing the diagram swaps arm and leg: leg becomes k - 1 - leg
+        mirrored = sorted((_beta_set(conjugate(Partition(_parts(sub))).parts), k - 1 - leg) for sub, leg in hooks)
+        assert sorted(_rim_hooks(conj, k)) == mirrored
+    assert count == n  # one rim hook per box
+
+
+def _near_single_row(n):
+    return [(n - 1, 1), (n - 2, 2), (n - 2, 1, 1), (n - 3, 3), (n - 3, 1, 1, 1), (n - 3, 2, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_chi_matches_independent_routes_at_n_20_to_40(data):
+    n = data.draw(st.integers(min_value=20, max_value=40))
+    sigma = CycleType.from_partition(data.draw(partitions_of(n)))
+    assert sign_twist_check(data.draw(partitions_of(n)), sigma)
+    few = data.draw(partitions_of(n, MAX_FROBENIUS_ROWS))
+    assert chi(few, sigma) == chi_frobenius(few, sigma)
+    near = Partition(data.draw(st.sampled_from(_near_single_row(n))))
+    assert chi(near, sigma) == chi_closed_form(near, sigma)
+
+
+def test_degree_leaves_no_per_partition_cache():
+    # min_degree_check asks degree() about all 75 175 partitions of 44; none may stay cached.
+    # Live small-object blocks are counted instead of tracing (tracemalloc makes this 10x
+    # slower): a block holds at most 512 bytes, so 2 048 of them bound 1 MB
+    min_degree_check(15)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    assert min_degree_check(44).holds
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 2048

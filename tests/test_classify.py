@@ -234,13 +234,13 @@ def test_minpoly_sweep_evaluates_each_character_column_once(monkeypatch):
     columns = {sigma.power(d).lengths() for sigma in classes for d in divisors(sigma.order())}
     bound = (len(enumerate_partitions(n)) - 1) * len(columns)
     calls = []
-    real = spectral._chi_tuples
+    real = spectral._chi_row
 
-    def counted(parts, cycles):
-        calls.append((parts, cycles))
-        return real(parts, cycles)
+    def counted(mask, cols):
+        calls.extend((mask, cycles) for cycles in cols)
+        return real(mask, cols)
 
-    monkeypatch.setattr(spectral, "_chi_tuples", counted)
+    monkeypatch.setattr(spectral, "_chi_row", counted)
     assert verify_minpoly_sn(n, min_n=n).ok
     assert 0 < len(calls) <= bound
     assert not {"spectrum_sn", "spectrum_an"} & set(vars(classify))

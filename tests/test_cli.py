@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from snchar import cli
+from snchar import cli, spectral
+from snchar.characters_sn import degree
 from snchar.cli import main
 from snchar.partitions import parse_cycle_type, parse_partition
+from snchar.spectral import spectrum_sn
 
 
 # child interpreters import the package from this checkout, installed or not
@@ -392,13 +394,44 @@ def test_max_listed_r_admits_order_1021020():
     cli._check_listed("spectrum", parse_cycle_type("17^1 13^1 11^1 7^1 5^1 4^1 3^1"))
 
 
-# 13*11*9*7*5 = 45045: the distinguished class of the split pair 7^5,5^2, above MAX_SPLIT_R
-@pytest.mark.parametrize("verb", ["minpoly", "spectrum"])
-def test_split_class_above_max_split_r_exits_2(capsys, verb):
-    code, out, err = run_cli(capsys, verb, "--group", "an", "--lambda", "7^5,5^2", "--shape", "13^1 11^1 9^1 7^1 5^1")
+# 13*11*9*7*5 = 45045: the distinguished class of the split pair 7^5,5^2
+SPLIT_45045 = ("--group", "an", "--lambda", "7^5,5^2", "--shape", "13^1 11^1 9^1 7^1 5^1")
+
+
+def test_split_class_at_order_45045_answers_minpoly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "minpoly", *SPLIT_45045)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out == "[7^5,5^2]+ x^45045-1\n[7^5,5^2]- x^45045-1\n"
+
+
+def test_split_class_at_order_45045_answers_spectrum(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", *SPLIT_45045)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    lam, sigma = parse_partition("7^5,5^2"), parse_cycle_type(SPLIT_45045[-1])
+    halves = []
+    for line, tag in zip(out.splitlines(), "+-", strict=True):
+        head, mult = line.rsplit(" mult=", 1)
+        assert head == f"[7^5,5^2]{tag} r=45045 degree={degree(lam) // 2}"
+        halves.append([int(m) for m in mult.split(",")])
+    assert halves[0] != halves[1]
+    assert [a + b for a, b in zip(*halves, strict=True)] == list(spectrum_sn(lam, sigma).mult)
+
+
+def test_split_class_above_max_split_r_exits_2(capsys):
+    # 19*17*13*11*7*5 = 1616615 > 2^20: the hooks of the self conjugate 10^2,9^2,8^2,6^2,4,2 (n = 72)
+    shape = "19^1 17^1 13^1 11^1 7^1 5^1"
+    code, out, err = run_cli(capsys, "minpoly", "--group", "an", "--lambda", "10^2,9^2,8^2,6^2,4,2", "--shape", shape)
     assert (code, out) == (2, "")
-    assert err == ("error: the split halves of 7^5,5^2 at their distinguished class 13^1 11^1 9^1 7^1 5^1 take "
-                   "about r^2 steps, and r = 45045 > MAX_SPLIT_R = 4096\n")
+    assert err == (f"error: the split halves of 10^2,9^2,8^2,6^2,4,2 at their distinguished class {shape} list one "
+                   "multiplicity per residue, and r = 1616615 > MAX_SPLIT_R = 1048576\n")
+
+
+def test_max_split_r_is_the_listing_cap():
+    assert spectral.MAX_SPLIT_R == cli.MAX_LISTED_R == 1 << 20
 
 
 def test_split_class_below_max_split_r_answers(capsys):

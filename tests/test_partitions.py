@@ -14,7 +14,6 @@ from snchar.partitions import (
     MAX_PARSE_N,
     CycleType,
     Partition,
-    _rim_hooks,
     conjugate,
     diagonal_hooks,
     enumerate_partitions,
@@ -87,22 +86,6 @@ def test_conjugate_involution(lam):
     assert conjugate(conjugate(lam)) == lam
 
 
-@given(partitions(max_n=10))
-def test_rim_hook_removal_shrinks(lam):
-    n = lam.n
-    conj = conjugate(lam).parts
-    count = 0
-    for k in range(1, n + 1):
-        hooks = _rim_hooks(lam.parts, k)
-        count += len(hooks)
-        for _, sub, _ in hooks:
-            assert Partition(sub).n == n - k
-        # transposing the diagram swaps arm and leg: leg becomes k - 1 - leg
-        mirrored = sorted((conjugate(Partition(sub)).parts, k - 1 - leg) for _, sub, leg in hooks)
-        assert sorted((sub, leg) for _, sub, leg in _rim_hooks(conj, k)) == mirrored
-    assert count == n  # one rim hook per box
-
-
 def test_diagonal_hooks_known():
     assert diagonal_hooks(parse_partition("3,1,1")) == (5,)
     assert diagonal_hooks(parse_partition("3,2,1")) == (5, 1)
@@ -160,6 +143,17 @@ def test_enumerate_partitions_order_and_count():
         assert items[-1].parts == (1,) * n
         assert all(a.parts > b.parts for a, b in zip(items, items[1:]))
         assert all(p.n == n for p in items)
+
+
+def test_enumerated_partitions_equal_validated_ones():
+    # the walk builds its partitions unchecked; they match the validating constructor
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            checked = Partition(lam.parts)
+            assert lam == checked and hash(lam) == hash(checked)
+            assert type(lam.parts) is tuple and all(type(p) is int for p in lam.parts)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Partition((1, 2))
 
 
 def test_enumerate_partitions_keeps_nothing_after_the_call():

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import math
 import time
 import tracemalloc
@@ -12,7 +14,9 @@ from snchar.characters_an import AnCharacterLabel, an_irreducible_labels, is_spl
 from snchar.characters_sn import chi, degree
 from snchar.partitions import (
     CycleType,
+    Partition,
     conjugate,
+    diagonal_hooks,
     enumerate_partitions,
     parse_cycle_type,
     parse_partition,
@@ -20,6 +24,7 @@ from snchar.partitions import (
 from snchar.spectral import (
     MinPoly,
     SpectrumProfile,
+    _gauss_correction,
     _poly_str,
     _principal_sqrt_vector,
     cyclotomic,
@@ -331,6 +336,55 @@ def test_principal_sqrt_vector_known():
     assert _principal_sqrt_vector((5,), 5) == [1, 2, 0, 0, 2]
 
 
+def _self_conjugate(hooks):
+    """The self conjugate partition with the given diagonal hook lengths."""
+    arms = [(h - 1) // 2 for h in hooks]
+    rows = [a + i + 1 for i, a in enumerate(arms)]
+    col = len(arms) + 1
+    while count := sum(1 for i, a in enumerate(arms) if a + i + 1 >= col):
+        rows.append(count)
+        col += 1
+    return Partition(tuple(rows))
+
+
+def _distinct_odd(n, top):
+    """Partitions of n into distinct odd parts at most top, largest first."""
+    if not n:
+        yield ()
+    for p in range(min(top, n), 0, -1):
+        if p % 2:
+            yield from ((p,) + rest for rest in _distinct_odd(n - p, p - 2))
+
+
+def test_split_closed_form_matches_gauss_route():
+    # every split label with n <= 40 whose distinguished class has order r <= 1000
+    labels = 0
+    for n in range(2, 41):
+        for hooks in _distinct_odd(n, n):
+            lam = _self_conjugate(hooks)
+            assert diagonal_hooks(lam) == hooks
+            sigma = special_class(lam)
+            r = sigma.order()
+            if r > 1000:
+                continue
+            base = spectrum_sn(lam, sigma)
+            t = _gauss_correction(hooks, r)
+            for label, sign in zip(AnCharacterLabel.split_pair(lam), (1, -1)):
+                slow = tuple((r * m + sign * tj) // (2 * r) for m, tj in zip(base.mult, t))
+                assert spectrum_an(label, sigma).mult == slow
+            labels += 1
+    assert labels == 388
+
+
+def test_fixed_space_dim_long_hook_at_one_cycle_is_fast():
+    # 501,1^500 at a 1001-cycle: long rim hooks at many equal cycles, 2.4 s on tuple partitions
+    lam, sigma = parse_partition("501,1^500"), parse_cycle_type("1001^1")
+    start = time.perf_counter()
+    dim = fixed_space_dim(lam, sigma)
+    assert time.perf_counter() - start < 0.5
+    assert dim == spectrum_sn(lam, sigma).mult[0]
+
+
 def test_spectrum_an_known_vectors():
     cases = [
         ("3,1,1", "5^1", (1, 1, 0, 0, 1), (1, 0, 1, 1, 0)),
@@ -455,3 +509,53 @@ def test_spectrum_an_rejects_odd_class():
     label = AnCharacterLabel.restricted(parse_partition("4,1"))
     with pytest.raises(ValueError):
         spectrum_an(label, parse_cycle_type("4^1 1^1"))
+
+
+# A fixed set of single queries at n = 24..32; the split cases alternate a label's
+# distinguished class with another even class
+SPECTRUM_CASES = [
+    ("12,4,3^2,2", "9^1 2^1 1^13"), ("4^2,3,2^3,1^8", "7^1 5^1 4^1 3^2 2^1 1^1"),
+    ("4,3,2^8,1^3", "4^4 3^1 2^3 1^1"), ("23,2,1^2", "6^1 3^1 2^3 1^12"), ("20,6,2", "5^1 4^3 3^1 2^2 1^4"),
+    ("8,7,6,4,1^4", "10^1 7^1 3^2 2^3"), ("9,7,3^4,1^2", "14^1 8^1 4^2"),
+    ("14,4,3^3,2^2", "7^1 5^1 3^3 2^4 1^2"), ("7^2,6,3^2,1^6", "7^3 6^1 3^1 2^1"),
+]
+FIXDIM_CASES = [
+    ("7,3,2^4,1^6", "6^3 3^1 2^1 1^1"), ("7,4^2,3^2,2^2", "7^2 3^1 2^1 1^6"), ("5^4,4,2", "3^2 2^7 1^6"),
+    ("14,5,2^3,1^2", "13^1 5^1 3^1 2^1 1^4"), ("3^6,2^2,1^6", "6^3 4^1 2^1 1^4"),
+    ("7,5^4,1^2", "9^1 8^1 5^1 2^2 1^3"), ("6^2,3^4,1^6", "6^4 2^1 1^4"),
+    ("6,5^2,4,3,2,1^6", "6^1 5^1 3^5 2^1 1^3"), ("5^4,3,2^3,1^3", "6^2 5^2 3^2 2^1 1^2"),
+]
+SPLIT_CASES = [
+    ("5^4,4", "9^1 7^1 5^1 3^1"), ("5^4,4", "10^1 4^2 2^3"),
+    ("8,5,4,3,2,1^3", "15^1 7^1 3^1"), ("8,5,4,3,2,1^3", "5^3 3^1 1^7"),
+    ("8,5,4^2,2,1^3", "15^1 7^1 3^1 1^1"), ("8,5,4^2,2,1^3", "9^1 6^2 1^5"),
+    ("10,4^2,3,1^6", "19^1 5^1 3^1"), ("10,4^2,3,1^6", "7^3 3^1 1^3"),
+    ("9,5,4^2,2,1^4", "17^1 7^1 3^1 1^1"), ("9,5,4^2,2,1^4", "7^1 2^4 1^13"),
+    ("8,7,4,3,2^3,1", "15^1 11^1 3^1"), ("8,7,4,3,2^3,1", "14^1 5^1 2^3 1^4"),
+    ("9,6,4^2,2^2,1^3", "17^1 9^1 3^1 1^1"), ("9,6,4^2,2^2,1^3", "8^1 3^3 2^1 1^11"),
+    ("6^3,5^2,3", "11^1 9^1 7^1 3^1 1^1"), ("6^3,5^2,3", "19^1 8^1 4^1"),
+    ("14,4,2^2,1^10", "27^1 5^1"), ("14,4,2^2,1^10", "7^1 5^1 4^2 3^3 1^3"),
+]
+
+
+def _spectrum_answer(lam, sigma):
+    profile = spectrum_sn(lam, sigma)
+    return [list(profile.mult), min_poly(profile).rendered]
+
+
+def _split_answer(lam, sigma):
+    return [list(spectrum_an(label, sigma).mult) for label in AnCharacterLabel.split_pair(lam)]
+
+
+# sha256 of json.dumps of the answers, one per case in order: the query bytes must not drift
+QUERY_DIGESTS = [
+    (_spectrum_answer, SPECTRUM_CASES, "4de46756ca23d2d09869d5d05d807d6de033a5709562456e6917d90b25cda0bc"),
+    (fixed_space_dim, FIXDIM_CASES, "4a54c28cc48a317cc8ac7f2c29f726a7914d802180944f2caa3ebb7ad96b9a20"),
+    (_split_answer, SPLIT_CASES, "7d2dfd17325f4ccd1959c6a50e860637fe1cbfdb840a9059ff987c82ed81a3f4"),
+]
+
+
+@pytest.mark.parametrize("query, cases, digest", QUERY_DIGESTS, ids=["spectrum_sn", "fixdim", "spectrum_an"])
+def test_query_bytes_are_pinned(query, cases, digest):
+    answers = [query(parse_partition(lam), parse_cycle_type(sigma)) for lam, sigma in cases]
+    assert hashlib.sha256(json.dumps(answers).encode()).hexdigest() == digest

@@ -186,10 +186,15 @@ def _check_alternating(lam: Partition, sigma: CycleType) -> None:
 
 
 def conjugate(lam: Partition) -> Partition:
+    """The transposed diagram, in one pass up the rows: the columns that end
+    in row i (past the end of row i + 1) have height i + 1."""
     parts = lam.parts
-    if not parts:
-        return lam
-    return Partition(tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)))
+    out: list[int] = []
+    below = 0
+    for i in range(len(parts) - 1, -1, -1):
+        out += [i + 1] * (parts[i] - below)
+        below = parts[i]
+    return Partition._unchecked(tuple(out))
 
 
 def diagonal_hooks(lam: Partition) -> tuple[int, ...]:

@@ -12,16 +12,25 @@ tableaux themselves, the standard polytabloids form an upper unitriangular
 matrix in the stored tableau order (the dominance argument of James, The
 Representation Theory of the Symmetric Groups, LNM 682, section 8), so the
 expansion coefficients of any permuted polytabloid come out of integer
-back-substitution. Internally a tabloid is the tuple of the rows of the
-points 1..n, so permuting it is one reindex.
+back-substitution.
+
+Internally a tabloid is one int whose byte x holds the row of point x + 1,
+and the standard polytabloids are indexed by these keys: each maps to the
+polytabloids t holding it, as t + 1 for coefficient +1 and -t - 1 for -1 (a
+tabloid never appears twice in one polytabloid, so the coefficient is +-1).
+A polytabloid is built one column at a time. Each column lists one key part
+and sign per way of placing its points in its rows; the columns hold
+disjoint points, so the polytabloid is the product of these lists, one int
+OR and one sign multiply per term. Permuting a pivot tabloid is one reindex
+of its row bytes.
 
 Everything here is exponential in nature, so n is capped at MAX_N = 8.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from functools import cache
 
 from .arith import divisors, euler_phi
@@ -65,49 +74,59 @@ def standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
 
 @cache
 def _perms_with_sign(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for p in itertools.permutations(range(k)):
-        inv = sum(1 for x in range(k) for y in range(x + 1, k) if p[x] > p[y])
-        out.append((p, -1 if inv % 2 else 1))
-    return tuple(out)
+    """Every permutation of range(k) with its sign, built by inserting k - 1
+    into each permutation of range(k - 1): at position j it stands before
+    k - 1 - j smaller entries, so the sign flips when that count is odd."""
+    if k == 0:
+        return (((), 1),)
+    return tuple(
+        (p[:j] + (k - 1,) + p[j:], -s if (k - 1 - j) % 2 else s)
+        for p, s in _perms_with_sign(k - 1)
+        for j in range(k)
+    )
 
 
-def _rows_of_points(tab: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The tabloid of tab as the row index of each point 1..n."""
-    rows = [0] * sum(map(len, tab))
+def _rows_of_points(tab: tuple[tuple[int, ...], ...]) -> bytes:
+    """The tabloid of tab as bytes: byte x holds the row of point x + 1."""
+    rows = bytearray(sum(map(len, tab)))
     for i, row in enumerate(tab):
         for x in row:
             rows[x - 1] = i
-    return tuple(rows)
+    return bytes(rows)
 
 
-def _point_polytabloid(tab: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], int]:
-    """Polytabloid of tab with each tabloid given by the rows of its points.
+def _key(rows: bytes) -> int:
+    """A tabloid as one int: byte x holds the row of point x + 1."""
+    return int.from_bytes(rows, "little")
 
-    Column j of tab fills rows 0..len-1 in order, so the column permutation p
-    sends the point col[p[i]] to row i.
+
+def _column_sum(tab: tuple[tuple[int, ...], ...], unit: int) -> dict[int, int]:
+    """unit * sgn(q) keyed by the tabloid of qT, for q in the column stabilizer.
+
+    Column j of tab fills rows 0..len-1; each way of placing its points in
+    those rows is one key part (the permutation p puts the x-th point of the
+    column in row p[x]) with its sign. The columns hold disjoint points, so
+    the sum is the product of the columns' lists: one OR and one sign
+    multiply per term. Distinct q give distinct tabloids, so every
+    coefficient is +-unit.
     """
-    ncols = len(tab[0]) if tab else 0
-    cols = [[row[j] - 1 for row in tab if j < len(row)] for j in range(ncols)]
-    rows = [0] * sum(map(len, tab))
-    result: dict[tuple[int, ...], int] = {}
-    for combo in itertools.product(*(_perms_with_sign(len(c)) for c in cols)):
-        sign = 1
-        for col, (p, s) in zip(cols, combo):
-            sign *= s
-            for i, src in enumerate(p):
-                rows[col[src]] = i
-        key = tuple(rows)
-        result[key] = result.get(key, 0) + sign
-    return {k: v for k, v in result.items() if v}
+    terms = {0: unit}
+    for j in range(len(tab[0]) if tab else 0):
+        col = [8 * (row[j] - 1) for row in tab if j < len(row)]
+        if len(col) < 2:
+            continue
+        parts = [(sum(map(operator.lshift, p, col)), s) for p, s in _perms_with_sign(len(col))]
+        terms = {key | part: c * s for key, c in terms.items() for part, s in parts}
+    return terms
 
 
 def polytabloid(tab: tuple[tuple[int, ...], ...]) -> dict[tuple[frozenset, ...], int]:
     """Signed sum of tabloids over the column stabilizer of tab."""
+    n = sum(map(len, tab))
     out = {}
-    for rows, c in _point_polytabloid(tab).items():
+    for key, c in _column_sum(tab, 1).items():
         sets = [set() for _ in tab]
-        for x, i in enumerate(rows, 1):
+        for x, i in enumerate(key.to_bytes(n, "little"), 1):
             sets[i].add(x)
         out[tuple(map(frozenset, sets))] = c
     return out
@@ -115,22 +134,24 @@ def polytabloid(tab: tuple[tuple[int, ...], ...]) -> dict[tuple[frozenset, ...],
 
 @cache
 def _module_data(parts: tuple[int, ...]):
-    """Pivot tabloids, tabloid -> ((t, coefficient in polytabloid t), ...), and
-    for each basis row s the nonzero entries (u, c), u > s, of the unitriangular
-    basis matrix base[s][u] = coefficient of pivot s in polytabloid u."""
+    """Pivot tabloids (bytes, see _rows_of_points), the index tabloid key ->
+    the polytabloids t holding it, each as t + 1 for coefficient +1 and -t - 1
+    for -1, and for each basis row s the polytabloids u > s holding pivot s,
+    signed the same way: the nonzero entries of the upper unitriangular basis
+    matrix base[s][u] = coefficient of pivot s in polytabloid u."""
     tableaux = _standard_tableaux(parts)
     pivots = tuple(_rows_of_points(t) for t in tableaux)
-    index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    index: dict[int, tuple[int, ...]] = {}
     for t, tab in enumerate(tableaux):
-        for key, c in _point_polytabloid(tab).items():
-            index.setdefault(key, []).append((t, c))
+        for key, v in _column_sum(tab, t + 1).items():
+            index[key] = index.get(key, ()) + (v,)
     upper = []
     for s, pivot in enumerate(pivots):
-        row = dict(index.get(pivot, ()))
-        if row.get(s) != 1 or any(u < s for u in row):
+        row = index.get(_key(pivot), ())
+        if s + 1 not in row or any(abs(v) <= s for v in row):
             raise RuntimeError("polytabloid basis matrix not upper unitriangular (internal bug)")
-        upper.append(tuple((u, c) for u, c in row.items() if u > s))
-    return pivots, {k: tuple(v) for k, v in index.items()}, tuple(upper)
+        upper.append(tuple(v for v in row if abs(v) > s + 1))
+    return pivots, index, tuple(upper)
 
 
 def _action(parts: tuple[int, ...], perm: tuple[int, ...]) -> list[list[int]]:
@@ -145,12 +166,14 @@ def _action(parts: tuple[int, ...], perm: tuple[int, ...]) -> list[list[int]]:
     src = [p - 1 for p in perm]
     out: list[list[int]] = [[]] * deg
     for s in range(deg - 1, -1, -1):
-        pivot = pivots[s]
         row = [0] * deg
-        for t, c in index.get(tuple([pivot[p] for p in src]), ()):
-            row[t] = c
-        for u, c in upper[s]:
-            row = [a - c * b for a, b in zip(row, out[u])]
+        for v in index.get(_key(bytes(map(pivots[s].__getitem__, src))), ()):
+            if v > 0:
+                row[v - 1] = 1
+            else:
+                row[-v - 1] = -1
+        for v in upper[s]:
+            row = list(map(operator.sub if v > 0 else operator.add, row, out[abs(v) - 1]))
         out[s] = row
     return out
 

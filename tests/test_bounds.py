@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -115,6 +118,32 @@ def test_min_degree_n22():
     assert names[:6] == ["d1", "d2", "d3", "d4", "d5", "d6"]
     assert names[6:11] == ["d7", "d8", "d9", "d10", "d11"]
     assert names[-1] == "separation"
+
+
+# sha256 of json.dumps(report.to_json_dict(), sort_keys=True): the report bytes must not drift
+MIN_DEGREE_DIGESTS = {
+    15: "7a96fbe5374fdefd9813a01ae0f573ea26b5fd7394be024305d952323e9c588a",
+    22: "a2e9f8fb1c2f467404190216eb34fb964583c33f1027f5701aa1499b51cce4bc",
+    30: "620f6236f110342fed5cd8d4c7b26131c69e5adf73eb98d543ef9de17f52274d",
+    50: "6919da6eb10319d8dcde5d3d70dc72d0f09a8147840ff5d1fd6c6df9c4fb9cfe",
+}
+
+
+@pytest.mark.parametrize("n", sorted(MIN_DEGREE_DIGESTS))
+def test_min_degree_report_bytes_are_pinned(n):
+    text = json.dumps(min_degree_check(n).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MIN_DEGREE_DIGESTS[n]
+
+
+def test_min_degree_keeps_no_partition_after_the_call():
+    # n = 30 has 5 604 partitions, each at least two live blocks (object and parts tuple)
+    # if kept; live small-object blocks are counted, as in the degree cache test
+    min_degree_check(15)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    assert min_degree_check(30).holds
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 2048
 
 
 def test_min_degree_guard():

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -84,6 +85,23 @@ def test_conjugate_known():
 @given(partitions())
 def test_conjugate_involution(lam):
     assert conjugate(conjugate(lam)) == lam
+
+
+def test_conjugate_counts_the_rows_of_each_column():
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            parts = lam.parts
+            by_rows = tuple(sum(1 for p in parts if p >= i) for i in range(1, (parts[0] if parts else 0) + 1))
+            assert conjugate(lam).parts == by_rows
+            assert conjugate(conjugate(lam)) == lam
+
+
+def test_split_pair_of_a_long_hook_is_fast():
+    # conjugate was quadratic on a long hook: 0.08 s per call here, several calls per label
+    lam = parse_partition("2047,1^2046")
+    start = time.perf_counter()
+    AnCharacterLabel.split_pair(lam)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_diagonal_hooks_known():

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +14,7 @@ from snchar.partitions import (
     parse_partition,
 )
 from snchar.specht import (
+    _perms_with_sign,
     oracle_min_poly,
     oracle_spectrum,
     polytabloid,
@@ -43,6 +48,43 @@ def test_polytabloid_known():
     up = (frozenset({1, 2}), frozenset({3}))
     swapped = (frozenset({3, 2}), frozenset({1}))
     assert poly == {up: 1, swapped: -1}
+
+
+def _reference_polytabloid(tab):
+    """The column-stabilizer sum walked one element at a time: every product of
+    column permutations is applied to the whole tableau, and its tabloid is
+    read row by row."""
+    ncols = len(tab[0]) if tab else 0
+    cols = [[row[j] for row in tab if j < len(row)] for j in range(ncols)]
+    out = {}
+    for combo in itertools.product(*(itertools.permutations(col) for col in cols)):
+        sign = 1
+        for col, image in zip(cols, combo):
+            inversions = sum(1 for a, b in itertools.combinations(image, 2) if a > b)
+            sign *= -1 if inversions % 2 else 1
+        rows = [set() for _ in tab]
+        for image in combo:
+            for i, x in enumerate(image):
+                rows[i].add(x)
+        key = tuple(map(frozenset, rows))
+        out[key] = out.get(key, 0) + sign
+    return {k: v for k, v in out.items() if v}
+
+
+def test_polytabloid_matches_the_per_element_walk():
+    for n in range(7):
+        for lam in enumerate_partitions(n):
+            for tab in standard_tableaux(lam):
+                assert polytabloid(tab) == _reference_polytabloid(tab), tab
+
+
+def test_perms_with_sign_lists_each_permutation_once_with_its_sign():
+    for k in range(8):
+        listed = _perms_with_sign(k)
+        assert sorted(p for p, _ in listed) == list(itertools.permutations(range(k)))
+        for p, sign in listed:
+            inversions = sum(1 for a, b in itertools.combinations(p, 2) if a > b)
+            assert sign == (-1) ** inversions, p
 
 
 def test_sigma_matrix_identity_and_homomorphism():
@@ -100,6 +142,21 @@ def test_sigma_matrix_rejects_bad_input():
         sigma_matrix(lam, (1, 2, 3))
     with pytest.raises(ValueError):
         sigma_matrix(parse_partition("5,4"), parse_cycle_type("9^1"))
+
+
+# sha256 of json.dumps([[mult, sigma_matrix], ...]) over every (lambda, class) pair with n <= 7,
+# in enumeration order: the oracle's matrices and spectra must not drift
+ORACLE_DIGEST = "2a2fc87b9360e76e87b6ef3fbd268ef60054f022da365fc3d12c47d767c527c3"
+
+
+def test_oracle_answers_are_pinned():
+    answers = []
+    for n in range(1, 8):
+        for lam in enumerate_partitions(n):
+            for mu in enumerate_partitions(n):
+                sigma = CycleType.from_partition(mu)
+                answers.append([oracle_spectrum(lam, sigma).mult, sigma_matrix(lam, sigma)])
+    assert hashlib.sha256(json.dumps(answers).encode()).hexdigest() == ORACLE_DIGEST
 
 
 @st.composite

@@ -86,26 +86,25 @@ def predict_sn(lam: Partition, r: int, m: int) -> Prediction:
     _check_shape(n, r, m)
     if lam.parts == (n,):
         raise ValueError("the trivial character is excluded")
-    return _predict_sn(lam, str(lam), r, m)
+    return Prediction("sn", n, str(lam), r, m, *_predict_sn(lam, r, m))
 
 
-def _predict_sn(lam: Partition, text: str, r: int, m: int) -> Prediction:
-    """predict_sn for checked arguments, with lam already formatted as text."""
+def _predict_sn(lam: Partition, r: int, m: int) -> tuple[tuple[MinPoly, ...], str | None]:
+    """The (polys, clause) of predict_sn, for checked arguments."""
     n = lam.n
     parts = lam.parts
-    arg = ("sn", n, text, r, m)
     if parts == (1,) * n:
         root = r // 2 if (m * (r - 1)) % 2 else 0
-        return Prediction(*arg, (MinPoly(r, frozenset({root})),), "sign")
+        return (MinPoly(r, frozenset({root})),), "sign"
     if parts == (n - 1, 1) and r == n:
-        return Prediction(*arg, (_without(n, {0}),), "standard")
+        return (_without(n, {0}),), "standard"
     if n >= 4 and parts == (2,) + (1,) * (n - 2) and r == n:
         removed = {0} if n % 2 else {n // 2}
-        return Prediction(*arg, (_without(n, removed),), "standard-twist")
+        return (_without(n, removed),), "standard-twist"
     if parts == (3, 3) and r == 6:
-        return Prediction(*arg, (_without(6, {2, 4}),), "3,3@6")
+        return (_without(6, {2, 4}),), "3,3@6"
     if parts == (2, 2, 2) and r == 6:
-        return Prediction(*arg, (_without(6, {1, 5}),), "2,2,2@6")
+        return (_without(6, {1, 5}),), "2,2,2@6"
     if parts == (2, 2):
         table = {
             (4, 1): MinPoly(4, frozenset({0, 2})),
@@ -113,8 +112,8 @@ def _predict_sn(lam: Partition, text: str, r: int, m: int) -> Prediction:
             (2, 2): MinPoly(2, frozenset({0})),
         }
         if (r, m) in table:
-            return Prediction(*arg, (table[(r, m)],), "2,2@4")
-    return Prediction(*arg, (_full_min_poly(r),), None)
+            return (table[(r, m)],), "2,2@4"
+    return (_full_min_poly(r),), None
 
 
 def _an_text(label: AnCharacterLabel) -> str:
@@ -137,22 +136,21 @@ def predict_an(label: AnCharacterLabel, r: int, m: int) -> Prediction:
         raise ValueError(f"shape {r}^{m} is odd, not in the alternating group")
     if label.variant == RESTRICTED and lam.parts == (n,):
         raise ValueError("the trivial character is excluded")
-    return _predict_an(label, _an_text(label), r, m)
+    return Prediction("an", n, _an_text(label), r, m, *_predict_an(label, r, m))
 
 
-def _predict_an(label: AnCharacterLabel, text: str, r: int, m: int) -> Prediction:
-    """predict_an for checked arguments, with the label already formatted as text."""
+def _predict_an(label: AnCharacterLabel, r: int, m: int) -> tuple[tuple[MinPoly, ...], str | None]:
+    """The (polys, clause) of predict_an, for checked arguments."""
     lam = label.partition
     n = lam.n
-    arg = ("an", n, text, r, m)
     if label.variant == RESTRICTED:
         if lam.parts == (n - 1, 1) and r == n:
-            return Prediction(*arg, (_without(n, {0}),), "standard")
-        return Prediction(*arg, (_full_min_poly(r),), None)
+            return (_without(n, {0}),), "standard"
+        return (_full_min_poly(r),), None
     if lam.parts == (3, 1, 1) and r == 5:
         pair = (MinPoly(5, frozenset({0, 2, 3})), MinPoly(5, frozenset({0, 1, 4})))
-        return Prediction(*arg, tuple(sorted(pair, key=_pair_key)), "3,1,1@5")
-    return Prediction(*arg, (_full_min_poly(r), _full_min_poly(r)), None)
+        return tuple(sorted(pair, key=_pair_key)), "3,1,1@5"
+    return (_full_min_poly(r), _full_min_poly(r)), None
 
 
 def predict_no_eigenvalue_one(n: int) -> set[tuple[Partition, CycleType]]:
@@ -248,19 +246,20 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
         for (r, m), sigma, by_gcd in zip(shapes, classes, rows):
             base = SpectrumProfile._from_gcd(r, by_gcd, deg)
             if group == "sn":
-                pred, got = _predict_sn(lam, text, r, m), (min_poly(base),)
+                polys, clause = _predict_sn(lam, r, m)
+                got = (min_poly(base),)
             else:
-                pred = _predict_an(label, text, r, m)
+                polys, clause = _predict_an(label, r, m)
                 got = tuple(sorted((min_poly(_an_profile(h, sigma, base, special)) for h in halves), key=_pair_key))
             cases += 1
-            if got != pred.polys:
+            if got != polys:
                 mismatches.append(
-                    (n, pred.label, r, m,
-                     " | ".join(p.rendered for p in pred.polys),
+                    (n, text, r, m,
+                     " | ".join(p.rendered for p in polys),
                      " | ".join(p.rendered for p in got))
                 )
-            if pred.clause:
-                exceptional.append((n, pred.label, r, m, pred.clause))
+            if clause:
+                exceptional.append((n, text, r, m, clause))
     return cases, mismatches, exceptional
 
 
@@ -278,9 +277,8 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     predicted = predict_no_eigenvalue_one(n)
     uniform = [(r, m, CycleType.uniform(r, m, n)) for r, m in _uniform_shapes(n)]
     for lam in lams[1:]:  # (n) comes first: the trivial character is excluded
-        text = str(lam)
         for r, m, sigma in uniform:
-            if all(0 not in p.roots for p in _predict_sn(lam, text, r, m).polys):
+            if all(0 not in p.roots for p in _predict_sn(lam, r, m)[0]):
                 predicted.add((lam, sigma))
     order = lambda pair: (pair[0].parts, pair[1].cycles)
     mismatches = []

@@ -19,13 +19,9 @@ from .characters_an import MINUS, PLUS, RESTRICTED, AnCharacterLabel, chi_an, is
 from .characters_sn import chi, degree, full_table
 from .classify import verify_eigenvalue_one, verify_minpoly_an, verify_minpoly_sn
 from .partitions import CycleType, Partition, parse_cycle_type, parse_partition
-from .spectral import fixed_space_dim, min_poly, spectrum_an, spectrum_sn
+from .spectral import MAX_LISTED_R, fixed_space_dim, min_poly, spectrum_an, spectrum_sn
 
 __all__ = ["main"]
-
-# spectrum, and minpoly --format json, list one entry per r-th root of unity;
-# above this order r they refuse, and minpoly (text) and fixdim still answer
-MAX_LISTED_R = 1 << 20
 
 
 def _parse_lam(args) -> Partition:

@@ -154,30 +154,6 @@ def _module_data(parts: tuple[int, ...]):
     return pivots, index, tuple(upper)
 
 
-def _action(parts: tuple[int, ...], perm: tuple[int, ...]) -> list[list[int]]:
-    """Matrix of the permutation perm (1-based images) on the polytabloid basis.
-
-    The coefficient of pivot s in perm * e_t is that of perm^-1 applied to
-    pivot s in e_t, read from the index. These evaluations equal the basis
-    matrix times the wanted matrix, whose rows then follow by back-substitution.
-    """
-    pivots, index, upper = _module_data(parts)
-    deg = len(pivots)
-    src = [p - 1 for p in perm]
-    out: list[list[int]] = [[]] * deg
-    for s in range(deg - 1, -1, -1):
-        row = [0] * deg
-        for v in index.get(_key(bytes(map(pivots[s].__getitem__, src))), ()):
-            if v > 0:
-                row[v - 1] = 1
-            else:
-                row[-v - 1] = -1
-        for v in upper[s]:
-            row = list(map(operator.sub if v > 0 else operator.add, row, out[abs(v) - 1]))
-        out[s] = row
-    return out
-
-
 def _checked_permutation(lam: Partition, sigma) -> tuple[int, ...]:
     n = lam.n
     if n > MAX_N:
@@ -193,8 +169,26 @@ def sigma_matrix(lam: Partition, sigma) -> list[list[int]]:
 
     sigma is a CycleType (its canonical representative acts) or an explicit
     permutation given as a tuple of 1-based images.
+
+    The coefficient of pivot s in sigma * e_t is that of sigma^-1 applied to
+    pivot s in e_t, read from the index. These evaluations equal the basis
+    matrix times the wanted matrix, whose rows then follow by back-substitution.
     """
-    return _action(lam.parts, _checked_permutation(lam, sigma))
+    src = [p - 1 for p in _checked_permutation(lam, sigma)]
+    pivots, index, upper = _module_data(lam.parts)
+    deg = len(pivots)
+    out: list[list[int]] = [[]] * deg
+    for s in range(deg - 1, -1, -1):
+        row = [0] * deg
+        for v in index.get(_key(bytes(map(pivots[s].__getitem__, src))), ()):
+            if v > 0:
+                row[v - 1] = 1
+            else:
+                row[-v - 1] = -1
+        for v in upper[s]:
+            row = list(map(operator.sub if v > 0 else operator.add, row, out[abs(v) - 1]))
+        out[s] = row
+    return out
 
 
 def _rank(matrix: list[list[int]]) -> int:
@@ -248,7 +242,7 @@ def oracle_spectrum(lam: Partition, sigma: CycleType) -> SpectrumProfile:
             power = perm
             for _ in range(d - 1):
                 power = tuple(perm[p - 1] for p in power)
-            mat = _action(lam.parts, power)
+            mat = sigma_matrix(lam, power)
             for i in range(deg):
                 mat[i][i] -= 1
             kernel = deg - _rank(mat)

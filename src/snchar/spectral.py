@@ -51,7 +51,7 @@ r' = r/g and t = r'/f, is
 
 T is not confined to the primitive r-th roots (for 5,1^4 at 9^1 the halves
 already differ at j = 0, 3 and 6), so these profiles are stored per residue,
-in O(r) steps; orders above MAX_SPLIT_R, the listing cap, are refused.
+in O(r) steps; orders above MAX_LISTED_R, the listing cap, are refused.
 _gauss_correction recomputes T from products of quadratic Gauss sum vectors
 in about r^2 steps, as an independent slow route for tests, and
 spectrum_an_numeric cross checks the path in floating point.
@@ -416,8 +416,9 @@ def _split_correction(hooks: tuple[int, ...], eps: int, r: int) -> tuple[dict[in
     return coeff, psi
 
 
-# a split half at its distinguished class lists one multiplicity per residue: cli.MAX_LISTED_R
-MAX_SPLIT_R = 1 << 20
+# listings of one multiplicity per residue are refused above this order r: a split
+# half at its distinguished class here, and cli's spectrum and minpoly --format json
+MAX_LISTED_R = 1 << 20
 
 
 def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
@@ -425,7 +426,7 @@ def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
 
     For a split label on a class that splits, the profile belongs to the
     class of the canonical representative; the companion class has plus and
-    minus swapped. At that distinguished class r must not exceed MAX_SPLIT_R.
+    minus swapped. At that distinguished class r must not exceed MAX_LISTED_R.
     """
     lam = label.partition
     _check_alternating(lam, sigma)
@@ -442,9 +443,9 @@ def _an_profile(label: AnCharacterLabel, sigma: CycleType, base: SpectrumProfile
         if any(m % 2 for m in base._by_gcd):
             raise RuntimeError("odd multiplicity away from the distinguished class (internal bug)")
         return SpectrumProfile._from_gcd(r, tuple(m // 2 for m in base._by_gcd), base.degree // 2)
-    if r > MAX_SPLIT_R:
+    if r > MAX_LISTED_R:
         raise ValueError(f"the split halves of {label.partition} at their distinguished class {sigma} list "
-                         f"one multiplicity per residue, and r = {r} > MAX_SPLIT_R = {MAX_SPLIT_R}")
+                         f"one multiplicity per residue, and r = {r} > MAX_LISTED_R = {MAX_LISTED_R}")
     # chi(sigma) is the trace: the j with gcd(j, r) = g sum to mu(r/g)
     by_gcd = dict(zip(divisors(r), base._by_gcd))
     eps = sum(m * moebius(r // g) for g, m in by_gcd.items())

@@ -1,12 +1,11 @@
 import concurrent.futures
-import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from snchar import classify, spectral
-from snchar.characters_an import AnCharacterLabel
+from snchar.characters_an import AnCharacterLabel, an_irreducible_labels
 from snchar.classify import (
     Prediction,
     predict_an,
@@ -345,12 +344,12 @@ def test_mismatches_report_prediction_then_computation(monkeypatch):
     # predict the full x^r - 1 wherever a clause removes factors, and swap
     # the two polynomials of every split prediction
     monkeypatch.setattr(classify, "_without", lambda r, removed: MinPoly(r, frozenset(range(r))))
-    # the sweep predicts through the private _predict_an, which takes the label text it formats once
+    # the sweep predicts through the private _predict_an, which returns (polys, clause)
     real = classify._predict_an
 
-    def swapped(label, text, r, m):
-        pred = real(label, text, r, m)
-        return dataclasses.replace(pred, polys=pred.polys[::-1])
+    def swapped(label, r, m):
+        polys, clause = real(label, r, m)
+        return polys[::-1], clause
 
     monkeypatch.setattr(classify, "_predict_an", swapped)
     sn = verify_minpoly_sn(4)
@@ -369,6 +368,36 @@ def test_mismatches_report_prediction_then_computation(monkeypatch):
     )
     # the clauses are still reported, mismatched or not
     assert {e[1] for e in an.exceptional} == {"[4,1]", "[3,1^2]+/-"}
+
+
+def test_sweeps_build_no_prediction(monkeypatch):
+    # the sweeps read plain (polys, clause) pairs; only predict_sn/predict_an build a Prediction
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep built a Prediction")
+
+    monkeypatch.setattr(classify, "Prediction", refuse)
+    assert verify_minpoly_sn(8).ok
+    assert verify_minpoly_an(9).ok
+    assert verify_eigenvalue_one(8).ok
+
+
+def test_predictions_are_pinned():
+    # every prediction over n <= 12 and every valid uniform shape, as label,
+    # clause, is_generic and rendered polys
+    def answer(p):
+        return [p.label, p.clause, p.is_generic, [q.rendered for q in p.polys]]
+
+    answers = []
+    for n in range(3, 13):
+        shapes = [(r, m) for r in range(2, n + 1) for m in range(1, n // r + 1)]
+        for lam in enumerate_partitions(n)[1:]:
+            answers += [answer(predict_sn(lam, r, m)) for r, m in shapes]
+        if n >= 5:
+            for label in an_irreducible_labels(n)[1:]:
+                answers += [answer(predict_an(label, r, m)) for r, m in shapes if m * (r - 1) % 2 == 0]
+    assert len(answers) == 5817
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == "11a621dfa1f5ca010b3b30d564bf88792e0b8c0d8b4a60dac0ec7f49b7cb8566"
 
 
 def test_eigenvalue_one_mismatches_name_both_directions(monkeypatch):

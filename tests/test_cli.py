@@ -427,11 +427,11 @@ def test_split_class_above_max_split_r_exits_2(capsys):
     code, out, err = run_cli(capsys, "minpoly", "--group", "an", "--lambda", "10^2,9^2,8^2,6^2,4,2", "--shape", shape)
     assert (code, out) == (2, "")
     assert err == (f"error: the split halves of 10^2,9^2,8^2,6^2,4,2 at their distinguished class {shape} list one "
-                   "multiplicity per residue, and r = 1616615 > MAX_SPLIT_R = 1048576\n")
+                   "multiplicity per residue, and r = 1616615 > MAX_LISTED_R = 1048576\n")
 
 
 def test_max_split_r_is_the_listing_cap():
-    assert spectral.MAX_SPLIT_R == cli.MAX_LISTED_R == 1 << 20
+    assert spectral.MAX_LISTED_R == cli.MAX_LISTED_R == 1 << 20
 
 
 def test_split_class_below_max_split_r_answers(capsys):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import divisors
-from .characters_sn import chi, degree
+from .characters_sn import _columns, chi, degree
 from .partitions import CycleType, Partition, _sweep_range, conjugate, enumerate_partitions
 
 __all__ = [
@@ -130,9 +130,13 @@ def fomin_lulov_check(lam: Partition, r: int, m: int, *, bits: int = DEFAULT_PRE
     At r = 1 the two sides agree identically and the margin is 0.
     """
     _require_shape(lam, r, m)
+    return _fomin_lulov(lam, r, m, abs(chi(lam, CycleType.uniform(r, m, lam.n))), bits)
+
+
+def _fomin_lulov(lam: Partition, r: int, m: int, val: int, bits: int) -> BoundReport:
+    """fomin_lulov_check for a checked shape, given val = |chi(lam at [r^m])|."""
     _check_bits(bits)  # the exact branch below never enters _interval_precision
     n = lam.n
-    val = abs(chi(lam, CycleType.uniform(r, m, n)))
     d = degree(lam)
     coeff = math.factorial(m) * r**m
     lhs_pow = val**r * math.factorial(n)
@@ -154,8 +158,12 @@ def estimate_check(lam: Partition, r: int, m: int, *, bits: int = DEFAULT_PRECIS
     Strict; certified when sup(LHS) < inf(RHS) at the working precision.
     """
     _require_shape(lam, r, m)
+    return _estimate(lam, r, m, abs(chi(lam, CycleType.uniform(r, m, lam.n))), bits)
+
+
+def _estimate(lam: Partition, r: int, m: int, val: int, bits: int) -> BoundReport:
+    """estimate_check for a checked shape, given val = |chi(lam at [r^m])|."""
     n = lam.n
-    val = abs(chi(lam, CycleType.uniform(r, m, n)))
     d = degree(lam)
     with _interval_precision(bits) as iv:
         if val == 0:
@@ -268,18 +276,20 @@ def min_degree_check(n: int) -> BoundReport:
 
 
 def _sweep_uniform(check, min_n: int, max_n: int, bits: int) -> list[BoundReport]:
-    """check(lam, r, n // r) for every n in range, every r | n and every partition lam of n."""
-    return [check(lam, r, n // r, bits=bits)
-            for n in _sweep_range(1, min_n, max_n) for r in divisors(n) for lam in enumerate_partitions(n)]
+    """check(lam, r, n // r, |chi(lam at [r^(n/r)])|, bits) for every n in range, every r | n
+    and every partition lam of n, the values read from one class-major table per n."""
+    return [check(lam, r, n // r, abs(val), bits) for n in _sweep_range(1, min_n, max_n)
+            for r, col in zip(divisors(n), _columns(n, [(r,) * (n // r) for r in divisors(n)]))
+            for lam, val in zip(enumerate_partitions(n), col)]
 
 
 def sweep_fomin_lulov(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
     """Every partition of every n in range, against every [r^m] with rm = n."""
-    return _sweep_uniform(fomin_lulov_check, min_n, max_n, bits)
+    return _sweep_uniform(_fomin_lulov, min_n, max_n, bits)
 
 
 def sweep_estimate(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
-    return _sweep_uniform(estimate_check, min_n, max_n, bits)
+    return _sweep_uniform(_estimate, min_n, max_n, bits)
 
 
 def sweep_robbins(max_n: int = 200, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:

@@ -1,17 +1,16 @@
 """Exact irreducible characters of symmetric groups.
 
-chi() runs the Murnaghan-Nakayama rule on beta sets (James & Kerber 2.7): a
-partition is an int bitmask with a bead at bit lam_i + l - 1 - i for each of
-its l rows, a k-rim hook moves a bead from b to the empty slot b - k, and its
-leg length is the number of beads in between. Beads of zero rows are shifted
-off after each move, so each shape has one mask. The recursion consumes the
-largest remaining cycle first, with a process wide memo keyed by (mask,
-remaining cycles). Once only fixed points remain, the value is the number of
-standard tableaux, read from the hook product (cached as tails, never in the
-memo). The memo serves every n (the recursion at n reuses keys first met
-below n) and bounds itself: an insert at _MEMO_CAP entries first clears it
-in place, with the tails. full_table(MAX_TABLE_N) fits. degree() computes
-the hook product uncached.
+Two Murnaghan-Nakayama routes run on beta sets (James & Kerber 2.7), a
+partition as an int bitmask with a bead at bit lam_i + l - 1 - i for each of
+l rows; neither uses the other's helpers, and each checks the other in tests.
+chi() reads one row: from {beta set of lam: 1} it removes the non-fixed
+cycles longest first, one level at a time (a k-rim hook moves a bead from b to
+the empty slot b - k, with sign (-1)^(beads between), and equal beta sets add
+their coefficients), then weighs each remaining shape by its standard tableaux
+from the hook product, cached for one call. Sweeps and full_table read
+columns: p_mu = sum_lam chi^lam(mu) s_lam, built up from the empty shape by
+adding hooks over a trie of the wanted cycle types. Nothing is kept between
+calls. degree() computes the hook product.
 
 Independent evaluation routes are provided so values can be cross checked:
 coefficient extraction from the generating product (chi_frobenius), closed
@@ -22,7 +21,6 @@ shapes on uniform classes (chi_hook_on_uniform).
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
@@ -54,8 +52,6 @@ __all__ = [
 
 MAX_TABLE_N = 20
 MAX_FROBENIUS_ROWS = 4
-_MEMO_CAP = 1 << 19
-_MN_CACHE: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
 def _beta_set(parts: tuple[int, ...]) -> int:
@@ -67,21 +63,21 @@ def _beta_set(parts: tuple[int, ...]) -> int:
     return mask
 
 
-def _rim_hooks(mask: int, k: int) -> list[tuple[int, int]]:
-    """Every length-k rim hook of the beta set mask, as (smaller beta set, leg
-    length) pairs. A hook is a bead at b >= k whose slot b - k is empty; its
-    leg is the number of beads at b - k + 1 .. b - 1."""
-    out = []
+def _level(states: dict[int, int], k: int) -> dict[int, int]:
+    """Every k-rim hook removed from every beta set in states, each a bead at
+    b >= k over an empty slot b - k, with leg the beads in between; beads
+    keep their count, so one shape has one mask and equal ones add up."""
+    nxt: dict[int, int] = {}
+    get = nxt.get
     legs = (1 << (k - 1)) - 1
-    movable = mask & ~(mask << k) & -(1 << k)
-    while movable:
-        low = movable & -movable
-        movable ^= low
-        sub = mask ^ low ^ (low >> k)
-        if sub & 1:  # the hook emptied the last row: shift off the zero rows' beads
-            sub >>= (~sub & (sub + 1)).bit_length() - 1
-        out.append((sub, (mask >> (low.bit_length() - k) & legs).bit_count()))
-    return out
+    for mask, coef in states.items():
+        movable = mask & ~(mask << k) & -(1 << k)
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            sub = mask ^ low ^ (low >> k)
+            nxt[sub] = get(sub, 0) + (-coef if (mask >> (low.bit_length() - k) & legs).bit_count() & 1 else coef)
+    return nxt
 
 
 def _standard_count(mask: int) -> int:
@@ -104,45 +100,59 @@ def _standard_count(mask: int) -> int:
     return d
 
 
-# the recursion's fixed-point tails, cleared with the memo
-_tail_count = cache(_standard_count)
-
-
-def _chi(mask: int, cycles: tuple[int, ...]) -> int:
-    # cycles run longest first, so a leading fixed point leaves only 1^k
-    if not cycles or cycles[0] == 1:
-        return _tail_count(mask)
-    key = (mask, cycles)
-    val = _MN_CACHE.get(key)
-    if val is None:
-        k, rest = cycles[0], cycles[1:]
-        val = 0
-        for sub, leg in _rim_hooks(mask, k):
-            if leg % 2:
-                val -= _chi(sub, rest)
-            else:
-                val += _chi(sub, rest)
-        if len(_MN_CACHE) >= _MEMO_CAP:
-            _MN_CACHE.clear()
-            _tail_count.cache_clear()
-        _MN_CACHE[key] = val
-    return val
-
-
 def _chi_row(mask: int, columns) -> list[int]:
-    """chi of the beta set mask at each column, a tuple of cycle lengths
-    longest first summing to the shape's size. The one entry that guards the
-    recursion."""
+    """chi of the beta set mask at each column: cycle lengths, longest first, summing to its size."""
+    tail = cache(_standard_count)  # the fixed-point tails, for this call only
     row = []
     for cycles in columns:
-        try:
-            row.append(_chi(mask, cycles))
-        except RecursionError:
-            # _chi recurses once per non-fixed cycle; finished memo entries stay valid
-            deep = sum(1 for c in cycles if c > 1)
-            sigma = CycleType.from_lengths(cycles)
-            raise ValueError(f"class {sigma} has {deep} non-fixed cycles, too many for the character recursion") from None
+        states = {mask: 1}
+        for k in cycles:
+            if k == 1:
+                break
+            states = _level(states, k)
+        row.append(sum(coef * tail(sub) for sub, coef in states.items() if coef))
     return row
+
+
+def _columns(n: int, types) -> list[list[int]]:
+    """For each cycle type in types (lengths summing to n), chi^lam there for
+    every lam in enumerate_partitions(n) order. From the empty shape as n beads
+    at 0 .. n - 1, p_k moves a bead b to an empty slot b + k; the types are a
+    trie of their parts, ascending, so shared smaller parts expand once."""
+    trie: dict = {}
+    for t, cycles in enumerate(types):
+        node = trie
+        for k in sorted(cycles):
+            node = node.setdefault(k, {})
+        node.setdefault(0, []).append(t)
+    rows = {sum(1 << (p + n - 1 - j) for j, p in enumerate(lam.parts)) | (1 << (n - len(lam.parts))) - 1: i
+            for i, lam in enumerate(enumerate_partitions(n))}
+    out: list = [None] * len(types)
+    stack = [(trie, 0, {(1 << n) - 1: 1})]
+    while stack:
+        node, k, states = stack.pop()
+        if k:
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            legs = (1 << (k - 1)) - 1
+            for mask, coef in states.items():
+                movable = mask & ~(mask >> k)
+                while movable:
+                    low = movable & -movable
+                    movable ^= low
+                    sup = mask ^ low ^ (low << k)
+                    nxt[sup] = get(sup, 0) + (-coef if (mask >> low.bit_length() & legs).bit_count() & 1 else coef)
+            states = nxt
+        for part, child in node.items():
+            if part:  # siblings share their parent's expansion until each is popped
+                stack.append((child, part, states))
+            else:
+                col = [0] * len(rows)
+                for mask, coef in states.items():
+                    col[rows[mask]] = coef
+                for t in child:
+                    out[t] = col
+    return out
 
 
 def chi(lam: Partition, sigma: CycleType) -> int:
@@ -270,6 +280,7 @@ class CharacterTable:
         return json.dumps(obj, sort_keys=True)
 
     def to_csv(self) -> str:
+        import csv  # imported here, so that importing the package does not load it
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition"] + [format_cycle_type(c) for c in self.classes])
@@ -284,5 +295,5 @@ def full_table(n: int) -> CharacterTable:
         raise ValueError(f"n={n} above limit={MAX_TABLE_N}")
     lams = tuple(enumerate_partitions(n))
     classes = tuple(CycleType.from_partition(mu) for mu in lams)
-    values = tuple(tuple(chi(lam, c) for c in classes) for lam in lams)
+    values = tuple(zip(*_columns(n, [mu.parts for mu in lams])))
     return CharacterTable(n, lams, classes, values)

@@ -23,8 +23,8 @@ from functools import partial
 from .characters_an import MINUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels, special_class
 from .characters_sn import degree
 from .partitions import CycleType, Partition, _sweep_range, enumerate_partitions
-from .spectral import (MinPoly, SpectrumProfile, _an_profile, _divisor_sums, _fixed_space_weights,
-                       _full_min_poly, _ramanujan_table, min_poly)
+from .spectral import (MinPoly, SpectrumProfile, _an_profile, _fixed_space_weights, _full_min_poly,
+                       _ramanujan_table, _sweep_sums, min_poly)
 
 __all__ = [
     "Prediction",
@@ -220,31 +220,36 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
     """Predicted against computed minimal polynomials of every nontrivial
     irreducible of S_n or A_n (group "sn" or "an") at every uniform class.
 
-    The parent spectra come from one _divisor_sums pass over the labels'
-    partitions. An A_n label is checked against its own spectrum, or against
+    The parent spectra come from one _sweep_sums pass over the class-major
+    columns of every partition of n. An A_n label is checked against its own spectrum, or against
     both halves of a split pair, sorted as predict_an sorts them.
     """
+    parts = enumerate_partitions(n)
     if group == "sn":
         # (n) comes first: the trivial character is excluded
-        labels = lams = enumerate_partitions(n)[1:]
+        labels = lams = parts[1:]
         shapes = _uniform_shapes(n)
     else:
         labels = [label for label in an_irreducible_labels(n)[1:] if label.variant != MINUS]
         lams = [label.partition for label in labels]
         shapes = _uniform_shapes(n, even_only=True)
     classes = [CycleType.uniform(r, m, n) for r, m in shapes]
+    # per class, per divisor g of its order: one sum per partition of n
+    sums = list(_sweep_sums(n, classes, _ramanujan_table))
+    index = {lam: i for i, lam in enumerate(parts)}
     cases = 0
     mismatches = []
     exceptional = []
-    for label, lam, rows in zip(labels, lams, _divisor_sums(lams, classes, _ramanujan_table)):
+    for label, lam in zip(labels, lams):
+        i = index[lam]
         deg = degree(lam)
         if group == "sn":
             text = str(lam)
         else:
             text, special = _an_text(label), special_class(lam)
             halves = (label,) if label.variant == RESTRICTED else AnCharacterLabel.split_pair(lam)
-        for (r, m), sigma, by_gcd in zip(shapes, classes, rows):
-            base = SpectrumProfile._from_gcd(r, by_gcd, deg)
+        for (r, m), sigma, by_gcd in zip(shapes, classes, sums):
+            base = SpectrumProfile._from_gcd(r, [column[i] for column in by_gcd], deg)
             if group == "sn":
                 polys, clause = _predict_sn(lam, r, m)
                 got = (min_poly(base),)
@@ -265,13 +270,13 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
 
 def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     """Pairs without eigenvalue 1, read off the character table of S_n: one
-    row of fixed space dimensions per partition, over every class."""
+    column of fixed space dimensions per class, over every partition."""
     lams = enumerate_partitions(n)
     classes = [CycleType.from_partition(mu) for mu in lams]
     computed = {
         (lam, sigma)
-        for lam, dims in zip(lams, _divisor_sums(lams, classes, _fixed_space_weights))
-        for sigma, (dim,) in zip(classes, dims)
+        for sigma, (dims,) in zip(classes, _sweep_sums(n, classes, _fixed_space_weights))
+        for lam, dim in zip(lams, dims)
         if not dim
     }
     predicted = predict_no_eigenvalue_one(n)

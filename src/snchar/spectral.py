@@ -22,12 +22,12 @@ from a per-r table of the integers c_{r/d}(g), each by Hoelder's closed form
 c_q(j) = mu(q/g') * phi(q) / phi(q/g') with g' = gcd(q, j), and stored that
 way: a SpectrumProfile holds one multiplicity per divisor g and spreads it
 over the r residues only when mult is read. The fixed space dimension is the
-row g = r alone, where c_{r/d}(r) = phi(r/d). One kernel, _divisor_sums,
-serves spectrum_sn, fixed_space_dim and every sweep in classify: for lists
-of partitions and classes it evaluates one character row per partition over
-the classes sigma^d reached, and weights it by the whole table, or for the
-fixed space by the row phi(r/d) alone, building no table. The powers sigma^d
-of a class are built once, in a bounded cache. A minimal polynomial whose
+row g = r alone, where c_{r/d}(r) = phi(r/d). _power_plan lists the classes
+sigma^d that the classes asked about reach, and _weigh sums their character
+values by the whole table, or for the fixed space by phi(r/d) alone:
+spectrum_sn and fixed_space_dim over one character row of lam, the sweeps in
+classify over the class-major columns of every partition of n at once. The
+powers sigma^d of a class are built once, in a bounded cache. A minimal polynomial whose
 root set is a union of Galois orbits is likewise held as its set of gcds, so
 min_poly and render_min_poly never scan range(r). The integer arithmetic
 (divisors, Moebius, phi, cyclotomic polynomials) lives in arith.
@@ -64,11 +64,11 @@ import math
 import operator
 from collections import Counter
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 
 from .arith import _factorize, _polydivmod, cyclotomic, divisors, euler_phi, kronecker_symbol, moebius, split_square
 from .characters_an import PLUS, RESTRICTED, AnCharacterLabel, special_class
-from .characters_sn import _beta_set, _chi_row, chi, degree
+from .characters_sn import _beta_set, _chi_row, _columns, chi, degree
 from .partitions import CycleType, Partition, _check_alternating, _check_sizes, diagonal_hooks
 
 __all__ = [
@@ -256,7 +256,10 @@ def _full_min_poly(r: int) -> MinPoly:
 def _ramanujan_table(r: int) -> tuple[tuple[int, ...], ...]:
     """Row k lists c_{r/d}(g) for the k-th divisor g of r, over the divisors d of r."""
     divs = divisors(r)
-    return tuple(tuple(ramanujan_sum(r // d, g) for d in divs) for g in divs)
+    mu = {q: moebius(q) for q in divs}
+    phi = {q: euler_phi(q) for q in divs}
+    # Hoelder's form with q = r/d (down the divisors as d runs up) and m = q / gcd(g, q), both dividing r
+    return tuple(tuple(mu[m := q // math.gcd(g, q)] * phi[q] // phi[m] for q in reversed(divs)) for g in divs)
 
 
 @lru_cache(maxsize=1024)
@@ -267,30 +270,42 @@ def _class_powers(sigma: CycleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return r, tuple(sigma.power(d).lengths() for d in divisors(r))
 
 
-def _divisor_sums(lams: list[Partition], classes: list[CycleType], weights):
-    """Yield, for each lam in turn, one list per class sigma of order r: the
-    sums (1/r) * sum_{d | r} w(d) * chi^lam(sigma^d), one per row w of
-    weights(r), each row aligned with divisors(r). A column is a class some
-    sigma^d reaches; each lam evaluates each column once, in one _chi_row
-    call on its beta set."""
+def _power_plan(classes: list[CycleType], weights) -> tuple[list[tuple[int, ...]], list]:
+    """The classes sigma^d reached, as cycle lengths longest first, and per
+    sigma of order r: (r, the indices of its powers in divisor order, weights(r))."""
     column: dict[tuple[int, ...], int] = {}
     plan = []
     for sigma in classes:
         r, powers = _class_powers(sigma)
         plan.append((r, [column.setdefault(cycles, len(column)) for cycles in powers], weights(r)))
-    for lam in lams:
-        row = _chi_row(_beta_set(lam.parts), column)
-        sums = []
-        for r, cols, rows in plan:
-            chis = [row[k] for k in cols]
-            out = []
-            for w in rows:
-                m, rem = divmod(sum(map(operator.mul, chis, w)), r)
-                if rem:
-                    raise RuntimeError("non-integer multiplicity (internal bug)")
-                out.append(m)
-            sums.append(out)
-        yield sums
+    return list(column), plan
+
+
+def _weigh(table: list[list[int]], plan):
+    """Yield per planned sigma of order r, one list per weight row w: the sums
+    (1/r) * sum_{d | r} w(d) * chi(sigma^d), one per entry of table's columns."""
+    for r, cols, rows in plan:
+        cells = list(zip(*[table[k] for k in cols]))
+        out = []
+        for w in rows:
+            sums = [sum(map(operator.mul, w, cell)) for cell in cells]
+            if any(map(operator.mod, sums, repeat(r))):
+                raise RuntimeError("non-integer multiplicity (internal bug)")
+            out.append(list(map(operator.floordiv, sums, repeat(r))))
+        yield out
+
+
+def _sweep_sums(n: int, classes: list[CycleType], weights):
+    """_weigh over the class-major columns, aligned with enumerate_partitions(n)."""
+    columns, plan = _power_plan(classes, weights)
+    return _weigh(_columns(n, columns), plan)
+
+
+def _sums_at(lam: Partition, sigma: CycleType, weights) -> list[int]:
+    """_weigh at one class, over one character row of lam."""
+    columns, plan = _power_plan([sigma], weights)
+    row = _chi_row(_beta_set(lam.parts), columns)
+    return [sums[0] for sums in next(_weigh([[value] for value in row], plan))]
 
 
 def _fixed_space_weights(r: int) -> tuple[tuple[int, ...]]:
@@ -301,8 +316,7 @@ def _fixed_space_weights(r: int) -> tuple[tuple[int, ...]]:
 def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
     """Exact eigenvalue multiplicities of a symmetric group irreducible at sigma."""
     _check_sizes(lam, sigma)
-    [by_gcd] = next(_divisor_sums([lam], [sigma], _ramanujan_table))
-    return SpectrumProfile._from_gcd(sigma.order(), by_gcd, degree(lam))
+    return SpectrumProfile._from_gcd(sigma.order(), _sums_at(lam, sigma, _ramanujan_table), degree(lam))
 
 
 def spectrum_sn_direct(lam: Partition, sigma: CycleType) -> SpectrumProfile:
@@ -581,4 +595,4 @@ def render_min_poly(mp: MinPoly) -> str:
 def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     """Dimension of the fixed space of sigma's image (multiplicity of eigenvalue 1)."""
     _check_sizes(lam, sigma)
-    return next(_divisor_sums([lam], [sigma], _fixed_space_weights))[0][0]
+    return _sums_at(lam, sigma, _fixed_space_weights)[0]

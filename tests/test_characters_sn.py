@@ -1,9 +1,11 @@
+import ast
 import csv
 import gc
 import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from snchar.bounds import min_degree_check
 from snchar.characters_sn import (
     MAX_FROBENIUS_ROWS,
     _beta_set,
-    _rim_hooks,
+    _chi_row,
+    _columns,
+    _level,
     branch,
     chi,
     chi_closed_form,
@@ -264,30 +268,15 @@ def test_table_serialization_roundtrip():
     assert table.value(lam, sigma) == chi(lam, sigma)
 
 
-def test_memo_bounds_itself(monkeypatch):
-    # an insert at the cap empties the memo in place; no value changes
-    expected = full_table(9).values
-    sizes = []
-
-    class RecordingDict(dict):
-        def __setitem__(self, key, val):
-            super().__setitem__(key, val)
-            sizes.append(len(self))
-
-    memo = RecordingDict()
-    monkeypatch.setattr(characters_sn, "_MN_CACHE", memo)
-    monkeypatch.setattr(characters_sn, "_MEMO_CAP", 50)
-    assert full_table(9).values == expected
-    assert len(sizes) > 50 and max(sizes) <= 50  # inserts went past the cap, the memo never did
-    assert characters_sn._MN_CACHE is memo
-
-
-def test_memo_holds_no_fixed_point_tails():
-    # a class that has shrunk to 1^k is answered by the hook product, unstored
+def test_characters_sn_keeps_no_module_level_cache():
+    # every cache lives for one call: nothing the module defines holds state between calls
     full_table(10)
     spectrum_sn(parse_partition("7,5,4,3,2^2,1"), parse_cycle_type("7^1 5^1 3^1 2^1 1^7"))
-    assert characters_sn._MN_CACHE
-    assert all(cycles and cycles[0] != 1 for _, cycles in characters_sn._MN_CACHE)
+    for name, obj in vars(characters_sn).items():
+        if name.startswith("__"):
+            continue
+        assert not isinstance(obj, (dict, list, set)), name
+        assert not hasattr(obj, "cache_info"), name
 
 
 @given(st.integers(min_value=1, max_value=10).flatmap(partitions_of))
@@ -297,15 +286,64 @@ def test_rim_hook_removal_shrinks(lam):
     assert _parts(mask) == lam.parts
     count = 0
     for k in range(1, n + 1):
-        hooks = _rim_hooks(mask, k)
+        hooks = _level({mask: 1}, k)
         count += len(hooks)
-        for sub, _ in hooks:
+        for sub, sign in hooks.items():
+            assert sign in (1, -1)  # distinct hooks leave distinct shapes: nothing merges
             assert sum(_parts(sub)) == n - k
-            assert _beta_set(_parts(sub)) == sub  # zero rows shifted off: one mask per shape
+            assert sub.bit_count() == mask.bit_count()  # beads only move: one mask per shape
         # transposing the diagram swaps arm and leg: leg becomes k - 1 - leg
-        mirrored = sorted((_beta_set(conjugate(Partition(_parts(sub))).parts), k - 1 - leg) for sub, leg in hooks)
-        assert sorted(_rim_hooks(conj, k)) == mirrored
+        mirrored = sorted((conjugate(Partition(_parts(sub))).parts, sign * (-1) ** (k - 1)) for sub, sign in hooks.items())
+        assert sorted((_parts(sub), sign) for sub, sign in _level({conj: 1}, k).items()) == mirrored
     assert count == n  # one rim hook per box
+
+
+def _class_lengths(n):
+    return [CycleType.from_partition(mu).lengths() for mu in enumerate_partitions(n)]
+
+
+def test_columns_equal_rows_on_every_cell_to_n_16():
+    # the class-major builder and the single-query rows share no helper: each checks the other
+    for n in range(17):
+        lams = enumerate_partitions(n)
+        cols, classes = _columns(n, [mu.parts for mu in lams]), _class_lengths(n)
+        rows = [_chi_row(_beta_set(lam.parts), classes) for lam in lams]
+        assert [list(col) for col in zip(*rows)] == cols, n
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_columns_equal_rows_on_sampled_columns(n):
+    # every 97th class, in any part order; a repeated type gets its column twice
+    types = _class_lengths(n)[::97]
+    types = [tuple(reversed(t)) for t in types] + types[:1]
+    cols = _columns(n, types)
+    assert cols[-1] == cols[0]
+    for i, lam in enumerate(enumerate_partitions(n)):
+        row = _chi_row(_beta_set(lam.parts), [tuple(sorted(t, reverse=True)) for t in types])
+        assert row == [col[i] for col in cols], lam
+
+
+def _private_calls(tree):
+    """Module-level private function name -> the other private functions its body names."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    return {name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in defs and n.id != name}
+            for name, node in defs.items()}
+
+
+def _reach(calls, start):
+    seen, todo = set(), [start]
+    while todo:
+        for name in calls[todo.pop()] - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def test_the_two_character_routes_share_no_private_helper():
+    calls = _private_calls(ast.parse(Path(characters_sn.__file__).read_text()))
+    rows, cols = _reach(calls, "_chi_row"), _reach(calls, "_columns")
+    assert "_level" in rows and "_standard_count" in rows
+    assert not ({"_chi_row"} | rows) & ({"_columns"} | cols)
 
 
 def _near_single_row(n):

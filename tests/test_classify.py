@@ -227,21 +227,26 @@ def test_eigenvalue_one_kernel_powers_each_class_once(monkeypatch):
 
 
 def test_minpoly_sweep_evaluates_each_character_column_once(monkeypatch):
-    # one chi per nontrivial partition and distinct power class of the uniform classes, not per (label, class)
+    # one class-major column per distinct power class of the uniform classes, each serving every
+    # nontrivial partition: (p(n) - 1) values per column, not one evaluation per (label, class)
     n = 10
     classes = [CycleType.uniform(r, m, n) for r in range(2, n + 1) for m in range(1, n // r + 1)]
     columns = {sigma.power(d).lengths() for sigma in classes for d in divisors(sigma.order())}
     bound = (len(enumerate_partitions(n)) - 1) * len(columns)
     calls = []
-    real = spectral._chi_row
+    real = spectral._columns
 
-    def counted(mask, cols):
-        calls.extend((mask, cycles) for cycles in cols)
-        return real(mask, cols)
+    def counted(size, types):
+        calls.extend(types)
+        return real(size, types)
 
-    monkeypatch.setattr(spectral, "_chi_row", counted)
+    def no_rows(mask, cols):
+        raise AssertionError("a sweep evaluated a single-query row")
+
+    monkeypatch.setattr(spectral, "_columns", counted)
+    monkeypatch.setattr(spectral, "_chi_row", no_rows)
     assert verify_minpoly_sn(n, min_n=n).ok
-    assert 0 < len(calls) <= bound
+    assert 0 < len(calls) * (len(enumerate_partitions(n)) - 1) <= bound
     assert not {"spectrum_sn", "spectrum_an"} & set(vars(classify))
 
 

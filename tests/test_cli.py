@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -341,26 +342,36 @@ def test_verify_rejects_thread_count_below_one(capsys, threads):
 
 
 def test_deep_class_exits_2(capsys):
-    # one recursion level per non-fixed cycle: 1500 transpositions are too deep
-    code, out, err = run_cli(capsys, "char", "--lambda", "1500,1500", "--shape", "2^1500")
-    assert (code, out) == (2, "")
-    assert err == "error: class 2^1500 has 1500 non-fixed cycles, too many for the character recursion\n"
-    # the message counts only the cycles that cost a recursion level
-    code, out, err = run_cli(capsys, "char", "--lambda", "1505,1500", "--shape", "2^1500 1^5")
-    assert (code, out) == (2, "")
-    assert err == "error: class 2^1500 1^5 has 1500 non-fixed cycles, too many for the character recursion\n"
-    # fixed points end the recursion at once: the value is the degree
+    # 1100 transpositions: no recursion ceiling, the value of 1100,1100 is binom(1100, 550)
+    code, out, err = run_cli(capsys, "char", "--lambda", "1100,1100", "--shape", "2^1100")
+    assert (code, out, err) == (0, f"{math.comb(1100, 550)}\n", "")
+    # fixed points cost no level: the value is the degree
     code, out, _ = run_cli(capsys, "char", "--lambda", "1500,1500", "--shape", "1^3000")
     assert code == 0
     assert out == run_cli(capsys, "degree", "--lambda", "1500,1500")[1]
 
 
-@pytest.mark.parametrize("command", ["fixdim", "minpoly", "spectrum"])
-def test_deep_class_exits_2_on_spectrum_path(capsys, command):
-    # the spectrum path evaluates the powers sigma^d through the same guard as char
-    code, out, err = run_cli(capsys, command, "--lambda", "1500,1500", "--shape", "2^1500")
-    assert (code, out) == (2, "")
-    assert err == "error: class 2^1500 has 1500 non-fixed cycles, too many for the character recursion\n"
+# 3002,1 at 3^1001 has value i1 - 1 = -1 (chi_closed_form) after 1001 levels of one or two states
+STANDARD_VALUE = -1
+
+
+@pytest.mark.parametrize("command, lam, shape", [
+    pytest.param("fixdim", "1100,1100", "2^1100", id="fixdim"),
+    pytest.param("minpoly", "3002,1", "3^1001", id="minpoly"),
+    pytest.param("spectrum", "3002,1", "3^1001", id="spectrum"),
+])
+def test_deep_class_exits_2_on_spectrum_path(capsys, command, lam, shape):
+    # the spectrum path reads the powers sigma^d through the same level-by-level rows as char
+    code, out, err = run_cli(capsys, command, "--lambda", lam, "--shape", shape)
+    assert (code, err) == (0, "")
+    deg = int(run_cli(capsys, "degree", "--lambda", lam)[1])
+    if command == "fixdim":
+        assert out == f"{(math.comb(1100, 550) + deg) // 2}\n"
+    elif command == "minpoly":
+        assert out == "x^3-1\n"
+    else:  # sigma and sigma^2 have the value -1, sigma^3 = 1 has the degree
+        one, other = (deg + 2 * STANDARD_VALUE) // 3, (deg - STANDARD_VALUE) // 3
+        assert out == f"r=3 degree={deg} mult={one},{other},{other}\n"
 
 
 def test_oversized_input_exits_2(capsys):

@@ -66,6 +66,14 @@ def test_ramanujan_sum_matches_root_sum(q, j):
     assert ramanujan_sum(q, j) == round(brute.real)
 
 
+def test_ramanujan_table_equals_ramanujan_sum_to_2000():
+    # the table takes mu and phi once per divisor; each entry must still be c_{r/d}(g)
+    for r in range(1, 2001):
+        divs = divisors(r)
+        expected = tuple(tuple(ramanujan_sum(r // d, g) for d in divs) for g in divs)
+        assert spectral._ramanujan_table.__wrapped__(r) == expected, r
+
+
 def test_ramanujan_sum_known():
     assert ramanujan_sum(6, 0) == euler_phi(6) == 2
     assert ramanujan_sum(6, 1) == moebius(6) == 1

@@ -1,10 +1,12 @@
 import ast
 import csv
+import functools
 import gc
 import io
 import json
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -268,15 +270,36 @@ def test_table_serialization_roundtrip():
     assert table.value(lam, sigma) == chi(lam, sigma)
 
 
-def test_characters_sn_keeps_no_module_level_cache():
-    # every cache lives for one call: nothing the module defines holds state between calls
+def test_memo_bounds_itself():
+    # there is no process-wide memo to bound: nothing the module defines holds state between calls
+    expected = full_table(9).values
     full_table(10)
     spectrum_sn(parse_partition("7,5,4,3,2^2,1"), parse_cycle_type("7^1 5^1 3^1 2^1 1^7"))
+    assert full_table(9).values == expected
     for name, obj in vars(characters_sn).items():
         if name.startswith("__"):
             continue
         assert not isinstance(obj, (dict, list, set)), name
         assert not hasattr(obj, "cache_info"), name
+
+
+def test_memo_holds_no_fixed_point_tails(monkeypatch):
+    # the hook-product tails are cached inside one row call and dropped with it
+    made = []
+
+    def recording_cache(fn):
+        wrapped = functools.cache(fn)
+        made.append((wrapped, weakref.ref(wrapped)))
+        return wrapped
+
+    monkeypatch.setattr(characters_sn, "cache", recording_cache)
+    spectrum_sn(parse_partition("7,5,4,3,2^2,1"), parse_cycle_type("7^1 5^1 3^1 2^1 1^7"))
+    assert made
+    assert all(wrapped.cache_info().currsize for wrapped, _ in made)  # each call stored its tails
+    refs = [ref for _, ref in made]
+    made.clear()
+    gc.collect()
+    assert all(ref() is None for ref in refs)  # no call's tail cache outlives it
 
 
 @given(st.integers(min_value=1, max_value=10).flatmap(partitions_of))

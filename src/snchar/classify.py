@@ -16,15 +16,17 @@ family, and four sporadic pairs).
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress, count
 
 from .characters_an import MINUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels, special_class
 from .characters_sn import degree
 from .partitions import CycleType, Partition, _sweep_range, enumerate_partitions
-from .spectral import (MinPoly, SpectrumProfile, _an_profile, _fixed_space_weights, _full_min_poly,
-                       _ramanujan_table, _sweep_sums, min_poly)
+from .spectral import (MinPoly, SpectrumProfile, _an_profile, _check_counts, _fixed_space_weights,
+                       _full_min_poly, _ramanujan_table, _sweep_sums, min_poly)
 
 __all__ = [
     "Prediction",
@@ -90,20 +92,20 @@ def predict_sn(lam: Partition, r: int, m: int) -> Prediction:
 
 
 def _predict_sn(lam: Partition, r: int, m: int) -> tuple[tuple[MinPoly, ...], str | None]:
-    """The (polys, clause) of predict_sn, for checked arguments."""
-    n = lam.n
+    """The (polys, clause) of predict_sn, for checked arguments; r, m and single parts are tested first."""
     parts = lam.parts
-    if parts == (1,) * n:
+    if parts[0] == 1:
         root = r // 2 if (m * (r - 1)) % 2 else 0
         return (MinPoly(r, frozenset({root})),), "sign"
-    if parts == (n - 1, 1) and r == n:
-        return (_without(n, {0}),), "standard"
-    if n >= 4 and parts == (2,) + (1,) * (n - 2) and r == n:
-        removed = {0} if n % 2 else {n // 2}
-        return (_without(n, removed),), "standard-twist"
-    if parts == (3, 3) and r == 6:
+    if m == 1 and parts[1] == 1 and r == lam.n:  # a hook at the n-cycle
+        if parts == (r - 1, 1):
+            return (_without(r, {0}),), "standard"
+        if r >= 4 and parts == (2,) + (1,) * (r - 2):
+            removed = {0} if r % 2 else {r // 2}
+            return (_without(r, removed),), "standard-twist"
+    if r == 6 and parts == (3, 3):
         return (_without(6, {2, 4}),), "3,3@6"
-    if parts == (2, 2, 2) and r == 6:
+    if r == 6 and parts == (2, 2, 2):
         return (_without(6, {1, 5}),), "2,2,2@6"
     if parts == (2, 2):
         table = {
@@ -141,13 +143,12 @@ def predict_an(label: AnCharacterLabel, r: int, m: int) -> Prediction:
 
 def _predict_an(label: AnCharacterLabel, r: int, m: int) -> tuple[tuple[MinPoly, ...], str | None]:
     """The (polys, clause) of predict_an, for checked arguments."""
-    lam = label.partition
-    n = lam.n
+    parts = label.partition.parts
     if label.variant == RESTRICTED:
-        if lam.parts == (n - 1, 1) and r == n:
-            return (_without(n, {0}),), "standard"
+        if r == parts[0] + 1 and parts[1:] == (1,):  # (n - 1, 1) at r = n
+            return (_without(r, {0}),), "standard"
         return (_full_min_poly(r),), None
-    if lam.parts == (3, 1, 1) and r == 5:
+    if r == 5 and parts == (3, 1, 1):
         pair = (MinPoly(5, frozenset({0, 2, 3})), MinPoly(5, frozenset({0, 1, 4})))
         return tuple(sorted(pair, key=_pair_key)), "3,1,1@5"
     return (_full_min_poly(r), _full_min_poly(r)), None
@@ -221,8 +222,10 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
     irreducible of S_n or A_n (group "sn" or "an") at every uniform class.
 
     The parent spectra come from one _sweep_sums pass over the class-major
-    columns of every partition of n. An A_n label is checked against its own spectrum, or against
-    both halves of a split pair, sorted as predict_an sorts them.
+    columns of every partition of n, checked a class column at a time. Where
+    every multiplicity is positive the case has the shared x^r - 1; profiles
+    are built only where one is zero, and for the halves of a split pair,
+    sorted as predict_an sorts them.
     """
     parts = enumerate_partitions(n)
     if group == "sn":
@@ -234,28 +237,33 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
         lams = [label.partition for label in labels]
         shapes = _uniform_shapes(n, even_only=True)
     classes = [CycleType.uniform(r, m, n) for r, m in shapes]
-    # per class, per divisor g of its order: one sum per partition of n
+    predict = _predict_sn if group == "sn" else _predict_an
+    degrees = [degree(lam) for lam in parts]
+    # per class, per divisor g of its order: one multiplicity per partition of n
     sums = list(_sweep_sums(n, classes, _ramanujan_table))
+    zeros = []  # per class: the partitions with a zero multiplicity
+    for (r, _), by_gcd in zip(shapes, sums):
+        _check_counts(r, by_gcd, degrees)
+        zeros.append(set().union(*(compress(count(), map(operator.not_, column)) for column in by_gcd)))
     index = {lam: i for i, lam in enumerate(parts)}
     cases = 0
     mismatches = []
     exceptional = []
     for label, lam in zip(labels, lams):
         i = index[lam]
-        deg = degree(lam)
         if group == "sn":
-            text = str(lam)
+            text, split = str(lam), False
         else:
-            text, special = _an_text(label), special_class(lam)
-            halves = (label,) if label.variant == RESTRICTED else AnCharacterLabel.split_pair(lam)
-        for (r, m), sigma, by_gcd in zip(shapes, classes, sums):
-            base = SpectrumProfile._from_gcd(r, [column[i] for column in by_gcd], deg)
-            if group == "sn":
-                polys, clause = _predict_sn(lam, r, m)
-                got = (min_poly(base),)
+            text, special, split = _an_text(label), special_class(lam), label.variant != RESTRICTED
+            halves = AnCharacterLabel.split_pair(lam) if split else (label,)
+        for (r, m), sigma, by_gcd, zero in zip(shapes, classes, sums, zeros):
+            polys, clause = predict(label, r, m)
+            if split or i in zero:
+                base = SpectrumProfile._from_gcd(r, [column[i] for column in by_gcd], degrees[i])
+                got = ((min_poly(base),) if group == "sn" else
+                       tuple(sorted((min_poly(_an_profile(h, sigma, base, special)) for h in halves), key=_pair_key)))
             else:
-                polys, clause = _predict_an(label, r, m)
-                got = tuple(sorted((min_poly(_an_profile(h, sigma, base, special)) for h in halves), key=_pair_key))
+                got = (_full_min_poly(r),)
             cases += 1
             if got != polys:
                 mismatches.append(
@@ -276,8 +284,7 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     computed = {
         (lam, sigma)
         for sigma, (dims,) in zip(classes, _sweep_sums(n, classes, _fixed_space_weights))
-        for lam, dim in zip(lams, dims)
-        if not dim
+        for lam in compress(lams, map(operator.not_, dims))
     }
     predicted = predict_no_eigenvalue_one(n)
     uniform = [(r, m, CycleType.uniform(r, m, n)) for r, m in _uniform_shapes(n)]

@@ -23,13 +23,14 @@ c_q(j) = mu(q/g') * phi(q) / phi(q/g') with g' = gcd(q, j), and stored that
 way: a SpectrumProfile holds one multiplicity per divisor g and spreads it
 over the r residues only when mult is read. The fixed space dimension is the
 row g = r alone, where c_{r/d}(r) = phi(r/d). _power_plan lists the classes
-sigma^d that the classes asked about reach, and _weigh sums their character
-values by the whole table, or for the fixed space by phi(r/d) alone:
-spectrum_sn and fixed_space_dim over one character row of lam, the sweeps in
-classify over the class-major columns of every partition of n at once. The
-powers sigma^d of a class are built once, in a bounded cache. A minimal polynomial whose
-root set is a union of Galois orbits is likewise held as its set of gcds, so
-min_poly and render_min_poly never scan range(r). The integer arithmetic
+sigma^d that the classes asked about reach, whose character values are summed
+by the whole table, or for the fixed space by phi(r/d) alone: one row of lam
+cell by cell for spectrum_sn and fixed_space_dim, and for the sweeps in
+classify the class-major columns of every partition of n, a whole column at
+a time, checked by class column (_check_counts, which _from_gcd runs on one
+case). The powers sigma^d of a class are built once, in a bounded cache. A
+minimal polynomial whose root set is a union of Galois orbits is likewise
+held as its set of gcds, so min_poly and render_min_poly never scan range(r). The integer arithmetic
 (divisors, Moebius, phi, cyclotomic polynomials) lives in arith.
 
 Every division is checked to be exact; a remainder signals a bug, never a
@@ -111,6 +112,18 @@ def _spread(r: int, per_gcd) -> list:
     return out
 
 
+def _check_counts(r: int, columns, degrees: list[int]) -> None:
+    """Check aligned columns of multiplicities, one per divisor g of r, of one case (_from_gcd) or a
+    class column (the sweeps): none negative, and weighted by phi(r/g) they sum to the degrees."""
+    phis = _phis(r)
+    if len(columns) != len(phis):
+        raise ValueError("by_gcd must list one entry per divisor of r")
+    if min(map(min, columns)) < 0:
+        raise RuntimeError("negative multiplicity (internal bug)")
+    if _combine(phis, columns) != degrees:
+        raise RuntimeError("multiplicities must sum to the degree (internal bug)")
+
+
 class SpectrumProfile:
     """Eigenvalue multiplicities of a permutation image: mult[j] counts the
     eigenvalue exp(2*pi*i*j/r), and r is the permutation's order.
@@ -138,13 +151,7 @@ class SpectrumProfile:
     def _from_gcd(cls, r: int, by_gcd: tuple[int, ...], degree: int) -> SpectrumProfile:
         """The profile with multiplicity by_gcd[k] at every j whose gcd with r
         is the k-th divisor of r; phi(r/g) residues share each entry."""
-        phis = _phis(r)
-        if len(by_gcd) != len(phis):
-            raise ValueError("by_gcd must list one entry per divisor of r")
-        if min(by_gcd) < 0:
-            raise RuntimeError("negative multiplicity (internal bug)")
-        if sum(map(operator.mul, phis, by_gcd)) != degree:
-            raise RuntimeError("multiplicities must sum to the degree (internal bug)")
+        _check_counts(r, list(zip(by_gcd)), [degree])
         self = object.__new__(cls)
         self.r, self.degree, self._mult, self._by_gcd = r, degree, None, tuple(by_gcd)
         return self
@@ -281,18 +288,30 @@ def _power_plan(classes: list[CycleType], weights) -> tuple[list[tuple[int, ...]
     return list(column), plan
 
 
+def _combine(weights, columns) -> list[int]:
+    """sum_k weights[k] * columns[k], entry by entry over aligned columns: one
+    C-level map per nonzero weight, and no multiply for a weight of +-1."""
+    total = None
+    for w, column in zip(weights, columns):
+        if w:
+            term = column if w == 1 else map(operator.neg, column) if w == -1 else map(operator.mul, repeat(w), column)
+            total = term if total is None else map(operator.add, total, term)
+    return list(total)
+
+
+def _divide(sums: list[int], r: int) -> list[int]:
+    """sums / r entry by entry, each division checked to be exact."""
+    if any(map(operator.mod, sums, repeat(r))):
+        raise RuntimeError("non-integer multiplicity (internal bug)")
+    return list(map(operator.floordiv, sums, repeat(r)))
+
+
 def _weigh(table: list[list[int]], plan):
-    """Yield per planned sigma of order r, one list per weight row w: the sums
-    (1/r) * sum_{d | r} w(d) * chi(sigma^d), one per entry of table's columns."""
+    """Yield per planned sigma of order r, one column per weight row w: the sums
+    (1/r) * sum_{d | r} w(d) * chi(sigma^d), added a whole column of table at a time."""
     for r, cols, rows in plan:
-        cells = list(zip(*[table[k] for k in cols]))
-        out = []
-        for w in rows:
-            sums = [sum(map(operator.mul, w, cell)) for cell in cells]
-            if any(map(operator.mod, sums, repeat(r))):
-                raise RuntimeError("non-integer multiplicity (internal bug)")
-            out.append(list(map(operator.floordiv, sums, repeat(r))))
-        yield out
+        picked = [table[k] for k in cols]
+        yield [_divide(_combine(w, picked), r) for w in rows]
 
 
 def _sweep_sums(n: int, classes: list[CycleType], weights):
@@ -302,10 +321,11 @@ def _sweep_sums(n: int, classes: list[CycleType], weights):
 
 
 def _sums_at(lam: Partition, sigma: CycleType, weights) -> list[int]:
-    """_weigh at one class, over one character row of lam."""
-    columns, plan = _power_plan([sigma], weights)
+    """_weigh's sums at one class over one character row of lam, summed cell by cell."""
+    columns, ((r, cols, rows),) = _power_plan([sigma], weights)
     row = _chi_row(_beta_set(lam.parts), columns)
-    return [sums[0] for sums in next(_weigh([[value] for value in row], plan))]
+    cell = [row[k] for k in cols]
+    return _divide([sum(map(operator.mul, w, cell)) for w in rows], r)
 
 
 def _fixed_space_weights(r: int) -> tuple[tuple[int, ...]]:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from snchar import classify, spectral
-from snchar.characters_an import AnCharacterLabel, an_irreducible_labels
+from snchar.characters_an import RESTRICTED, AnCharacterLabel, an_irreducible_labels
 from snchar.classify import (
     Prediction,
     predict_an,
@@ -16,7 +16,8 @@ from snchar.classify import (
     verify_minpoly_sn,
 )
 from snchar.partitions import CycleType, Partition, enumerate_partitions, parse_cycle_type, parse_partition
-from snchar.spectral import MinPoly, divisors, min_poly, spectrum_sn, spectrum_sn_direct
+from snchar.spectral import (MinPoly, SpectrumProfile, _full_min_poly, divisors, min_poly, spectrum_an, spectrum_sn,
+                             spectrum_sn_direct)
 
 
 def test_predict_sn_sign():
@@ -248,6 +249,81 @@ def test_minpoly_sweep_evaluates_each_character_column_once(monkeypatch):
     assert verify_minpoly_sn(n, min_n=n).ok
     assert 0 < len(calls) * (len(enumerate_partitions(n)) - 1) <= bound
     assert not {"spectrum_sn", "spectrum_an"} & set(vars(classify))
+
+
+@pytest.mark.parametrize("verify, n", [(verify_minpoly_sn, 8), (verify_minpoly_an, 9)])
+@pytest.mark.parametrize("corrupt", [lambda m: -1, lambda m: m + 1], ids=["negative", "off-degree"])
+def test_sweep_column_checks_fire(monkeypatch, verify, n, corrupt):
+    # one multiplicity of one class column, at (n - 1, 1): -1 is negative, +1 breaks the degree sum
+    real = classify._sweep_sums
+
+    def corrupted(size, classes, weights):
+        sums = list(real(size, classes, weights))
+        sums[0][0][1] = corrupt(sums[0][0][1])
+        return sums
+
+    monkeypatch.setattr(classify, "_sweep_sums", corrupted)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        verify(n, min_n=n)
+
+
+def test_sweep_builds_profiles_only_where_a_multiplicity_is_zero(monkeypatch):
+    # every other case is the shared x^r - 1; at n = 12 those are exactly the classified clauses
+    calls = []
+    real = SpectrumProfile._from_gcd.__func__
+
+    def counted(cls, r, by_gcd, degree):
+        calls.append(r)
+        return real(cls, r, by_gcd, degree)
+
+    monkeypatch.setattr(SpectrumProfile, "_from_gcd", classmethod(counted))
+    report = verify_minpoly_sn(12, min_n=12)
+    assert report.ok
+    assert len(calls) == len(report.exceptional) == 25
+
+
+def _uniform_cases(n, even_only=False):
+    return [(r, m, CycleType.uniform(r, m, n)) for r in range(2, n + 1) for m in range(1, n // r + 1)
+            if not (even_only and m * (r - 1) % 2)]
+
+
+def test_column_verdicts_match_single_queries(monkeypatch):
+    # predict x^r - 1 everywhere: the mismatches are then every case whose single-query
+    # minimal polynomial is not full, found by the sweep from its class columns
+    monkeypatch.setattr(classify, "_predict_sn", lambda lam, r, m: ((_full_min_poly(r),), None))
+    counts = []
+    for n in range(3, 10):
+        expected = {
+            (str(lam), r, m, mp.rendered)
+            for lam in enumerate_partitions(n)[1:]
+            for r, m, sigma in _uniform_cases(n)
+            if not (mp := min_poly(spectrum_sn(lam, sigma))).is_full()
+        }
+        mismatches = verify_minpoly_sn(n, min_n=n).mismatches
+        assert all(t[0] == n and t[4] == f"x^{t[2]}-1" for t in mismatches)
+        assert {(t[1], t[2], t[3], t[5]) for t in mismatches} == expected
+        assert len(mismatches) == len(expected)
+        counts.append(len(expected))
+    assert counts == [3, 9, 7, 12, 11, 14, 16]
+
+
+def test_column_verdicts_match_single_queries_an(monkeypatch):
+    # the same for restricted A_n labels; split pairs are checked through their halves elsewhere
+    monkeypatch.setattr(classify, "_predict_an", lambda label, r, m: ((_full_min_poly(r),), None))
+    counts = []
+    for n in range(5, 10):
+        restricted = [label for label in an_irreducible_labels(n)[1:] if label.variant == RESTRICTED]
+        expected = {
+            (str(label), r, m, mp.rendered)
+            for label in restricted
+            for r, m, sigma in _uniform_cases(n, even_only=True)
+            if not (mp := min_poly(spectrum_an(label, sigma))).is_full()
+        }
+        texts = {str(label) for label in restricted}
+        found = {(t[1], t[2], t[3], t[5]) for t in verify_minpoly_an(n, min_n=n).mismatches if t[1] in texts}
+        assert found == expected
+        counts.append(len(expected))
+    assert counts == [1, 0, 1, 0, 1]  # [n - 1, 1] at the n-cycle, for odd n
 
 
 # sha256 of json.dumps(report.to_json_dict(), sort_keys=True): the report bytes must not drift

@@ -10,15 +10,40 @@ spectra from integer matrices alone.
 
 The public names are those of each library module's __all__, re-exported
 here; the command line module snchar.cli is not part of the library.
+Importing the package loads no library module: the first use of a public
+name (or of __all__, or dir()) loads all of them (PEP 562), so a command
+line query compiles only the modules it calls.
 """
 
-from .arith import *
-from .bounds import *
-from .characters_an import *
-from .characters_sn import *
-from .classify import *
-from .partitions import *
-from .specht import *
-from .spectral import *
+import importlib
 
 __version__ = "0.1.0"
+
+_LIBRARY = ("arith", "bounds", "characters_an", "characters_sn", "classify", "partitions", "specht", "spectral")
+
+
+def _load() -> list[str]:
+    names = []
+    for module in _LIBRARY:
+        mod = importlib.import_module(f".{module}", __name__)
+        globals().update((name, getattr(mod, name)) for name in mod.__all__)
+        names += mod.__all__
+    globals()["__all__"] = names
+    return names
+
+
+def __getattr__(name: str):
+    # submodule names and private names fail at once: `from . import bounds`
+    # probes the package for the attribute before it imports the submodule
+    if (name.startswith("_") and name != "__all__") or name in _LIBRARY or name == "cli":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if "__all__" not in globals():
+        _load()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    return list(globals().get("__all__") or _load())

@@ -39,11 +39,15 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION_BITS = 128
+# at 2^16 bits every single check answers in seconds; at 2^18 estimate takes over a minute
+MAX_PRECISION_BITS = 1 << 16
 
 
 def _check_bits(bits: int) -> None:
     if bits < 8:
         raise ValueError(f"precision too small: {bits}")
+    if bits > MAX_PRECISION_BITS:
+        raise ValueError(f"precision too large: {bits} > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
 
 
 # mpmath is imported where it is used, so that importing the package does not load it

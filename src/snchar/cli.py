@@ -14,14 +14,15 @@ import json
 import os
 import sys
 
-from . import bounds as bounds_mod
-from .characters_an import MINUS, PLUS, RESTRICTED, AnCharacterLabel, chi_an, is_split
+# the other library modules are imported by the handlers that call them, so a
+# query compiles and runs only what it uses
 from .characters_sn import chi, degree, full_table
-from .classify import verify_eigenvalue_one, verify_minpoly_an, verify_minpoly_sn
 from .partitions import CycleType, Partition, parse_cycle_type, parse_partition
-from .spectral import MAX_LISTED_R, fixed_space_dim, min_poly, spectrum_an, spectrum_sn
 
 __all__ = ["main"]
+
+# characters_an.RESTRICTED, PLUS and MINUS, spelled out so that parsing imports nothing
+_VARIANTS = ("restricted", "plus", "minus")
 
 
 def _parse_lam(args) -> Partition:
@@ -38,8 +39,10 @@ def _parse_shape(args, n: int) -> CycleType:
     return ct
 
 
-def _an_labels(lam: Partition, variant: str | None) -> list[AnCharacterLabel]:
+def _an_labels(lam: Partition, variant: str | None) -> list:
     """The labels a query addresses: one, or both halves of a split pair."""
+    from .characters_an import AnCharacterLabel, is_split
+
     if variant is None:
         if is_split(lam):
             return list(AnCharacterLabel.split_pair(lam))
@@ -48,6 +51,8 @@ def _an_labels(lam: Partition, variant: str | None) -> list[AnCharacterLabel]:
 
 
 def _check_listed(what: str, sigma: CycleType) -> None:
+    from .spectral import MAX_LISTED_R
+
     r = sigma.order()
     if r > MAX_LISTED_R:
         raise ValueError(f"{what} lists one entry per r-th root of unity, and class {sigma} has order "
@@ -69,6 +74,8 @@ def _cmd_char(args) -> int:
         value = chi(lam, sigma)
         _emit(args, lambda: {"group": "sn", "lambda": str(lam), "shape": str(sigma), "value": str(value)}, str(value))
         return 0
+    from .characters_an import chi_an
+
     labels = _an_labels(lam, args.variant)
     rows = []
     lines = []
@@ -103,6 +110,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectral import spectrum_an, spectrum_sn
+
     lam = _parse_lam(args)
     sigma = _parse_shape(args, lam.n)
     _check_listed("spectrum", sigma)
@@ -122,6 +131,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_minpoly(args) -> int:
+    from .spectral import min_poly, spectrum_an, spectrum_sn
+
     lam = _parse_lam(args)
     sigma = _parse_shape(args, lam.n)
     if args.format == "json":
@@ -142,6 +153,8 @@ def _cmd_minpoly(args) -> int:
 
 
 def _cmd_fixdim(args) -> int:
+    from .spectral import fixed_space_dim
+
     lam = _parse_lam(args)
     sigma = _parse_shape(args, lam.n)
     dim = fixed_space_dim(lam, sigma)
@@ -164,10 +177,10 @@ _BOUND_CHECKS = {
 }
 
 
-def _precision_bits(args) -> int:
+def _precision_bits(args, default: int) -> int:
     if args.precision_bits is not None:
         return args.precision_bits
-    raw = os.environ.get("SNCHAR_PRECISION_BITS", str(bounds_mod.DEFAULT_PRECISION_BITS))
+    raw = os.environ.get("SNCHAR_PRECISION_BITS", str(default))
     try:
         return int(raw)
     except ValueError:
@@ -175,6 +188,8 @@ def _precision_bits(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
+
     needs, name, takes_bits = _BOUND_CHECKS[args.check]
     if needs == "shape":
         if args.lam is None or args.shape is None:
@@ -188,8 +203,8 @@ def _cmd_bounds(args) -> int:
         raise ValueError("this check needs --n" if needs == "n" else "sweeps need --max-n")
     else:
         positional = (getattr(args, needs),)
-    kwargs = {"bits": _precision_bits(args)} if takes_bits else {}
-    result = getattr(bounds_mod, name)(*positional, **kwargs)
+    kwargs = {"bits": _precision_bits(args, bounds.DEFAULT_PRECISION_BITS)} if takes_bits else {}
+    result = getattr(bounds, name)(*positional, **kwargs)
     reports = result if needs == "max_n" else [result]
     ok = all(rep.holds for rep in reports)
     if args.format == "json":
@@ -206,6 +221,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .classify import verify_eigenvalue_one, verify_minpoly_an, verify_minpoly_sn
+
     runners = {
         "minpoly-sn": verify_minpoly_sn,
         "minpoly-an": verify_minpoly_an,
@@ -242,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--shape", required=True, help="cycle type, e.g. '6^1' or '3^1 2^1 1^1'")
         if group:
             p.add_argument("--group", choices=("sn", "an"), default="sn")
-            p.add_argument("--variant", choices=(RESTRICTED, PLUS, MINUS), default=None,
+            p.add_argument("--variant", choices=_VARIANTS, default=None,
                            help="alternating label variant; split pairs print both halves by default")
         p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -27,8 +27,8 @@ sigma^d that the classes asked about reach, whose character values are summed
 by the whole table, or for the fixed space by phi(r/d) alone: one row of lam
 cell by cell for spectrum_sn and fixed_space_dim, and for the sweeps in
 classify the class-major columns of every partition of n, a whole column at
-a time, checked by class column (_check_counts, which _from_gcd runs on one
-case). The powers sigma^d of a class are built once, in a bounded cache. A
+a time, checked by class column (_check_counts; _from_gcd checks its one case
+the same way). The powers sigma^d of a class are built once, in a bounded cache. A
 minimal polynomial whose root set is a union of Galois orbits is likewise
 held as its set of gcds, so min_poly and render_min_poly never scan range(r). The integer arithmetic
 (divisors, Moebius, phi, cyclotomic polynomials) lives in arith.
@@ -113,8 +113,8 @@ def _spread(r: int, per_gcd) -> list:
 
 
 def _check_counts(r: int, columns, degrees: list[int]) -> None:
-    """Check aligned columns of multiplicities, one per divisor g of r, of one case (_from_gcd) or a
-    class column (the sweeps): none negative, and weighted by phi(r/g) they sum to the degrees."""
+    """Check aligned columns of multiplicities, one per divisor g of r, of a class column (the
+    sweeps): none negative, and weighted by phi(r/g) they sum to the degrees."""
     phis = _phis(r)
     if len(columns) != len(phis):
         raise ValueError("by_gcd must list one entry per divisor of r")
@@ -150,8 +150,18 @@ class SpectrumProfile:
     @classmethod
     def _from_gcd(cls, r: int, by_gcd: tuple[int, ...], degree: int) -> SpectrumProfile:
         """The profile with multiplicity by_gcd[k] at every j whose gcd with r
-        is the k-th divisor of r; phi(r/g) residues share each entry."""
-        _check_counts(r, list(zip(by_gcd)), [degree])
+        is the k-th divisor of r; phi(r/g) residues share each entry. The
+        checks are those of _check_counts, on one case."""
+        phis = _phis(r)
+        if len(by_gcd) != len(phis):
+            raise ValueError("by_gcd must list one entry per divisor of r")
+        total = 0
+        for phi, m in zip(phis, by_gcd):
+            if m < 0:
+                raise RuntimeError("negative multiplicity (internal bug)")
+            total += phi * m
+        if total != degree:
+            raise RuntimeError("multiplicities must sum to the degree (internal bug)")
         self = object.__new__(cls)
         self.r, self.degree, self._mult, self._by_gcd = r, degree, None, tuple(by_gcd)
         return self

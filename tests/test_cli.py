@@ -236,6 +236,16 @@ def test_bounds_precision_checked_on_the_exact_branch(capsys):
     assert (code, out, err) == (2, "", "error: precision too small: -7\n")
 
 
+@pytest.mark.parametrize("bits", ["65537", "100000000"])
+def test_bounds_precision_above_the_cap_exits_2(capsys, monkeypatch, bits):
+    message = f"error: precision too large: {bits} > MAX_PRECISION_BITS = 65536\n"
+    argv = ("bounds", "--check", "fomin-lulov", "--lambda", "3,2", "--shape", "5^1")
+    assert run_cli(capsys, *argv, "--precision-bits", bits) == (2, "", message)
+    monkeypatch.setenv("SNCHAR_PRECISION_BITS", bits)
+    assert run_cli(capsys, *argv) == (2, "", message)
+    assert run_cli(capsys, "bounds", "--check", "robbins", "--n", "10") == (2, "", message)
+
+
 def test_bounds_precision_env(capsys, monkeypatch):
     monkeypatch.setenv("SNCHAR_PRECISION_BITS", "8")
     code, _, _ = run_cli(capsys, "bounds", "--check", "robbins", "--n", "200")
@@ -380,6 +390,15 @@ def test_oversized_input_exits_2(capsys):
     assert err.startswith("error: partition too large")
 
 
+def test_variant_choices_are_the_label_variants():
+    from snchar.characters_an import MINUS, PLUS, RESTRICTED
+
+    verbs = next(a for a in cli._build_parser()._actions if a.dest == "verb").choices
+    for verb in ("char", "spectrum", "minpoly"):
+        (variant,) = [a for a in verbs[verb]._actions if a.dest == "variant"]
+        assert variant.choices == (RESTRICTED, PLUS, MINUS)
+
+
 # 19*17*13*11*7*5 = 1616615, above MAX_LISTED_R = 2^20, on 72 points
 BIG_ORDER_SHAPE = "19^1 17^1 13^1 11^1 7^1 5^1"
 
@@ -401,7 +420,8 @@ def test_listing_above_max_listed_r_exits_2(capsys, argv, what):
 
 
 def test_max_listed_r_admits_order_1021020():
-    assert cli.MAX_LISTED_R == 1 << 20
+    assert spectral.MAX_LISTED_R == 1 << 20
+    assert not hasattr(cli, "MAX_LISTED_R")  # the command line reads spectral's cap, keeps no copy
     cli._check_listed("spectrum", parse_cycle_type("17^1 13^1 11^1 7^1 5^1 4^1 3^1"))
 
 
@@ -442,7 +462,8 @@ def test_split_class_above_max_split_r_exits_2(capsys):
 
 
 def test_max_split_r_is_the_listing_cap():
-    assert spectral.MAX_LISTED_R == cli.MAX_LISTED_R == 1 << 20
+    assert spectral.MAX_LISTED_R == 1 << 20
+    assert not hasattr(cli, "MAX_LISTED_R")
 
 
 def test_split_class_below_max_split_r_answers(capsys):

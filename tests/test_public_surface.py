@@ -1,10 +1,26 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import snchar
 
 SUBMODULES = [m.name for m in pkgutil.iter_modules(snchar.__path__)]
+LIBRARY_NAMES = set()
+for _name in SUBMODULES:
+    # the command line module is an entry point, not part of the library surface
+    if _name != "cli":
+        LIBRARY_NAMES |= set(importlib.import_module(f"snchar.{_name}").__all__)
+
+# child interpreters import the package from this checkout, installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def test_submodule_all_names_exist():
@@ -15,10 +31,59 @@ def test_submodule_all_names_exist():
 
 
 def test_package_reexports_exactly_the_library_names():
-    # the command line module is an entry point, not part of the library surface
-    union = set()
-    for name in SUBMODULES:
-        if name != "cli":
-            union |= set(importlib.import_module(f"snchar.{name}").__all__)
+    # the library loads on first use of a public name; after that every name is bound
+    assert snchar.chi is importlib.import_module("snchar.characters_sn").chi
     public = {k for k, v in vars(snchar).items() if not k.startswith("_") and not isinstance(v, ModuleType)}
-    assert public == union
+    assert public == LIBRARY_NAMES
+    assert set(snchar.__all__) == LIBRARY_NAMES
+
+
+def _loaded(code: str) -> list[str]:
+    """The snchar submodules and mpmath that a fresh interpreter holds after running code."""
+    probe = code + ("\nimport json, sys\n"
+                    "print(json.dumps(sorted(k for k in sys.modules if k.startswith('snchar.') or k == 'mpmath')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV,
+                         check=True, timeout=60).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _verb_loads(*argv: str) -> set[str]:
+    return set(_loaded(f"import runpy, sys\nsys.argv = ['snchar', *{list(argv)!r}]\n"
+                       "try:\n    runpy.run_module('snchar.cli', run_name='__main__')\n"
+                       "except SystemExit as exc:\n    assert exc.code == 0, exc.code"))
+
+
+def test_package_import_loads_no_library_module():
+    assert _loaded("import snchar") == []
+
+
+UNUSED_BY_QUERIES = {"snchar.classify", "snchar.bounds", "snchar.specht", "snchar.spectral",
+                     "snchar.characters_an", "mpmath"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("char", "--lambda", "3,2", "--shape", "2^2 1^1"),
+    ("degree", "--lambda", "3,2"),
+])
+def test_one_shot_queries_load_only_what_they_use(argv):
+    loaded = _verb_loads(*argv)
+    assert "snchar.characters_sn" in loaded
+    assert not loaded & UNUSED_BY_QUERIES
+
+
+def test_bounds_loads_bounds_and_mpmath_only():
+    loaded = _verb_loads("bounds", "--check", "robbins", "--n", "10")
+    assert {"snchar.bounds", "mpmath"} <= loaded
+    assert not loaded & {"snchar.classify", "snchar.specht", "snchar.spectral"}
+
+
+def test_dir_lists_the_library_names():
+    assert dir(snchar) == sorted(LIBRARY_NAMES)
+    # from cold, dir() loads the library and lists the names of __all__
+    assert _loaded("import snchar\nassert dir(snchar) == sorted(snchar.__all__)")
+
+
+def test_module_and_private_names_do_not_load_the_library():
+    # `from . import bounds` probes the package for the name before it imports the submodule
+    names = ["bounds", "cli", "__wrapped__", "_private"]
+    assert _loaded(f"import snchar\nassert not any(hasattr(snchar, n) for n in {names!r})") == []

@@ -14,17 +14,19 @@ Representation Theory of the Symmetric Groups, LNM 682, section 8), so the
 expansion coefficients of any permuted polytabloid come out of integer
 back-substitution.
 
-Internally a tabloid is one int whose byte x holds the row of point x + 1,
-and the standard polytabloids are indexed by these keys: each maps to the
-polytabloids t holding it, as t + 1 for coefficient +1 and -t - 1 for -1 (a
-tabloid never appears twice in one polytabloid, so the coefficient is +-1).
-A polytabloid is built one column at a time. Each column lists one key part
-and sign per way of placing its points in its rows; the columns hold
-disjoint points, so the polytabloid is the product of these lists, one int
-OR and one sign multiply per term. Permuting a pivot tabloid is one reindex
-of its row bytes.
+A tabloid is bytes whose byte x holds the row of point x + 1. Nothing is
+indexed by tabloid: membership follows the column rule. The tabloid R lies
+in the polytabloid of the standard tableau t iff each column of t meets each
+row it spans exactly once in R, that is, no point of t sits in R at a row
+below the bottom of its column, and no two points sharing a column of t
+share a row of R. The coefficient is then the sign of the column
+permutation, the parity of the pairs x < y of one column of t with x below
+y in R. Per shape this is stored as bitsets over the standard tableaux:
+which tableaux put x and y in one column, and which give the column of x at
+most i cells. Permuting a pivot tabloid is one reindex of its row bytes.
 
-Everything here is exponential in nature, so n is capped at MAX_N = 8.
+Ranks and back-substitution are cubic in the degree of the shape (216 at
+n = 9), so n is capped at MAX_N = 9.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ __all__ = [
     "oracle_min_poly",
 ]
 
-MAX_N = 8
+MAX_N = 9
 
 
 @cache
@@ -95,22 +97,18 @@ def _rows_of_points(tab: tuple[tuple[int, ...], ...]) -> bytes:
     return bytes(rows)
 
 
-def _key(rows: bytes) -> int:
-    """A tabloid as one int: byte x holds the row of point x + 1."""
-    return int.from_bytes(rows, "little")
-
-
-def _column_sum(tab: tuple[tuple[int, ...], ...], unit: int) -> dict[int, int]:
-    """unit * sgn(q) keyed by the tabloid of qT, for q in the column stabilizer.
+def _column_sum(tab: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """sgn(q) keyed by the tabloid of qT, for q in the column stabilizer; a
+    key is an int whose byte x holds the row of point x + 1.
 
     Column j of tab fills rows 0..len-1; each way of placing its points in
     those rows is one key part (the permutation p puts the x-th point of the
     column in row p[x]) with its sign. The columns hold disjoint points, so
     the sum is the product of the columns' lists: one OR and one sign
     multiply per term. Distinct q give distinct tabloids, so every
-    coefficient is +-unit.
+    coefficient is +-1.
     """
-    terms = {0: unit}
+    terms = {0: 1}
     for j in range(len(tab[0]) if tab else 0):
         col = [8 * (row[j] - 1) for row in tab if j < len(row)]
         if len(col) < 2:
@@ -124,7 +122,7 @@ def polytabloid(tab: tuple[tuple[int, ...], ...]) -> dict[tuple[frozenset, ...],
     """Signed sum of tabloids over the column stabilizer of tab."""
     n = sum(map(len, tab))
     out = {}
-    for key, c in _column_sum(tab, 1).items():
+    for key, c in _column_sum(tab).items():
         sets = [set() for _ in tab]
         for x, i in enumerate(key.to_bytes(n, "little"), 1):
             sets[i].add(x)
@@ -134,27 +132,68 @@ def polytabloid(tab: tuple[tuple[int, ...], ...]) -> dict[tuple[frozenset, ...],
 
 @cache
 def _module_data(parts: tuple[int, ...]):
-    """Pivot tabloids (bytes, see _rows_of_points), the index tabloid key ->
-    the polytabloids t holding it, each as t + 1 for coefficient +1 and -t - 1
-    for -1, and for each basis row s the polytabloids u > s holding pivot s,
-    signed the same way: the nonzero entries of the upper unitriangular basis
-    matrix base[s][u] = coefficient of pivot s in polytabloid u."""
+    """Pivot tabloids (bytes, see _rows_of_points), the column rule of the
+    shape (see _coefficients), and for each basis row s the (u, coefficient)
+    pairs of the polytabloids u > s holding pivot s: the nonzero entries of
+    the upper unitriangular basis matrix base[s][u] = coefficient of pivot s
+    in polytabloid u."""
     tableaux = _standard_tableaux(parts)
-    pivots = tuple(_rows_of_points(t) for t in tableaux)
-    index: dict[int, tuple[int, ...]] = {}
+    n, height = sum(parts), len(parts)
+    together = [[0] * n for _ in range(n)]
+    short = [[0] * height for _ in range(n)]
     for t, tab in enumerate(tableaux):
-        for key, v in _column_sum(tab, t + 1).items():
-            index[key] = index.get(key, ()) + (v,)
+        bit = 1 << t
+        for j in range(len(tab[0]) if tab else 0):
+            col = [row[j] - 1 for row in tab if j < len(row)]
+            for a, x in enumerate(col):
+                for i in range(len(col), height):
+                    short[x][i] |= bit
+                for y in col[a + 1 :]:
+                    together[x][y] |= bit
+    pairs = tuple(tuple((y, tabs) for y, tabs in enumerate(row) if tabs) for row in together)
+    rule = (pairs, short, (1 << len(tableaux)) - 1)
+    pivots = tuple(_rows_of_points(t) for t in tableaux)
     upper = []
     for s, pivot in enumerate(pivots):
-        row = index.get(_key(pivot), ())
-        if s + 1 not in row or any(abs(v) <= s for v in row):
+        held = _coefficients(rule, pivot)
+        if not held or held[0] != (s, 1):
             raise RuntimeError("polytabloid basis matrix not upper unitriangular (internal bug)")
-        upper.append(tuple(v for v in row if abs(v) > s + 1))
-    return pivots, index, tuple(upper)
+        upper.append(tuple(held[1:]))
+    return pivots, rule, tuple(upper)
 
 
-def _checked_permutation(lam: Partition, sigma) -> tuple[int, ...]:
+def _coefficients(rule, rows: bytes) -> list[tuple[int, int]]:
+    """(t, +-1) for each standard polytabloid e_t holding the tabloid rows,
+    in tableau order, by the column rule.
+
+    rule holds, for each point x + 1, the pairs (y, tableaux) with y > x and
+    the nonempty bitset of tableaux in which x + 1 and y + 1 share a column;
+    short[x][i], the tableaux in which the column of x + 1 has at most i
+    cells; and the set of all tableaux. A tableau holds rows unless some x
+    sits at a row its column does not reach or some x, y in one row share
+    its column; the sign flips once per pair x < y of one column with x in
+    the lower row.
+    """
+    pairs, short, everything = rule
+    out = odd = 0
+    for x, rx in enumerate(rows):
+        out |= short[x][rx]
+        for y, tabs in pairs[x]:
+            ry = rows[y]
+            if ry == rx:
+                out |= tabs
+            elif ry < rx:
+                odd ^= tabs
+    held = everything & ~out
+    terms = []
+    while held:
+        low = held & -held
+        terms.append((low.bit_length() - 1, -1 if odd & low else 1))
+        held ^= low
+    return terms
+
+
+def _checked_permutation(lam: Partition, sigma: CycleType | tuple[int, ...]) -> tuple[int, ...]:
     n = lam.n
     if n > MAX_N:
         raise ValueError(f"n={n} above limit={MAX_N}")
@@ -164,29 +203,33 @@ def _checked_permutation(lam: Partition, sigma) -> tuple[int, ...]:
     return perm
 
 
-def sigma_matrix(lam: Partition, sigma) -> list[list[int]]:
+def sigma_matrix(lam: Partition, sigma: CycleType | tuple[int, ...]) -> list[list[int]]:
     """Integer matrix of sigma on the standard polytabloid basis.
 
     sigma is a CycleType (its canonical representative acts) or an explicit
     permutation given as a tuple of 1-based images.
+    """
+    return _action(lam.parts, _checked_permutation(lam, sigma))
+
+
+def _action(parts: tuple[int, ...], perm: tuple[int, ...]) -> list[list[int]]:
+    """sigma_matrix for a checked permutation.
 
     The coefficient of pivot s in sigma * e_t is that of sigma^-1 applied to
-    pivot s in e_t, read from the index. These evaluations equal the basis
-    matrix times the wanted matrix, whose rows then follow by back-substitution.
+    pivot s in e_t, given by the column rule. These evaluations equal the
+    basis matrix times the wanted matrix, whose rows then follow by
+    back-substitution.
     """
-    src = [p - 1 for p in _checked_permutation(lam, sigma)]
-    pivots, index, upper = _module_data(lam.parts)
+    src = [p - 1 for p in perm]
+    pivots, rule, upper = _module_data(parts)
     deg = len(pivots)
     out: list[list[int]] = [[]] * deg
     for s in range(deg - 1, -1, -1):
         row = [0] * deg
-        for v in index.get(_key(bytes(map(pivots[s].__getitem__, src))), ()):
-            if v > 0:
-                row[v - 1] = 1
-            else:
-                row[-v - 1] = -1
-        for v in upper[s]:
-            row = list(map(operator.sub if v > 0 else operator.add, row, out[abs(v) - 1]))
+        for t, c in _coefficients(rule, bytes(map(pivots[s].__getitem__, src))):
+            row[t] = c
+        for u, c in upper[s]:
+            row = list(map(operator.sub if c > 0 else operator.add, row, out[u]))
         out[s] = row
     return out
 
@@ -224,16 +267,18 @@ def _rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def oracle_spectrum(lam: Partition, sigma: CycleType) -> SpectrumProfile:
+def oracle_spectrum(lam: Partition, sigma: CycleType | tuple[int, ...]) -> SpectrumProfile:
     """Eigenvalue multiplicities read off from kernel ranks of M(sigma^k) - I.
 
-    For k | r, f(k) = dim ker(M(sigma^k) - I) counts the eigenvalues whose
-    order divides k, so f(d) = sum_{e | d} euler_phi(e) * m_e, where m_e is
-    the shared multiplicity of the primitive e-th roots of unity.
+    sigma is a CycleType or an explicit permutation, as for sigma_matrix; its
+    order r is the lcm of its cycle lengths. For k | r, f(k) = dim
+    ker(M(sigma^k) - I) counts the eigenvalues whose order divides k, so
+    f(d) = sum_{e | d} euler_phi(e) * m_e, where m_e is the shared
+    multiplicity of the primitive e-th roots of unity.
     """
     perm = _checked_permutation(lam, sigma)
     deg = len(_module_data(lam.parts)[0])
-    r = sigma.order()
+    r = _order(perm)
     m: dict[int, int] = {}
     for d in divisors(r):
         if d == r:
@@ -242,7 +287,7 @@ def oracle_spectrum(lam: Partition, sigma: CycleType) -> SpectrumProfile:
             power = perm
             for _ in range(d - 1):
                 power = tuple(perm[p - 1] for p in power)
-            mat = sigma_matrix(lam, power)
+            mat = _action(lam.parts, power)
             for i in range(deg):
                 mat[i][i] -= 1
             kernel = deg - _rank(mat)
@@ -255,5 +300,19 @@ def oracle_spectrum(lam: Partition, sigma: CycleType) -> SpectrumProfile:
     return SpectrumProfile._from_gcd(r, tuple(m[r // g] for g in divisors(r)), deg)
 
 
-def oracle_min_poly(lam: Partition, sigma: CycleType) -> MinPoly:
+def _order(perm: tuple[int, ...]) -> int:
+    """The order of a permutation of 1..n: the lcm of its cycle lengths."""
+    r, seen = 1, set()
+    for start in perm:
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x - 1]
+            length += 1
+        if length:
+            r = math.lcm(r, length)
+    return r
+
+
+def oracle_min_poly(lam: Partition, sigma: CycleType | tuple[int, ...]) -> MinPoly:
     return min_poly(oracle_spectrum(lam, sigma))

@@ -1,6 +1,11 @@
 import hashlib
 import itertools
 import json
+import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,6 +19,8 @@ from snchar.partitions import (
     parse_partition,
 )
 from snchar.specht import (
+    _coefficients,
+    _module_data,
     _perms_with_sign,
     oracle_min_poly,
     oracle_spectrum,
@@ -22,6 +29,10 @@ from snchar.specht import (
     standard_tableaux,
 )
 from snchar.spectral import min_poly, spectrum_sn
+
+# child interpreters import the package from this checkout, installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def test_standard_tableaux_counts_match_degree():
@@ -76,6 +87,54 @@ def test_polytabloid_matches_the_per_element_walk():
         for lam in enumerate_partitions(n):
             for tab in standard_tableaux(lam):
                 assert polytabloid(tab) == _reference_polytabloid(tab), tab
+
+
+def _tabloid_rows(tabloid: tuple[frozenset, ...]) -> bytes:
+    rows = bytearray(sum(map(len, tabloid)))
+    for i, points in enumerate(tabloid):
+        for x in points:
+            rows[x - 1] = i
+    return bytes(rows)
+
+
+def test_column_rule_matches_the_polytabloid_expansion():
+    # the rule gives every tabloid of e_t its coefficient in e_t, and no pivot
+    # tabloid outside e_t gets t
+    for n in range(8):
+        for lam in enumerate_partitions(n):
+            pivots, rule, _ = _module_data(lam.parts)
+            tabs = standard_tableaux(lam)
+            for t, tab in enumerate(tabs):
+                poly = polytabloid(tab)
+                for tabloid, c in poly.items():
+                    assert dict(_coefficients(rule, _tabloid_rows(tabloid))).get(t) == c, (tab, tabloid)
+                held = {_tabloid_rows(tabloid) for tabloid in poly}
+                for pivot in pivots:
+                    if pivot not in held:
+                        assert t not in dict(_coefficients(rule, pivot)), (tab, pivot)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_module_data_memory_is_not_exponential():
+    # the column rule is a few bitsets per point pair; an index of every
+    # tabloid of every polytabloid took 23.5 MB at n = 8. VmHWM is the peak
+    # RSS of the child's own memory: ru_maxrss would start at this process's
+    # peak, which a child inherits across fork and exec
+    code = (
+        "from snchar.partitions import enumerate_partitions\n"
+        "from snchar.specht import _module_data\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(next(line for line in fh if line.startswith('VmHWM:')).split()[1])\n"
+        "lams = enumerate_partitions(8)\n"
+        "before = peak_kb()\n"
+        "for lam in lams:\n"
+        "    _module_data(lam.parts)\n"
+        "print(peak_kb() - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV,
+                          check=True, timeout=60)
+    assert int(proc.stdout) < 5 * 1024, proc.stdout
 
 
 def test_perms_with_sign_lists_each_permutation_once_with_its_sign():
@@ -134,6 +193,28 @@ def test_sigma_matrix_traces_match_character():
                 assert trace == chi(lam, sigma)
 
 
+def test_oracle_at_n9():
+    sigma = parse_cycle_type("3^3")
+    for lam in enumerate_partitions(9):
+        assert oracle_spectrum(lam, sigma) == spectrum_sn(lam, sigma), lam
+    # degree 216: the matrix of p∘q is M(p)·M(q)
+    lam = parse_partition("4,3,1^2")
+    p, q = (2, 3, 1, 5, 6, 4, 8, 9, 7), (2, 4, 6, 8, 1, 3, 5, 7, 9)
+    pq = tuple(p[q[i] - 1] for i in range(9))
+    columns = list(zip(*sigma_matrix(lam, q)))
+    prod = [[sum(map(operator.mul, row, col)) for col in columns] for row in sigma_matrix(lam, p)]
+    assert len(prod) == 216
+    assert sigma_matrix(lam, pq) == prod
+
+
+def test_oracle_takes_an_explicit_permutation():
+    cases = [("2,1", (2, 3, 1), "3^1"), ("3,2,1", (2, 1, 4, 5, 6, 3), "4^1 2^1"), ("4,2", (1, 2, 3, 4, 5, 6), "1^6")]
+    for text, perm, cls in cases:
+        lam, sigma = parse_partition(text), parse_cycle_type(cls)
+        assert oracle_spectrum(lam, perm) == oracle_spectrum(lam, sigma) == spectrum_sn(lam, sigma)
+        assert oracle_min_poly(lam, perm) == oracle_min_poly(lam, sigma)
+
+
 def test_sigma_matrix_rejects_bad_input():
     lam = parse_partition("3,2")
     with pytest.raises(ValueError):
@@ -141,7 +222,7 @@ def test_sigma_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         sigma_matrix(lam, (1, 2, 3))
     with pytest.raises(ValueError):
-        sigma_matrix(parse_partition("5,4"), parse_cycle_type("9^1"))
+        sigma_matrix(parse_partition("5,5"), parse_cycle_type("10^1"))
 
 
 # sha256 of json.dumps([[mult, sigma_matrix], ...]) over every (lambda, class) pair with n <= 7,

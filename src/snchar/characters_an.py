@@ -163,7 +163,8 @@ def special_class(lam: Partition) -> CycleType | None:
     if not is_split(lam):
         return None
     hooks = diagonal_hooks(lam)
-    assert all(h % 2 for h in hooks) and len(set(hooks)) == len(hooks)
+    if not all(h % 2 for h in hooks) or len(set(hooks)) < len(hooks):
+        raise RuntimeError("diagonal hooks of a split partition must be odd and distinct (internal bug)")
     return CycleType.from_lengths(hooks)
 
 

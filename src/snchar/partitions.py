@@ -18,7 +18,6 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 
 __all__ = [
     "Partition",
@@ -235,27 +234,22 @@ def _sweep_range(floor: int, min_n: int, max_n: int) -> range:
     return range(min_n, max_n + 1)
 
 
-@cache
 def partition_count(n: int) -> int:
-    """p(n) by the pentagonal number recurrence, independent of the enumerator."""
+    """p(n) by the pentagonal number recurrence, independent of the enumerator,
+    filled bottom-up in one list."""
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = -1 if k % 2 == 0 else 1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - g]
+            if g + k <= m:  # the other pentagonal number, k * (3 * k + 1) // 2
+                total += sign * p[m - g - k]
+            k += 1
+        p.append(total)
+    return p[n]
 
 
 def format_partition(lam: Partition) -> str:

@@ -14,16 +14,20 @@ Representation Theory of the Symmetric Groups, LNM 682, section 8), so the
 expansion coefficients of any permuted polytabloid come out of integer
 back-substitution.
 
-A tabloid is bytes whose byte x holds the row of point x + 1. Nothing is
-indexed by tabloid: membership follows the column rule. The tabloid R lies
-in the polytabloid of the standard tableau t iff each column of t meets each
-row it spans exactly once in R, that is, no point of t sits in R at a row
-below the bottom of its column, and no two points sharing a column of t
-share a row of R. The coefficient is then the sign of the column
-permutation, the parity of the pairs x < y of one column of t with x below
-y in R. Per shape this is stored as bitsets over the standard tableaux:
-which tableaux put x and y in one column, and which give the column of x at
-most i cells. Permuting a pivot tabloid is one reindex of its row bytes.
+A standard tableau is held as its row word, whose entry x is the row of
+point x + 1; standard_tableaux turns words into rows only on the way out. A
+tabloid is such a word as bytes, so a tableau's word is its pivot tabloid.
+polytabloid walks the column stabilizer one element at a time; the oracle
+does not expand polytabloids, nor index anything by tabloid: membership
+follows the column rule. The tabloid R lies in the polytabloid of the
+standard tableau t iff each column of t meets each row it spans exactly
+once in R, that is, no point of t sits in R at a row below the bottom of
+its column, and no two points sharing a column of t share a row of R. The
+coefficient is then the sign of the column permutation, the parity of the
+pairs x < y of one column of t with x below y in R. Per shape this is
+stored as bitsets over the standard tableaux: which tableaux put x and y in
+one column, and which give the column of x at most i cells. Permuting a
+pivot tabloid is one reindex of its row bytes.
 
 Ranks and back-substitution are cubic in the degree of the shape (216 at
 n = 9), so n is capped at MAX_N = 9.
@@ -31,6 +35,7 @@ n = 9), so n is capped at MAX_N = 9.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from functools import cache
@@ -50,109 +55,75 @@ __all__ = [
 MAX_N = 9
 
 
-@cache
-def _standard_tableaux(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    n = sum(parts)
-    if n == 0:
-        return ((),)
-    out = []
-    for i in range(len(parts)):
-        if i == len(parts) - 1 or parts[i] > parts[i + 1]:
-            sub = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
-            sub = tuple(p for p in sub if p)
-            for t in _standard_tableaux(sub):
-                rows = [list(r) for r in t]
-                while len(rows) <= i:
-                    rows.append([])
-                rows[i].append(n)
-                out.append(tuple(tuple(r) for r in rows))
-    return tuple(out)
+def _row_words(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every standard tableau of shape parts as its row word (entry x is the row
+    of point x + 1), in the basis order: by the row of point n, then of n - 1,
+    and so on. Points are placed from n down, each in the last free cell of a
+    row with more free cells than the row below it."""
+    level = [((), parts)]
+    for _ in range(sum(parts)):
+        level = [
+            ((i,) + word, left[:i] + (c - 1,) + left[i + 1 :])
+            for word, left in level
+            for i, c in enumerate(left)
+            if c and (i + 1 == len(left) or left[i + 1] < c)
+        ]
+    return [word for word, _ in level]
 
 
 def standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
     """All standard Young tableaux of shape lam (rows as tuples)."""
-    return list(_standard_tableaux(lam.parts))
-
-
-@cache
-def _perms_with_sign(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every permutation of range(k) with its sign, built by inserting k - 1
-    into each permutation of range(k - 1): at position j it stands before
-    k - 1 - j smaller entries, so the sign flips when that count is odd."""
-    if k == 0:
-        return (((), 1),)
-    return tuple(
-        (p[:j] + (k - 1,) + p[j:], -s if (k - 1 - j) % 2 else s)
-        for p, s in _perms_with_sign(k - 1)
-        for j in range(k)
-    )
-
-
-def _rows_of_points(tab: tuple[tuple[int, ...], ...]) -> bytes:
-    """The tabloid of tab as bytes: byte x holds the row of point x + 1."""
-    rows = bytearray(sum(map(len, tab)))
-    for i, row in enumerate(tab):
-        for x in row:
-            rows[x - 1] = i
-    return bytes(rows)
-
-
-def _column_sum(tab: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-    """sgn(q) keyed by the tabloid of qT, for q in the column stabilizer; a
-    key is an int whose byte x holds the row of point x + 1.
-
-    Column j of tab fills rows 0..len-1; each way of placing its points in
-    those rows is one key part (the permutation p puts the x-th point of the
-    column in row p[x]) with its sign. The columns hold disjoint points, so
-    the sum is the product of the columns' lists: one OR and one sign
-    multiply per term. Distinct q give distinct tabloids, so every
-    coefficient is +-1.
-    """
-    terms = {0: 1}
-    for j in range(len(tab[0]) if tab else 0):
-        col = [8 * (row[j] - 1) for row in tab if j < len(row)]
-        if len(col) < 2:
-            continue
-        parts = [(sum(map(operator.lshift, p, col)), s) for p, s in _perms_with_sign(len(col))]
-        terms = {key | part: c * s for key, c in terms.items() for part, s in parts}
-    return terms
+    out = []
+    for word in _row_words(lam.parts):
+        rows: list[list[int]] = [[] for _ in lam.parts]
+        for x, i in enumerate(word, 1):
+            rows[i].append(x)
+        out.append(tuple(map(tuple, rows)))
+    return out
 
 
 def polytabloid(tab: tuple[tuple[int, ...], ...]) -> dict[tuple[frozenset, ...], int]:
-    """Signed sum of tabloids over the column stabilizer of tab."""
-    n = sum(map(len, tab))
+    """Signed sum of tabloids over the column stabilizer of tab: each product of
+    column permutations, with the sign of its inversions. Distinct products
+    give distinct tabloids, so every coefficient is +-1."""
+    cols = [[row[j] for row in tab if j < len(row)] for j in range(len(tab[0]) if tab else 0)]
     out = {}
-    for key, c in _column_sum(tab).items():
-        sets = [set() for _ in tab]
-        for x, i in enumerate(key.to_bytes(n, "little"), 1):
-            sets[i].add(x)
-        out[tuple(map(frozenset, sets))] = c
+    for images in itertools.product(*map(itertools.permutations, cols)):
+        rows: list[set[int]] = [set() for _ in tab]
+        sign = 1
+        for image in images:
+            if sum(a > b for a, b in itertools.combinations(image, 2)) % 2:
+                sign = -sign
+            for i, x in enumerate(image):
+                rows[i].add(x)
+        out[tuple(map(frozenset, rows))] = sign
     return out
 
 
 @cache
 def _module_data(parts: tuple[int, ...]):
-    """Pivot tabloids (bytes, see _rows_of_points), the column rule of the
-    shape (see _coefficients), and for each basis row s the (u, coefficient)
-    pairs of the polytabloids u > s holding pivot s: the nonzero entries of
-    the upper unitriangular basis matrix base[s][u] = coefficient of pivot s
-    in polytabloid u."""
-    tableaux = _standard_tableaux(parts)
+    """Pivot tabloids (the row words as bytes), the column rule of the shape
+    (see _coefficients), and for each basis row s the (u, coefficient) pairs
+    of the polytabloids u > s holding pivot s: the nonzero entries of the
+    upper unitriangular basis matrix base[s][u] = coefficient of pivot s in
+    polytabloid u."""
+    words = _row_words(parts)
     n, height = sum(parts), len(parts)
+    depth = [sum(p > j for p in parts) for j in range(parts[0] if parts else 0)]  # column lengths
     together = [[0] * n for _ in range(n)]
     short = [[0] * height for _ in range(n)]
-    for t, tab in enumerate(tableaux):
+    for t, word in enumerate(words):
         bit = 1 << t
-        for j in range(len(tab[0]) if tab else 0):
-            col = [row[j] - 1 for row in tab if j < len(row)]
-            for a, x in enumerate(col):
-                for i in range(len(col), height):
-                    short[x][i] |= bit
-                for y in col[a + 1 :]:
+        col = [word[:x].count(i) for x, i in enumerate(word)]  # the earlier points in its row
+        for x, j in enumerate(col):
+            for i in range(depth[j], height):
+                short[x][i] |= bit
+            for y in range(x + 1, n):
+                if col[y] == j:
                     together[x][y] |= bit
     pairs = tuple(tuple((y, tabs) for y, tabs in enumerate(row) if tabs) for row in together)
-    rule = (pairs, short, (1 << len(tableaux)) - 1)
-    pivots = tuple(_rows_of_points(t) for t in tableaux)
+    rule = (pairs, short, (1 << len(words)) - 1)
+    pivots = tuple(map(bytes, words))
     upper = []
     for s, pivot in enumerate(pivots):
         held = _coefficients(rule, pivot)

@@ -402,7 +402,8 @@ def _principal_sqrt_vector(hooks: tuple[int, ...], r: int) -> list[int]:
     vec[0] = 1
     bad = 0
     for a in hooks:
-        assert a % 2 == 1 and r % a == 0
+        if a % 2 == 0 or r % a:
+            raise RuntimeError("diagonal hooks must be odd and divide r (internal bug)")
         if a % 4 == 3:
             bad += 1
         if a == 1:
@@ -461,7 +462,8 @@ def _split_correction(hooks: tuple[int, ...], eps: int, r: int) -> tuple[dict[in
 
 
 # listings of one multiplicity per residue are refused above this order r: a split
-# half at its distinguished class here, and cli's spectrum and minpoly --format json
+# half at its distinguished class here, and cli's spectrum and minpoly --format json;
+# so is a rendered minimal polynomial that divides out more roots than this
 MAX_LISTED_R = 1 << 20
 
 
@@ -538,7 +540,8 @@ def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType) -> SpectrumPr
         sgn = 1 if label.variant == PLUS else -1
         eps = chi(lam, sp)
         b, d = split_square(eps * math.prod(diagonal_hooks(lam)))
-        assert d % 4 == 1
+        if d % 4 != 1:
+            raise RuntimeError("the surd of a split character must be 1 mod 4 (internal bug)")
         root = b * (math.sqrt(d) if d > 0 else 1j * math.sqrt(-d))
         values = []
         for i in range(r):
@@ -602,7 +605,9 @@ def render_min_poly(mp: MinPoly) -> str:
 
     Full spectrum renders as x^r-1. A missing set closed under the Galois
     action (all j of equal gcd with r together) divides out cyclotomic
-    factors; anything else divides out explicit root atoms x-zr^j.
+    factors; anything else divides out explicit root atoms x-zr^j. Either
+    grows with the count of missing roots, so more than MAX_LISTED_R of them
+    are refused before any factor is built.
     """
     r = mp.r
     if mp.is_full():
@@ -611,6 +616,13 @@ def render_min_poly(mp: MinPoly) -> str:
     if mp._gcds is not None:
         # the missing j with gcd(j, r) = g are the primitive (r/g)-th roots: divide out Phi_{r/g}
         orders = sorted(r // g for g in divisors(r) if g not in mp._gcds)
+        missing = sum(map(euler_phi, orders))
+    else:
+        missing = r - len(mp.roots)
+    if missing > MAX_LISTED_R:
+        raise ValueError(f"the minimal polynomial at r = {r} lacks {missing} of the r-th roots of unity, "
+                         f"more than its rendering may list (MAX_LISTED_R = {MAX_LISTED_R})")
+    if mp._gcds is not None:
         rendered = [_poly_str(cyclotomic(d)) for d in orders]
         if len(rendered) == 1:
             return f"({whole})/({rendered[0]})"

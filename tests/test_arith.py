@@ -86,3 +86,44 @@ def test_no_module_imports_a_private_name_of_characters_an():
         for module, names in _package_imports(path):
             if module == "characters_an":
                 assert not [n for n in names if n.startswith("_")], path.name
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_no_function_calls_itself():
+    # an iterative loop has no recursion-depth ceiling on n
+    recursive = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = (node.func for node in ast.walk(func) if isinstance(node, ast.Call))
+                if any(_name(target) == func.name for target in calls):
+                    recursive.append(f"{path.stem}.{func.name}")
+    assert recursive == []
+
+
+def _unbounded_cache(node) -> bool:
+    """A decorator or call that is functools.cache or lru_cache with maxsize None."""
+    if not isinstance(node, ast.Call):
+        return _name(node) == "cache"
+    if _name(node.func) != "lru_cache":
+        return _name(node.func) == "cache"
+    size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+    return isinstance(size, ast.Constant) and size.value is None
+
+
+def test_the_only_process_wide_unbounded_cache_is_the_specht_module_data():
+    # _module_data keys on shapes of n <= specht.MAX_N (97 of them); a cache made inside a
+    # function lives for that call only
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if any(map(_unbounded_cache, node.decorator_list)):
+                        found.append(f"{path.stem}.{node.name}")
+                elif any(_unbounded_cache(call) for call in ast.walk(node) if isinstance(call, ast.Call)):
+                    found.append(f"{path.stem}:{node.lineno}")
+    assert found == ["specht._module_data"]

@@ -399,6 +399,26 @@ def test_variant_choices_are_the_label_variants():
         assert variant.choices == (RESTRICTED, PLUS, MINUS)
 
 
+def test_broken_diagonal_hooks_exit_3_on_the_an_path(capsys, monkeypatch):
+    # special_class checks its hooks with a RuntimeError, not an assert that python -O would skip
+    from snchar import characters_an
+
+    monkeypatch.setattr(characters_an, "diagonal_hooks", lambda lam: (2, 1))
+    code, out, err = run_cli(capsys, "char", "--lambda", "2,1", "--shape", "3^1", "--group", "an")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_minpoly_rendering_above_max_listed_r_exits_2(capsys):
+    # r = 9699690 on 77 points: the rendering would divide out cyclotomic factors of degree up to 1658880
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "minpoly", "--lambda", "75,2", "--shape", "19^1 17^1 13^1 11^1 7^1 5^1 3^1 2^1")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == ("error: the minimal polynomial at r = 9699690 lacks 9697680 of the r-th roots of unity, "
+                   "more than its rendering may list (MAX_LISTED_R = 1048576)\n")
+
+
 # 19*17*13*11*7*5 = 1616615, above MAX_LISTED_R = 2^20, on 72 points
 BIG_ORDER_SHAPE = "19^1 17^1 13^1 11^1 7^1 5^1"
 

@@ -126,6 +126,16 @@ def test_partition_count_known():
     ]
     assert partition_count(50) == 204226
     assert partition_count(100) == 190569292
+    assert partition_count(1000) == 24061467864032622473692149727991
+
+
+def test_partition_count_matches_the_coin_count_to_1000():
+    # the coefficients of prod_k 1 / (1 - x^k): add parts of size k = 1, 2, ... in turn
+    counts = [1] + [0] * 1000
+    for k in range(1, 1001):
+        for m in range(k, 1001):
+            counts[m] += counts[m - k]
+    assert [partition_count(n) for n in range(1001)] == counts
 
 
 def _pentagonal_count(n, cache={0: 1}):

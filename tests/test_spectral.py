@@ -259,6 +259,15 @@ def test_spectrum_known_vectors():
         assert prof.degree == degree(parse_partition(lam_text))
 
 
+def test_rendering_more_missing_roots_than_max_listed_r_is_refused():
+    # stored per residue, one atom per missing root (the CLI test covers a polynomial stored by gcd);
+    # the cap counts missing roots, not r
+    cap = spectral.MAX_LISTED_R
+    with pytest.raises(ValueError, match=f"lacks {cap + 1} of the r-th roots of unity"):
+        render_min_poly(MinPoly(cap + 2, frozenset({0})))
+    assert render_min_poly(MinPoly(cap + 2, frozenset(range(cap + 1)))) == f"(x^{cap + 2}-1)/(x-z{cap + 2}^{cap + 1})"
+
+
 def test_min_poly_renderings():
     flag = spectrum_sn(parse_partition("3,3"), parse_cycle_type("6^1"))
     assert min_poly(flag).rendered == "(x^6-1)/(x^2+x+1)"

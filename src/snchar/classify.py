@@ -20,7 +20,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, count
+from itertools import chain, compress, count
 
 from .characters_an import MINUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels, special_class
 from .characters_sn import degree
@@ -202,15 +202,8 @@ class VerificationReport:
         return not self.mismatches
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "cases": self.cases,
-            "ok": self.ok,
-            "mismatches": [list(t) for t in self.mismatches],
-            "exceptional": [list(t) for t in self.exceptional],
-        }
+        # a shallow copy of the fields (tuples dump as JSON arrays), never the instance's own dict
+        return {**vars(self), "ok": self.ok}
 
 
 def _uniform_shapes(n: int, *, even_only: bool = False) -> list[tuple[int, int]]:
@@ -316,14 +309,8 @@ def _sweep(kind: str, fn, floor: int, min_n: int, max_n: int, threads: int) -> V
             per_n = list(pool.map(fn, ns))
     else:
         per_n = [fn(n) for n in ns]
-    return VerificationReport(
-        kind,
-        min_n,
-        max_n,
-        sum(c for c, _, _ in per_n),
-        tuple(x for _, ms, _ in per_n for x in ms),
-        tuple(x for _, _, es in per_n for x in es),
-    )
+    cases, mismatches, exceptional = zip(*per_n)
+    return VerificationReport(kind, min_n, max_n, sum(cases), tuple(chain(*mismatches)), tuple(chain(*exceptional)))
 
 
 def verify_minpoly_sn(max_n: int, *, min_n: int = 3, threads: int = 1) -> VerificationReport:

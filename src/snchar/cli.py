@@ -1,10 +1,11 @@
 """Command line surface: every computation and sweep, machine readable.
 
 Exit status: 0 on success, 1 when a verification sweep finds mismatches or a
-bound fails to certify, 2 on usage or validation errors, 3 on an internal
-error (a failed consistency check inside the package). All numeric output
-is exact (decimal strings, surd syntax); only bound reports carry rounded
-decimals, and those are labeled with their working precision.
+bound fails to certify, 2 on usage or validation errors and when memory runs
+out, 3 on an internal error (a failed consistency check inside the package).
+All numeric output is exact (decimal strings, surd syntax); only bound
+reports carry rounded decimals, and those are labeled with their working
+precision.
 """
 
 from __future__ import annotations
@@ -315,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large for this machine", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -216,13 +216,18 @@ def enumerate_partitions(n: int) -> list[Partition]:
     partitions, so they are built unchecked."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = []
+    return list(_walk_partitions(n))
+
+
+def _walk_partitions(n: int):
+    """enumerate_partitions(n), one partition at a time, for n >= 0: a caller
+    that keeps only a few holds O(1) of them."""
     parts = [n] if n else []
     while True:
-        out.append(Partition._unchecked(tuple(parts)))
+        yield Partition._unchecked(tuple(parts))
         k = parts.index(1) if 1 in parts else len(parts)  # the trailing 1s start at k
         if not k:
-            return out
+            return
         h = parts[k - 1] - 1
         q, rest = divmod(len(parts) - k + 1, h)
         parts[k - 1:] = [h] * (q + 1) + ([rest] if rest else [])

@@ -41,7 +41,7 @@ import operator
 from functools import cache
 
 from .arith import divisors, euler_phi
-from .partitions import CycleType, Partition
+from .partitions import CycleType, Partition, conjugate
 from .spectral import MinPoly, SpectrumProfile, min_poly
 
 __all__ = [
@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 MAX_N = 9
+# standard_tableaux refuses a shape before listing when its f^lam tableaux, n points each, hold
+# more points than this: count times n is what fills memory (about 40 MB at the cap). (599,1) holds
+# 359 400, shapes with n <= MAX_N at most 1 944; (150,150) has Catalan(150), about 10^87, tableaux.
+MAX_TABLEAUX_CELLS = 1 << 20
 
 
 def _row_words(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -71,8 +75,19 @@ def _row_words(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [word for word, _ in level]
 
 
+def _tableaux_count(lam: Partition) -> int:
+    """f^lam by the hook length formula: n! over the product of the hook lengths."""
+    cols = conjugate(lam).parts
+    hooks = math.prod(p - j + cols[j] - i - 1 for i, p in enumerate(lam.parts) for j in range(p))
+    return math.factorial(lam.n) // hooks
+
+
 def standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
-    """All standard Young tableaux of shape lam (rows as tuples)."""
+    """All standard Young tableaux of shape lam (rows as tuples), refused when
+    they would hold more than MAX_TABLEAUX_CELLS points in all."""
+    # every shape has a tableau, so n alone can pass the cap, and then n! is never computed
+    if lam.n > MAX_TABLEAUX_CELLS or _tableaux_count(lam) * lam.n > MAX_TABLEAUX_CELLS:
+        raise ValueError(f"the standard tableaux of {lam} hold over MAX_TABLEAUX_CELLS = {MAX_TABLEAUX_CELLS} points")
     out = []
     for word in _row_words(lam.parts):
         rows: list[list[int]] = [[] for _ in lam.parts]

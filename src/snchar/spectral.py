@@ -27,11 +27,13 @@ sigma^d that the classes asked about reach, whose character values are summed
 by the whole table, or for the fixed space by phi(r/d) alone: one row of lam
 cell by cell for spectrum_sn and fixed_space_dim, and for the sweeps in
 classify the class-major columns of every partition of n, a whole column at
-a time, checked by class column (_check_counts; _from_gcd checks its one case
-the same way). The powers sigma^d of a class are built once, in a bounded cache. A
-minimal polynomial whose root set is a union of Galois orbits is likewise
-held as its set of gcds, so min_poly and render_min_poly never scan range(r). The integer arithmetic
-(divisors, Moebius, phi, cyclotomic polynomials) lives in arith.
+a time, checked by class column (_check_counts; _check_case checks one case
+the same way). The powers sigma^d of a class are built once, in a bounded cache.
+Whichever constructor built it, a profile or a minimal polynomial whose values
+are shared by every j of equal gcd with r (a union of Galois orbits, decided
+once by _galois_form) is held per gcd, so min_poly and render_min_poly never
+scan range(r) for one. The integer arithmetic (divisors, Moebius, phi,
+cyclotomic polynomials) lives in arith.
 
 Every division is checked to be exact; a remainder signals a bug, never a
 rounding problem. spectrum_sn_direct recomputes profiles by reducing the
@@ -63,7 +65,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from collections import Counter
 from functools import lru_cache
 from itertools import compress, repeat
 
@@ -124,15 +125,31 @@ def _check_counts(r: int, columns, degrees: list[int]) -> None:
         raise RuntimeError("multiplicities must sum to the degree (internal bug)")
 
 
+def _galois_form(r: int, values) -> tuple | None:
+    """values, one per residue j in range(r), as one per divisor g of r (aligned
+    with divisors(r)) when every j with gcd(j, r) = g shares it, else None."""
+    by_gcd = tuple(values[g % r] for g in divisors(r))
+    return by_gcd if _spread(r, by_gcd) == list(values) else None
+
+
+def _check_case(mult, weights, degree: int) -> None:
+    """_check_counts on one case: mult, weighted by the residues sharing each entry."""
+    if min(mult) < 0:
+        raise RuntimeError("negative multiplicity (internal bug)")
+    if sum(map(operator.mul, weights, mult)) != degree:
+        raise RuntimeError("multiplicities must sum to the degree (internal bug)")
+
+
 class SpectrumProfile:
     """Eigenvalue multiplicities of a permutation image: mult[j] counts the
     eigenvalue exp(2*pi*i*j/r), and r is the permutation's order.
 
     A profile that is constant on Galois orbits (every symmetric group one,
-    and alternating ones away from the distinguished class) is built with
-    one multiplicity per divisor g of r, shared by the j with gcd(j, r) = g;
-    its mult is spread out on first access. Equality and hashing compare
-    values, whichever way a profile was built.
+    and alternating ones away from the distinguished class) is held with one
+    multiplicity per divisor g of r, shared by the j with gcd(j, r) = g,
+    whichever constructor built it; its mult is spread out on first access.
+    Any other profile is held per residue. Equality and hashing compare that
+    one stored form.
     """
 
     __slots__ = ("r", "degree", "_mult", "_by_gcd")
@@ -141,27 +158,17 @@ class SpectrumProfile:
         mult = tuple(mult)
         if r < 1 or len(mult) != r:
             raise ValueError("mult must list one entry per r-th root")
-        if any(m < 0 for m in mult):
-            raise RuntimeError("negative multiplicity (internal bug)")
-        if sum(mult) != degree:
-            raise RuntimeError("multiplicities must sum to the degree (internal bug)")
-        self.r, self.degree, self._mult, self._by_gcd = r, degree, mult, None
+        _check_case(mult, repeat(1), degree)
+        self.r, self.degree, self._mult, self._by_gcd = r, degree, mult, _galois_form(r, mult)
 
     @classmethod
     def _from_gcd(cls, r: int, by_gcd: tuple[int, ...], degree: int) -> SpectrumProfile:
         """The profile with multiplicity by_gcd[k] at every j whose gcd with r
-        is the k-th divisor of r; phi(r/g) residues share each entry. The
-        checks are those of _check_counts, on one case."""
+        is the k-th divisor of r; phi(r/g) residues share each entry."""
         phis = _phis(r)
         if len(by_gcd) != len(phis):
             raise ValueError("by_gcd must list one entry per divisor of r")
-        total = 0
-        for phi, m in zip(phis, by_gcd):
-            if m < 0:
-                raise RuntimeError("negative multiplicity (internal bug)")
-            total += phi * m
-        if total != degree:
-            raise RuntimeError("multiplicities must sum to the degree (internal bug)")
+        _check_case(by_gcd, phis, degree)
         self = object.__new__(cls)
         self.r, self.degree, self._mult, self._by_gcd = r, degree, None, tuple(by_gcd)
         return self
@@ -173,37 +180,24 @@ class SpectrumProfile:
         return self._mult
 
     def support(self) -> frozenset[int]:
-        if self._by_gcd is not None:
-            return min_poly(self).roots
-        return frozenset(j for j, m in enumerate(self._mult) if m)
+        return min_poly(self).roots
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "degree": self.degree, "mult": list(self.mult)}
 
+    def _key(self) -> tuple:
+        return self.r, self.degree, self._by_gcd, self._mult if self._by_gcd is None else None
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectrumProfile):
             return NotImplemented
-        if (self.r, self.degree) != (other.r, other.degree):
-            return False
-        if self._by_gcd is not None and other._by_gcd is not None:
-            return self._by_gcd == other._by_gcd
-        return self.mult == other.mult
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        # the multiplicities of the eigenvalues 1 (g = r) and zeta_r (g = 1)
-        if self._by_gcd is not None:
-            return hash((self.r, self.degree, self._by_gcd[-1], self._by_gcd[0]))
-        return hash((self.r, self.degree, self._mult[0], self._mult[1 % self.r]))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"SpectrumProfile(r={self.r}, mult={self.mult}, degree={self.degree})"
-
-
-def _galois_gcds(r: int, roots: frozenset[int]) -> frozenset[int] | None:
-    """The gcds with r of a root set that is a union of Galois orbits, else None."""
-    counts = Counter(math.gcd(j, r) for j in roots)
-    phi = dict(zip(divisors(r), _phis(r)))
-    return frozenset(counts) if all(c == phi[g] for g, c in counts.items()) else None
 
 
 class MinPoly:
@@ -222,7 +216,8 @@ class MinPoly:
         roots = frozenset(roots)
         if r < 1 or not roots or any(not 0 <= j < r for j in roots):
             raise ValueError("roots must be a nonempty subset of range(r)")
-        self.r, self._roots, self._gcds = r, roots, _galois_gcds(r, roots)
+        kept = _galois_form(r, list(map(roots.__contains__, range(r))))
+        self.r, self._roots, self._gcds = r, roots, None if kept is None else frozenset(compress(divisors(r), kept))
 
     @classmethod
     def _from_gcds(cls, r: int, gcds: frozenset[int]) -> MinPoly:
@@ -575,10 +570,10 @@ def min_poly(profile: SpectrumProfile) -> MinPoly:
     so the minimal polynomial is squarefree with the spectrum as root set."""
     r, by_gcd = profile.r, profile._by_gcd
     if by_gcd is None:
-        return MinPoly(r, profile.support())
+        return MinPoly(r, frozenset(compress(range(r), profile.mult)))
     if all(by_gcd):
         return _full_min_poly(r)
-    return MinPoly._from_gcds(r, frozenset(g for g, m in zip(divisors(r), by_gcd) if m))
+    return MinPoly._from_gcds(r, frozenset(compress(divisors(r), by_gcd)))
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:

@@ -1,13 +1,19 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from snchar.bounds import (
     DEFAULT_PRECISION_BITS,
+    BoundClause,
+    BoundReport,
     MAX_MIN_DEGREE_N,
     _inf,
     _interval_precision,
@@ -23,6 +29,10 @@ from snchar.bounds import (
     tail_inequalities_check,
 )
 from snchar.partitions import enumerate_partitions, parse_partition
+
+# child interpreters import the package from this checkout, installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def test_interval_endpoints_bracket():
@@ -146,6 +156,22 @@ def test_min_degree_keeps_no_partition_after_the_call():
     assert sys.getallocatedblocks() - before < 2048
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_min_degree_at_the_cap_streams_its_partitions():
+    # a fresh interpreter, so the peak is this call's: the list of all 204 226 partitions of 50 took 50 MB
+    code = "\n".join([
+        "from snchar.bounds import min_degree_check",
+        "def peak_kb():",
+        "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))",
+        "before = peak_kb()",
+        "assert min_degree_check(50).holds",
+        "print(peak_kb() - before)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5 * 1024
+
+
 def test_min_degree_guard():
     with pytest.raises(ValueError):
         min_degree_check(14)
@@ -169,6 +195,15 @@ def test_report_json_schema():
     assert parsed["precision_bits"] == DEFAULT_PRECISION_BITS
     for clause in parsed["clauses"]:
         assert set(clause) == {"name", "lhs", "rhs", "margin", "holds"}
+
+
+def test_report_json_is_every_field_copied():
+    report = robbins_check(7)
+    obj = report.to_json_dict()
+    assert set(obj) == {f.name for f in fields(BoundReport)} | {"holds"}
+    assert [set(c) for c in obj["clauses"]] == [{f.name for f in fields(BoundClause)}] * 2
+    obj["check"] = obj["clauses"][0]["lhs"] = "changed"
+    assert report.check == "robbins" and report.clauses[0].lhs != "changed"
 
 
 @pytest.mark.parametrize("sweep, floor", [

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +9,7 @@ from snchar import classify, spectral
 from snchar.characters_an import RESTRICTED, AnCharacterLabel, an_irreducible_labels
 from snchar.classify import (
     Prediction,
+    VerificationReport,
     predict_an,
     predict_no_eigenvalue_one,
     predict_sn,
@@ -402,6 +404,14 @@ def test_report_json_schema():
     assert parsed["ok"] is True
     assert parsed["cases"] == report.cases
     assert isinstance(parsed["exceptional"], list)
+
+
+def test_report_json_is_every_field_copied():
+    report = verify_minpoly_sn(7)
+    obj = report.to_json_dict()
+    assert set(obj) == {f.name for f in fields(VerificationReport)} | {"ok"}
+    obj["cases"] = -1
+    assert report.cases != -1 and report.to_json_dict() is not obj
 
 
 def test_prediction_is_generic():

@@ -344,6 +344,25 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: hook product must divide n! (internal bug)\n"
 
 
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    from snchar import classify
+
+    def exhausted(max_n, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(classify, "verify_minpoly_sn", exhausted)
+    code, out, err = run_cli(capsys, "verify", "minpoly-sn", "--max-n", "70", "--min-n", "70")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: the input is too large for this machine\n"
+
+
+def test_query_n_cross_check(capsys):
+    query = ("char", "--lambda", "3,2", "--shape", "2^2 1^1")
+    code, out, err = run_cli(capsys, *query[:3], "--n", "6", *query[3:])
+    assert (code, out, err) == (2, "", "error: --n 6 does not match |lambda| = 5\n")
+    assert run_cli(capsys, *query[:3], "--n", "5", *query[3:]) == run_cli(capsys, *query) == (0, "1\n", "")
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_verify_rejects_thread_count_below_one(capsys, threads):
     code, out, err = run_cli(capsys, "verify", "minpoly-sn", "--max-n", "5", "--threads", threads)

@@ -87,3 +87,10 @@ def test_module_and_private_names_do_not_load_the_library():
     # `from . import bounds` probes the package for the name before it imports the submodule
     names = ["bounds", "cli", "__wrapped__", "_private"]
     assert _loaded(f"import snchar\nassert not any(hasattr(snchar, n) for n in {names!r})") == []
+
+
+def test_distribution_name_and_version_match_the_package():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert (project["name"], project["version"]) == ("snchar", snchar.__version__)

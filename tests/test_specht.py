@@ -4,6 +4,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,10 @@ from snchar.partitions import (
     parse_partition,
 )
 from snchar.specht import (
+    MAX_TABLEAUX_CELLS,
     _coefficients,
     _module_data,
+    _tableaux_count,
     oracle_min_poly,
     oracle_spectrum,
     polytabloid,
@@ -70,6 +73,22 @@ def test_standard_tableaux_of_long_shapes():
     hooks = standard_tableaux(Partition((599, 1)))
     assert [tab[1] for tab in hooks] == [(x,) for x in range(2, 601)]
     assert len(standard_tableaux(Partition((1,) * 300))) == 1
+
+
+def test_tableaux_count_is_the_degree():
+    # specht's own hook length formula, against the one in characters_sn
+    assert all(_tableaux_count(lam) == degree(lam) for n in range(16) for lam in enumerate_partitions(n))
+
+
+def test_standard_tableaux_refuse_above_the_cap_before_listing():
+    # Catalan(150), about 10^87 tableaux, are counted, not listed
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"MAX_TABLEAUX_CELLS = {MAX_TABLEAUX_CELLS}"):
+        standard_tableaux(Partition((150, 150)))
+    assert time.perf_counter() - start < 1
+    # the cap is on points, not tableaux: 9 999 tableaux of 10 000 points each
+    with pytest.raises(ValueError, match="9999,1"):
+        standard_tableaux(Partition((9999, 1)))
 
 
 def test_long_shapes_answer_in_a_fresh_interpreter():

@@ -181,6 +181,19 @@ def test_spectrum_profile_storage_forms_agree():
         SpectrumProfile._from_gcd(2, (2, -1), 1)
 
 
+def test_one_stored_form_whichever_constructor():
+    # a Galois-stable profile is held per gcd however it was built, and its roots likewise
+    prof = spectrum_sn(parse_partition("3,3"), parse_cycle_type("6^1"))
+    assert SpectrumProfile(6, prof.mult, 5)._by_gcd == prof._by_gcd == (1, 0, 2, 1)  # g = 1, 2, 3, 6
+    # a split half at its distinguished class is built per residue: held per gcd when its surd
+    # is rational (5,1^4 at 9^1, where eps * 9 = 3^2), per residue otherwise (3,1^2 at 5^1)
+    for lam, sigma, stable in (("5,1^4", "9^1", True), ("3,1^2", "5^1", False)):
+        for half in AnCharacterLabel.split_pair(parse_partition(lam)):
+            prof = spectrum_an(half, parse_cycle_type(sigma))
+            assert (prof._by_gcd is not None) == (min_poly(prof)._gcds is not None) == stable
+            assert prof == SpectrumProfile(prof.r, prof.mult, prof.degree)
+
+
 def _render_by_scan(r, roots):
     # reference renderer: scan range(r) and group the missing exponents by gcd
     if len(roots) == r:

@@ -270,12 +270,22 @@ def min_degree_check(n: int) -> BoundReport:
     return BoundReport("min-degree", f"n={n}", tuple(clauses), 0)
 
 
+# the largest n sweep_fomin_lulov and sweep_estimate accept, where memory binds: they hold one report
+# per (partition, divisor of n), and at 40 (298 704 reports) the peak RSS is 197 MB, the last n under
+# 256 MB (n = 42 has 425 376 reports); fomin-lulov takes 69 s there (Python 3.11)
+MAX_BOUND_SWEEP_N = 40
+
+
 def _sweep_uniform(check, min_n: int, max_n: int, bits: int) -> list[BoundReport]:
     """check(lam, r, n // r, |chi(lam at [r^(n/r)])|, bits) for every n in range, every r | n
     and every partition lam of n, the values read from one class-major table per n."""
-    return [check(lam, r, n // r, abs(val), bits) for n in _sweep_range(1, min_n, max_n)
-            for r, col in zip(divisors(n), _columns(n, [(r,) * (n // r) for r in divisors(n)]))
-            for lam, val in zip(enumerate_partitions(n), col)]
+    ns = _sweep_range(1, min_n, max_n)
+    if max_n > MAX_BOUND_SWEEP_N:
+        raise ValueError(f"bound sweeps hold a report per partition of n, and n = {max_n} > "
+                         f"MAX_BOUND_SWEEP_N = {MAX_BOUND_SWEEP_N}")
+    return [check(lam, r, n // r, abs(val), bits) for n in ns for lams in [enumerate_partitions(n)]
+            for r, col in zip(divisors(n), _columns(lams, [(r,) * (n // r) for r in divisors(n)]))
+            for lam, val in zip(lams, col)]
 
 
 def sweep_fomin_lulov(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:

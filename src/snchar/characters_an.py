@@ -242,10 +242,11 @@ def an_irreducible_labels(n: int) -> list[AnCharacterLabel]:
     out: list[AnCharacterLabel] = []
     for lam in enumerate_partitions(n):
         other = conjugate(lam)
-        if _splits(lam, other):
-            out.extend(AnCharacterLabel.split_pair(lam))
-        elif lam.parts >= other.parts:
-            out.append(AnCharacterLabel.restricted(lam))
+        # valid by construction, so built without __post_init__, which would conjugate lam twice more
+        for variant in (PLUS, MINUS) if _splits(lam, other) else (RESTRICTED,) if lam.parts >= other.parts else ():
+            out.append(label := object.__new__(AnCharacterLabel))
+            object.__setattr__(label, "partition", lam)
+            object.__setattr__(label, "variant", variant)
     return out
 
 

@@ -114,19 +114,21 @@ def _chi_row(mask: int, columns) -> list[int]:
     return row
 
 
-def _columns(n: int, types) -> list[list[int]]:
+def _columns(lams, types) -> list[list[int]]:
     """For each cycle type in types (lengths summing to n), chi^lam there for
-    every lam in enumerate_partitions(n) order. From the empty shape as n beads
-    at 0 .. n - 1, p_k moves a bead b to an empty slot b + k; the types are a
-    trie of their parts, ascending, so shared smaller parts expand once."""
+    every lam in lams, the caller's enumerate_partitions(n). From the empty
+    shape as n beads at 0 .. n - 1, p_k moves a bead b to an empty slot b + k;
+    the types are a trie of their parts, ascending, so shared smaller parts
+    expand once."""
     trie: dict = {}
     for t, cycles in enumerate(types):
         node = trie
         for k in sorted(cycles):
             node = node.setdefault(k, {})
         node.setdefault(0, []).append(t)
+    n = lams[0].n
     rows = {sum(1 << (p + n - 1 - j) for j, p in enumerate(lam.parts)) | (1 << (n - len(lam.parts))) - 1: i
-            for i, lam in enumerate(enumerate_partitions(n))}
+            for i, lam in enumerate(lams)}
     out: list = [None] * len(types)
     stack = [(trie, 0, {(1 << n) - 1: 1})]
     while stack:
@@ -295,5 +297,5 @@ def full_table(n: int) -> CharacterTable:
         raise ValueError(f"n={n} above limit={MAX_TABLE_N}")
     lams = tuple(enumerate_partitions(n))
     classes = tuple(CycleType.from_partition(mu) for mu in lams)
-    values = tuple(zip(*_columns(n, [mu.parts for mu in lams])))
+    values = tuple(zip(*_columns(lams, [mu.parts for mu in lams])))
     return CharacterTable(n, lams, classes, values)

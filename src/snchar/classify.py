@@ -2,9 +2,11 @@
 
 The classification says which irreducible representations map a product of m
 disjoint r-cycles to a matrix whose minimal polynomial is smaller than
-x^r - 1, and what the smaller polynomial is. predict_sn and predict_an code
-the classified cases; the verify_* sweeps recompute every minimal polynomial
-from character data and compare, reporting mismatches in both directions.
+x^r - 1, and what the smaller polynomial is. One table per group and class,
+_exceptions_sn and _exceptions_an, codes the classified cases; predict_sn,
+predict_an and the sweeps all read it. The verify_* sweeps recompute every
+minimal polynomial from character data and compare, reporting mismatches in
+both directions.
 
 verify_eigenvalue_one cross checks the companion statement about eigenvalue 1: over
 all partitions and all cycle types (not only uniform ones), the pairs whose
@@ -23,7 +25,6 @@ from functools import partial
 from itertools import chain, compress, count
 
 from .characters_an import MINUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels, special_class
-from .characters_sn import degree
 from .partitions import CycleType, Partition, _sweep_range, enumerate_partitions
 from .spectral import (MinPoly, SpectrumProfile, _an_profile, _check_counts, _fixed_space_weights,
                        _full_min_poly, _ramanujan_table, _sweep_sums, min_poly)
@@ -79,8 +80,8 @@ def _check_shape(n: int, r: int, m: int) -> None:
 def predict_sn(lam: Partition, r: int, m: int) -> Prediction:
     """Minimal polynomial of the image of [r^m 1^(n-rm)] under lam.
 
-    Valid for nontrivial lam and n >= 3. Everything off the classified list
-    predicts the full x^r - 1.
+    Valid for nontrivial lam and n >= 3. Everything off the table of the
+    class (_exceptions_sn) predicts the full x^r - 1.
     """
     n = lam.n
     if n < 3:
@@ -88,34 +89,23 @@ def predict_sn(lam: Partition, r: int, m: int) -> Prediction:
     _check_shape(n, r, m)
     if lam.parts == (n,):
         raise ValueError("the trivial character is excluded")
-    return Prediction("sn", n, str(lam), r, m, *_predict_sn(lam, r, m))
+    return Prediction("sn", n, str(lam), r, m, *_exceptions_sn(n, r, m).get(lam.parts, ((_full_min_poly(r),), None)))
 
 
-def _predict_sn(lam: Partition, r: int, m: int) -> tuple[tuple[MinPoly, ...], str | None]:
-    """The (polys, clause) of predict_sn, for checked arguments; r, m and single parts are tested first."""
-    parts = lam.parts
-    if parts[0] == 1:
-        root = r // 2 if (m * (r - 1)) % 2 else 0
-        return (MinPoly(r, frozenset({root})),), "sign"
-    if m == 1 and parts[1] == 1 and r == lam.n:  # a hook at the n-cycle
-        if parts == (r - 1, 1):
-            return (_without(r, {0}),), "standard"
-        if r >= 4 and parts == (2,) + (1,) * (r - 2):
-            removed = {0} if r % 2 else {r // 2}
-            return (_without(r, removed),), "standard-twist"
-    if r == 6 and parts == (3, 3):
-        return (_without(6, {2, 4}),), "3,3@6"
-    if r == 6 and parts == (2, 2, 2):
-        return (_without(6, {1, 5}),), "2,2,2@6"
-    if parts == (2, 2):
-        table = {
-            (4, 1): MinPoly(4, frozenset({0, 2})),
-            (3, 1): MinPoly(3, frozenset({1, 2})),
-            (2, 2): MinPoly(2, frozenset({0})),
-        }
-        if (r, m) in table:
-            return (table[(r, m)],), "2,2@4"
-    return (_full_min_poly(r),), None
+def _exceptions_sn(n: int, r: int, m: int) -> dict[tuple[int, ...], tuple[tuple[MinPoly, ...], str]]:
+    """The classification of S_n at [r^m 1^(n-rm)], for checked arguments: the parts of each label
+    it singles out, with its (polys, clause). Every other nontrivial label has x^r - 1."""
+    table = {(1,) * n: ((MinPoly(r, frozenset({r // 2 if m * (r - 1) % 2 else 0})),), "sign")}
+    if r == n:  # hooks at the n-cycle
+        table[r - 1, 1] = (_without(r, {0}),), "standard"
+        if r >= 4:
+            table[(2,) + (1,) * (r - 2)] = (_without(r, {0} if r % 2 else {r // 2}),), "standard-twist"
+    if n == r == 6:
+        table[3, 3] = (_without(6, {2, 4}),), "3,3@6"
+        table[2, 2, 2] = (_without(6, {1, 5}),), "2,2,2@6"
+    if n == 4 and (roots := {(4, 1): {0, 2}, (3, 1): {1, 2}, (2, 2): {0}}.get((r, m))):
+        table[2, 2] = (MinPoly(r, frozenset(roots)),), "2,2@4"
+    return table
 
 
 def _an_text(label: AnCharacterLabel) -> str:
@@ -138,20 +128,20 @@ def predict_an(label: AnCharacterLabel, r: int, m: int) -> Prediction:
         raise ValueError(f"shape {r}^{m} is odd, not in the alternating group")
     if label.variant == RESTRICTED and lam.parts == (n,):
         raise ValueError("the trivial character is excluded")
-    return Prediction("an", n, _an_text(label), r, m, *_predict_an(label, r, m))
+    full = (_full_min_poly(r),) * (1 if label.variant == RESTRICTED else 2)
+    return Prediction("an", n, _an_text(label), r, m, *_exceptions_an(n, r, m).get(lam.parts, (full, None)))
 
 
-def _predict_an(label: AnCharacterLabel, r: int, m: int) -> tuple[tuple[MinPoly, ...], str | None]:
-    """The (polys, clause) of predict_an, for checked arguments."""
-    parts = label.partition.parts
-    if label.variant == RESTRICTED:
-        if r == parts[0] + 1 and parts[1:] == (1,):  # (n - 1, 1) at r = n
-            return (_without(r, {0}),), "standard"
-        return (_full_min_poly(r),), None
-    if r == 5 and parts == (3, 1, 1):
+def _exceptions_an(n: int, r: int, m: int) -> dict[tuple[int, ...], tuple[tuple[MinPoly, ...], str]]:
+    """_exceptions_sn for A_n at an even shape: a split pair is keyed by its partition, with
+    one polynomial per half in predict_an's order."""
+    table = {}
+    if r == n:  # (n - 1, 1) at the n-cycle, for odd n
+        table[n - 1, 1] = (_without(r, {0}),), "standard"
+    if n == r == 5:
         pair = (MinPoly(5, frozenset({0, 2, 3})), MinPoly(5, frozenset({0, 1, 4})))
-        return tuple(sorted(pair, key=_pair_key)), "3,1,1@5"
-    return (_full_min_poly(r), _full_min_poly(r)), None
+        table[3, 1, 1] = tuple(sorted(pair, key=_pair_key)), "3,1,1@5"
+    return table
 
 
 def predict_no_eigenvalue_one(n: int) -> set[tuple[Partition, CycleType]]:
@@ -167,9 +157,8 @@ def predict_no_eigenvalue_one(n: int) -> set[tuple[Partition, CycleType]]:
     out: set[tuple[Partition, CycleType]] = set()
     sign_char = Partition((1,) * n)
     for mu in enumerate_partitions(n):
-        ct = CycleType.from_partition(mu)
-        if not ct.is_even():
-            out.add((sign_char, ct))
+        if (n - len(mu.parts)) % 2:  # an odd class: n minus the number of cycles is odd
+            out.add((sign_char, CycleType.from_partition(mu)))
     full_cycle = CycleType.from_lengths([n])
     out.add((Partition((n - 1, 1)), full_cycle))
     if n % 2:
@@ -215,92 +204,94 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
     irreducible of S_n or A_n (group "sn" or "an") at every uniform class.
 
     The parent spectra come from one _sweep_sums pass over the class-major
-    columns of every partition of n, checked a class column at a time. Where
-    every multiplicity is positive the case has the shared x^r - 1; profiles
-    are built only where one is zero, and for the halves of a split pair,
-    sorted as predict_an sorts them.
+    columns of every partition of n, and the degrees from its identity
+    column. Each class column is checked whole, then decided at once: a
+    label is x^r - 1 on both sides unless it has a zero multiplicity there,
+    is in the class's table of exceptions, or is a split pair. Profiles are
+    built only for a zero and for the halves of a split pair, sorted as
+    predict_an sorts them. Entries found per (label row, class) are sorted
+    back into label-major order.
     """
     parts = enumerate_partitions(n)
+    index = {lam.parts: i for i, lam in enumerate(parts)}
     if group == "sn":
-        # (n) comes first: the trivial character is excluded
-        labels = lams = parts[1:]
-        shapes = _uniform_shapes(n)
+        shapes, exceptions, split = _uniform_shapes(n), _exceptions_sn, {}
+        labels = range(1, len(parts))  # (n) comes first: the trivial character is excluded
+        text = lambda i: str(parts[i])
     else:
-        labels = [label for label in an_irreducible_labels(n)[1:] if label.variant != MINUS]
-        lams = [label.partition for label in labels]
-        shapes = _uniform_shapes(n, even_only=True)
+        shapes, exceptions = _uniform_shapes(n, even_only=True), _exceptions_an
+        labels = {index[label.partition.parts]: label for label in an_irreducible_labels(n)[1:]
+                  if label.variant != MINUS}
+        split = {i: (AnCharacterLabel.split_pair(parts[i]), special_class(parts[i]))
+                 for i, label in labels.items() if label.variant != RESTRICTED}
+        text = lambda i: _an_text(labels[i])
     classes = [CycleType.uniform(r, m, n) for r, m in shapes]
-    predict = _predict_sn if group == "sn" else _predict_an
-    degrees = [degree(lam) for lam in parts]
-    # per class, per divisor g of its order: one multiplicity per partition of n
-    sums = list(_sweep_sums(n, classes, _ramanujan_table))
-    zeros = []  # per class: the partitions with a zero multiplicity
-    for (r, _), by_gcd in zip(shapes, sums):
+    # per class, per divisor g of its order: one multiplicity per partition of n; last, the identity's
+    sums = list(_sweep_sums(parts, classes + [CycleType.uniform(1, n, n)], _ramanujan_table))
+    (degrees,) = sums.pop()
+    render = lambda polys: " | ".join(p.rendered for p in polys)
+    mismatches, exceptional = [], []  # (label row, class index, entry)
+    for k, ((r, m), sigma, by_gcd) in enumerate(zip(shapes, classes, sums)):
         _check_counts(r, by_gcd, degrees)
-        zeros.append(set().union(*(compress(count(), map(operator.not_, column)) for column in by_gcd)))
-    index = {lam: i for i, lam in enumerate(parts)}
-    cases = 0
-    mismatches = []
-    exceptional = []
-    for label, lam in zip(labels, lams):
-        i = index[lam]
-        if group == "sn":
-            text, split = str(lam), False
-        else:
-            text, special, split = _an_text(label), special_class(lam), label.variant != RESTRICTED
-            halves = AnCharacterLabel.split_pair(lam) if split else (label,)
-        for (r, m), sigma, by_gcd, zero in zip(shapes, classes, sums, zeros):
-            polys, clause = predict(label, r, m)
-            if split or i in zero:
+        table = {index[key]: entry for key, entry in exceptions(n, r, m).items()}
+        zero = set().union(*(compress(count(), map(operator.not_, column)) for column in by_gcd))
+        full = _full_min_poly(r)
+        for i in {i for i in zero if i in labels} | table.keys() | split.keys():
+            polys, clause = table.get(i, ((full, full) if i in split else (full,), None))
+            got = (full,)
+            if i in split or i in zero:
                 base = SpectrumProfile._from_gcd(r, [column[i] for column in by_gcd], degrees[i])
-                got = ((min_poly(base),) if group == "sn" else
-                       tuple(sorted((min_poly(_an_profile(h, sigma, base, special)) for h in halves), key=_pair_key)))
-            else:
-                got = (_full_min_poly(r),)
-            cases += 1
+                halves, special = split.get(i, ((), None))
+                got = tuple(sorted((min_poly(_an_profile(h, sigma, base, special)) for h in halves),
+                                   key=_pair_key)) if halves else (min_poly(base),)
             if got != polys:
-                mismatches.append(
-                    (n, text, r, m,
-                     " | ".join(p.rendered for p in polys),
-                     " | ".join(p.rendered for p in got))
-                )
+                mismatches.append((i, k, (n, text(i), r, m, render(polys), render(got))))
             if clause:
-                exceptional.append((n, text, r, m, clause))
-    return cases, mismatches, exceptional
+                exceptional.append((i, k, (n, text(i), r, m, clause)))
+    label_major = lambda found: [entry for *_, entry in sorted(found)]
+    return len(labels) * len(shapes), label_major(mismatches), label_major(exceptional)
 
 
 def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     """Pairs without eigenvalue 1, read off the character table of S_n: one
-    column of fixed space dimensions per class, over every partition."""
+    column of fixed space dimensions per class, over every partition. Each
+    uniform class adds the labels of its table of exceptions whose predicted
+    polynomials all lack the root 1. Pairs are held as (row, class) indices,
+    and both orders are lexicographically decreasing, so descending indices
+    sort ascending."""
     lams = enumerate_partitions(n)
     classes = [CycleType.from_partition(mu) for mu in lams]
-    computed = {
-        (lam, sigma)
-        for sigma, (dims,) in zip(classes, _sweep_sums(n, classes, _fixed_space_weights))
-        for lam in compress(lams, map(operator.not_, dims))
-    }
-    predicted = predict_no_eigenvalue_one(n)
-    uniform = [(r, m, CycleType.uniform(r, m, n)) for r, m in _uniform_shapes(n)]
-    for lam in lams[1:]:  # (n) comes first: the trivial character is excluded
-        for r, m, sigma in uniform:
-            if all(0 not in p.roots for p in _predict_sn(lam, r, m)[0]):
-                predicted.add((lam, sigma))
-    order = lambda pair: (pair[0].parts, pair[1].cycles)
-    mismatches = []
-    for lam, sigma in sorted(computed - predicted, key=order):
-        mismatches.append((n, str(lam), str(sigma), "unpredicted"))
-    for lam, sigma in sorted(predicted - computed, key=order):
-        mismatches.append((n, str(lam), str(sigma), "predicted-but-eigenvalue-1-present"))
-    exceptional = [(n, str(lam), str(sigma)) for lam, sigma in sorted(computed, key=order)]
-    return len(lams) ** 2, mismatches, exceptional
+    computed = {(i, k) for k, (dims,) in enumerate(_sweep_sums(lams, classes, _fixed_space_weights))
+                for i in compress(count(), map(operator.not_, dims))}
+    row = {lam.parts: i for i, lam in enumerate(lams)}
+    col = {sigma.cycles: k for k, sigma in enumerate(classes)}
+    predicted = {(row[lam.parts], col[sigma.cycles]) for lam, sigma in predict_no_eigenvalue_one(n)}
+    for r, m in _uniform_shapes(n):
+        k = col[CycleType.uniform(r, m, n).cycles]
+        predicted.update((row[key], k) for key, (polys, _) in _exceptions_sn(n, r, m).items()
+                         if all(0 not in p.roots for p in polys))
+    entries = lambda pairs, *tag: [(n, str(lams[i]), str(classes[k]), *tag) for i, k in sorted(pairs, reverse=True)]
+    mismatches = entries(computed - predicted, "unpredicted")
+    mismatches += entries(predicted - computed, "predicted-but-eigenvalue-1-present")
+    return len(lams) ** 2, mismatches, entries(computed)
+
+
+# the largest n each sweep accepts, where memory binds: one n holds class-major columns over every
+# partition, and the cap is the last n whose peak RSS stays under 256 MB (Python 3.11, one n per
+# process): 191 MB for minpoly-sn at 34 (333 MB at 36), 207 MB for minpoly-an at 36, 247 MB for
+# eigenvalue-one at 28; each step of 2 in n multiplied the peak by 1.5 to 2.1
+MAX_SWEEP_N = {"minpoly-sn": 34, "minpoly-an": 36, "eigenvalue-one": 28}
 
 
 def _sweep(kind: str, fn, floor: int, min_n: int, max_n: int, threads: int) -> VerificationReport:
     """Run fn(n) for n = min_n .. max_n on at most threads worker processes."""
     ns = _sweep_range(floor, min_n, max_n)
+    if max_n > MAX_SWEEP_N[kind]:
+        raise ValueError(f"{kind} sweeps hold every partition of n, and n = {max_n} > "
+                         f"MAX_SWEEP_N = {MAX_SWEEP_N[kind]}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads}")
-    workers = min(threads, os.cpu_count() or 1, len(ns))
+    workers = 1 if threads == 1 else min(threads, os.cpu_count() or 1, len(ns))
     if workers > 1:
         # imported here, so that importing the package does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -41,7 +41,7 @@ import operator
 from functools import cache
 
 from .arith import divisors, euler_phi
-from .partitions import CycleType, Partition, conjugate
+from .partitions import CycleType, Partition
 from .spectral import MinPoly, SpectrumProfile, min_poly
 
 __all__ = [
@@ -59,37 +59,48 @@ MAX_N = 9
 MAX_TABLEAUX_CELLS = 1 << 20
 
 
-def _row_words(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _row_words(parts: tuple[int, ...], limit: float = math.inf) -> list[tuple[int, ...]] | None:
     """Every standard tableau of shape parts as its row word (entry x is the row
     of point x + 1), in the basis order: by the row of point n, then of n - 1,
-    and so on. Points are placed from n down, each in the last free cell of a
-    row with more free cells than the row below it."""
-    level = [((), parts)]
-    for _ in range(sum(parts)):
-        level = [
-            ((i,) + word, left[:i] + (c - 1,) + left[i + 1 :])
-            for word, left in level
-            for i, c in enumerate(left)
-            if c and (i + 1 == len(left) or left[i + 1] < c)
-        ]
-    return [word for word, _ in level]
-
-
-def _tableaux_count(lam: Partition) -> int:
-    """f^lam by the hook length formula: n! over the product of the hook lengths."""
-    cols = conjugate(lam).parts
-    hooks = math.prod(p - j + cols[j] - i - 1 for i, p in enumerate(lam.parts) for j in range(p))
-    return math.factorial(lam.n) // hooks
+    and so on; None as soon as there are more than limit. Points are placed
+    from n down, depth first, each at a corner (the last cell of a row longer
+    than the row below it) of the cells left, held as (length, rows) runs.
+    The words share one path of placed rows, and the cells left in one row or
+    one column are filled at once: a walk visits at most n nodes per word."""
+    words: list[tuple[int, ...]] = []
+    path: list[int] = []
+    stack = [(0, (), tuple((p, len(list(g))) for p, g in itertools.groupby(parts)))]
+    while stack:
+        depth, row, runs = stack.pop()
+        path[depth:] = row
+        if len(runs) < 2 and (not runs or 1 in runs[0]):  # one column fills rows 0, 1, ..; one row fills row 0
+            length, rows = runs[0] if runs else (0, 0)
+            words.append((tuple(range(rows)) if length == 1 else (0,) * length) + tuple(reversed(path)))
+            if len(words) > limit:
+                return None
+            continue
+        end, children = -1, []
+        for j, (length, rows) in enumerate(runs):
+            end += rows
+            rest = runs[j + 1:]
+            if rest and rest[0][0] == length - 1:
+                rest = ((length - 1, rest[0][1] + 1),) + rest[1:]
+            elif length > 1:
+                rest = ((length - 1, 1),) + rest
+            children.append((len(path), (end,), runs[:j] + ((length, rows - 1),) * (rows > 1) + rest))
+        stack += reversed(children)
+    return words
 
 
 def standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
     """All standard Young tableaux of shape lam (rows as tuples), refused when
     they would hold more than MAX_TABLEAUX_CELLS points in all."""
-    # every shape has a tableau, so n alone can pass the cap, and then n! is never computed
-    if lam.n > MAX_TABLEAUX_CELLS or _tableaux_count(lam) * lam.n > MAX_TABLEAUX_CELLS:
+    # the walk stops once it passes the cap, so it bounds time as well as memory
+    words = _row_words(lam.parts, MAX_TABLEAUX_CELLS // max(lam.n, 1))
+    if words is None:
         raise ValueError(f"the standard tableaux of {lam} hold over MAX_TABLEAUX_CELLS = {MAX_TABLEAUX_CELLS} points")
     out = []
-    for word in _row_words(lam.parts):
+    for word in words:
         rows: list[list[int]] = [[] for _ in lam.parts]
         for x, i in enumerate(word, 1):
             rows[i].append(x)

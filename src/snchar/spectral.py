@@ -319,10 +319,10 @@ def _weigh(table: list[list[int]], plan):
         yield [_divide(_combine(w, picked), r) for w in rows]
 
 
-def _sweep_sums(n: int, classes: list[CycleType], weights):
-    """_weigh over the class-major columns, aligned with enumerate_partitions(n)."""
+def _sweep_sums(lams, classes: list[CycleType], weights):
+    """_weigh over the class-major columns, aligned with lams, the caller's enumerate_partitions(n)."""
     columns, plan = _power_plan(classes, weights)
-    return _weigh(_columns(n, columns), plan)
+    return _weigh(_columns(lams, columns), plan)
 
 
 def _sums_at(lam: Partition, sigma: CycleType, weights) -> list[int]:

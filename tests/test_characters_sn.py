@@ -329,7 +329,7 @@ def test_columns_equal_rows_on_every_cell_to_n_16():
     # the class-major builder and the single-query rows share no helper: each checks the other
     for n in range(17):
         lams = enumerate_partitions(n)
-        cols, classes = _columns(n, [mu.parts for mu in lams]), _class_lengths(n)
+        cols, classes = _columns(lams, [mu.parts for mu in lams]), _class_lengths(n)
         rows = [_chi_row(_beta_set(lam.parts), classes) for lam in lams]
         assert [list(col) for col in zip(*rows)] == cols, n
 
@@ -339,7 +339,7 @@ def test_columns_equal_rows_on_sampled_columns(n):
     # every 97th class, in any part order; a repeated type gets its column twice
     types = _class_lengths(n)[::97]
     types = [tuple(reversed(t)) for t in types] + types[:1]
-    cols = _columns(n, types)
+    cols = _columns(enumerate_partitions(n), types)
     assert cols[-1] == cols[0]
     for i, lam in enumerate(enumerate_partitions(n)):
         row = _chi_row(_beta_set(lam.parts), [tuple(sorted(t, reverse=True)) for t in types])

@@ -292,7 +292,7 @@ def _uniform_cases(n, even_only=False):
 def test_column_verdicts_match_single_queries(monkeypatch):
     # predict x^r - 1 everywhere: the mismatches are then every case whose single-query
     # minimal polynomial is not full, found by the sweep from its class columns
-    monkeypatch.setattr(classify, "_predict_sn", lambda lam, r, m: ((_full_min_poly(r),), None))
+    monkeypatch.setattr(classify, "_exceptions_sn", lambda n, r, m: {})
     counts = []
     for n in range(3, 10):
         expected = {
@@ -311,7 +311,7 @@ def test_column_verdicts_match_single_queries(monkeypatch):
 
 def test_column_verdicts_match_single_queries_an(monkeypatch):
     # the same for restricted A_n labels; split pairs are checked through their halves elsewhere
-    monkeypatch.setattr(classify, "_predict_an", lambda label, r, m: ((_full_min_poly(r),), None))
+    monkeypatch.setattr(classify, "_exceptions_an", lambda n, r, m: {})
     counts = []
     for n in range(5, 10):
         restricted = [label for label in an_irreducible_labels(n)[1:] if label.variant == RESTRICTED]
@@ -329,16 +329,23 @@ def test_column_verdicts_match_single_queries_an(monkeypatch):
 
 
 # sha256 of json.dumps(report.to_json_dict(), sort_keys=True): the report bytes must not drift
+# (sweep, max_n, min_n or None for the sweep's floor, digest)
 REPORT_DIGESTS = [
-    (verify_minpoly_sn, 10, "bc0657065cb7d57cc30ff2e5a04bc9d44528cf42e2ccfbbdd05bf8cd861ef26c"),
-    (verify_minpoly_an, 11, "7dcc4ad81183a13514d7d10eec6cd0f6edf67032d34330d74ea7fc2666b8e8a1"),
-    (verify_eigenvalue_one, 9, "da9697815d2368f8a588465632a0ff0ebd96dc87affea1bdb84b4aaade67a5e9"),
+    (verify_minpoly_sn, 10, None, "bc0657065cb7d57cc30ff2e5a04bc9d44528cf42e2ccfbbdd05bf8cd861ef26c"),
+    (verify_minpoly_an, 11, None, "7dcc4ad81183a13514d7d10eec6cd0f6edf67032d34330d74ea7fc2666b8e8a1"),
+    (verify_eigenvalue_one, 9, None, "da9697815d2368f8a588465632a0ff0ebd96dc87affea1bdb84b4aaade67a5e9"),
+    # the largest n of each classification sweep in the benchmark's sweep workload
+    (verify_minpoly_sn, 14, 14, "ad2d9fe8a773a13c759f50b0c82d4907452587545fcd833dbeea4a57bf0f6312"),
+    (verify_minpoly_an, 15, 15, "47eeadbd8ae386295b25cdc7cb47118765a3d619fa8662d0b3c6e891b43daa53"),
+    (verify_eigenvalue_one, 12, 12, "3d8714955e8492af9959d109f0092db57172343164dfc07a8f0ea3350ed207e8"),
 ]
 
 
-@pytest.mark.parametrize("verify, n, digest", REPORT_DIGESTS, ids=[v.__name__ for v, _, _ in REPORT_DIGESTS])
-def test_report_bytes_are_pinned(verify, n, digest):
-    text = json.dumps(verify(n).to_json_dict(), sort_keys=True)
+@pytest.mark.parametrize("verify, n, min_n, digest", REPORT_DIGESTS,
+                         ids=[v.__name__ + (f"-at-{n}" if min_n else "") for v, n, min_n, _ in REPORT_DIGESTS])
+def test_report_bytes_are_pinned(verify, n, min_n, digest):
+    report = verify(n) if min_n is None else verify(n, min_n=min_n)
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -435,14 +442,13 @@ def test_mismatches_report_prediction_then_computation(monkeypatch):
     # predict the full x^r - 1 wherever a clause removes factors, and swap
     # the two polynomials of every split prediction
     monkeypatch.setattr(classify, "_without", lambda r, removed: MinPoly(r, frozenset(range(r))))
-    # the sweep predicts through the private _predict_an, which returns (polys, clause)
-    real = classify._predict_an
+    # the sweep predicts from the private table of exceptions, label parts -> (polys, clause)
+    real = classify._exceptions_an
 
-    def swapped(label, r, m):
-        polys, clause = real(label, r, m)
-        return polys[::-1], clause
+    def swapped(n, r, m):
+        return {key: (polys[::-1], clause) for key, (polys, clause) in real(n, r, m).items()}
 
-    monkeypatch.setattr(classify, "_predict_an", swapped)
+    monkeypatch.setattr(classify, "_exceptions_an", swapped)
     sn = verify_minpoly_sn(4)
     assert not sn.ok
     assert sn.mismatches == (
@@ -514,3 +520,22 @@ def test_eigenvalue_one_mismatches_name_both_directions(monkeypatch):
         (5, "1^5", "3^1 2^1", "unpredicted"),
     )
     assert report.exceptional == verify_eigenvalue_one(5).exceptional
+
+
+def test_one_table_feeds_the_predictions_and_the_sweeps(monkeypatch):
+    # drop the 2,2@4 clause from the S_n table: predict_sn, the minimal polynomial sweep and the
+    # eigenvalue-1 sweep all lose it at once, so the classification has one encoding
+    real = classify._exceptions_sn
+
+    def without_2_2(n, r, m):
+        return {key: entry for key, entry in real(n, r, m).items() if key != (2, 2)}
+
+    monkeypatch.setattr(classify, "_exceptions_sn", without_2_2)
+    pred = predict_sn(parse_partition("2,2"), 3, 1)
+    assert pred.clause is None and pred.polys == (_full_min_poly(3),)
+    assert predict_sn(parse_partition("1^4"), 3, 1).clause == "sign"
+    minpoly = verify_minpoly_sn(4, min_n=4)
+    assert {(t[1], t[2], t[3], t[4]) for t in minpoly.mismatches} == {
+        ("2^2", 4, 1, "x^4-1"), ("2^2", 3, 1, "x^3-1"), ("2^2", 2, 2, "x^2-1")}
+    assert "2,2@4" not in {e[4] for e in minpoly.exceptional}
+    assert verify_eigenvalue_one(4, min_n=4).mismatches == ((4, "2^2", "3^1 1^1", "unpredicted"),)

@@ -214,6 +214,26 @@ def test_bounds_min_degree_above_the_cap_exits_2_at_once(capsys):
     assert err == "error: min-degree holds every partition of n, and n = 100 > MAX_MIN_DEGREE_N = 50\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "minpoly-sn", "--max-n", "70", "--min-n", "70"),
+     "minpoly-sn sweeps hold every partition of n, and n = 70 > MAX_SWEEP_N = 34"),
+    (("verify", "minpoly-an", "--max-n", "37"),
+     "minpoly-an sweeps hold every partition of n, and n = 37 > MAX_SWEEP_N = 36"),
+    (("verify", "eigenvalue-one", "--max-n", "29", "--threads", "2"),
+     "eigenvalue-one sweeps hold every partition of n, and n = 29 > MAX_SWEEP_N = 28"),
+    (("bounds", "--check", "sweep-fomin-lulov", "--max-n", "41"),
+     "bound sweeps hold a report per partition of n, and n = 41 > MAX_BOUND_SWEEP_N = 40"),
+    (("bounds", "--check", "sweep-estimate", "--max-n", "70"),
+     "bound sweeps hold a report per partition of n, and n = 70 > MAX_BOUND_SWEEP_N = 40"),
+])
+def test_sweeps_above_their_cap_exit_2_at_once(capsys, argv, message):
+    # verify minpoly-sn --max-n 70 --min-n 70 used to grow until memory ran out (72 s under a 1.5 GB ulimit -v)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_bounds_sweep(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--check", "sweep-robbins", "--max-n", "20")
     assert code == 0

@@ -18,10 +18,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from .arith import divisors
 from .characters_sn import _columns, chi, degree
-from .partitions import CycleType, Partition, _sweep_range, _walk_partitions, conjugate, enumerate_partitions
+from .partitions import CycleType, Partition, _sweep, _walk_partitions, conjugate, enumerate_partitions
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -270,36 +272,27 @@ def min_degree_check(n: int) -> BoundReport:
     return BoundReport("min-degree", f"n={n}", tuple(clauses), 0)
 
 
-# the largest n sweep_fomin_lulov and sweep_estimate accept, where memory binds: they hold one report
-# per (partition, divisor of n), and at 40 (298 704 reports) the peak RSS is 197 MB, the last n under
-# 256 MB (n = 42 has 425 376 reports); fomin-lulov takes 69 s there (Python 3.11)
-MAX_BOUND_SWEEP_N = 40
-
-
-def _sweep_uniform(check, min_n: int, max_n: int, bits: int) -> list[BoundReport]:
-    """check(lam, r, n // r, |chi(lam at [r^(n/r)])|, bits) for every n in range, every r | n
-    and every partition lam of n, the values read from one class-major table per n."""
-    ns = _sweep_range(1, min_n, max_n)
-    if max_n > MAX_BOUND_SWEEP_N:
-        raise ValueError(f"bound sweeps hold a report per partition of n, and n = {max_n} > "
-                         f"MAX_BOUND_SWEEP_N = {MAX_BOUND_SWEEP_N}")
-    return [check(lam, r, n // r, abs(val), bits) for n in ns for lams in [enumerate_partitions(n)]
+def _sweep_uniform(check, bits: int, n: int) -> list[BoundReport]:
+    """check(lam, r, n // r, |chi(lam at [r^(n/r)])|, bits) for every r | n and every partition
+    lam of n, the values read from one class-major table."""
+    lams = enumerate_partitions(n)
+    return [check(lam, r, n // r, abs(val), bits)
             for r, col in zip(divisors(n), _columns(lams, [(r,) * (n // r) for r in divisors(n)]))
             for lam, val in zip(lams, col)]
 
 
 def sweep_fomin_lulov(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
     """Every partition of every n in range, against every [r^m] with rm = n."""
-    return _sweep_uniform(_fomin_lulov, min_n, max_n, bits)
+    return list(chain(*_sweep("fomin-lulov", partial(_sweep_uniform, _fomin_lulov, bits), 1, min_n, max_n)))
 
 
 def sweep_estimate(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
-    return _sweep_uniform(_estimate, min_n, max_n, bits)
+    return list(chain(*_sweep("estimate", partial(_sweep_uniform, _estimate, bits), 1, min_n, max_n)))
 
 
 def sweep_robbins(max_n: int = 200, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
-    return [robbins_check(n, bits=bits) for n in _sweep_range(1, min_n, max_n)]
+    return _sweep("robbins", partial(robbins_check, bits=bits), 1, min_n, max_n)
 
 
 def sweep_tail(max_n: int = 200, *, min_n: int = 23, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
-    return [tail_inequalities_check(n, bits=bits) for n in _sweep_range(23, min_n, max_n)]
+    return _sweep("tail", partial(tail_inequalities_check, bits=bits), 23, min_n, max_n)

@@ -19,13 +19,12 @@ family, and four sporadic pairs).
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count
 
-from .characters_an import MINUS, RESTRICTED, AnCharacterLabel, an_irreducible_labels, special_class
-from .partitions import CycleType, Partition, _sweep_range, enumerate_partitions
+from .characters_an import RESTRICTED, AnCharacterLabel, special_class
+from .partitions import CycleType, Partition, _sweep, conjugate, enumerate_partitions
 from .spectral import (MinPoly, SpectrumProfile, _an_profile, _check_counts, _fixed_space_weights,
                        _full_min_poly, _ramanujan_table, _sweep_sums, min_poly)
 
@@ -108,11 +107,6 @@ def _exceptions_sn(n: int, r: int, m: int) -> dict[tuple[int, ...], tuple[tuple[
     return table
 
 
-def _an_text(label: AnCharacterLabel) -> str:
-    """A prediction's label: the restricted label, or the pair [lam]+/- of split halves."""
-    return str(label) if label.variant == RESTRICTED else f"[{label.partition}]+/-"
-
-
 def predict_an(label: AnCharacterLabel, r: int, m: int) -> Prediction:
     """Alternating group version of predict_sn, for n >= 5 and even shapes.
 
@@ -129,7 +123,8 @@ def predict_an(label: AnCharacterLabel, r: int, m: int) -> Prediction:
     if label.variant == RESTRICTED and lam.parts == (n,):
         raise ValueError("the trivial character is excluded")
     full = (_full_min_poly(r),) * (1 if label.variant == RESTRICTED else 2)
-    return Prediction("an", n, _an_text(label), r, m, *_exceptions_an(n, r, m).get(lam.parts, (full, None)))
+    text = str(label) if label.variant == RESTRICTED else f"[{lam}]+/-"  # a split label stands for the pair
+    return Prediction("an", n, text, r, m, *_exceptions_an(n, r, m).get(lam.parts, (full, None)))
 
 
 def _exceptions_an(n: int, r: int, m: int) -> dict[tuple[int, ...], tuple[tuple[MinPoly, ...], str]]:
@@ -147,10 +142,10 @@ def _exceptions_an(n: int, r: int, m: int) -> dict[tuple[int, ...], tuple[tuple[
 def predict_no_eigenvalue_one(n: int) -> set[tuple[Partition, CycleType]]:
     """Pairs (lam, class) whose image provably has no eigenvalue 1.
 
-    This is the explicit list that is not already covered by the uniform
-    class predictions: the sign character at every odd class, the two single
-    cycle families, the near uniform family at odd n, and four sporadic
-    pairs at n = 6, 8, 10.
+    The sign character at every odd class, the two single cycle families,
+    the near uniform family at odd n, and four sporadic pairs at n = 6, 8,
+    10. These overlap the uniform class predictions: they hold every
+    _exceptions_sn pair without the root 1 except (2,2) at 3^1 1^1, n = 4.
     """
     if n < 3:
         raise ValueError(f"needs n >= 3: {n}")
@@ -210,7 +205,8 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
     is in the class's table of exceptions, or is a split pair. Profiles are
     built only for a zero and for the halves of a split pair, sorted as
     predict_an sorts them. Entries found per (label row, class) are sorted
-    back into label-major order.
+    back into label-major order. An A_n pair {lam, lam'} is labelled by the
+    row of its larger member, and a self-conjugate row stands for both halves.
     """
     parts = enumerate_partitions(n)
     index = {lam.parts: i for i, lam in enumerate(parts)}
@@ -220,11 +216,11 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
         text = lambda i: str(parts[i])
     else:
         shapes, exceptions = _uniform_shapes(n, even_only=True), _exceptions_an
-        labels = {index[label.partition.parts]: label for label in an_irreducible_labels(n)[1:]
-                  if label.variant != MINUS}
+        conjugates = [conjugate(lam).parts for lam in parts]
+        labels = {i for i in range(1, len(parts)) if parts[i].parts >= conjugates[i]}
         split = {i: (AnCharacterLabel.split_pair(parts[i]), special_class(parts[i]))
-                 for i, label in labels.items() if label.variant != RESTRICTED}
-        text = lambda i: _an_text(labels[i])
+                 for i in labels if parts[i].parts == conjugates[i]}
+        text = lambda i: f"[{parts[i]}]+/-" if i in split else f"[{parts[i]}]"
     classes = [CycleType.uniform(r, m, n) for r, m in shapes]
     # per class, per divisor g of its order: one multiplicity per partition of n; last, the identity's
     sums = list(_sweep_sums(parts, classes + [CycleType.uniform(1, n, n)], _ramanujan_table))
@@ -276,42 +272,21 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     return len(lams) ** 2, mismatches, entries(computed)
 
 
-# the largest n each sweep accepts, where memory binds: one n holds class-major columns over every
-# partition, and the cap is the last n whose peak RSS stays under 256 MB (Python 3.11, one n per
-# process): 191 MB for minpoly-sn at 34 (333 MB at 36), 207 MB for minpoly-an at 36, 247 MB for
-# eigenvalue-one at 28; each step of 2 in n multiplied the peak by 1.5 to 2.1
-MAX_SWEEP_N = {"minpoly-sn": 34, "minpoly-an": 36, "eigenvalue-one": 28}
-
-
-def _sweep(kind: str, fn, floor: int, min_n: int, max_n: int, threads: int) -> VerificationReport:
-    """Run fn(n) for n = min_n .. max_n on at most threads worker processes."""
-    ns = _sweep_range(floor, min_n, max_n)
-    if max_n > MAX_SWEEP_N[kind]:
-        raise ValueError(f"{kind} sweeps hold every partition of n, and n = {max_n} > "
-                         f"MAX_SWEEP_N = {MAX_SWEEP_N[kind]}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1; got {threads}")
-    workers = 1 if threads == 1 else min(threads, os.cpu_count() or 1, len(ns))
-    if workers > 1:
-        # imported here, so that importing the package does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_n = list(pool.map(fn, ns))
-    else:
-        per_n = [fn(n) for n in ns]
-    cases, mismatches, exceptional = zip(*per_n)
+def _verify(kind: str, per_n, floor: int, min_n: int, max_n: int, threads: int) -> VerificationReport:
+    """The report of the sweep of per_n over n = min_n .. max_n: its per-n (cases, mismatches,
+    exceptional) triples, zipped."""
+    cases, mismatches, exceptional = zip(*_sweep(kind, per_n, floor, min_n, max_n, threads))
     return VerificationReport(kind, min_n, max_n, sum(cases), tuple(chain(*mismatches)), tuple(chain(*exceptional)))
 
 
 def verify_minpoly_sn(max_n: int, *, min_n: int = 3, threads: int = 1) -> VerificationReport:
     """Compare predicted and computed minimal polynomials over S_n sweeps."""
-    return _sweep("minpoly-sn", partial(_minpoly_single_n, "sn"), 3, min_n, max_n, threads)
+    return _verify("minpoly-sn", partial(_minpoly_single_n, "sn"), 3, min_n, max_n, threads)
 
 
 def verify_minpoly_an(max_n: int, *, min_n: int = 5, threads: int = 1) -> VerificationReport:
     """Compare predicted and computed minimal polynomials over A_n sweeps."""
-    return _sweep("minpoly-an", partial(_minpoly_single_n, "an"), 5, min_n, max_n, threads)
+    return _verify("minpoly-an", partial(_minpoly_single_n, "an"), 5, min_n, max_n, threads)
 
 
 def verify_eigenvalue_one(max_n: int, *, min_n: int = 3, threads: int = 1) -> VerificationReport:
@@ -320,4 +295,4 @@ def verify_eigenvalue_one(max_n: int, *, min_n: int = 3, threads: int = 1) -> Ve
     The exceptional list of the report is the computed set itself, one entry
     per pair whose image has no eigenvalue 1.
     """
-    return _sweep("eigenvalue-one", _eigenvalue_one_single_n, 3, min_n, max_n, threads)
+    return _verify("eigenvalue-one", _eigenvalue_one_single_n, 3, min_n, max_n, threads)

@@ -221,19 +221,18 @@ def _cmd_bounds(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_verify(args) -> int:
-    from .classify import verify_eigenvalue_one, verify_minpoly_an, verify_minpoly_sn
+# verify subject: the classify function that sweeps it, looked up by name on each call as _BOUND_CHECKS
+_VERIFY_SUBJECTS = {"minpoly-sn": "verify_minpoly_sn", "minpoly-an": "verify_minpoly_an",
+                    "eigenvalue-one": "verify_eigenvalue_one"}
 
-    runners = {
-        "minpoly-sn": verify_minpoly_sn,
-        "minpoly-an": verify_minpoly_an,
-        "eigenvalue-one": verify_eigenvalue_one,
-    }
-    fn = runners[args.subject]
+
+def _cmd_verify(args) -> int:
+    from . import classify
+
     kwargs = {"threads": args.threads}
     if args.min_n is not None:
         kwargs["min_n"] = args.min_n
-    report = fn(args.max_n, **kwargs)
+    report = getattr(classify, _VERIFY_SUBJECTS[args.subject])(args.max_n, **kwargs)
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     else:
@@ -300,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("verify", help="exhaustive classification sweeps")
-    p.add_argument("subject", choices=("minpoly-sn", "minpoly-an", "eigenvalue-one"))
+    p.add_argument("subject", choices=tuple(_VERIFY_SUBJECTS))
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--min-n", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)

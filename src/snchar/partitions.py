@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -233,10 +234,34 @@ def _walk_partitions(n: int):
         parts[k - 1:] = [h] * (q + 1) + ([rest] if rest else [])
 
 
-def _sweep_range(floor: int, min_n: int, max_n: int) -> range:
+# the largest n each capped sweep accepts, where memory binds (Python 3.11, one n per process). A
+# classification sweep holds class-major columns over every partition of n; its cap is the last n whose
+# peak RSS stays under 256 MB: 191 MB for minpoly-sn at 34 (333 MB at 36), 207 MB for minpoly-an at 36,
+# 247 MB for eigenvalue-one at 28, each step of 2 in n multiplying the peak by 1.5 to 2.1. A uniform
+# bound sweep holds one report per (partition, divisor of n): 298 704 reports and 197 MB at 40, 425 376
+# reports at 42; fomin-lulov takes 69 s at 40. The robbins and tail sweeps hold one report per n.
+MAX_SWEEP_N = {"minpoly-sn": 34, "minpoly-an": 36, "eigenvalue-one": 28, "fomin-lulov": 40, "estimate": 40}
+
+
+def _sweep(kind: str, per_n, floor: int, min_n: int, max_n: int, threads: int = 1) -> list:
+    """[per_n(n) for n = min_n .. max_n], in n order, on at most threads worker processes, once
+    the range, kind's cap in MAX_SWEEP_N (if it has one) and threads are checked."""
     if min_n < floor or max_n < min_n:
         raise ValueError(f"need {floor} <= min_n <= max_n; got {min_n}..{max_n}")
-    return range(min_n, max_n + 1)
+    if max_n > MAX_SWEEP_N.get(kind, max_n):
+        raise ValueError(f"{kind} sweeps hold every partition of n, and n = {max_n} > "
+                         f"MAX_SWEEP_N = {MAX_SWEEP_N[kind]}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1; got {threads}")
+    ns = range(min_n, max_n + 1)
+    workers = 1 if threads == 1 else min(threads, os.cpu_count() or 1, len(ns))
+    if workers == 1:
+        return [per_n(n) for n in ns]
+    # imported here, so that importing the package does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(per_n, ns))
 
 
 def partition_count(n: int) -> int:

@@ -5,7 +5,8 @@ from dataclasses import fields
 
 import pytest
 
-from snchar import classify, spectral
+from snchar import classify, partitions, spectral
+from snchar.bounds import sweep_estimate, sweep_fomin_lulov, sweep_robbins, sweep_tail
 from snchar.characters_an import RESTRICTED, AnCharacterLabel, an_irreducible_labels
 from snchar.classify import (
     Prediction,
@@ -162,6 +163,16 @@ def test_predict_no_eigenvalue_one_members():
     seven = predict_no_eigenvalue_one(7)
     assert (parse_partition("2,1^5"), parse_cycle_type("7^1")) in seven
     assert (parse_partition("2,2,1^3"), parse_cycle_type("5^1 2^1")) in seven
+
+
+def test_predict_no_eigenvalue_one_overlaps_the_uniform_predictions():
+    # every uniform exception without the root 1 is listed again, but for one pair at n = 4
+    for n in range(3, 21):
+        uniform = {(Partition(key), CycleType.uniform(r, m, n)) for r, m in classify._uniform_shapes(n)
+                   for key, (polys, _) in classify._exceptions_sn(n, r, m).items()
+                   if all(0 not in p.roots for p in polys)}
+        assert uniform - predict_no_eigenvalue_one(n) == (
+            {(parse_partition("2,2"), parse_cycle_type("3^1 1^1"))} if n == 4 else set())
 
 
 def test_verify_minpoly_sn_small():
@@ -396,11 +407,37 @@ class _InlineExecutor:
 ])
 def test_verify_worker_count_is_clamped(monkeypatch, threads, cpus, max_n, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(partitions.os, "cpu_count", lambda: cpus)
     _InlineExecutor.started = []
     report = verify_minpoly_sn(max_n, threads=threads)
     assert _InlineExecutor.started == ([] if workers is None else [workers])
     assert report == verify_minpoly_sn(max_n)
+
+
+# the seven public sweeps: (function, its kind in MAX_SWEEP_N or None when uncapped, the floor of min_n)
+_SWEEPS = [(verify_minpoly_sn, "minpoly-sn", 3), (verify_minpoly_an, "minpoly-an", 5),
+           (verify_eigenvalue_one, "eigenvalue-one", 3), (sweep_fomin_lulov, "fomin-lulov", 1),
+           (sweep_estimate, "estimate", 1), (sweep_robbins, None, 1), (sweep_tail, None, 23)]
+
+
+@pytest.mark.parametrize("sweep, kind, floor", _SWEEPS, ids=lambda x: getattr(x, "__name__", None))
+def test_every_sweep_checks_its_range_and_cap_in_one_table(monkeypatch, sweep, kind, floor):
+    for min_n, max_n in ((floor, floor - 1), (floor - 1, floor + 1)):
+        with pytest.raises(ValueError, match=rf"^need {floor} <= min_n <= max_n; got {min_n}\.\.{max_n}$"):
+            sweep(max_n, min_n=min_n)
+    if kind is None:  # robbins and tail have no entry: they run with every cap at 0
+        for capped in partitions.MAX_SWEEP_N:
+            monkeypatch.setitem(partitions.MAX_SWEEP_N, capped, 0)
+        sweep(floor + 1, min_n=floor + 1)
+        return
+    # lowering one entry makes exactly its sweep refuse
+    monkeypatch.setitem(partitions.MAX_SWEEP_N, kind, floor)
+    for other, _, other_floor in _SWEEPS:
+        if other is not sweep:
+            other(other_floor + 1, min_n=other_floor + 1)
+    n = floor + 1
+    with pytest.raises(ValueError, match=rf"^{kind} sweeps hold every partition of n, and n = {n} > MAX_SWEEP_N = "):
+        sweep(n, min_n=n)
 
 
 def test_report_json_schema():

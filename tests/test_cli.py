@@ -222,9 +222,9 @@ def test_bounds_min_degree_above_the_cap_exits_2_at_once(capsys):
     (("verify", "eigenvalue-one", "--max-n", "29", "--threads", "2"),
      "eigenvalue-one sweeps hold every partition of n, and n = 29 > MAX_SWEEP_N = 28"),
     (("bounds", "--check", "sweep-fomin-lulov", "--max-n", "41"),
-     "bound sweeps hold a report per partition of n, and n = 41 > MAX_BOUND_SWEEP_N = 40"),
+     "fomin-lulov sweeps hold every partition of n, and n = 41 > MAX_SWEEP_N = 40"),
     (("bounds", "--check", "sweep-estimate", "--max-n", "70"),
-     "bound sweeps hold a report per partition of n, and n = 70 > MAX_BOUND_SWEEP_N = 40"),
+     "estimate sweeps hold every partition of n, and n = 70 > MAX_SWEEP_N = 40"),
 ])
 def test_sweeps_above_their_cap_exit_2_at_once(capsys, argv, message):
     # verify minpoly-sn --max-n 70 --min-n 70 used to grow until memory ran out (72 s under a 1.5 GB ulimit -v)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 
 from .arith import divisors
 from .characters_sn import _columns, chi, degree
-from .partitions import CycleType, Partition, _sweep, _walk_partitions, conjugate, enumerate_partitions
+from .partitions import (CycleType, Partition, _Record, _sweep, _walk_partitions, conjugate,
+                         enumerate_partitions)
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -88,23 +88,16 @@ def _fmt(q: Fraction | int) -> str:
         return mpmath.nstr(mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator), 12)
 
 
-@dataclass(frozen=True)
-class BoundClause:
-    name: str
-    lhs: str
-    rhs: str
-    margin: str
-    holds: bool
+class BoundClause(_Record):
+    def __init__(self, name: str, lhs: str, rhs: str, margin: str, holds: bool) -> None:
+        self._set(name=name, lhs=lhs, rhs=rhs, margin=margin, holds=holds)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """One checked inequality; precision_bits is 0 for exact integer checks."""
 
-    check: str
-    context: str
-    clauses: tuple[BoundClause, ...]
-    precision_bits: int
+    def __init__(self, check: str, context: str, clauses: tuple[BoundClause, ...], precision_bits: int) -> None:
+        self._set(check=check, context=context, clauses=clauses, precision_bits=precision_bits)
 
     @property
     def holds(self) -> bool:

@@ -19,12 +19,12 @@ increasing cycles); the pair (plus, minus) is otherwise interchangeable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import split_square
 from .characters_sn import chi
-from .partitions import CycleType, Partition, _check_alternating, conjugate, diagonal_hooks, enumerate_partitions
+from .partitions import (CycleType, Partition, _check_alternating, _Record, conjugate, diagonal_hooks,
+                         enumerate_partitions)
 
 __all__ = [
     "RESTRICTED",
@@ -45,15 +45,16 @@ PLUS = "plus"
 MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class AlgebraicValue:
+class AlgebraicValue(_Record):
     """Exact element a + b*sqrt(d) of a quadratic field (d squarefree, sign
     of the radicand carried inside d; d = 1 means the value is rational and
     then b = 0). Arithmetic refuses to mix two different surds."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
-    d: int = 1
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0), d: int = 1) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         a, b, d = Fraction(self.a), Fraction(self.b), int(self.d)
@@ -70,6 +71,14 @@ class AlgebraicValue:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
 
     @classmethod
     def from_rational(cls, q) -> "AlgebraicValue":
@@ -168,8 +177,7 @@ def special_class(lam: Partition) -> CycleType | None:
     return CycleType.from_lengths(hooks)
 
 
-@dataclass(frozen=True)
-class AnCharacterLabel:
+class AnCharacterLabel(_Record):
     """Label of an alternating group irreducible.
 
     For lam that does not split the variant is "restricted" and lam is
@@ -178,8 +186,10 @@ class AnCharacterLabel:
     For split lam (self conjugate, n >= 2) the variants are "plus" and "minus".
     """
 
-    partition: Partition
-    variant: str
+    def __init__(self, partition: Partition, variant: str) -> None:
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "variant", variant)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.variant not in (RESTRICTED, PLUS, MINUS):
@@ -193,6 +203,14 @@ class AnCharacterLabel:
                 object.__setattr__(self, "partition", other)
         elif not split:
             raise ValueError(f"{self.partition} does not split; use restricted")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.partition == other.partition and self.variant == other.variant
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.partition, self.variant))
 
     @classmethod
     def restricted(cls, lam: Partition) -> "AnCharacterLabel":

@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import math
-from dataclasses import dataclass
 from functools import cache
 
 from .partitions import (
     CycleType,
     Partition,
     _check_sizes,
+    _Record,
     conjugate,
     enumerate_partitions,
     format_cycle_type,
@@ -260,19 +259,18 @@ def branch(lam: Partition) -> list[Partition]:
     return out
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(_Record):
     """Full character table; row and column order both follow enumerate_partitions."""
 
-    n: int
-    partitions: tuple[Partition, ...]
-    classes: tuple[CycleType, ...]
-    values: tuple[tuple[int, ...], ...]
+    def __init__(self, n: int, partitions: tuple[Partition, ...], classes: tuple[CycleType, ...],
+                 values: tuple[tuple[int, ...], ...]) -> None:
+        self._set(n=n, partitions=partitions, classes=classes, values=values)
 
     def value(self, lam: Partition, sigma: CycleType) -> int:
         return self.values[self.partitions.index(lam)][self.classes.index(sigma)]
 
     def to_json(self) -> str:
+        import json  # imported here, so that importing the package does not load it
         obj = {
             "n": self.n,
             "partitions": [format_partition(p) for p in self.partitions],

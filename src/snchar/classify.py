@@ -19,12 +19,11 @@ family, and four sporadic pairs).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count
 
 from .characters_an import RESTRICTED, AnCharacterLabel, special_class
-from .partitions import CycleType, Partition, _sweep, conjugate, enumerate_partitions
+from .partitions import CycleType, Partition, _Record, _sweep, conjugate, enumerate_partitions
 from .spectral import (MinPoly, SpectrumProfile, _an_profile, _check_counts, _fixed_space_weights,
                        _full_min_poly, _ramanujan_table, _sweep_sums, min_poly)
 
@@ -48,8 +47,7 @@ def _pair_key(p: MinPoly) -> tuple[int, ...]:
     return tuple(sorted(p.roots))
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(_Record):
     """Expected minimal polynomial(s) of one irreducible at one uniform class.
 
     polys has one entry for symmetric group characters and restricted
@@ -58,13 +56,9 @@ class Prediction:
     where the prediction is the full x^r - 1.
     """
 
-    group: str
-    n: int
-    label: str
-    r: int
-    m: int
-    polys: tuple[MinPoly, ...]
-    clause: str | None
+    def __init__(self, group: str, n: int, label: str, r: int, m: int, polys: tuple[MinPoly, ...],
+                 clause: str | None) -> None:
+        self._set(group=group, n=n, label=label, r=r, m=m, polys=polys, clause=clause)
 
     @property
     def is_generic(self) -> bool:
@@ -170,16 +164,13 @@ def predict_no_eigenvalue_one(n: int) -> set[tuple[Partition, CycleType]]:
     return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of one exhaustive sweep; ok means zero mismatches."""
 
-    kind: str
-    n_min: int
-    n_max: int
-    cases: int
-    mismatches: tuple[tuple, ...]
-    exceptional: tuple[tuple, ...]
+    def __init__(self, kind: str, n_min: int, n_max: int, cases: int, mismatches: tuple[tuple, ...],
+                 exceptional: tuple[tuple, ...]) -> None:
+        self._set(kind=kind, n_min=n_min, n_max=n_max, cases=cases, mismatches=mismatches,
+                  exceptional=exceptional)
 
     @property
     def ok(self) -> bool:

@@ -11,12 +11,11 @@ precision.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-# the other library modules are imported by the handlers that call them, so a
-# query compiles and runs only what it uses
+# the other library modules are imported by the handlers that call them, and
+# json by _print_json, so a query compiles and runs only what it uses
 from .characters_sn import chi, degree, full_table
 from .partitions import CycleType, Partition, parse_cycle_type, parse_partition
 
@@ -60,10 +59,16 @@ def _check_listed(what: str, sigma: CycleType) -> None:
                          f"r = {r} > MAX_LISTED_R = {MAX_LISTED_R}; use minpoly (text format) or fixdim")
 
 
+def _print_json(obj) -> None:
+    import json
+
+    print(json.dumps(obj, sort_keys=True, indent=2))
+
+
 def _emit(args, payload, text: str) -> None:
     """Print text, or for --format json the dict payload() builds; only then is it built."""
     if args.format == "json":
-        print(json.dumps(payload(), sort_keys=True, indent=2))
+        _print_json(payload())
     else:
         print(text)
 
@@ -209,7 +214,7 @@ def _cmd_bounds(args) -> int:
     reports = result if needs == "max_n" else [result]
     ok = all(rep.holds for rep in reports)
     if args.format == "json":
-        print(json.dumps([rep.to_json_dict() for rep in reports], sort_keys=True, indent=2))
+        _print_json([rep.to_json_dict() for rep in reports])
     else:
         for rep in reports:
             if len(reports) == 1 or not rep.holds:
@@ -234,7 +239,7 @@ def _cmd_verify(args) -> int:
         kwargs["min_n"] = args.min_n
     report = getattr(classify, _VERIFY_SUBJECTS[args.subject])(args.max_n, **kwargs)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
+        _print_json(report.to_json_dict())
     else:
         print(f"{report.kind} n={report.n_min}..{report.n_max}: {report.cases} cases, "
               f"{len(report.mismatches)} mismatches, {len(report.exceptional)} exceptional")

@@ -18,7 +18,6 @@ import operator
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 __all__ = [
     "Partition",
@@ -34,11 +33,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Record:
+    """Base of the package's frozen records. An instance's __dict__ holds its
+    fields in declaration order and nothing else: only construction sets
+    them, and assigning or deleting an attribute raises AttributeError.
+    Two records are equal when they are of one class with equal fields, and a
+    record hashes as the tuple of its fields. The records built in every query
+    (Partition, CycleType, AlgebraicValue, AnCharacterLabel) spell __init__,
+    __eq__ and __hash__ out on their own fields."""
+
+    def _set(self, **fields) -> None:
+        vars(self).update(fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple(vars(self).values()) == tuple(vars(other).values())
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Partition(_Record):
     """A partition stored as a weakly decreasing tuple of positive parts."""
 
-    parts: tuple[int, ...]
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         parts = tuple(int(p) for p in self.parts)
@@ -56,6 +87,14 @@ class Partition:
         object.__setattr__(self, "parts", parts)
         return self
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
     @property
     def n(self) -> int:
         return sum(self.parts)
@@ -64,15 +103,16 @@ class Partition:
         return format_partition(self)
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(_Record):
     """A conjugacy class of a symmetric group.
 
     Stored as (length, count) pairs with lengths strictly decreasing and
     counts positive; fixed points appear as the pair (1, k).
     """
 
-    cycles: tuple[tuple[int, int], ...]
+    def __init__(self, cycles: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "cycles", cycles)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         cyc = tuple((int(a), int(b)) for a, b in self.cycles)
@@ -81,6 +121,23 @@ class CycleType:
         if any(cyc[i][0] <= cyc[i + 1][0] for i in range(len(cyc) - 1)):
             raise ValueError(f"lengths must be strictly decreasing: {cyc!r}")
         object.__setattr__(self, "cycles", cyc)
+
+    @classmethod
+    def _unchecked(cls, cycles: tuple[tuple[int, int], ...]) -> "CycleType":
+        """The class of cycles, which the caller guarantees are (int, int)
+        tuples of positive lengths, strictly decreasing, and positive counts:
+        built without __post_init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "cycles", cycles)
+        return self
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.cycles == other.cycles
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cycles,))
 
     @classmethod
     def from_lengths(cls, lengths) -> "CycleType":
@@ -144,16 +201,17 @@ class CycleType:
         return self.n >= 2 and self.is_even() and all(b == 1 and a % 2 for a, b in self.cycles)
 
     def power(self, i: int) -> "CycleType":
-        """Cycle type of the i-th power of any permutation of this type."""
+        """Cycle type of the i-th power of any permutation of this type,
+        built unchecked: it is a valid class by construction."""
         if i < 0:
             raise ValueError("exponent must be nonnegative")
         if i == 0:
-            return CycleType(((1, self.n),)) if self.cycles else CycleType(())
+            return CycleType._unchecked(((1, self.n),) if self.cycles else ())
         counts: dict[int, int] = {}
         for a, b in self.cycles:
             g = math.gcd(a, i)
             counts[a // g] = counts.get(a // g, 0) + b * g
-        return CycleType(tuple(sorted(counts.items(), reverse=True)))
+        return CycleType._unchecked(tuple(sorted(counts.items(), reverse=True)))
 
     def permutation(self) -> tuple[int, ...]:
         """Canonical representative on {1..n}: consecutive increasing cycles,

@@ -69,9 +69,11 @@ from functools import lru_cache
 from itertools import compress, repeat
 
 from .arith import _factorize, _polydivmod, cyclotomic, divisors, euler_phi, kronecker_symbol, moebius, split_square
-from .characters_an import PLUS, RESTRICTED, AnCharacterLabel, special_class
 from .characters_sn import _beta_set, _chi_row, _columns, chi, degree
 from .partitions import CycleType, Partition, _check_alternating, _check_sizes, diagonal_hooks
+
+# characters_an (AnCharacterLabel and the variants), and fractions with it, is imported by the
+# A_n functions alone, so a symmetric group query loads neither
 
 __all__ = [
     "SpectrumProfile",
@@ -469,6 +471,8 @@ def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
     class of the canonical representative; the companion class has plus and
     minus swapped. At that distinguished class r must not exceed MAX_LISTED_R.
     """
+    from .characters_an import special_class
+
     lam = label.partition
     _check_alternating(lam, sigma)
     return _an_profile(label, sigma, spectrum_sn(lam, sigma), special_class(lam))
@@ -477,6 +481,8 @@ def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
 def _an_profile(label: AnCharacterLabel, sigma: CycleType, base: SpectrumProfile,
                 special: CycleType | None) -> SpectrumProfile:
     """spectrum_an from base = spectrum_sn(lam, sigma) and special = special_class(lam), lam = label.partition."""
+    from .characters_an import PLUS, RESTRICTED
+
     if label.variant == RESTRICTED:
         return base
     r = base.r
@@ -525,6 +531,8 @@ def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType) -> SpectrumPr
     exact machinery with the Gauss sum path. Values are snapped to integers
     within the relative slack _SNAP.
     """
+    from .characters_an import PLUS, RESTRICTED, special_class
+
     lam = label.partition
     _check_alternating(lam, sigma)
     r = sigma.order()

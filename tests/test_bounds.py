@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +11,6 @@ import pytest
 
 from snchar.bounds import (
     DEFAULT_PRECISION_BITS,
-    BoundClause,
-    BoundReport,
     MAX_MIN_DEGREE_N,
     _inf,
     _interval_precision,
@@ -200,8 +197,8 @@ def test_report_json_schema():
 def test_report_json_is_every_field_copied():
     report = robbins_check(7)
     obj = report.to_json_dict()
-    assert set(obj) == {f.name for f in fields(BoundReport)} | {"holds"}
-    assert [set(c) for c in obj["clauses"]] == [{f.name for f in fields(BoundClause)}] * 2
+    assert set(obj) == {"check", "context", "clauses", "precision_bits", "holds"}
+    assert [set(c) for c in obj["clauses"]] == [{"name", "lhs", "rhs", "margin", "holds"}] * 2
     obj["check"] = obj["clauses"][0]["lhs"] = "changed"
     assert report.check == "robbins" and report.clauses[0].lhs != "changed"
 

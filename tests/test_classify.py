@@ -1,7 +1,6 @@
 import concurrent.futures
 import hashlib
 import json
-from dataclasses import fields
 
 import pytest
 
@@ -10,7 +9,6 @@ from snchar.bounds import sweep_estimate, sweep_fomin_lulov, sweep_robbins, swee
 from snchar.characters_an import RESTRICTED, AnCharacterLabel, an_irreducible_labels
 from snchar.classify import (
     Prediction,
-    VerificationReport,
     predict_an,
     predict_no_eigenvalue_one,
     predict_sn,
@@ -453,7 +451,7 @@ def test_report_json_schema():
 def test_report_json_is_every_field_copied():
     report = verify_minpoly_sn(7)
     obj = report.to_json_dict()
-    assert set(obj) == {f.name for f in fields(VerificationReport)} | {"ok"}
+    assert set(obj) == {"kind", "n_min", "n_max", "cases", "mismatches", "exceptional", "ok"}
     obj["cases"] = -1
     assert report.cases != -1 and report.to_json_dict() is not obj
 

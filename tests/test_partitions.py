@@ -274,6 +274,18 @@ def test_power_matches_permutation_powering(ct, k):
     assert ct.power(k) == _type_of_permutation(tuple(powered))
 
 
+def test_unchecked_powers_are_the_validated_classes():
+    # power builds its result without __post_init__; the checked constructor accepts it unchanged
+    for n in range(9):
+        for mu in enumerate_partitions(n):
+            ct = CycleType.from_partition(mu)
+            for k in range(2 * ct.order() + 1):
+                p = ct.power(k)
+                assert all(type(x) is int for pair in p.cycles for x in pair)
+                checked = CycleType(p.cycles)
+                assert vars(p) == vars(checked) and hash(p) == hash(checked)
+
+
 def test_splits_in_alternating():
     assert parse_cycle_type("5^1").splits_in_alternating() is True
     assert parse_cycle_type("7^1 3^1").splits_in_alternating() is True

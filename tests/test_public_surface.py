@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -38,10 +39,16 @@ def test_package_reexports_exactly_the_library_names():
     assert set(snchar.__all__) == LIBRARY_NAMES
 
 
+# modules (mpmath and standard ones) that the package loads only where it uses them
+WATCHED = ("mpmath", "dataclasses", "json", "fractions", "decimal")
+
+
 def _loaded(code: str) -> list[str]:
-    """The snchar submodules and mpmath that a fresh interpreter holds after running code."""
-    probe = code + ("\nimport json, sys\n"
-                    "print(json.dumps(sorted(k for k in sys.modules if k.startswith('snchar.') or k == 'mpmath')))")
+    """The snchar submodules and WATCHED modules that running code loads in a fresh interpreter;
+    sys.modules is read before the probe imports json to print it."""
+    probe = ("import sys\n_before = set(sys.modules)\n" + code + "\n"
+             f"_loaded = sorted(k for k in set(sys.modules) - _before if k.startswith('snchar.') or k in {WATCHED!r})\n"
+             "import json\nprint(json.dumps(_loaded))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV,
                          check=True, timeout=60).stdout
     return json.loads(out.splitlines()[-1])
@@ -57,8 +64,12 @@ def test_package_import_loads_no_library_module():
     assert _loaded("import snchar") == []
 
 
+def test_cli_import_loads_its_two_library_modules_only():
+    assert _loaded("import snchar.cli") == ["snchar.characters_sn", "snchar.cli", "snchar.partitions"]
+
+
 UNUSED_BY_QUERIES = {"snchar.classify", "snchar.bounds", "snchar.specht", "snchar.spectral",
-                     "snchar.characters_an", "mpmath"}
+                     "snchar.characters_an", *WATCHED}
 
 
 @pytest.mark.parametrize("argv", [
@@ -69,6 +80,36 @@ def test_one_shot_queries_load_only_what_they_use(argv):
     loaded = _verb_loads(*argv)
     assert "snchar.characters_sn" in loaded
     assert not loaded & UNUSED_BY_QUERIES
+
+
+@pytest.mark.parametrize("verb", ["minpoly", "fixdim", "spectrum"])
+def test_symmetric_group_spectral_queries_skip_the_alternating_module(verb):
+    loaded = _verb_loads(verb, "--lambda", "3,2", "--shape", "2^2 1^1")
+    assert "snchar.spectral" in loaded
+    assert not loaded & (UNUSED_BY_QUERIES - {"snchar.spectral"})
+
+
+def test_json_output_loads_json():
+    # the probe sees what a verb loads: json arrives with --format json, and only then
+    assert "json" in _verb_loads("degree", "--lambda", "3,2", "--format", "json")
+
+
+def test_no_module_imports_dataclasses_and_json_only_inside_functions():
+    found = []
+    for path in sorted(Path(SRC, "snchar").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_functions = {id(node) for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = {node.module.partition(".")[0]}
+            else:
+                continue
+            if "dataclasses" in modules or ("json" in modules and id(node) not in in_functions):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_bounds_loads_bounds_and_mpmath_only():

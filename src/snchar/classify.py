@@ -24,8 +24,8 @@ from itertools import chain, compress, count
 
 from .characters_an import RESTRICTED, AnCharacterLabel, special_class
 from .partitions import CycleType, Partition, _Record, _sweep, conjugate, enumerate_partitions
-from .spectral import (MinPoly, SpectrumProfile, _an_profile, _check_counts, _fixed_space_weights,
-                       _full_min_poly, _ramanujan_table, _sweep_sums, min_poly)
+from .spectral import (MinPoly, SpectrumProfile, _check_counts, _fixed_space_weights, _full_min_poly, _halves,
+                       _ramanujan_table, _sweep_sums, min_poly)
 
 __all__ = [
     "Prediction",
@@ -209,8 +209,7 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
         shapes, exceptions = _uniform_shapes(n, even_only=True), _exceptions_an
         conjugates = [conjugate(lam).parts for lam in parts]
         labels = {i for i in range(1, len(parts)) if parts[i].parts >= conjugates[i]}
-        split = {i: (AnCharacterLabel.split_pair(parts[i]), special_class(parts[i]))
-                 for i in labels if parts[i].parts == conjugates[i]}
+        split = {i: special_class(parts[i]) for i in labels if parts[i].parts == conjugates[i]}
         text = lambda i: f"[{parts[i]}]+/-" if i in split else f"[{parts[i]}]"
     classes = [CycleType.uniform(r, m, n) for r, m in shapes]
     # per class, per divisor g of its order: one multiplicity per partition of n; last, the identity's
@@ -228,9 +227,8 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
             got = (full,)
             if i in split or i in zero:
                 base = SpectrumProfile._from_gcd(r, [column[i] for column in by_gcd], degrees[i])
-                halves, special = split.get(i, ((), None))
-                got = tuple(sorted((min_poly(_an_profile(h, sigma, base, special)) for h in halves),
-                                   key=_pair_key)) if halves else (min_poly(base),)
+                got = tuple(sorted(map(min_poly, _halves(parts[i], sigma, base, split[i])),
+                                   key=_pair_key)) if i in split else (min_poly(base),)
             if got != polys:
                 mismatches.append((i, k, (n, text(i), r, m, render(polys), render(got))))
             if clause:

@@ -317,6 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "variant", None) is not None and args.group != "an":
+            raise ValueError("--variant names an alternating group label; it needs --group an")
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

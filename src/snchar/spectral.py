@@ -53,8 +53,16 @@ r' = r/g and t = r'/f, is
     T(j) = b * f * (phi(r) / phi(r')) * mu(t) * psi(t) * psi(j/g)  if f | r', else 0.
 
 T is not confined to the primitive r-th roots (for 5,1^4 at 9^1 the halves
-already differ at j = 0, 3 and 6), so these profiles are stored per residue,
-in O(r) steps; orders above MAX_LISTED_R, the listing cap, are refused.
+already differ at j = 0, 3 and 6), but it depends on j only through g and
+psi(j/g) = +-1. _halves builds both halves of a pair from one parent spectrum
+in O(d(r)) steps, as at most 2 * d(r) multiplicities (r * m_g +- T) / (2r),
+each division checked to be exact; spectrum_an reads the pair through a
+two-entry cache, so the second half evaluates no character row. For d = 1,
+psi is trivial and each half is held per gcd like any Galois-stable profile.
+Otherwise a SpectrumProfile holds one entry per (g, sign of psi(j/g)):
+min_poly reads those entries (a support closed under the Galois action gives
+a MinPoly per gcd), and only mult lists them per residue, repeating one row
+of psi per gcd, with orders above MAX_LISTED_R, the listing cap, refused.
 _gauss_correction recomputes T from products of quadratic Gauss sum vectors
 in about r^2 steps, as an independent slow route for tests, and
 spectrum_an_numeric cross checks the path in floating point.
@@ -149,22 +157,24 @@ class SpectrumProfile:
     A profile that is constant on Galois orbits (every symmetric group one,
     and alternating ones away from the distinguished class) is held with one
     multiplicity per divisor g of r, shared by the j with gcd(j, r) = g,
-    whichever constructor built it; its mult is spread out on first access.
-    Any other profile is held per residue. Equality and hashing compare that
-    one stored form.
+    whichever constructor built it. A split half at its distinguished class
+    with an irrational surd d is held with two per divisor, one for the j
+    with (d | j/g) = 1 and one for (d | j/g) = -1. Either is spread out on
+    first access to mult. Any other profile is held per residue. Equality and
+    hashing compare the multiplicities, whichever of these forms holds them.
     """
 
-    __slots__ = ("r", "degree", "_mult", "_by_gcd")
+    __slots__ = ("r", "degree", "_mult", "_by_gcd", "_split")
 
     def __init__(self, r: int, mult: tuple[int, ...], degree: int) -> None:
         mult = tuple(mult)
         if r < 1 or len(mult) != r:
             raise ValueError("mult must list one entry per r-th root")
         _check_case(mult, repeat(1), degree)
-        self.r, self.degree, self._mult, self._by_gcd = r, degree, mult, _galois_form(r, mult)
+        self.r, self.degree, self._mult, self._by_gcd, self._split = r, degree, mult, _galois_form(r, mult), None
 
     @classmethod
-    def _from_gcd(cls, r: int, by_gcd: tuple[int, ...], degree: int) -> SpectrumProfile:
+    def _from_gcd(cls, r: int, by_gcd, degree: int) -> SpectrumProfile:
         """The profile with multiplicity by_gcd[k] at every j whose gcd with r
         is the k-th divisor of r; phi(r/g) residues share each entry."""
         phis = _phis(r)
@@ -172,13 +182,33 @@ class SpectrumProfile:
             raise ValueError("by_gcd must list one entry per divisor of r")
         _check_case(by_gcd, phis, degree)
         self = object.__new__(cls)
-        self.r, self.degree, self._mult, self._by_gcd = r, degree, None, tuple(by_gcd)
+        self.r, self.degree, self._mult, self._by_gcd, self._split = r, degree, None, tuple(by_gcd), None
+        return self
+
+    @classmethod
+    def _from_split(cls, r: int, d: int, pos, neg, degree: int) -> SpectrumProfile:
+        """A split half at its distinguished class, for a surd d != 1: at the j
+        whose gcd g with r is the k-th divisor of r, multiplicity pos[k] where
+        (d | j/g) = 1 and neg[k] where it is -1. pos[k] != neg[k] only where
+        |d| divides r/g, and then half of the phi(r/g) residues take each."""
+        phis = _phis(r)
+        _check_case(pos + neg, phis + phis, 2 * degree)
+        self = object.__new__(cls)
+        self.r, self.degree, self._mult, self._by_gcd, self._split = r, degree, None, None, (d, tuple(pos), tuple(neg))
         return self
 
     @property
     def mult(self) -> tuple[int, ...]:
+        if self._mult is None and self._split is not None and self.r > MAX_LISTED_R:
+            raise ValueError(f"a split half at its distinguished class lists one multiplicity per residue, "
+                             f"and r = {self.r} > MAX_LISTED_R = {MAX_LISTED_R}")
+        return self._listed()
+
+    def _listed(self) -> tuple[int, ...]:
+        """mult, with no cap on the order."""
         if self._mult is None:
-            self._mult = tuple(_spread(self.r, self._by_gcd))
+            r = self.r
+            self._mult = tuple(_spread(r, self._by_gcd)) if self._split is None else _list_split(r, *self._split)
         return self._mult
 
     def support(self) -> frozenset[int]:
@@ -187,19 +217,28 @@ class SpectrumProfile:
     def to_json_dict(self) -> dict:
         return {"r": self.r, "degree": self.degree, "mult": list(self.mult)}
 
-    def _key(self) -> tuple:
-        return self.r, self.degree, self._by_gcd, self._mult if self._by_gcd is None else None
+    def _at_divisors(self) -> tuple[int, ...]:
+        """mult[g % r] for the divisors g of r: the whole profile when it is held per gcd."""
+        if self._split is not None:
+            return self._split[1]  # j = g has j/g = 1
+        return self._by_gcd if self._by_gcd is not None else tuple(self._mult[g % self.r] for g in divisors(self.r))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectrumProfile):
             return NotImplemented
-        return self._key() == other._key()
+        if (self.r, self.degree, self._by_gcd) != (other.r, other.degree, other._by_gcd):
+            return False
+        if self._by_gcd is not None:
+            return True
+        if self._split is not None and other._split is not None:
+            return self._split == other._split
+        return self._listed() == other._listed()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.r, self.degree, self._at_divisors()))
 
     def __repr__(self) -> str:
-        return f"SpectrumProfile(r={self.r}, mult={self.mult}, degree={self.degree})"
+        return f"SpectrumProfile(r={self.r}, mult={self._listed()}, degree={self.degree})"
 
 
 class MinPoly:
@@ -428,7 +467,8 @@ def _gauss_correction(hooks: tuple[int, ...], r: int) -> list[int]:
 
 def _quadratic_character(d: int) -> list[int]:
     """(d | x) for x in range(|d|), d squarefree and 1 mod 4, as a product of
-    Legendre symbols: 14x faster than kronecker_symbol per residue at 2^20."""
+    Legendre symbols, each repeated over the table: 14x faster than
+    kronecker_symbol per residue at 2^20."""
     f = abs(d)
     psi = [1] * f
     for q, _ in _factorize(f):
@@ -436,26 +476,25 @@ def _quadratic_character(d: int) -> list[int]:
         legendre[0] = 0
         for x in range(1, (q + 1) // 2):
             legendre[x * x % q] = 1
-        psi = [v * legendre[x % q] for x, v in enumerate(psi)]
+        psi = list(map(operator.mul, psi, legendre * (f // q)))
     return psi
 
 
-def _split_correction(hooks: tuple[int, ...], eps: int, r: int) -> tuple[dict[int, int], list[int]]:
-    """The closed form of T (module docstring) as (coeff, psi): T(j) =
-    coeff[g] * psi[j/g mod f] for g = gcd(j, r) in coeff, else 0. j = 0 has
-    r' = 1, so it is in coeff only when f = 1, and then psi[0] = 1."""
+def _split_correction(hooks: tuple[int, ...], eps: int, r: int) -> tuple[dict[int, int], int]:
+    """The closed form of T (module docstring) as (coeff, d): T(j) = coeff[g] *
+    (d | j/g) for g = gcd(j, r) in coeff, else 0. j = 0 has r' = 1, so it is in
+    coeff only when d = 1."""
     b, d = split_square(eps * math.prod(hooks))
     if d % 4 != 1:
         raise RuntimeError("the surd of a split character must be 1 mod 4 (internal bug)")
     f = abs(d)
-    psi = _quadratic_character(d)
     phi_r = euler_phi(r)
     coeff = {}
     for g in divisors(r):
         rp = r // g
-        if rp % f == 0 and (c := moebius(rp // f) * psi[rp // f % f]):
+        if rp % f == 0 and (c := moebius(rp // f) * kronecker_symbol(d, rp // f)):
             coeff[g] = b * f * phi_r // euler_phi(rp) * c
-    return coeff, psi
+    return coeff, d
 
 
 # listings of one multiplicity per residue are refused above this order r: a split
@@ -464,58 +503,78 @@ def _split_correction(hooks: tuple[int, ...], eps: int, r: int) -> tuple[dict[in
 MAX_LISTED_R = 1 << 20
 
 
+def _list_split(r: int, d: int, pos: tuple[int, ...], neg: tuple[int, ...]) -> tuple[int, ...]:
+    """The per-residue listing of a split half held as SpectrumProfile._from_split holds it."""
+    psi = _quadratic_character(d)
+    f = len(psi)
+    out = [0] * r
+    # ascending divisors, as in _spread: the j = g * k with gcd(j, r) = g have k prime to r/g,
+    # so (d | k) = +-1 there, and every other k is overwritten by a larger divisor of j
+    for g, plus, minus in zip(divisors(r), pos, neg):
+        if plus == minus:
+            out[::g] = [plus] * (r // g)
+        else:  # f divides r/g: one row of psi, read as (0, 1, -1) -> (any, plus, minus), repeated
+            out[::g] = list(map((plus, plus, minus).__getitem__, psi)) * (r // g // f)
+    return tuple(out)
+
+
 def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
     """Exact eigenvalue multiplicities of an alternating group irreducible.
 
     For a split label on a class that splits, the profile belongs to the
     class of the canonical representative; the companion class has plus and
-    minus swapped. At that distinguished class r must not exceed MAX_LISTED_R.
+    minus swapped. Both halves of a pair come from one parent spectrum, read
+    through a small cache, so the second half evaluates no character row. At
+    the distinguished class a half holds at most 2 * d(r) multiplicities, and
+    its mult (one per residue) is refused when r exceeds MAX_LISTED_R.
     """
-    from .characters_an import special_class
+    from .characters_an import MINUS, RESTRICTED
 
     lam = label.partition
     _check_alternating(lam, sigma)
-    return _an_profile(label, sigma, spectrum_sn(lam, sigma), special_class(lam))
-
-
-def _an_profile(label: AnCharacterLabel, sigma: CycleType, base: SpectrumProfile,
-                special: CycleType | None) -> SpectrumProfile:
-    """spectrum_an from base = spectrum_sn(lam, sigma) and special = special_class(lam), lam = label.partition."""
-    from .characters_an import PLUS, RESTRICTED
-
     if label.variant == RESTRICTED:
-        return base
-    r = base.r
+        return spectrum_sn(lam, sigma)
+    return _split_pair(lam, sigma)[label.variant == MINUS]
+
+
+# two pairs: the halves of one pair are asked for one after the other, or interleaved with another's
+@lru_cache(maxsize=2)
+def _split_pair(lam: Partition, sigma: CycleType) -> tuple[SpectrumProfile, SpectrumProfile]:
+    """The plus and minus halves of the split pair of lam at sigma, for checked arguments."""
+    from .characters_an import special_class
+
+    return _halves(lam, sigma, spectrum_sn(lam, sigma), special_class(lam))
+
+
+def _halves(lam: Partition, sigma: CycleType, base: SpectrumProfile,
+            special: CycleType) -> tuple[SpectrumProfile, SpectrumProfile]:
+    """The plus and minus halves of the split pair of lam at sigma, from base =
+    spectrum_sn(lam, sigma) and special = special_class(lam)."""
+    r, half_degree = base.r, base.degree // 2
     if sigma != special:
         if any(m % 2 for m in base._by_gcd):
             raise RuntimeError("odd multiplicity away from the distinguished class (internal bug)")
-        return SpectrumProfile._from_gcd(r, tuple(m // 2 for m in base._by_gcd), base.degree // 2)
-    if r > MAX_LISTED_R:
-        raise ValueError(f"the split halves of {label.partition} at their distinguished class {sigma} list "
-                         f"one multiplicity per residue, and r = {r} > MAX_LISTED_R = {MAX_LISTED_R}")
+        half = SpectrumProfile._from_gcd(r, tuple(m // 2 for m in base._by_gcd), half_degree)
+        return half, half
     # chi(sigma) is the trace: the j with gcd(j, r) = g sum to mu(r/g)
-    by_gcd = dict(zip(divisors(r), base._by_gcd))
-    eps = sum(m * moebius(r // g) for g, m in by_gcd.items())
+    eps = sum(m * moebius(r // g) for g, m in zip(divisors(r), base._by_gcd))
     if abs(eps) != 1:
         raise RuntimeError("parent value on the distinguished class must be +-1 (internal bug)")
-    coeff, psi = _split_correction(diagonal_hooks(label.partition), eps, r)
-    f = len(psi)
-    sign = 1 if label.variant == PLUS else -1
-    # mult[j] depends on j only through (g, T(j)): equal entries share one int, so r
-    # copies of degree-sized integers are not held (511^2,2^509 at r = 1040399 took 1.2 GB)
-    shared: dict[tuple[int, int], int] = {}
-    mult = []
-    for j in range(r):
-        g = math.gcd(j, r)
-        t = coeff.get(g, 0) * psi[j // g % f]
-        q = shared.get((g, t))
-        if q is None:
-            q, rem = divmod(r * by_gcd[g] + sign * t, 2 * r)
-            if rem:
-                raise RuntimeError("non-integer split multiplicity (internal bug)")
-            shared[g, t] = q
-        mult.append(q)
-    return SpectrumProfile(r, tuple(mult), base.degree // 2)
+    coeff, d = _split_correction(diagonal_hooks(lam), eps, r)
+    # mult_plus is pos[k] = (r * m_g + coeff[g]) / 2r where (d | j/g) = 1 and neg[k] = (r * m_g -
+    # coeff[g]) / 2r where it is -1; mult_minus swaps them
+    pos, neg = [], []
+    for g, m in zip(divisors(r), base._by_gcd):
+        t = coeff.get(g, 0)
+        (plus, rem_plus), (minus, rem_minus) = divmod(r * m + t, 2 * r), divmod(r * m - t, 2 * r)
+        if rem_plus or rem_minus:
+            raise RuntimeError("non-integer split multiplicity (internal bug)")
+        pos.append(plus)
+        neg.append(minus)
+    if d == 1:  # (1 | .) = 1: T is shared by the j of equal gcd, and each half is Galois stable
+        return SpectrumProfile._from_gcd(r, pos, half_degree), SpectrumProfile._from_gcd(r, neg, half_degree)
+    return (SpectrumProfile._from_split(r, d, pos, neg, half_degree),
+            SpectrumProfile._from_split(r, d, neg, pos, half_degree))
 
 
 # relative slack within which spectrum_an_numeric snaps a multiplicity to an integer
@@ -577,6 +636,10 @@ def min_poly(profile: SpectrumProfile) -> MinPoly:
     """Minimal polynomial support; finite order matrices are diagonalizable,
     so the minimal polynomial is squarefree with the spectrum as root set."""
     r, by_gcd = profile.r, profile._by_gcd
+    if profile._split is not None:
+        _, pos, neg = profile._split
+        if list(map(bool, pos)) == list(map(bool, neg)):  # a support closed under the Galois action
+            by_gcd = pos
     if by_gcd is None:
         return MinPoly(r, frozenset(compress(range(r), profile.mult)))
     if all(by_gcd):

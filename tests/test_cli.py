@@ -429,6 +429,14 @@ def test_oversized_input_exits_2(capsys):
     assert err.startswith("error: partition too large")
 
 
+@pytest.mark.parametrize("verb", ["char", "spectrum", "minpoly"])
+def test_variant_without_group_an_exits_2(capsys, verb):
+    # the symmetric group has no plus or minus label: the variant is refused, not ignored
+    code, out, err = run_cli(capsys, verb, "--lambda", "3,1,1", "--shape", "5^1", "--variant", "plus")
+    assert (code, out) == (2, "")
+    assert err == "error: --variant names an alternating group label; it needs --group an\n"
+
+
 def test_variant_choices_are_the_label_variants():
     from snchar.characters_an import MINUS, PLUS, RESTRICTED
 
@@ -496,11 +504,16 @@ def test_split_class_at_order_45045_answers_minpoly(capsys):
     assert out == "[7^5,5^2]+ x^45045-1\n[7^5,5^2]- x^45045-1\n"
 
 
-def test_split_class_at_order_45045_answers_spectrum(capsys):
+def test_split_class_at_order_45045_answers_spectrum(capsys, monkeypatch):
+    # both halves are printed from one parent spectrum: one character row in all
+    rows = []
+    real = spectral._chi_row
+    monkeypatch.setattr(spectral, "_chi_row", lambda mask, columns: rows.append(mask) or real(mask, columns))
+    spectral._split_pair.cache_clear()
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "spectrum", *SPLIT_45045)
     assert time.perf_counter() - start < 1
-    assert (code, err) == (0, "")
+    assert (code, err, len(rows)) == (0, "", 1)
     lam, sigma = parse_partition("7^5,5^2"), parse_cycle_type(SPLIT_45045[-1])
     halves = []
     for line, tag in zip(out.splitlines(), "+-", strict=True):
@@ -511,13 +524,28 @@ def test_split_class_at_order_45045_answers_spectrum(capsys):
     assert [a + b for a, b in zip(*halves, strict=True)] == list(spectrum_sn(lam, sigma).mult)
 
 
-def test_split_class_above_max_split_r_exits_2(capsys):
-    # 19*17*13*11*7*5 = 1616615 > 2^20: the hooks of the self conjugate 10^2,9^2,8^2,6^2,4,2 (n = 72)
-    shape = "19^1 17^1 13^1 11^1 7^1 5^1"
-    code, out, err = run_cli(capsys, "minpoly", "--group", "an", "--lambda", "10^2,9^2,8^2,6^2,4,2", "--shape", shape)
-    assert (code, out) == (2, "")
-    assert err == (f"error: the split halves of 10^2,9^2,8^2,6^2,4,2 at their distinguished class {shape} list one "
-                   "multiplicity per residue, and r = 1616615 > MAX_LISTED_R = 1048576\n")
+def test_split_class_above_max_listed_r_answers_text_minpoly_only(capsys):
+    # 19*17*13*11*7*5 = 1616615 > 2^20: the hooks of the self conjugate 10^2,9^2,8^2,6^2,4,2 (n = 72);
+    # the halves' minimal polynomials are read per divisor, only their listings are refused
+    argv = ("--group", "an", "--lambda", "10^2,9^2,8^2,6^2,4,2", "--shape", BIG_ORDER_SHAPE)
+    code, out, err = run_cli(capsys, "minpoly", *argv)
+    assert (code, err) == (0, "")
+    assert out == "[10^2,9^2,8^2,6^2,4,2]+ x^1616615-1\n[10^2,9^2,8^2,6^2,4,2]- x^1616615-1\n"
+    for verb, what in (("spectrum",), "spectrum"), (("minpoly", "--format", "json"), "minpoly --format json"):
+        code, out, err = run_cli(capsys, *verb, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {what} lists one entry per r-th root of unity, and class {BIG_ORDER_SHAPE} has "
+                       "order r = 1616615 > MAX_LISTED_R = 1048576; use minpoly (text format) or fixdim\n")
+
+
+def test_split_class_at_order_1040399_answers_minpoly_at_once(capsys):
+    # 1021*1019, the distinguished class of 511^2,2^509 (n = 2040): both minimal polynomials are
+    # read from 2 * d(r) = 8 entries per half, with no listing of the r residues
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "minpoly", "--group", "an", "--lambda", "511^2,2^509", "--shape", "1021^1 1019^1")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out == "[511^2,2^509]+ x^1040399-1\n[511^2,2^509]- x^1040399-1\n"
 
 
 def test_max_split_r_is_the_listing_cap():

@@ -185,12 +185,12 @@ def test_one_stored_form_whichever_constructor():
     # a Galois-stable profile is held per gcd however it was built, and its roots likewise
     prof = spectrum_sn(parse_partition("3,3"), parse_cycle_type("6^1"))
     assert SpectrumProfile(6, prof.mult, 5)._by_gcd == prof._by_gcd == (1, 0, 2, 1)  # g = 1, 2, 3, 6
-    # a split half at its distinguished class is built per residue: held per gcd when its surd
-    # is rational (5,1^4 at 9^1, where eps * 9 = 3^2), per residue otherwise (3,1^2 at 5^1)
+    # a split half at its distinguished class is held per gcd when its surd is rational (5,1^4
+    # at 9^1, where eps * 9 = 3^2), per gcd and sign of psi(j/g) otherwise (3,1^2 at 5^1)
     for lam, sigma, stable in (("5,1^4", "9^1", True), ("3,1^2", "5^1", False)):
         for half in AnCharacterLabel.split_pair(parse_partition(lam)):
             prof = spectrum_an(half, parse_cycle_type(sigma))
-            assert (prof._by_gcd is not None) == (min_poly(prof)._gcds is not None) == stable
+            assert (prof._by_gcd is not None) == (prof._split is None) == (min_poly(prof)._gcds is not None) == stable
             assert prof == SpectrumProfile(prof.r, prof.mult, prof.degree)
 
 
@@ -430,6 +430,31 @@ def test_spectrum_an_known_vectors():
         assert spectrum_an(minus, sigma).mult == minus_mult
 
 
+def test_split_pair_shares_one_parent_row(monkeypatch):
+    # the second half of a pair reads the first one's parent spectrum: one character row in all
+    rows = []
+    real = spectral._chi_row
+    monkeypatch.setattr(spectral, "_chi_row", lambda mask, columns: rows.append(mask) or real(mask, columns))
+    spectral._split_pair.cache_clear()
+    lam, sigma = parse_partition("3,2,1"), parse_cycle_type("5^1 1^1")
+    plus, minus = (spectrum_an(half, sigma) for half in AnCharacterLabel.split_pair(lam))
+    assert (plus.mult, minus.mult) == ((2, 2, 1, 1, 2), (2, 1, 2, 2, 1))
+    assert len(rows) == 1
+
+
+def test_split_half_above_the_listing_cap_refuses_mult():
+    # 19*17*13*11*7*5 = 1616615 > 2^20: each half holds 2 * d(r) = 128 entries, and lists none
+    lam = parse_partition("10^2,9^2,8^2,6^2,4,2")
+    sigma = special_class(lam)
+    assert sigma.order() == 1616615 > spectral.MAX_LISTED_R
+    for half in AnCharacterLabel.split_pair(lam):
+        prof = spectrum_an(half, sigma)
+        assert len(prof._split[1]) == len(prof._split[2]) == len(divisors(1616615)) == 64
+        assert min_poly(prof).rendered == "x^1616615-1"
+        with pytest.raises(ValueError, match="lists one multiplicity per residue, and r = 1616615 > MAX_LISTED_R"):
+            prof.mult
+
+
 def test_spectrum_an_split_min_polys():
     plus, minus = AnCharacterLabel.split_pair(parse_partition("3,1,1"))
     five = parse_cycle_type("5^1")
@@ -480,7 +505,8 @@ def test_spectrum_an_matches_numeric():
         for label in AnCharacterLabel.split_pair(lam):
             exact = spectrum_an(label, sigma)
             numeric = spectrum_an_numeric(label, sigma)
-            assert exact == numeric
+            assert exact == numeric and hash(exact) == hash(numeric)
+            assert min_poly(exact) == min_poly(numeric)
 
 
 def test_spectrum_an_numeric_restricted_labels():

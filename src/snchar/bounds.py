@@ -239,7 +239,7 @@ def min_degree_check(n: int) -> BoundReport:
     if n < 15:
         raise ValueError(f"table starts at n = 15: {n}")
     if n > MAX_MIN_DEGREE_N:
-        raise ValueError(f"min-degree holds every partition of n, and n = {n} > MAX_MIN_DEGREE_N = {MAX_MIN_DEGREE_N}")
+        raise ValueError(f"min-degree walks every partition of n, and n = {n} > MAX_MIN_DEGREE_N = {MAX_MIN_DEGREE_N}")
     rows = [(name, Partition(shape), stated) for name, shape, stated in _min_degree_rows(n)]
     listed = {Partition((n,)), Partition((1,) * n)}
     for _, lam, _ in rows:

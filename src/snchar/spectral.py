@@ -20,8 +20,9 @@ once per divisor g of r,
 
 from a per-r table of the integers c_{r/d}(g), each by Hoelder's closed form
 c_q(j) = mu(q/g') * phi(q) / phi(q/g') with g' = gcd(q, j), and stored that
-way: a SpectrumProfile holds one multiplicity per divisor g and spreads it
-over the r residues only when mult is read. The fixed space dimension is the
+way: a SpectrumProfile holds one multiplicity per divisor g (its one compact
+form, (d, pos, neg) with the surd d = 1 and pos == neg; see below) and spreads
+it over the r residues only when mult is read. The fixed space dimension is the
 row g = r alone, where c_{r/d}(r) = phi(r/d). _power_plan lists the classes
 sigma^d that the classes asked about reach, whose character values are summed
 by the whole table, or for the fixed space by phi(r/d) alone: one row of lam
@@ -31,9 +32,9 @@ a time, checked by class column (_check_counts; _check_case checks one case
 the same way). The powers sigma^d of a class are built once, in a bounded cache.
 Whichever constructor built it, a profile or a minimal polynomial whose values
 are shared by every j of equal gcd with r (a union of Galois orbits, decided
-once by _galois_form) is held per gcd, so min_poly and render_min_poly never
-scan range(r) for one. The integer arithmetic (divisors, Moebius, phi,
-cyclotomic polynomials) lives in arith.
+once by _galois_form) is held per gcd, a profile as its compact form with
+surd 1, so min_poly and render_min_poly never scan range(r) for one. The integer
+arithmetic (divisors, Moebius, phi, cyclotomic polynomials) lives in arith.
 
 Every division is checked to be exact; a remainder signals a bug, never a
 rounding problem. spectrum_sn_direct recomputes profiles by reducing the
@@ -57,12 +58,13 @@ already differ at j = 0, 3 and 6), but it depends on j only through g and
 psi(j/g) = +-1. _halves builds both halves of a pair from one parent spectrum
 in O(d(r)) steps, as at most 2 * d(r) multiplicities (r * m_g +- T) / (2r),
 each division checked to be exact; spectrum_an reads the pair through a
-two-entry cache, so the second half evaluates no character row. For d = 1,
-psi is trivial and each half is held per gcd like any Galois-stable profile.
-Otherwise a SpectrumProfile holds one entry per (g, sign of psi(j/g)):
-min_poly reads those entries (a support closed under the Galois action gives
-a MinPoly per gcd), and only mult lists them per residue, repeating one row
-of psi per gcd, with orders above MAX_LISTED_R, the listing cap, refused.
+two-entry cache, so the second half evaluates no character row. A half is the
+compact form (d, pos, neg) itself: one entry per (g, sign of psi(j/g)). For
+d = 1, psi is trivial, T is shared by the j of equal gcd, and the form stores
+pos alone, like any Galois-stable profile. min_poly reads the entries (a
+support where pos and neg vanish together gives a MinPoly per gcd), and only
+mult lists them per residue, repeating one row of psi per gcd, with orders
+above MAX_LISTED_R, the listing cap, refused for d != 1.
 _gauss_correction recomputes T from products of quadratic Gauss sum vectors
 in about r^2 steps, as an independent slow route for tests, and
 spectrum_an_numeric cross checks the path in floating point.
@@ -113,13 +115,19 @@ def _phis(r: int) -> tuple[int, ...]:
     return tuple(euler_phi(r // g) for g in divisors(r))
 
 
-def _spread(r: int, per_gcd) -> list:
-    """The per-residue list whose entry j is per_gcd's value at g = gcd(j, r),
-    per_gcd being aligned with divisors(r)."""
+def _spread(r: int, pos, neg=None, d: int = 1) -> list:
+    """The per-residue list of a compact form (d, pos, neg) aligned with divisors(r), as
+    SpectrumProfile holds it: entry j, with g = gcd(j, r) the k-th divisor of r, is pos[k]
+    where (d | j/g) = 1 and neg[k] where it is -1; pos alone gives one value per gcd."""
     out = [0] * r
-    # ascending divisors: the last g written at j is the largest one dividing j, gcd(j, r)
-    for g, value in zip(divisors(r), per_gcd):
-        out[::g] = [value] * (r // g)
+    # ascending divisors: the last g written at j is the largest one dividing j, gcd(j, r); the
+    # j = g * k with gcd(j, r) = g have k prime to r/g, so (d | k) = +-1 there
+    for g, plus, minus in zip(divisors(r), pos, neg or pos):
+        if plus == minus:
+            out[::g] = [plus] * (r // g)
+        else:  # |d| divides r/g: one row of psi, read as (0, 1, -1) -> (any, plus, minus), repeated
+            psi = _quadratic_character(d)
+            out[::g] = list(map((plus, plus, minus).__getitem__, psi)) * (r // g // len(psi))
     return out
 
 
@@ -154,52 +162,49 @@ class SpectrumProfile:
     """Eigenvalue multiplicities of a permutation image: mult[j] counts the
     eigenvalue exp(2*pi*i*j/r), and r is the permutation's order.
 
-    A profile that is constant on Galois orbits (every symmetric group one,
-    and alternating ones away from the distinguished class) is held with one
-    multiplicity per divisor g of r, shared by the j with gcd(j, r) = g,
-    whichever constructor built it. A split half at its distinguished class
-    with an irrational surd d is held with two per divisor, one for the j
-    with (d | j/g) = 1 and one for (d | j/g) = -1. Either is spread out on
-    first access to mult. Any other profile is held per residue. Equality and
-    hashing compare the multiplicities, whichever of these forms holds them.
+    Whichever constructor built it, a profile whose multiplicity at j depends
+    only on g = gcd(j, r) and the sign of (d | j/g), for a squarefree d = 1 mod
+    4, is held compactly as (d, pos, neg), aligned with divisors(r): pos[k]
+    where (d | j/g) = 1 and neg[k] where it is -1. The form is canonical:
+    pos == neg stores d = 1, the case of every Galois-stable profile (every
+    symmetric group one, and alternating ones away from the distinguished
+    class); only a split half at its distinguished class with an irrational
+    surd has d != 1. The compact form is spread out on first access to mult.
+    Any other profile is held per residue. Equality and hashing compare the
+    multiplicities, whichever form holds them.
     """
 
-    __slots__ = ("r", "degree", "_mult", "_by_gcd", "_split")
+    __slots__ = ("r", "degree", "_mult", "_compact")
 
     def __init__(self, r: int, mult: tuple[int, ...], degree: int) -> None:
         mult = tuple(mult)
         if r < 1 or len(mult) != r:
             raise ValueError("mult must list one entry per r-th root")
         _check_case(mult, repeat(1), degree)
-        self.r, self.degree, self._mult, self._by_gcd, self._split = r, degree, mult, _galois_form(r, mult), None
+        by_gcd = _galois_form(r, mult)
+        self.r, self.degree, self._mult = r, degree, mult
+        self._compact = None if by_gcd is None else (1, by_gcd, by_gcd)
 
     @classmethod
-    def _from_gcd(cls, r: int, by_gcd, degree: int) -> SpectrumProfile:
-        """The profile with multiplicity by_gcd[k] at every j whose gcd with r
-        is the k-th divisor of r; phi(r/g) residues share each entry."""
+    def _from_gcd(cls, r: int, pos, degree: int, neg=None, d: int = 1) -> SpectrumProfile:
+        """The profile held as (d, pos, neg): at the j whose gcd g with r is the
+        k-th divisor of r, multiplicity pos[k] where (d | j/g) = 1 and neg[k] where
+        it is -1, so for d = 1 (neg unread) pos[k] at all phi(r/g) of them.
+        pos[k] != neg[k] only where |d| divides r/g, and then half of the residues
+        take each."""
         phis = _phis(r)
-        if len(by_gcd) != len(phis):
-            raise ValueError("by_gcd must list one entry per divisor of r")
-        _check_case(by_gcd, phis, degree)
-        self = object.__new__(cls)
-        self.r, self.degree, self._mult, self._by_gcd, self._split = r, degree, None, tuple(by_gcd), None
-        return self
-
-    @classmethod
-    def _from_split(cls, r: int, d: int, pos, neg, degree: int) -> SpectrumProfile:
-        """A split half at its distinguished class, for a surd d != 1: at the j
-        whose gcd g with r is the k-th divisor of r, multiplicity pos[k] where
-        (d | j/g) = 1 and neg[k] where it is -1. pos[k] != neg[k] only where
-        |d| divides r/g, and then half of the phi(r/g) residues take each."""
-        phis = _phis(r)
+        pos = tuple(pos)
+        neg = pos if d == 1 else tuple(neg)
+        if len(pos) != len(phis) or len(neg) != len(phis):
+            raise ValueError("pos and neg must list one entry per divisor of r")
         _check_case(pos + neg, phis + phis, 2 * degree)
         self = object.__new__(cls)
-        self.r, self.degree, self._mult, self._by_gcd, self._split = r, degree, None, None, (d, tuple(pos), tuple(neg))
+        self.r, self.degree, self._mult, self._compact = r, degree, None, (1, pos, pos) if pos == neg else (d, pos, neg)
         return self
 
     @property
     def mult(self) -> tuple[int, ...]:
-        if self._mult is None and self._split is not None and self.r > MAX_LISTED_R:
+        if self._mult is None and self._compact[0] != 1 and self.r > MAX_LISTED_R:
             raise ValueError(f"a split half at its distinguished class lists one multiplicity per residue, "
                              f"and r = {self.r} > MAX_LISTED_R = {MAX_LISTED_R}")
         return self._listed()
@@ -207,8 +212,8 @@ class SpectrumProfile:
     def _listed(self) -> tuple[int, ...]:
         """mult, with no cap on the order."""
         if self._mult is None:
-            r = self.r
-            self._mult = tuple(_spread(r, self._by_gcd)) if self._split is None else _list_split(r, *self._split)
+            d, pos, neg = self._compact
+            self._mult = tuple(_spread(self.r, pos, neg, d))
         return self._mult
 
     def support(self) -> frozenset[int]:
@@ -217,25 +222,20 @@ class SpectrumProfile:
     def to_json_dict(self) -> dict:
         return {"r": self.r, "degree": self.degree, "mult": list(self.mult)}
 
-    def _at_divisors(self) -> tuple[int, ...]:
-        """mult[g % r] for the divisors g of r: the whole profile when it is held per gcd."""
-        if self._split is not None:
-            return self._split[1]  # j = g has j/g = 1
-        return self._by_gcd if self._by_gcd is not None else tuple(self._mult[g % self.r] for g in divisors(self.r))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectrumProfile):
             return NotImplemented
-        if (self.r, self.degree, self._by_gcd) != (other.r, other.degree, other._by_gcd):
+        if (self.r, self.degree) != (other.r, other.degree):
             return False
-        if self._by_gcd is not None:
-            return True
-        if self._split is not None and other._split is not None:
-            return self._split == other._split
+        if self._compact is not None and other._compact is not None:
+            return self._compact == other._compact
         return self._listed() == other._listed()
 
     def __hash__(self) -> int:
-        return hash((self.r, self.degree, self._at_divisors()))
+        # mult[g % r] over the divisors g: pos in the compact form, as j = g has j/g = 1
+        r = self.r
+        at_divisors = self._compact[1] if self._compact else tuple(self._mult[g % r] for g in divisors(r))
+        return hash((r, self.degree, at_divisors))
 
     def __repr__(self) -> str:
         return f"SpectrumProfile(r={self.r}, mult={self._listed()}, degree={self.degree})"
@@ -465,18 +465,20 @@ def _gauss_correction(hooks: tuple[int, ...], r: int) -> list[int]:
     return [sum(c * c_r_res[k - j] for k, c in terms) for j in range(r)]  # a negative index wraps mod r
 
 
-def _quadratic_character(d: int) -> list[int]:
+# two surds, as _split_pair holds two pairs: listing both halves of a pair builds one table
+@lru_cache(maxsize=2)
+def _quadratic_character(d: int) -> tuple[int, ...]:
     """(d | x) for x in range(|d|), d squarefree and 1 mod 4, as a product of
     Legendre symbols, each repeated over the table: 14x faster than
     kronecker_symbol per residue at 2^20."""
     f = abs(d)
-    psi = [1] * f
+    psi = (1,) * f
     for q, _ in _factorize(f):
         legendre = [-1] * q
         legendre[0] = 0
         for x in range(1, (q + 1) // 2):
             legendre[x * x % q] = 1
-        psi = list(map(operator.mul, psi, legendre * (f // q)))
+        psi = tuple(map(operator.mul, psi, legendre * (f // q)))
     return psi
 
 
@@ -501,21 +503,6 @@ def _split_correction(hooks: tuple[int, ...], eps: int, r: int) -> tuple[dict[in
 # half at its distinguished class here, and cli's spectrum and minpoly --format json;
 # so is a rendered minimal polynomial that divides out more roots than this
 MAX_LISTED_R = 1 << 20
-
-
-def _list_split(r: int, d: int, pos: tuple[int, ...], neg: tuple[int, ...]) -> tuple[int, ...]:
-    """The per-residue listing of a split half held as SpectrumProfile._from_split holds it."""
-    psi = _quadratic_character(d)
-    f = len(psi)
-    out = [0] * r
-    # ascending divisors, as in _spread: the j = g * k with gcd(j, r) = g have k prime to r/g,
-    # so (d | k) = +-1 there, and every other k is overwritten by a larger divisor of j
-    for g, plus, minus in zip(divisors(r), pos, neg):
-        if plus == minus:
-            out[::g] = [plus] * (r // g)
-        else:  # f divides r/g: one row of psi, read as (0, 1, -1) -> (any, plus, minus), repeated
-            out[::g] = list(map((plus, plus, minus).__getitem__, psi)) * (r // g // f)
-    return tuple(out)
 
 
 def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
@@ -550,31 +537,30 @@ def _halves(lam: Partition, sigma: CycleType, base: SpectrumProfile,
             special: CycleType) -> tuple[SpectrumProfile, SpectrumProfile]:
     """The plus and minus halves of the split pair of lam at sigma, from base =
     spectrum_sn(lam, sigma) and special = special_class(lam)."""
-    r, half_degree = base.r, base.degree // 2
+    r, half_degree, by_gcd = base.r, base.degree // 2, base._compact[1]  # base is Galois stable: d = 1
     if sigma != special:
-        if any(m % 2 for m in base._by_gcd):
+        if any(m % 2 for m in by_gcd):
             raise RuntimeError("odd multiplicity away from the distinguished class (internal bug)")
-        half = SpectrumProfile._from_gcd(r, tuple(m // 2 for m in base._by_gcd), half_degree)
+        half = SpectrumProfile._from_gcd(r, [m // 2 for m in by_gcd], half_degree)
         return half, half
     # chi(sigma) is the trace: the j with gcd(j, r) = g sum to mu(r/g)
-    eps = sum(m * moebius(r // g) for g, m in zip(divisors(r), base._by_gcd))
+    eps = sum(m * moebius(r // g) for g, m in zip(divisors(r), by_gcd))
     if abs(eps) != 1:
         raise RuntimeError("parent value on the distinguished class must be +-1 (internal bug)")
     coeff, d = _split_correction(diagonal_hooks(lam), eps, r)
     # mult_plus is pos[k] = (r * m_g + coeff[g]) / 2r where (d | j/g) = 1 and neg[k] = (r * m_g -
-    # coeff[g]) / 2r where it is -1; mult_minus swaps them
+    # coeff[g]) / 2r where it is -1; mult_minus swaps them. For d = 1, (1 | .) = 1 and T is shared
+    # by the j of equal gcd: _from_gcd keeps the first list alone, and each half is Galois stable
     pos, neg = [], []
-    for g, m in zip(divisors(r), base._by_gcd):
+    for g, m in zip(divisors(r), by_gcd):
         t = coeff.get(g, 0)
         (plus, rem_plus), (minus, rem_minus) = divmod(r * m + t, 2 * r), divmod(r * m - t, 2 * r)
         if rem_plus or rem_minus:
             raise RuntimeError("non-integer split multiplicity (internal bug)")
         pos.append(plus)
         neg.append(minus)
-    if d == 1:  # (1 | .) = 1: T is shared by the j of equal gcd, and each half is Galois stable
-        return SpectrumProfile._from_gcd(r, pos, half_degree), SpectrumProfile._from_gcd(r, neg, half_degree)
-    return (SpectrumProfile._from_split(r, d, pos, neg, half_degree),
-            SpectrumProfile._from_split(r, d, neg, pos, half_degree))
+    return (SpectrumProfile._from_gcd(r, pos, half_degree, neg, d),
+            SpectrumProfile._from_gcd(r, neg, half_degree, pos, d))
 
 
 # relative slack within which spectrum_an_numeric snaps a multiplicity to an integer
@@ -635,16 +621,13 @@ def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType) -> SpectrumPr
 def min_poly(profile: SpectrumProfile) -> MinPoly:
     """Minimal polynomial support; finite order matrices are diagonalizable,
     so the minimal polynomial is squarefree with the spectrum as root set."""
-    r, by_gcd = profile.r, profile._by_gcd
-    if profile._split is not None:
-        _, pos, neg = profile._split
-        if list(map(bool, pos)) == list(map(bool, neg)):  # a support closed under the Galois action
-            by_gcd = pos
-    if by_gcd is None:
+    r, (d, pos, neg) = profile.r, profile._compact or (None, None, None)
+    # a support closed under the Galois action: pos and neg vanish together, as they do for d = 1
+    if pos is None or d != 1 and list(map(bool, pos)) != list(map(bool, neg)):
         return MinPoly(r, frozenset(compress(range(r), profile.mult)))
-    if all(by_gcd):
+    if all(pos):
         return _full_min_poly(r)
-    return MinPoly._from_gcds(r, frozenset(compress(divisors(r), by_gcd)))
+    return MinPoly._from_gcds(r, frozenset(compress(divisors(r), pos)))
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:

@@ -8,7 +8,7 @@ import pytest
 
 from snchar import arith
 from snchar.arith import _factorize, divisors
-from snchar.spectral import ramanujan_sum
+from snchar.spectral import SpectrumProfile, ramanujan_sum
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "snchar"
 # the child interpreter imports the package from this checkout, installed or not
@@ -127,3 +127,13 @@ def test_the_only_process_wide_unbounded_cache_is_the_specht_module_data():
                 elif any(_unbounded_cache(call) for call in ast.walk(node) if isinstance(call, ast.Call)):
                     found.append(f"{path.stem}:{node.lineno}")
     assert found == ["specht._module_data"]
+
+
+def test_spectrum_profile_keeps_one_compact_form():
+    # beside r, degree and the per-residue listing, one compact slot and one private constructor:
+    # a per-gcd profile is the compact form with the surd d = 1, not a form of its own
+    slots = set(SpectrumProfile.__slots__)
+    assert len(SpectrumProfile.__slots__) == len(slots) == 4 and {"r", "degree", "_mult"} < slots
+    constructors = [name for name, attr in vars(SpectrumProfile).items()
+                    if name.startswith("_") and isinstance(attr, classmethod)]
+    assert len(constructors) == 1

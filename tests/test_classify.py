@@ -283,9 +283,9 @@ def test_sweep_builds_profiles_only_where_a_multiplicity_is_zero(monkeypatch):
     calls = []
     real = SpectrumProfile._from_gcd.__func__
 
-    def counted(cls, r, by_gcd, degree):
+    def counted(cls, r, pos, degree, neg=None, d=1):
         calls.append(r)
-        return real(cls, r, by_gcd, degree)
+        return real(cls, r, pos, degree, neg, d)
 
     monkeypatch.setattr(SpectrumProfile, "_from_gcd", classmethod(counted))
     report = verify_minpoly_sn(12, min_n=12)

@@ -206,12 +206,13 @@ def test_bounds_min_degree_json(capsys):
 
 
 def test_bounds_min_degree_above_the_cap_exits_2_at_once(capsys):
-    # p(100) is about 1.9e8: without the cap this would run out of memory
+    # the walk streams, so time binds: p(100) is about 1.9e8 partitions, and at the 16 us per
+    # partition measured at n = 50 (3.2 s for 204 226) the walk would take about 50 minutes
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "bounds", "--check", "min-degree", "--n", "100")
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err == "error: min-degree holds every partition of n, and n = 100 > MAX_MIN_DEGREE_N = 50\n"
+    assert err == "error: min-degree walks every partition of n, and n = 100 > MAX_MIN_DEGREE_N = 50\n"
 
 
 @pytest.mark.parametrize("argv, message", [

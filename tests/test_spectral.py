@@ -163,15 +163,22 @@ def test_spectrum_profile_validation():
 
 
 def test_spectrum_profile_storage_forms_agree():
-    for n in range(1, 8):
-        for lam in enumerate_partitions(n):
-            for mu in enumerate_partitions(n):
-                by_gcd = spectrum_sn(lam, CycleType.from_partition(mu))
-                by_residue = SpectrumProfile(by_gcd.r, by_gcd.mult, by_gcd.degree)
-                assert by_gcd == by_residue and by_residue == by_gcd
-                assert hash(by_gcd) == hash(by_residue)
-                assert by_gcd.support() == by_residue.support()
-                assert by_gcd.to_json_dict() == by_residue.to_json_dict()
+    compact = [spectrum_sn(lam, CycleType.from_partition(mu))
+               for n in range(1, 8) for lam in enumerate_partitions(n) for mu in enumerate_partitions(n)]
+    # every A_n label, both halves of each split pair, at every even class: the split halves at
+    # their distinguished classes are the compact profiles with a surd d != 1
+    for n in range(5, 10):
+        classes = [CycleType.from_partition(mu) for mu in enumerate_partitions(n)]
+        compact += [spectrum_an(label, sigma) for label in an_irreducible_labels(n)
+                    for sigma in classes if sigma.is_even()]
+    assert any(prof._compact[0] != 1 for prof in compact)
+    for prof in compact:
+        by_residue = SpectrumProfile(prof.r, prof.mult, prof.degree)
+        assert prof == by_residue and by_residue == prof
+        assert hash(prof) == hash(by_residue)
+        assert prof.support() == by_residue.support()
+        assert prof.to_json_dict() == by_residue.to_json_dict()
+        assert min_poly(prof) == min_poly(by_residue)
     prof = spectrum_sn(parse_partition("3,3"), parse_cycle_type("6^1"))
     assert prof != SpectrumProfile(6, (1, 1, 0, 2, 1, 0), 5)
     assert prof == SpectrumProfile._from_gcd(6, (1, 0, 2, 1), 5)
@@ -184,13 +191,18 @@ def test_spectrum_profile_storage_forms_agree():
 def test_one_stored_form_whichever_constructor():
     # a Galois-stable profile is held per gcd however it was built, and its roots likewise
     prof = spectrum_sn(parse_partition("3,3"), parse_cycle_type("6^1"))
-    assert SpectrumProfile(6, prof.mult, 5)._by_gcd == prof._by_gcd == (1, 0, 2, 1)  # g = 1, 2, 3, 6
+    by_gcd = (1, 0, 2, 1)  # g = 1, 2, 3, 6
+    assert SpectrumProfile(6, prof.mult, 5)._compact == prof._compact == (1, by_gcd, by_gcd)
+    # equal value lists store the surd 1, whatever surd they were built with
+    same = SpectrumProfile._from_gcd(6, by_gcd, 5, by_gcd, -3)
+    assert same._compact == (1, by_gcd, by_gcd)
+    assert same == prof and prof == same and hash(same) == hash(prof)
     # a split half at its distinguished class is held per gcd when its surd is rational (5,1^4
     # at 9^1, where eps * 9 = 3^2), per gcd and sign of psi(j/g) otherwise (3,1^2 at 5^1)
     for lam, sigma, stable in (("5,1^4", "9^1", True), ("3,1^2", "5^1", False)):
         for half in AnCharacterLabel.split_pair(parse_partition(lam)):
             prof = spectrum_an(half, parse_cycle_type(sigma))
-            assert (prof._by_gcd is not None) == (prof._split is None) == (min_poly(prof)._gcds is not None) == stable
+            assert (prof._compact[0] == 1) == (min_poly(prof)._gcds is not None) == stable
             assert prof == SpectrumProfile(prof.r, prof.mult, prof.degree)
 
 
@@ -442,6 +454,16 @@ def test_split_pair_shares_one_parent_row(monkeypatch):
     assert len(rows) == 1
 
 
+def test_split_pair_listing_builds_one_psi_table():
+    # the halves of a pair share their surd: listing both builds (d | .) once
+    spectral._split_pair.cache_clear()
+    spectral._quadratic_character.cache_clear()
+    sigma = parse_cycle_type("5^1")
+    plus, minus = (spectrum_an(half, sigma) for half in AnCharacterLabel.split_pair(parse_partition("3,1^2")))
+    assert (plus.mult, minus.mult) == ((1, 1, 0, 0, 1), (1, 0, 1, 1, 0))
+    assert spectral._quadratic_character.cache_info().misses == 1
+
+
 def test_split_half_above_the_listing_cap_refuses_mult():
     # 19*17*13*11*7*5 = 1616615 > 2^20: each half holds 2 * d(r) = 128 entries, and lists none
     lam = parse_partition("10^2,9^2,8^2,6^2,4,2")
@@ -449,7 +471,7 @@ def test_split_half_above_the_listing_cap_refuses_mult():
     assert sigma.order() == 1616615 > spectral.MAX_LISTED_R
     for half in AnCharacterLabel.split_pair(lam):
         prof = spectrum_an(half, sigma)
-        assert len(prof._split[1]) == len(prof._split[2]) == len(divisors(1616615)) == 64
+        assert len(prof._compact[1]) == len(prof._compact[2]) == len(divisors(1616615)) == 64
         assert min_poly(prof).rendered == "x^1616615-1"
         with pytest.raises(ValueError, match="lists one multiplicity per residue, and r = 1616615 > MAX_LISTED_R"):
             prof.mult

@@ -2,11 +2,15 @@
 Ramanujan sums, squarefree parts for the surds of split alternating
 characters, cyclotomic polynomials for rendered minimal polynomials. All
 factoring goes through _factorize, which rejects q < 1 with a ValueError and
-keeps a bounded cache. This module imports nothing else from the package.
+keeps a bounded cache. The surd b*sqrt(d) of a split pair at its
+distinguished class is formed and checked once, by _split_surd, for both the
+character values and the split spectra. This module imports nothing else
+from the package.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import lru_cache
 
@@ -72,6 +76,18 @@ def split_square(c: int) -> tuple[int, int]:
         b *= p ** (e // 2)
         if e % 2:
             d *= p
+    return b, d
+
+
+def _split_surd(eps: int, hooks) -> tuple[int, int]:
+    """(b, d) with b*b*d = eps * prod(hooks), d squarefree and 1 mod 4: the halves of a split
+    pair at its distinguished class, whose cycle lengths are the diagonal hooks and where the
+    parent value is eps = +-1, are (eps +- b*sqrt(d)) / 2."""
+    if abs(eps) != 1:
+        raise RuntimeError("parent value on the distinguished class must be +-1 (internal bug)")
+    b, d = split_square(eps * math.prod(hooks))
+    if d % 4 != 1:
+        raise RuntimeError("the surd of a split character must be 1 mod 4 (internal bug)")
     return b, d
 
 

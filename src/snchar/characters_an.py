@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import split_square
+from .arith import _split_surd, split_square
 from .characters_sn import chi
 from .partitions import (CycleType, Partition, _check_alternating, _Record, conjugate, diagonal_hooks,
                          enumerate_partitions)
@@ -242,10 +242,7 @@ def chi_an(label: AnCharacterLabel, sigma: CycleType, *, other_half: bool = Fals
         if x % 2:
             raise RuntimeError("odd parent value away from the distinguished class (internal bug)")
         return AlgebraicValue.from_rational(Fraction(x, 2))
-    if abs(x) != 1:
-        raise RuntimeError("parent value on the distinguished class must be +-1 (internal bug)")
-    c = x * math.prod(diagonal_hooks(lam))
-    b, d = split_square(c)
+    b, d = _split_surd(x, sigma.lengths())
     coeff = Fraction(b, 2)
     if (label.variant == MINUS) != other_half:
         coeff = -coeff
@@ -260,11 +257,8 @@ def an_irreducible_labels(n: int) -> list[AnCharacterLabel]:
     out: list[AnCharacterLabel] = []
     for lam in enumerate_partitions(n):
         other = conjugate(lam)
-        # valid by construction, so built without __post_init__, which would conjugate lam twice more
         for variant in (PLUS, MINUS) if _splits(lam, other) else (RESTRICTED,) if lam.parts >= other.parts else ():
-            out.append(label := object.__new__(AnCharacterLabel))
-            object.__setattr__(label, "partition", lam)
-            object.__setattr__(label, "variant", variant)
+            out.append(AnCharacterLabel(lam, variant))
     return out
 
 

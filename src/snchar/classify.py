@@ -227,7 +227,7 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
             got = (full,)
             if i in split or i in zero:
                 base = SpectrumProfile._from_gcd(r, [column[i] for column in by_gcd], degrees[i])
-                got = tuple(sorted(map(min_poly, _halves(parts[i], sigma, base, split[i])),
+                got = tuple(sorted(map(min_poly, _halves(sigma, base, split[i])),
                                    key=_pair_key)) if i in split else (min_poly(base),)
             if got != polys:
                 mismatches.append((i, k, (n, text(i), r, m, render(polys), render(got))))

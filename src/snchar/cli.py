@@ -11,7 +11,6 @@ precision.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 # the other library modules are imported by the handlers that call them, and
@@ -183,16 +182,6 @@ _BOUND_CHECKS = {
 }
 
 
-def _precision_bits(args, default: int) -> int:
-    if args.precision_bits is not None:
-        return args.precision_bits
-    raw = os.environ.get("SNCHAR_PRECISION_BITS", str(default))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SNCHAR_PRECISION_BITS must be an integer, got {raw!r}") from None
-
-
 def _cmd_bounds(args) -> int:
     from . import bounds
 
@@ -209,7 +198,7 @@ def _cmd_bounds(args) -> int:
         raise ValueError("this check needs --n" if needs == "n" else "sweeps need --max-n")
     else:
         positional = (getattr(args, needs),)
-    kwargs = {"bits": _precision_bits(args, bounds.DEFAULT_PRECISION_BITS)} if takes_bits else {}
+    kwargs = {"bits": args.precision_bits} if takes_bits and args.precision_bits is not None else {}
     result = getattr(bounds, name)(*positional, **kwargs)
     reports = result if needs == "max_n" else [result]
     ok = all(rep.holds for rep in reports)

@@ -45,7 +45,9 @@ For a split alternating group label at its distinguished class, the powers
 sigma^i with gcd(i, r) = 1 stay in that class, and there chi_plus - chi_minus
 = b * sqrt(d) * psi(i), with b^2 d = eps * (product of diagonal hooks),
 eps = chi(sigma) = +-1 (read off the parent profile as the trace), d = 1 mod 4
-squarefree and psi = (d | .) of conductor f = |d|. So
+squarefree and psi = (d | .) of conductor f = |d|. The diagonal hooks are the
+cycle lengths of that class, and arith._split_surd forms and checks b and d
+from eps and those lengths, for chi_an as for the halves here. So
 r * mult_plus/minus[j] = (r * mult_lam[j] +- T(j)) / 2, where T(j) is b*sqrt(d)
 times the Gauss sum of psi induced to modulus r. Its closed form (Montgomery &
 Vaughan, Multiplicative Number Theory I, Thm 9.10), with g = gcd(j, r),
@@ -67,7 +69,8 @@ mult lists them per residue, repeating one row of psi per gcd, with orders
 above MAX_LISTED_R, the listing cap, refused for d != 1.
 _gauss_correction recomputes T from products of quadratic Gauss sum vectors
 in about r^2 steps, as an independent slow route for tests, and
-spectrum_an_numeric cross checks the path in floating point.
+spectrum_an_numeric cross checks the path in floating point, by a discrete
+Fourier transform of chi_an over the powers of sigma.
 """
 
 from __future__ import annotations
@@ -78,9 +81,9 @@ import operator
 from functools import lru_cache
 from itertools import compress, repeat
 
-from .arith import _factorize, _polydivmod, cyclotomic, divisors, euler_phi, kronecker_symbol, moebius, split_square
+from .arith import _factorize, _polydivmod, _split_surd, cyclotomic, divisors, euler_phi, kronecker_symbol, moebius
 from .characters_sn import _beta_set, _chi_row, _columns, chi, degree
-from .partitions import CycleType, Partition, _check_alternating, _check_sizes, diagonal_hooks
+from .partitions import CycleType, Partition, _check_alternating, _check_sizes
 
 # characters_an (AnCharacterLabel and the variants), and fractions with it, is imported by the
 # A_n functions alone, so a symmetric group query loads neither
@@ -482,23 +485,6 @@ def _quadratic_character(d: int) -> tuple[int, ...]:
     return psi
 
 
-def _split_correction(hooks: tuple[int, ...], eps: int, r: int) -> tuple[dict[int, int], int]:
-    """The closed form of T (module docstring) as (coeff, d): T(j) = coeff[g] *
-    (d | j/g) for g = gcd(j, r) in coeff, else 0. j = 0 has r' = 1, so it is in
-    coeff only when d = 1."""
-    b, d = split_square(eps * math.prod(hooks))
-    if d % 4 != 1:
-        raise RuntimeError("the surd of a split character must be 1 mod 4 (internal bug)")
-    f = abs(d)
-    phi_r = euler_phi(r)
-    coeff = {}
-    for g in divisors(r):
-        rp = r // g
-        if rp % f == 0 and (c := moebius(rp // f) * kronecker_symbol(d, rp // f)):
-            coeff[g] = b * f * phi_r // euler_phi(rp) * c
-    return coeff, d
-
-
 # listings of one multiplicity per residue are refused above this order r: a split
 # half at its distinguished class here, and cli's spectrum and minpoly --format json;
 # so is a rendered minimal polynomial that divides out more roots than this
@@ -530,13 +516,12 @@ def _split_pair(lam: Partition, sigma: CycleType) -> tuple[SpectrumProfile, Spec
     """The plus and minus halves of the split pair of lam at sigma, for checked arguments."""
     from .characters_an import special_class
 
-    return _halves(lam, sigma, spectrum_sn(lam, sigma), special_class(lam))
+    return _halves(sigma, spectrum_sn(lam, sigma), special_class(lam))
 
 
-def _halves(lam: Partition, sigma: CycleType, base: SpectrumProfile,
-            special: CycleType) -> tuple[SpectrumProfile, SpectrumProfile]:
-    """The plus and minus halves of the split pair of lam at sigma, from base =
-    spectrum_sn(lam, sigma) and special = special_class(lam)."""
+def _halves(sigma: CycleType, base: SpectrumProfile, special: CycleType) -> tuple[SpectrumProfile, SpectrumProfile]:
+    """The plus and minus halves of a split pair at sigma, from base, the parent's
+    spectrum_sn at sigma, and special, the pair's distinguished class."""
     r, half_degree, by_gcd = base.r, base.degree // 2, base._compact[1]  # base is Galois stable: d = 1
     if sigma != special:
         if any(m % 2 for m in by_gcd):
@@ -545,15 +530,17 @@ def _halves(lam: Partition, sigma: CycleType, base: SpectrumProfile,
         return half, half
     # chi(sigma) is the trace: the j with gcd(j, r) = g sum to mu(r/g)
     eps = sum(m * moebius(r // g) for g, m in zip(divisors(r), by_gcd))
-    if abs(eps) != 1:
-        raise RuntimeError("parent value on the distinguished class must be +-1 (internal bug)")
-    coeff, d = _split_correction(diagonal_hooks(lam), eps, r)
-    # mult_plus is pos[k] = (r * m_g + coeff[g]) / 2r where (d | j/g) = 1 and neg[k] = (r * m_g -
-    # coeff[g]) / 2r where it is -1; mult_minus swaps them. For d = 1, (1 | .) = 1 and T is shared
-    # by the j of equal gcd: _from_gcd keeps the first list alone, and each half is Galois stable
+    # the cycle lengths of the distinguished class are the diagonal hooks
+    b, d = _split_surd(eps, special.lengths())
+    f, phi_r = abs(d), euler_phi(r)
+    # mult_plus is pos[k] = (r * m_g + t) / 2r where (d | j/g) = 1 and neg[k] = (r * m_g - t) / 2r
+    # where it is -1, with t = T(g) of the closed form, 0 unless f divides r/g (at j = 0 only for
+    # d = 1); mult_minus swaps them. For d = 1, (1 | .) = 1 and T is shared by the j of equal gcd: _from_gcd
+    # keeps the first list alone, and each half is Galois stable
     pos, neg = [], []
     for g, m in zip(divisors(r), by_gcd):
-        t = coeff.get(g, 0)
+        rp = r // g
+        t = b * f * (phi_r // euler_phi(rp)) * moebius(rp // f) * kronecker_symbol(d, rp // f) if rp % f == 0 else 0
         (plus, rem_plus), (minus, rem_minus) = divmod(r * m + t, 2 * r), divmod(r * m - t, 2 * r)
         if rem_plus or rem_minus:
             raise RuntimeError("non-integer split multiplicity (internal bug)")
@@ -568,37 +555,24 @@ _SNAP = 1e-6
 
 
 def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
-    """Floating point cross check of spectrum_an.
+    """Floating point cross check of spectrum_an: a discrete Fourier transform
+    of the values chi_an(label, sigma^i), i in range(r), in complex floats.
 
-    The conjugate surd values on powers hitting the distinguished class are
-    resolved with a quadratic residue symbol (for squarefree d = 1 mod 4 the
-    conjugation by i multiplies sqrt(d) by (d | i)), so this route shares no
-    exact machinery with the Gauss sum path. Values are snapped to integers
-    within the relative slack _SNAP.
+    chi_an gives the value on the canonical representative of a class. A
+    power sigma^i that stays in the distinguished class (gcd(i, r) = 1) takes
+    that value with the surd sqrt(d) times (d | i), for squarefree d = 1 mod 4,
+    so an irrational value is conjugated where that symbol is -1. The route
+    reads the surd of chi_an, but neither the closed form of T nor the
+    Ramanujan sums. Values are snapped to integers within the relative slack
+    _SNAP.
     """
-    from .characters_an import PLUS, RESTRICTED, special_class
+    from .characters_an import chi_an
 
-    lam = label.partition
-    _check_alternating(lam, sigma)
+    _check_alternating(label.partition, sigma)
     r = sigma.order()
-    if label.variant == RESTRICTED:
-        values = [complex(chi(lam, sigma.power(i))) for i in range(r)]
-    else:
-        sp = special_class(lam)
-        sgn = 1 if label.variant == PLUS else -1
-        eps = chi(lam, sp)
-        b, d = split_square(eps * math.prod(diagonal_hooks(lam)))
-        if d % 4 != 1:
-            raise RuntimeError("the surd of a split character must be 1 mod 4 (internal bug)")
-        root = b * (math.sqrt(d) if d > 0 else 1j * math.sqrt(-d))
-        values = []
-        for i in range(r):
-            t = sigma.power(i)
-            x = chi(lam, t)
-            if t == sp:
-                values.append((x + sgn * kronecker_symbol(d, i) * root) / 2)
-            else:
-                values.append(complex(x) / 2)
+    exact = [chi_an(label, sigma.power(i)) for i in range(r)]
+    values = [(v.conjugate() if v.b and kronecker_symbol(v.d, i) == -1 else v).approx()
+              for i, v in enumerate(exact)]
     # each average sums r terms of size at most scale, with the angle reduced
     # mod r: its rounding error stays below (r + 2) * scale * ulp(1.0)
     scale = max(abs(v) for v in values)
@@ -614,8 +588,7 @@ def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType) -> SpectrumPr
         if abs(acc - nearest) > _SNAP * max(1.0, abs(acc)):
             raise RuntimeError(f"numeric multiplicity {acc} does not snap to an integer")
         mult.append(nearest)
-    deg = degree(lam) if label.variant == RESTRICTED else degree(lam) // 2
-    return SpectrumProfile(r, tuple(mult), deg)
+    return SpectrumProfile(r, tuple(mult), int(exact[0].a))  # the value at sigma^0 = 1 is the degree
 
 
 def min_poly(profile: SpectrumProfile) -> MinPoly:

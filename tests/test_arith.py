@@ -56,6 +56,32 @@ def test_nonpositive_argument_raises_value_error_under_optimize():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
+# what no split pair has: a parent value other than +-1 at the distinguished class, and a surd not 1 mod 4
+SURD_REFUSALS = ["_split_surd(2, (5,))", "_split_surd(-3, (7, 3))", "_split_surd(1, (3,))", "_split_surd(-1, (5,))"]
+
+
+@pytest.mark.parametrize("call", SURD_REFUSALS)
+def test_split_surd_refusals_raise_runtime_error(call):
+    with pytest.raises(RuntimeError, match="internal bug"):
+        eval(call, vars(arith))
+
+
+def test_split_surd_refusals_raise_runtime_error_under_optimize():
+    # as the q >= 1 checks: not asserts, which python -O would strip
+    code = "\n".join([
+        "from snchar.arith import _split_surd",
+        "for call in %r:" % SURD_REFUSALS,
+        "    try:",
+        "        eval(call)",
+        "    except RuntimeError:",
+        "        continue",
+        "    raise SystemExit(f'{call} accepted')",
+        "print('ok')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
 def test_factor_cache_is_bounded():
     assert _factorize.cache_info().maxsize == divisors.cache_info().maxsize == 1024
 
@@ -90,6 +116,34 @@ def test_no_module_imports_a_private_name_of_characters_an():
 
 def _name(node) -> str | None:
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _calls(path: Path) -> dict[str, set[str]]:
+    """The names each function and method of one source file calls, by qualified name."""
+    out = {}
+    for stmt in ast.parse(path.read_text()).body:
+        prefix, body = (f"{stmt.name}.", stmt.body) if isinstance(stmt, ast.ClassDef) else ("", [stmt])
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out[prefix + node.name] = {_name(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
+    return out
+
+
+def test_the_split_pair_surd_is_formed_once():
+    # eps * prod(hooks) is split and checked by _split_surd alone, for chi_an and the split spectra
+    callers = {f"{path.stem}.{func}" for path in SRC.glob("*.py")
+               for func, names in _calls(path).items() if "split_square" in names}
+    assert callers == {"arith._split_surd", "characters_an.AlgebraicValue.__post_init__"}
+    imported = {name for _, names in _package_imports(SRC / "spectral.py") for name in names}
+    assert not {"split_square", "diagonal_hooks"} & imported
+    # the Gauss-sum route stays an independent check of the closed form of T
+    calls = _calls(SRC / "spectral.py")
+    reached, todo = set(), ["_gauss_correction", "_principal_sqrt_vector"]
+    while todo:
+        if (func := todo.pop()) not in reached:
+            reached.add(func)
+            todo.extend(calls.get(func, ()))
+    assert {"_cyclic_mul", "_spread"} <= reached and "_split_surd" not in reached
 
 
 def test_no_function_calls_itself():

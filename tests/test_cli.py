@@ -258,34 +258,18 @@ def test_bounds_precision_checked_on_the_exact_branch(capsys):
 
 
 @pytest.mark.parametrize("bits", ["65537", "100000000"])
-def test_bounds_precision_above_the_cap_exits_2(capsys, monkeypatch, bits):
+def test_bounds_precision_above_the_cap_exits_2(capsys, bits):
     message = f"error: precision too large: {bits} > MAX_PRECISION_BITS = 65536\n"
     argv = ("bounds", "--check", "fomin-lulov", "--lambda", "3,2", "--shape", "5^1")
     assert run_cli(capsys, *argv, "--precision-bits", bits) == (2, "", message)
-    monkeypatch.setenv("SNCHAR_PRECISION_BITS", bits)
-    assert run_cli(capsys, *argv) == (2, "", message)
-    assert run_cli(capsys, "bounds", "--check", "robbins", "--n", "10") == (2, "", message)
+    assert run_cli(capsys, "bounds", "--check", "robbins", "--n", "10", "--precision-bits", bits) == (2, "", message)
 
 
-def test_bounds_precision_env(capsys, monkeypatch):
-    monkeypatch.setenv("SNCHAR_PRECISION_BITS", "8")
-    code, _, _ = run_cli(capsys, "bounds", "--check", "robbins", "--n", "200")
-    assert code == 1
-    monkeypatch.setenv("SNCHAR_PRECISION_BITS", "128")
-    code, _, _ = run_cli(capsys, "bounds", "--check", "robbins", "--n", "200")
-    assert code == 0
-
-
-def test_bounds_precision_env_read_only_by_bounds(capsys, monkeypatch):
+def test_bounds_precision_comes_from_the_option_alone(capsys, monkeypatch):
+    # the precision is set by --precision-bits or the library default; no environment variable is read
     monkeypatch.setenv("SNCHAR_PRECISION_BITS", "abc")
-    code, out, err = run_cli(capsys, "degree", "--lambda", "3,2")
-    assert (code, out, err) == (0, "5\n", "")
     code, out, err = run_cli(capsys, "bounds", "--check", "robbins", "--n", "10")
-    assert code == 2 and out == ""
-    assert err == "error: SNCHAR_PRECISION_BITS must be an integer, got 'abc'\n"
-    # an explicit --precision-bits wins over the variable
-    code, _, _ = run_cli(capsys, "bounds", "--check", "robbins", "--n", "10", "--precision-bits", "64")
-    assert code == 0
+    assert (code, err) == (0, "") and out.endswith("1 report(s): all hold\n")
 
 
 BOUND_CHECKS = [

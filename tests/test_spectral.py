@@ -515,30 +515,22 @@ def test_spectrum_an_matches_numeric():
         ("3,3,3", "9^1"),
         ("3,3,3", "5^1 3^1 1^1"),
     ]
-    cases = [(parse_partition(lam_text), parse_cycle_type(sig_text)) for lam_text, sig_text in samples]
+    cases = [(label, parse_cycle_type(sig_text))
+             for lam_text, sig_text in samples for label in AnCharacterLabel.split_pair(parse_partition(lam_text))]
     # every split label at its distinguished class, where the Gauss-sum path runs
-    cases += [
-        (lam, special_class(lam))
-        for n in range(2, 21)
-        for lam in enumerate_partitions(n)
-        if is_split(lam)
-    ]
-    for lam, sigma in cases:
-        for label in AnCharacterLabel.split_pair(lam):
-            exact = spectrum_an(label, sigma)
-            numeric = spectrum_an_numeric(label, sigma)
-            assert exact == numeric and hash(exact) == hash(numeric)
-            assert min_poly(exact) == min_poly(numeric)
-
-
-def test_spectrum_an_numeric_restricted_labels():
-    for n in range(2, 9):
-        for label in an_irreducible_labels(n):
-            if label.variant == "restricted":
-                for mu in enumerate_partitions(n):
-                    sigma = CycleType.from_partition(mu)
-                    if sigma.is_even():
-                        assert spectrum_an_numeric(label, sigma) == spectrum_an(label, sigma)
+    cases += [(label, special_class(lam))
+              for n in range(2, 21) for lam in enumerate_partitions(n) if is_split(lam)
+              for label in AnCharacterLabel.split_pair(lam)]
+    # every label, restricted and split, at every even class of n <= 10
+    every = [(label, sigma)
+             for n in range(2, 11) for label in an_irreducible_labels(n)
+             for sigma in map(CycleType.from_partition, enumerate_partitions(n)) if sigma.is_even()]
+    assert len(every) == 1137
+    for label, sigma in cases + every:
+        exact = spectrum_an(label, sigma)
+        numeric = spectrum_an_numeric(label, sigma)
+        assert exact == numeric and hash(exact) == hash(numeric)
+        assert min_poly(exact) == min_poly(numeric)
 
 
 def test_spectrum_an_numeric_rejects_lost_float_resolution():

@@ -533,6 +533,16 @@ def test_spectrum_an_matches_numeric():
         assert min_poly(exact) == min_poly(numeric)
 
 
+def test_spectrum_an_numeric_restricted_labels():
+    for n in range(2, 9):
+        for label in an_irreducible_labels(n):
+            if label.variant == "restricted":
+                for mu in enumerate_partitions(n):
+                    sigma = CycleType.from_partition(mu)
+                    if sigma.is_even():
+                        assert spectrum_an_numeric(label, sigma) == spectrum_an(label, sigma)
+
+
 def test_spectrum_an_numeric_rejects_lost_float_resolution():
     lam = parse_partition("8,7,5,4,3,2^2,1")
     sigma = special_class(lam)

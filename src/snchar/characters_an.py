@@ -51,34 +51,17 @@ class AlgebraicValue(_Record):
     then b = 0). Arithmetic refuses to mix two different surds."""
 
     def __init__(self, a: Fraction, b: Fraction = Fraction(0), d: int = 1) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        a, b, d = Fraction(self.a), Fraction(self.b), int(self.d)
+        a, b, d = Fraction(a), Fraction(b), int(d)
         if d == 0:
             raise ValueError("d must be nonzero")
         if b:
-            s, d0 = split_square(d)
+            s, d = split_square(d)
             b *= s
-            d = d0
         if not b:
             d = 1
         elif d == 1:
             a, b = a + b, Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.a == other.a and self.b == other.b and self.d == other.d
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d))
+        self._set(a=a, b=b, d=d)
 
     @classmethod
     def from_rational(cls, q) -> "AlgebraicValue":
@@ -187,30 +170,18 @@ class AnCharacterLabel(_Record):
     """
 
     def __init__(self, partition: Partition, variant: str) -> None:
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "variant", variant)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.variant not in (RESTRICTED, PLUS, MINUS):
-            raise ValueError(f"bad variant {self.variant!r}")
-        split = is_split(self.partition)
-        if self.variant == RESTRICTED:
+        if variant not in (RESTRICTED, PLUS, MINUS):
+            raise ValueError(f"bad variant {variant!r}")
+        other = conjugate(partition)
+        split = _splits(partition, other)
+        if variant == RESTRICTED:
             if split:
-                raise ValueError(f"{self.partition} is self conjugate; use plus/minus")
-            other = conjugate(self.partition)
-            if other.parts > self.partition.parts:
-                object.__setattr__(self, "partition", other)
+                raise ValueError(f"{partition} is self conjugate; use plus/minus")
+            if other.parts > partition.parts:
+                partition = other
         elif not split:
-            raise ValueError(f"{self.partition} does not split; use restricted")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.partition == other.partition and self.variant == other.variant
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.partition, self.variant))
+            raise ValueError(f"{partition} does not split; use restricted")
+        self._set(partition=partition, variant=variant)
 
     @classmethod
     def restricted(cls, lam: Partition) -> "AnCharacterLabel":

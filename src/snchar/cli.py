@@ -186,6 +186,8 @@ def _cmd_bounds(args) -> int:
     from . import bounds
 
     needs, name, takes_bits = _BOUND_CHECKS[args.check]
+    if args.precision_bits is not None and not takes_bits:
+        raise ValueError(f"--check {args.check} is exact and takes no --precision-bits")
     if needs == "shape":
         if args.lam is None or args.shape is None:
             raise ValueError("this check needs --lambda and --shape")
@@ -198,7 +200,7 @@ def _cmd_bounds(args) -> int:
         raise ValueError("this check needs --n" if needs == "n" else "sweeps need --max-n")
     else:
         positional = (getattr(args, needs),)
-    kwargs = {"bits": args.precision_bits} if takes_bits and args.precision_bits is not None else {}
+    kwargs = {} if args.precision_bits is None else {"bits": args.precision_bits}
     result = getattr(bounds, name)(*positional, **kwargs)
     reports = result if needs == "max_n" else [result]
     ok = all(rep.holds for rep in reports)

@@ -38,9 +38,11 @@ class _Record:
     fields in declaration order and nothing else: only construction sets
     them, and assigning or deleting an attribute raises AttributeError.
     Two records are equal when they are of one class with equal fields, and a
-    record hashes as the tuple of its fields. The records built in every query
-    (Partition, CycleType, AlgebraicValue, AnCharacterLabel) spell __init__,
-    __eq__ and __hash__ out on their own fields."""
+    record hashes as the tuple of its fields: every subclass compares, hashes
+    and prints through these methods alone. A subclass's __init__ checks its
+    fields and stores each once, except that Partition and CycleType check and
+    store theirs again in __post_init__, a hook that the benchmark tracer
+    (perfbench/tracer.py) wraps by name."""
 
     def _set(self, **fields) -> None:
         vars(self).update(fields)
@@ -53,7 +55,7 @@ class _Record:
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
-            return tuple(vars(self).values()) == tuple(vars(other).values())
+            return vars(self) == vars(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -86,14 +88,6 @@ class Partition(_Record):
         self = object.__new__(cls)
         object.__setattr__(self, "parts", parts)
         return self
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     @property
     def n(self) -> int:
@@ -130,14 +124,6 @@ class CycleType(_Record):
         self = object.__new__(cls)
         object.__setattr__(self, "cycles", cycles)
         return self
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.cycles == other.cycles
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cycles,))
 
     @classmethod
     def from_lengths(cls, lengths) -> "CycleType":

@@ -29,7 +29,7 @@ by the whole table, or for the fixed space by phi(r/d) alone: one row of lam
 cell by cell for spectrum_sn and fixed_space_dim, and for the sweeps in
 classify the class-major columns of every partition of n, a whole column at
 a time, checked by class column (_check_counts; _check_case checks one case
-the same way). The powers sigma^d of a class are built once, in a bounded cache.
+the same way). Each plan builds the powers sigma^d of its classes afresh.
 Whichever constructor built it, a profile or a minimal polynomial whose values
 are shared by every j of equal gcd with r (a union of Galois orbits, decided
 once by _galois_form) is held per gcd, a profile as its compact form with
@@ -318,22 +318,14 @@ def _ramanujan_table(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(mu[m := q // math.gcd(g, q)] * phi[q] // phi[m] for q in reversed(divs)) for g in divs)
 
 
-@lru_cache(maxsize=1024)
-def _class_powers(sigma: CycleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """sigma's order r and, for each divisor d of r, the cycle lengths of
-    sigma^d, longest first: the classes every spectrum at sigma reads."""
-    r = sigma.order()
-    return r, tuple(sigma.power(d).lengths() for d in divisors(r))
-
-
 def _power_plan(classes: list[CycleType], weights) -> tuple[list[tuple[int, ...]], list]:
     """The classes sigma^d reached, as cycle lengths longest first, and per
     sigma of order r: (r, the indices of its powers in divisor order, weights(r))."""
     column: dict[tuple[int, ...], int] = {}
     plan = []
     for sigma in classes:
-        r, powers = _class_powers(sigma)
-        plan.append((r, [column.setdefault(cycles, len(column)) for cycles in powers], weights(r)))
+        r = sigma.order()
+        plan.append((r, [column.setdefault(sigma.power(d).lengths(), len(column)) for d in divisors(r)], weights(r)))
     return list(column), plan
 
 
@@ -634,7 +626,6 @@ def render_min_poly(mp: MinPoly) -> str:
     r = mp.r
     if mp.is_full():
         return "x-1" if r == 1 else f"x^{r}-1"
-    whole = f"x^{r}-1"
     if mp._gcds is not None:
         # the missing j with gcd(j, r) = g are the primitive (r/g)-th roots: divide out Phi_{r/g}
         orders = sorted(r // g for g in divisors(r) if g not in mp._gcds)
@@ -645,15 +636,12 @@ def render_min_poly(mp: MinPoly) -> str:
         raise ValueError(f"the minimal polynomial at r = {r} lacks {missing} of the r-th roots of unity, "
                          f"more than its rendering may list (MAX_LISTED_R = {MAX_LISTED_R})")
     if mp._gcds is not None:
-        rendered = [_poly_str(cyclotomic(d)) for d in orders]
-        if len(rendered) == 1:
-            return f"({whole})/({rendered[0]})"
-        return f"({whole})/({''.join(f'({p})' for p in rendered)})"
-    comp = sorted(set(range(r)) - mp.roots)
-    atoms = "".join(f"(x-z{r}^{j})" for j in comp)
-    if len(comp) == 1:
-        return f"({whole})/{atoms}"
-    return f"({whole})/({atoms})"
+        factors = [f"({_poly_str(cyclotomic(d))})" for d in orders]
+    else:
+        factors = [f"(x-z{r}^{j})" for j in sorted(set(range(r)) - mp.roots)]
+    # one factor divides as it is; several divide as one bracketed product
+    divisor = factors[0] if len(factors) == 1 else f"({''.join(factors)})"
+    return f"(x^{r}-1)/{divisor}"
 
 
 def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:

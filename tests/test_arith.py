@@ -133,7 +133,7 @@ def test_the_split_pair_surd_is_formed_once():
     # eps * prod(hooks) is split and checked by _split_surd alone, for chi_an and the split spectra
     callers = {f"{path.stem}.{func}" for path in SRC.glob("*.py")
                for func, names in _calls(path).items() if "split_square" in names}
-    assert callers == {"arith._split_surd", "characters_an.AlgebraicValue.__post_init__"}
+    assert callers == {"arith._split_surd", "characters_an.AlgebraicValue.__init__"}
     imported = {name for _, names in _package_imports(SRC / "spectral.py") for name in names}
     assert not {"split_square", "diagonal_hooks"} & imported
     # the Gauss-sum route stays an independent check of the closed form of T

@@ -232,7 +232,6 @@ def test_eigenvalue_one_kernel_powers_each_class_once(monkeypatch):
         calls.append(i)
         return real(self, i)
 
-    spectral._class_powers.cache_clear()
     monkeypatch.setattr(CycleType, "power", counted)
     assert verify_eigenvalue_one(10, min_n=10).ok
     assert 0 < len(calls) <= bound

@@ -265,6 +265,13 @@ def test_bounds_precision_above_the_cap_exits_2(capsys, bits):
     assert run_cli(capsys, "bounds", "--check", "robbins", "--n", "10", "--precision-bits", bits) == (2, "", message)
 
 
+@pytest.mark.parametrize("bits", ["-7", "64", "65537"])
+def test_bounds_min_degree_refuses_a_precision(capsys, bits):
+    # min-degree compares integers exactly, so any --precision-bits is refused rather than ignored
+    code, out, err = run_cli(capsys, "bounds", "--check", "min-degree", "--n", "15", "--precision-bits", bits)
+    assert (code, out, err) == (2, "", "error: --check min-degree is exact and takes no --precision-bits\n")
+
+
 def test_bounds_precision_comes_from_the_option_alone(capsys, monkeypatch):
     # the precision is set by --precision-bits or the library default; no environment variable is read
     monkeypatch.setenv("SNCHAR_PRECISION_BITS", "abc")

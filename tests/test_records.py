@@ -1,8 +1,10 @@
 """The package's frozen records: constructor, equality, hash, immutability, repr and copies."""
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,7 @@ FIELD_NAMES = {
     BoundClause: ["name", "lhs", "rhs", "margin", "holds"],
     BoundReport: ["check", "context", "clauses", "precision_bits"],
 }
+SRC = Path(__file__).resolve().parents[1] / "src" / "snchar"
 CASES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 
 
@@ -113,3 +116,17 @@ def test_algebraic_value_defaults():
     v = AlgebraicValue(Fraction(3, 4))
     assert list(vars(v).items()) == [("a", Fraction(3, 4)), ("b", 0), ("d", 1)]
     assert AlgebraicValue(2) == AlgebraicValue(a=2) == AlgebraicValue(2, d=1) == AlgebraicValue(1, 1, 1)
+
+
+def test_records_share_one_protocol():
+    # every record compares, hashes and prints through _Record alone
+    methods = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "_Record" for base in node.bases):
+                methods[node.name] = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+    assert set(methods) == {cls.__name__ for cls in RECORDS}
+    assert not {name for name, defs in methods.items() if defs & {"__eq__", "__hash__", "__repr__"}}
+    # the benchmark tracer (perfbench/tracer.py) wraps Partition.__post_init__ and CycleType.__post_init__
+    # by name, so those two keep their checks there; every other record checks in its __init__
+    assert {name for name, defs in methods.items() if "__post_init__" in defs} == {"Partition", "CycleType"}

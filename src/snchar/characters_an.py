@@ -253,6 +253,11 @@ def an_classes(n: int) -> list[tuple[CycleType, int]]:
 
 
 def an_class_size(sigma: CycleType, half: int) -> int:
+    """Size of an alternating group class, with half as in an_classes (0: the whole class)."""
+    if half not in (-1, 0, 1):
+        raise ValueError(f"half must be -1, 0 or 1; got {half!r}")
+    if not sigma.is_even():
+        raise ValueError(f"class {sigma} is odd, not in the alternating group")
     size = sigma.class_size()
     if half:
         if not sigma.splits_in_alternating():

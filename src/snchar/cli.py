@@ -1,8 +1,10 @@
 """Command line surface: every computation and sweep, machine readable.
 
 Exit status: 0 on success, 1 when a verification sweep finds mismatches or a
-bound fails to certify, 2 on usage or validation errors and when memory runs
-out, 3 on an internal error (a failed consistency check inside the package).
+bound fails to certify, 2 on usage or validation errors, when memory runs
+out and when stdout is closed before all output is written (a reader such as
+head that stops early), 3 on an internal error (a failed consistency check
+inside the package).
 All numeric output is exact (decimal strings, surd syntax); only bound
 reports carry rounded decimals, and those are labeled with their working
 precision.
@@ -11,6 +13,7 @@ precision.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # the other library modules are imported by the handlers that call them, and
@@ -310,7 +313,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "variant", None) is not None and args.group != "an":
             raise ValueError("--variant names an alternating group label; it needs --group an")
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return status
+    except BrokenPipeError:
+        # the reader is gone: what stdout still buffers goes to devnull, so the flush at exit cannot raise again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,22 +19,20 @@ once per divisor g of r,
     r * mult_g = sum_{d | r} chi(type of sigma^d) * c_{r/d}(g),
 
 from a per-r table of the integers c_{r/d}(g), each by Hoelder's closed form
-c_q(j) = mu(q/g') * phi(q) / phi(q/g') with g' = gcd(q, j), and stored that
-way: a SpectrumProfile holds one multiplicity per divisor g (its one compact
-form, (d, pos, neg) with the surd d = 1 and pos == neg; see below) and spreads
-it over the r residues only when mult is read. The fixed space dimension is the
-row g = r alone, where c_{r/d}(r) = phi(r/d). _power_plan lists the classes
-sigma^d that the classes asked about reach, whose character values are summed
-by the whole table, or for the fixed space by phi(r/d) alone: one row of lam
-cell by cell for spectrum_sn and fixed_space_dim, and for the sweeps in
-classify the class-major columns of every partition of n, a whole column at
-a time, checked by class column (_check_counts; _check_case checks one case
-the same way). Each plan builds the powers sigma^d of its classes afresh.
-Whichever constructor built it, a profile or a minimal polynomial whose values
-are shared by every j of equal gcd with r (a union of Galois orbits, decided
-once by _galois_form) is held per gcd, a profile as its compact form with
-surd 1, so min_poly and render_min_poly never scan range(r) for one. The integer
-arithmetic (divisors, Moebius, phi, cyclotomic polynomials) lives in arith.
+c_q(j) = mu(q/g') * phi(q) / phi(q/g') with g' = gcd(q, j). The fixed space
+dimension is the row g = r alone, where c_{r/d}(r) = phi(r/d). _power_plan
+lists the classes sigma^d that the classes asked about reach, whose character
+values are summed by the whole table, or for the fixed space by phi(r/d)
+alone: one row of lam cell by cell for spectrum_sn and fixed_space_dim, and
+for the sweeps in classify the class-major columns of every partition of n, a
+whole column at a time, checked by class column (_check_counts; _check_case
+checks one case the same way). Each plan builds the powers sigma^d of its
+classes afresh. A SpectrumProfile and its support, a MinPoly (whether each j
+is a root), share one store, _Residues: values that depend on j only through
+g and the sign of a quadratic character are held as one entry per divisor g
+and sign, as they are computed, so min_poly and render_min_poly never scan
+range(r) for them. The integer arithmetic (divisors, Moebius, phi, cyclotomic
+polynomials) lives in arith.
 
 Every division is checked to be exact; a remainder signals a bug, never a
 rounding problem. spectrum_sn_direct recomputes profiles by reducing the
@@ -63,10 +61,10 @@ each division checked to be exact; spectrum_an reads the pair through a
 two-entry cache, so the second half evaluates no character row. A half is the
 compact form (d, pos, neg) itself: one entry per (g, sign of psi(j/g)). For
 d = 1, psi is trivial, T is shared by the j of equal gcd, and the form stores
-pos alone, like any Galois-stable profile. min_poly reads the entries (a
-support where pos and neg vanish together gives a MinPoly per gcd), and only
-mult lists them per residue, repeating one row of psi per gcd, with orders
-above MAX_LISTED_R, the listing cap, refused for d != 1.
+pos alone, like any Galois-stable profile. min_poly takes the support of the
+stored form entry by entry, and render_min_poly counts the missing roots from
+it; only mult lists the entries per residue, repeating one row of psi per gcd,
+with orders above MAX_LISTED_R, the listing cap, refused for d != 1.
 _gauss_correction recomputes T from products of quadratic Gauss sum vectors
 in about r^2 steps, as an independent slow route for tests, and
 spectrum_an_numeric cross checks the path in floating point, by a discrete
@@ -139,18 +137,11 @@ def _check_counts(r: int, columns, degrees: list[int]) -> None:
     sweeps): none negative, and weighted by phi(r/g) they sum to the degrees."""
     phis = _phis(r)
     if len(columns) != len(phis):
-        raise ValueError("by_gcd must list one entry per divisor of r")
+        raise ValueError("columns must list one column per divisor of r")
     if min(map(min, columns)) < 0:
         raise RuntimeError("negative multiplicity (internal bug)")
     if _combine(phis, columns) != degrees:
         raise RuntimeError("multiplicities must sum to the degree (internal bug)")
-
-
-def _galois_form(r: int, values) -> tuple | None:
-    """values, one per residue j in range(r), as one per divisor g of r (aligned
-    with divisors(r)) when every j with gcd(j, r) = g shares it, else None."""
-    by_gcd = tuple(values[g % r] for g in divisors(r))
-    return by_gcd if _spread(r, by_gcd) == list(values) else None
 
 
 def _check_case(mult, weights, degree: int) -> None:
@@ -161,32 +152,66 @@ def _check_case(mult, weights, degree: int) -> None:
         raise RuntimeError("multiplicities must sum to the degree (internal bug)")
 
 
-class SpectrumProfile:
+class _Residues:
+    """One value per residue j in range(r): the store of SpectrumProfile and MinPoly, and
+    the only code that knows its format. Values that depend on j only through g = gcd(j, r)
+    and the sign of (d | j/g), for a squarefree d = 1 mod 4, are held compactly as
+    (d, pos, neg), aligned with divisors(r): pos[k] where (d | j/g) = 1 and neg[k] where it
+    is -1, spread over the residues on first access. The form is canonical: pos == neg
+    stores d = 1, values shared by every j of equal gcd (a union of Galois orbits). Any
+    other values are held per residue. Equality and hashing compare the values within one
+    class, whichever form holds them."""
+
+    __slots__ = ("r", "_values", "_compact")
+
+    def _hold_values(self, r: int, values) -> None:
+        """Hold one value per residue, compactly with d = 1 when every j of equal gcd shares it."""
+        values = tuple(values)
+        by_gcd = tuple(values[g % r] for g in divisors(r))
+        self.r, self._values = r, values
+        self._compact = (1, by_gcd, by_gcd) if _spread(r, by_gcd) == list(values) else None
+
+    def _hold_compact(self, r: int, pos: tuple, neg: tuple, d: int) -> None:
+        self.r, self._values, self._compact = r, None, (1, pos, pos) if pos == neg else (d, pos, neg)
+
+    def _listed(self) -> tuple:
+        """One value per residue, spread from the compact form on first access."""
+        if self._values is None:
+            d, pos, neg = self._compact
+            self._values = tuple(_spread(self.r, pos, neg, d))
+        return self._values
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.r != other.r:
+            return False
+        if self._compact is not None and other._compact is not None:
+            return self._compact == other._compact
+        return self._listed() == other._listed()
+
+    def __hash__(self) -> int:
+        # the value at j = g for each divisor g: pos in the compact form, as j = g has j/g = 1
+        r = self.r
+        return hash((r, self._compact[1] if self._compact else tuple(self._values[g % r] for g in divisors(r))))
+
+
+class SpectrumProfile(_Residues):
     """Eigenvalue multiplicities of a permutation image: mult[j] counts the
-    eigenvalue exp(2*pi*i*j/r), and r is the permutation's order.
+    eigenvalue exp(2*pi*i*j/r), and r is the permutation's order. Only a split
+    half at its distinguished class with an irrational surd is held with d != 1.
+    The degree takes no part in equality: both constructors check that the
+    multiplicities sum to it."""
 
-    Whichever constructor built it, a profile whose multiplicity at j depends
-    only on g = gcd(j, r) and the sign of (d | j/g), for a squarefree d = 1 mod
-    4, is held compactly as (d, pos, neg), aligned with divisors(r): pos[k]
-    where (d | j/g) = 1 and neg[k] where it is -1. The form is canonical:
-    pos == neg stores d = 1, the case of every Galois-stable profile (every
-    symmetric group one, and alternating ones away from the distinguished
-    class); only a split half at its distinguished class with an irrational
-    surd has d != 1. The compact form is spread out on first access to mult.
-    Any other profile is held per residue. Equality and hashing compare the
-    multiplicities, whichever form holds them.
-    """
-
-    __slots__ = ("r", "degree", "_mult", "_compact")
+    __slots__ = ("degree",)
 
     def __init__(self, r: int, mult: tuple[int, ...], degree: int) -> None:
         mult = tuple(mult)
         if r < 1 or len(mult) != r:
             raise ValueError("mult must list one entry per r-th root")
         _check_case(mult, repeat(1), degree)
-        by_gcd = _galois_form(r, mult)
-        self.r, self.degree, self._mult = r, degree, mult
-        self._compact = None if by_gcd is None else (1, by_gcd, by_gcd)
+        self._hold_values(r, mult)
+        self.degree = degree
 
     @classmethod
     def _from_gcd(cls, r: int, pos, degree: int, neg=None, d: int = 1) -> SpectrumProfile:
@@ -202,22 +227,16 @@ class SpectrumProfile:
             raise ValueError("pos and neg must list one entry per divisor of r")
         _check_case(pos + neg, phis + phis, 2 * degree)
         self = object.__new__(cls)
-        self.r, self.degree, self._mult, self._compact = r, degree, None, (1, pos, pos) if pos == neg else (d, pos, neg)
+        self._hold_compact(r, pos, neg, d)
+        self.degree = degree
         return self
 
     @property
     def mult(self) -> tuple[int, ...]:
-        if self._mult is None and self._compact[0] != 1 and self.r > MAX_LISTED_R:
+        if self._values is None and self._compact[0] != 1 and self.r > MAX_LISTED_R:
             raise ValueError(f"a split half at its distinguished class lists one multiplicity per residue, "
                              f"and r = {self.r} > MAX_LISTED_R = {MAX_LISTED_R}")
         return self._listed()
-
-    def _listed(self) -> tuple[int, ...]:
-        """mult, with no cap on the order."""
-        if self._mult is None:
-            d, pos, neg = self._compact
-            self._mult = tuple(_spread(self.r, pos, neg, d))
-        return self._mult
 
     def support(self) -> frozenset[int]:
         return min_poly(self).roots
@@ -225,87 +244,52 @@ class SpectrumProfile:
     def to_json_dict(self) -> dict:
         return {"r": self.r, "degree": self.degree, "mult": list(self.mult)}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpectrumProfile):
-            return NotImplemented
-        if (self.r, self.degree) != (other.r, other.degree):
-            return False
-        if self._compact is not None and other._compact is not None:
-            return self._compact == other._compact
-        return self._listed() == other._listed()
-
-    def __hash__(self) -> int:
-        # mult[g % r] over the divisors g: pos in the compact form, as j = g has j/g = 1
-        r = self.r
-        at_divisors = self._compact[1] if self._compact else tuple(self._mult[g % r] for g in divisors(r))
-        return hash((r, self.degree, at_divisors))
-
     def __repr__(self) -> str:
         return f"SpectrumProfile(r={self.r}, mult={self._listed()}, degree={self.degree})"
 
 
-class MinPoly:
+class MinPoly(_Residues):
     """Minimal polynomial of a finite order matrix, as the set of exponents j
-    of its eigenvalues exp(2*pi*i*j/r).
+    of its eigenvalues exp(2*pi*i*j/r), held as whether each j is a root."""
 
-    A root set closed under the Galois action (all j of equal gcd with r
-    together) is held as its set of gcds, and roots is derived from it on
-    first access. Equality and hashing compare that canonical form, so a
-    polynomial built from residues equals the same one built from gcds.
-    """
-
-    __slots__ = ("r", "_roots", "_gcds")
+    __slots__ = ()
 
     def __init__(self, r: int, roots: frozenset[int]) -> None:
         roots = frozenset(roots)
         if r < 1 or not roots or any(not 0 <= j < r for j in roots):
             raise ValueError("roots must be a nonempty subset of range(r)")
-        kept = _galois_form(r, list(map(roots.__contains__, range(r))))
-        self.r, self._roots, self._gcds = r, roots, None if kept is None else frozenset(compress(divisors(r), kept))
-
-    @classmethod
-    def _from_gcds(cls, r: int, gcds: frozenset[int]) -> MinPoly:
-        """The polynomial whose roots are the j with gcd(j, r) in gcds (nonempty, dividing r)."""
-        self = object.__new__(cls)
-        self.r, self._roots, self._gcds = r, None, gcds
-        return self
+        self._hold_values(r, map(roots.__contains__, range(r)))
 
     @property
     def roots(self) -> frozenset[int]:
-        if self._roots is None:
-            kept = _spread(self.r, [g in self._gcds for g in divisors(self.r)])
-            self._roots = frozenset(compress(range(self.r), kept))
-        return self._roots
+        return frozenset(compress(range(self.r), self._listed()))
 
     @property
     def rendered(self) -> str:
         return render_min_poly(self)
 
     def is_full(self) -> bool:
-        return self._gcds is not None and len(self._gcds) == len(divisors(self.r))
+        return self._compact is not None and all(self._compact[1]) and all(self._compact[2])
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "roots": sorted(self.roots), "rendered": self.rendered}
-
-    def _key(self) -> tuple:
-        return (self.r, self._gcds) if self._gcds is not None else (self.r, None, self._roots)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MinPoly):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"MinPoly(r={self.r}, roots={self.roots!r})"
 
 
+def _support(r: int, pos, neg, d: int) -> MinPoly:
+    """The minimal polynomial whose roots are where the compact form (d, pos, neg) is nonzero."""
+    mp = object.__new__(MinPoly)
+    mp._hold_compact(r, tuple(map(bool, pos)), tuple(map(bool, neg)), d)
+    return mp
+
+
 @lru_cache(maxsize=256)
 def _full_min_poly(r: int) -> MinPoly:
     """x^r - 1, shared by every full spectrum of order r."""
-    return MinPoly._from_gcds(r, frozenset(divisors(r)))
+    ones = (1,) * len(divisors(r))
+    return _support(r, ones, ones, 1)
 
 
 @lru_cache(maxsize=256)
@@ -586,13 +570,11 @@ def spectrum_an_numeric(label: AnCharacterLabel, sigma: CycleType) -> SpectrumPr
 def min_poly(profile: SpectrumProfile) -> MinPoly:
     """Minimal polynomial support; finite order matrices are diagonalizable,
     so the minimal polynomial is squarefree with the spectrum as root set."""
-    r, (d, pos, neg) = profile.r, profile._compact or (None, None, None)
-    # a support closed under the Galois action: pos and neg vanish together, as they do for d = 1
-    if pos is None or d != 1 and list(map(bool, pos)) != list(map(bool, neg)):
-        return MinPoly(r, frozenset(compress(range(r), profile.mult)))
-    if all(pos):
-        return _full_min_poly(r)
-    return MinPoly._from_gcds(r, frozenset(compress(divisors(r), pos)))
+    r, compact = profile.r, profile._compact
+    if compact is None:
+        return MinPoly(r, compress(range(r), profile._values))
+    d, pos, neg = compact
+    return _full_min_poly(r) if all(pos) and all(neg) else _support(r, pos, neg, d)
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:
@@ -623,22 +605,23 @@ def render_min_poly(mp: MinPoly) -> str:
     grows with the count of missing roots, so more than MAX_LISTED_R of them
     are refused before any factor is built.
     """
-    r = mp.r
+    r, compact = mp.r, mp._compact
     if mp.is_full():
         return "x-1" if r == 1 else f"x^{r}-1"
-    if mp._gcds is not None:
-        # the missing j with gcd(j, r) = g are the primitive (r/g)-th roots: divide out Phi_{r/g}
-        orders = sorted(r // g for g in divisors(r) if g not in mp._gcds)
-        missing = sum(map(euler_phi, orders))
+    if compact is None:
+        missing = mp._values.count(False)
     else:
-        missing = r - len(mp.roots)
+        # of the phi(r/g) j with gcd(j, r) = g, half are missing where pos and neg differ
+        d, pos, neg = compact
+        missing = sum(phi * (2 - p - q) // 2 for phi, p, q in zip(_phis(r), pos, neg))
     if missing > MAX_LISTED_R:
         raise ValueError(f"the minimal polynomial at r = {r} lacks {missing} of the r-th roots of unity, "
                          f"more than its rendering may list (MAX_LISTED_R = {MAX_LISTED_R})")
-    if mp._gcds is not None:
-        factors = [f"({_poly_str(cyclotomic(d))})" for d in orders]
+    if compact is not None and d == 1:
+        # the missing j with gcd(j, r) = g are the primitive (r/g)-th roots: divide out Phi_{r/g}
+        factors = [f"({_poly_str(cyclotomic(r // g))})" for g, kept in zip(divisors(r)[::-1], pos[::-1]) if not kept]
     else:
-        factors = [f"(x-z{r}^{j})" for j in sorted(set(range(r)) - mp.roots)]
+        factors = [f"(x-z{r}^{j})" for j in compress(range(r), map(operator.not_, mp._listed()))]
     # one factor divides as it is; several divide as one bracketed product
     divisor = factors[0] if len(factors) == 1 else f"({''.join(factors)})"
     return f"(x^{r}-1)/{divisor}"

@@ -8,7 +8,7 @@ import pytest
 
 from snchar import arith
 from snchar.arith import _factorize, divisors
-from snchar.spectral import SpectrumProfile, ramanujan_sum
+from snchar.spectral import MinPoly, SpectrumProfile, _Residues, ramanujan_sum
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "snchar"
 # the child interpreter imports the package from this checkout, installed or not
@@ -184,10 +184,12 @@ def test_the_only_process_wide_unbounded_cache_is_the_specht_module_data():
 
 
 def test_spectrum_profile_keeps_one_compact_form():
-    # beside r, degree and the per-residue listing, one compact slot and one private constructor:
-    # a per-gcd profile is the compact form with the surd d = 1, not a form of its own
-    slots = set(SpectrumProfile.__slots__)
-    assert len(SpectrumProfile.__slots__) == len(slots) == 4 and {"r", "degree", "_mult"} < slots
-    constructors = [name for name, attr in vars(SpectrumProfile).items()
-                    if name.startswith("_") and isinstance(attr, classmethod)]
-    assert len(constructors) == 1
+    # profiles and minimal polynomials share one store, _Residues: beside r, one compact slot and
+    # one per-residue listing slot, and at most one private constructor per class. A per-gcd
+    # profile or root set is the compact form with the surd d = 1, not a form of its own
+    assert _Residues.__slots__ == ("r", "_values", "_compact")
+    assert SpectrumProfile.__slots__ == ("degree",) and MinPoly.__slots__ == ()
+    for cls in (_Residues, SpectrumProfile, MinPoly):
+        constructors = [name for name, attr in vars(cls).items()
+                        if name.startswith("_") and isinstance(attr, classmethod)]
+        assert len(constructors) <= 1

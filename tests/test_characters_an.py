@@ -210,6 +210,12 @@ def test_an_class_size_split():
     assert an_class_size(five, 0) == 24
     with pytest.raises(ValueError):
         an_class_size(parse_cycle_type("3^1 1^2"), 1)
+    # half is one of -1, 0 and 1, and the class is even
+    for half in (2, 7, -2):
+        with pytest.raises(ValueError, match="half must be -1, 0 or 1"):
+            an_class_size(five, half)
+    with pytest.raises(ValueError, match="odd, not in the alternating group"):
+        an_class_size(parse_cycle_type("2^1 1^3"), 0)
 
 
 def _an_value(label, sigma, half):

@@ -608,6 +608,23 @@ def test_import_does_not_load_the_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+@pytest.mark.parametrize("argv", [["char", "--lambda", "3", "--shape", "3^1"], ["table", "--n", "12"]],
+                         ids=["small", "large"])
+def test_closed_stdout_exits_2_with_one_line(argv):
+    # the reader of the child's stdout is gone before the child writes: a one-line output fails in
+    # the flush, a long one in the first print, and neither ends in a traceback or exit 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "snchar.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout was closed before all output was written\n"
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_mismatches_exit_1(capsys, monkeypatch):
     from snchar import classify
     from snchar.spectral import MinPoly

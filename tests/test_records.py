@@ -130,3 +130,15 @@ def test_records_share_one_protocol():
     # the benchmark tracer (perfbench/tracer.py) wraps Partition.__post_init__ and CycleType.__post_init__
     # by name, so those two keep their checks there; every other record checks in its __init__
     assert {name for name, defs in methods.items() if "__post_init__" in defs} == {"Partition", "CycleType"}
+    # the two value types of spectral compare and hash through the one residue store, _Residues:
+    # beside it and _Record, no class in the package defines __eq__ or __hash__
+    comparing, residue_types = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                if {f.name for f in node.body if isinstance(f, ast.FunctionDef)} & {"__eq__", "__hash__"}:
+                    comparing.add(f"{path.stem}.{node.name}")
+                if any(getattr(base, "id", None) == "_Residues" for base in node.bases):
+                    residue_types.add(node.name)
+    assert comparing == {"partitions._Record", "spectral._Residues"}
+    assert residue_types == {"SpectrumProfile", "MinPoly"}

@@ -202,7 +202,7 @@ def test_one_stored_form_whichever_constructor():
     for lam, sigma, stable in (("5,1^4", "9^1", True), ("3,1^2", "5^1", False)):
         for half in AnCharacterLabel.split_pair(parse_partition(lam)):
             prof = spectrum_an(half, parse_cycle_type(sigma))
-            assert (prof._compact[0] == 1) == (min_poly(prof)._gcds is not None) == stable
+            assert (prof._compact[0] == 1) == (min_poly(prof)._compact[0] == 1) == stable
             assert prof == SpectrumProfile(prof.r, prof.mult, prof.degree)
 
 
@@ -244,8 +244,33 @@ def test_min_poly_storage_forms_agree():
         assert got == ref and ref == got and hash(got) == hash(ref)
         assert got.roots == roots and got.is_full() == (len(roots) == prof.r)
         assert got.rendered == ref.rendered == _render_by_scan(prof.r, roots)
-        not_galois_closed += ref._gcds is None
+        not_galois_closed += ref._compact is None
     assert not_galois_closed  # the split halves at their distinguished classes
+
+
+def test_min_poly_never_lists_a_compact_profile(monkeypatch):
+    # the references list mult; min_poly then reads the stored form alone, with mult raising
+    cases = [(label, sigma) for n in range(5, 10) for label in an_irreducible_labels(n)
+             for sigma in map(CycleType.from_partition, enumerate_partitions(n)) if sigma.is_even()]
+    big = parse_partition("511^2,2^509")
+    cases += [(half, parse_cycle_type("1021^1 1019^1")) for half in AnCharacterLabel.split_pair(big)]
+    refs = []
+    for label, sigma in cases:
+        prof = spectrum_an(label, sigma)
+        refs.append(MinPoly(prof.r, frozenset(j for j, m in enumerate(prof.mult) if m)))
+
+    def refuse(self):
+        raise AssertionError("min_poly listed a compact profile")
+
+    monkeypatch.setattr(SpectrumProfile, "mult", property(refuse))
+    spectral._split_pair.cache_clear()
+    for (label, sigma), ref in zip(cases, refs):
+        assert min_poly(spectrum_an(label, sigma)) == ref
+    # a split half whose pos and neg vanish apart keeps its support in the compact form
+    plus, minus = (min_poly(spectrum_an(half, parse_cycle_type("5^1")))
+                   for half in AnCharacterLabel.split_pair(parse_partition("3,1^2")))
+    assert plus._compact == (5, (True, True), (False, True))
+    assert minus._compact == (5, (False, True), (True, True))
 
 
 def test_min_poly_large_order_stays_per_divisor():

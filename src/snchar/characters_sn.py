@@ -9,8 +9,11 @@ the empty slot b - k, with sign (-1)^(beads between), and equal beta sets add
 their coefficients), then weighs each remaining shape by its standard tableaux
 from the hook product, cached for one call. Sweeps and full_table read
 columns: p_mu = sum_lam chi^lam(mu) s_lam, built up from the empty shape by
-adding hooks over a trie of the wanted cycle types. Nothing is kept between
-calls. degree() computes the hook product.
+adding hooks over a trie of the wanted cycle types. Since chi^lam' = sgn *
+chi^lam holds at every level, a level keeps one shape per conjugate pair, next
+to its conjugate's mask (moved along with it), and the sign eps of the parts
+added so far gives the other; each type adds its last level straight into its
+column. Nothing is kept between calls. degree() computes the hook product.
 
 Independent evaluation routes are provided so values can be cross checked:
 coefficient extraction from the generating product (chi_frobenius), closed
@@ -118,7 +121,16 @@ def _columns(lams, types) -> list[list[int]]:
     every lam in lams, the caller's enumerate_partitions(n). From the empty
     shape as n beads at 0 .. n - 1, p_k moves a bead b to an empty slot b + k;
     the types are a trie of their parts, ascending, so shared smaller parts
-    expand once."""
+    expand once. Each level is omega-symmetric: with eps the product of
+    (-1)^(k - 1) over its parts, the coefficient of a conjugate nu' is eps
+    times that of nu. So a level holds one shape per conjugate pair, the one
+    whose mask is the smaller int, next to the mask of its conjugate, which
+    moves with it: as nu's bead goes from b to b + k, nu''s goes from
+    2n - 1 - b - k to 2n - 1 - b. A child of a held shape is added to itself,
+    or eps times that to its conjugate, and a self-conjugate child gets both;
+    a self-conjugate parent's children come in conjugate pairs, so it adds no
+    conjugate share. A type's last level goes straight into its column through
+    the row index: each child at itself and eps times that at its conjugate."""
     trie: dict = {}
     for t, cycles in enumerate(types):
         node = trie
@@ -126,33 +138,65 @@ def _columns(lams, types) -> list[list[int]]:
             node = node.setdefault(k, {})
         node.setdefault(0, []).append(t)
     n = lams[0].n
+    if not n:
+        return [[1] for _ in types]
     rows = {sum(1 << (p + n - 1 - j) for j, p in enumerate(lam.parts)) | (1 << (n - len(lam.parts))) - 1: i
             for i, lam in enumerate(lams)}
+    top = 1 << 2 * n >> 1  # a bead at b is a hole at 2n - 1 - b of the conjugate, the mask top >> b
     out: list = [None] * len(types)
-    stack = [(trie, 0, {(1 << n) - 1: 1})]
+    empty = (1 << n) - 1
+    stack = [(trie, 0, 1, {empty: 1}, {empty: empty})]
     while stack:
-        node, k, states = stack.pop()
+        node, k, eps, states, conj = stack.pop()
         if k:
-            nxt: dict[int, int] = {}
-            get = nxt.get
             legs = (1 << (k - 1)) - 1
+            last = 0 in node  # a type ends here; all sum to n, so none goes on below
+            col = [0] * len(rows) if last else None
+            nxt: dict[int, int] = {}
+            cnxt: dict[int, int] = {}
+            get = nxt.get
             for mask, coef in states.items():
+                if not coef:
+                    continue
+                cmask = conj[mask]
+                ecoef = eps * coef if mask != cmask else 0  # the conjugate's share
                 movable = mask & ~(mask >> k)
+                if last:
+                    while movable:
+                        low = movable & -movable
+                        movable ^= low
+                        b = low.bit_length()
+                        i, j = rows[mask ^ low ^ (low << k)], rows[cmask ^ (top >> b - 1) ^ (top >> b + k - 1)]
+                        if (mask >> b & legs).bit_count() & 1:
+                            col[i] -= coef
+                            col[j] -= ecoef
+                        else:
+                            col[i] += coef
+                            col[j] += ecoef
+                    continue
                 while movable:
                     low = movable & -movable
                     movable ^= low
+                    b = low.bit_length()
                     sup = mask ^ low ^ (low << k)
-                    nxt[sup] = get(sup, 0) + (-coef if (mask >> low.bit_length() & legs).bit_count() & 1 else coef)
-            states = nxt
-        for part, child in node.items():
-            if part:  # siblings share their parent's expansion until each is popped
-                stack.append((child, part, states))
-            else:
-                col = [0] * len(rows)
-                for mask, coef in states.items():
-                    col[rows[mask]] = coef
-                for t in child:
+                    csup = cmask ^ (top >> b - 1) ^ (top >> b + k - 1)
+                    x, ex = (-coef, -ecoef) if (mask >> b & legs).bit_count() & 1 else (coef, ecoef)
+                    if sup < csup:
+                        nxt[sup] = get(sup, 0) + x
+                        cnxt[sup] = csup
+                    elif sup > csup:
+                        nxt[csup] = get(csup, 0) + ex
+                        cnxt[csup] = sup
+                    else:
+                        nxt[sup] = get(sup, 0) + x + ex
+                        cnxt[sup] = sup
+            if last:
+                for t in node[0]:
                     out[t] = col
+                continue
+            states, conj = nxt, cnxt
+        for part, child in node.items():  # siblings share their parent's expansion until each is popped
+            stack.append((child, part, eps if part & 1 else -eps, states, conj))
     return out
 
 

@@ -64,7 +64,20 @@ def _check_listed(what: str, sigma: CycleType) -> None:
 def _print_json(obj) -> None:
     import json
 
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
+
+
+def _print_mult(head: str, mult) -> None:
+    """Print head and then mult comma separated, a slice at a time, so that the line is never
+    held whole. A listed profile repeats a few value objects, at most two per divisor of r:
+    each is formatted once."""
+    text = {key: str(value) for key, value in {id(value): value for value in mult}.items()}
+    write = sys.stdout.write
+    write(head)
+    for start in range(0, len(mult), 4096):
+        write(("," if start else "") + ",".join(map(text.__getitem__, map(id, mult[start:start + 4096]))))
+    write("\n")
 
 
 def _emit(args, payload, text: str) -> None:
@@ -125,16 +138,18 @@ def _cmd_spectrum(args) -> int:
     _check_listed("spectrum", sigma)
     if args.group == "sn":
         profile = spectrum_sn(lam, sigma)
-        text = f"r={profile.r} degree={profile.degree} mult=" + ",".join(map(str, profile.mult))
-        _emit(args, lambda: {"group": "sn", "lambda": str(lam), "shape": str(sigma), **profile.to_json_dict()}, text)
+        if args.format == "json":
+            _print_json({"group": "sn", "lambda": str(lam), "shape": str(sigma), **profile.to_json_dict()})
+        else:
+            _print_mult(f"r={profile.r} degree={profile.degree} mult=", profile.mult)
         return 0
     profiles = [(label, spectrum_an(label, sigma)) for label in _an_labels(lam, args.variant)]
-    lines = [f"{label} r={profile.r} degree={profile.degree} mult=" + ",".join(map(str, profile.mult))
-             for label, profile in profiles]
-    _emit(args,
-          lambda: {"group": "an", "lambda": str(lam), "shape": str(sigma),
-                   "spectra": [{"label": str(label), **profile.to_json_dict()} for label, profile in profiles]},
-          "\n".join(lines))
+    if args.format == "json":
+        _print_json({"group": "an", "lambda": str(lam), "shape": str(sigma),
+                     "spectra": [{"label": str(label), **profile.to_json_dict()} for label, profile in profiles]})
+    else:
+        for label, profile in profiles:
+            _print_mult(f"{label} r={profile.r} degree={profile.degree} mult=", profile.mult)
     return 0
 
 

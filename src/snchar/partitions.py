@@ -191,13 +191,7 @@ class CycleType(_Record):
         built unchecked: it is a valid class by construction."""
         if i < 0:
             raise ValueError("exponent must be nonnegative")
-        if i == 0:
-            return CycleType._unchecked(((1, self.n),) if self.cycles else ())
-        counts: dict[int, int] = {}
-        for a, b in self.cycles:
-            g = math.gcd(a, i)
-            counts[a // g] = counts.get(a // g, 0) + b * g
-        return CycleType._unchecked(tuple(sorted(counts.items(), reverse=True)))
+        return CycleType._unchecked(tuple(_power_cycles(self.cycles, i)))
 
     def permutation(self) -> tuple[int, ...]:
         """Canonical representative on {1..n}: consecutive increasing cycles,
@@ -214,6 +208,17 @@ class CycleType(_Record):
 
     def __str__(self) -> str:
         return format_cycle_type(self)
+
+
+def _power_cycles(cycles, i: int) -> list[tuple[int, int]]:
+    """The (length, count) pairs of the i-th power, i >= 0, of a permutation
+    with the (length, count) pairs cycles, longest first: an a-cycle splits
+    into gcd(a, i) cycles of length a / gcd(a, i), so i = 0 leaves fixed points."""
+    counts: dict[int, int] = {}
+    for a, b in cycles:
+        g = math.gcd(a, i)
+        counts[a // g] = counts.get(a // g, 0) + b * g
+    return sorted(counts.items(), reverse=True)
 
 
 def _check_sizes(lam: Partition, sigma: CycleType) -> None:

@@ -26,13 +26,14 @@ values are summed by the whole table, or for the fixed space by phi(r/d)
 alone: one row of lam cell by cell for spectrum_sn and fixed_space_dim, and
 for the sweeps in classify the class-major columns of every partition of n, a
 whole column at a time, checked by class column (_check_counts; _check_case
-checks one case the same way). Each plan builds the powers sigma^d of its
-classes afresh. A SpectrumProfile and its support, a MinPoly (whether each j
-is a root), share one store, _Residues: values that depend on j only through
-g and the sign of a quadratic character are held as one entry per divisor g
-and sign, as they are computed, so min_poly and render_min_poly never scan
-range(r) for them. The integer arithmetic (divisors, Moebius, phi, cyclotomic
-polynomials) lives in arith.
+checks one case the same way). Each plan lists the cycle lengths of the
+powers sigma^d of its classes afresh, from partitions._power_cycles, without
+building a CycleType for them. A SpectrumProfile and its support, a MinPoly
+(whether each j is a root), share one store, _Residues: values that depend on
+j only through g and the sign of a quadratic character are held as one entry
+per divisor g and sign, as they are computed, so min_poly and render_min_poly
+never scan range(r) for them. The integer arithmetic (divisors, Moebius, phi,
+cyclotomic polynomials) lives in arith.
 
 Every division is checked to be exact; a remainder signals a bug, never a
 rounding problem. spectrum_sn_direct recomputes profiles by reducing the
@@ -81,7 +82,7 @@ from itertools import compress, repeat
 
 from .arith import _factorize, _polydivmod, _split_surd, cyclotomic, divisors, euler_phi, kronecker_symbol, moebius
 from .characters_sn import _beta_set, _chi_row, _columns, chi, degree
-from .partitions import CycleType, Partition, _check_alternating, _check_sizes
+from .partitions import CycleType, Partition, _check_alternating, _check_sizes, _power_cycles
 
 # characters_an (AnCharacterLabel and the variants), and fractions with it, is imported by the
 # A_n functions alone, so a symmetric group query loads neither
@@ -309,7 +310,8 @@ def _power_plan(classes: list[CycleType], weights) -> tuple[list[tuple[int, ...]
     plan = []
     for sigma in classes:
         r = sigma.order()
-        plan.append((r, [column.setdefault(sigma.power(d).lengths(), len(column)) for d in divisors(r)], weights(r)))
+        powers = (tuple(a for a, b in _power_cycles(sigma.cycles, d) for _ in range(b)) for d in divisors(r))
+        plan.append((r, [column.setdefault(lengths, len(column)) for lengths in powers], weights(r)))
     return list(column), plan
 
 

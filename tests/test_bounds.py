@@ -142,6 +142,14 @@ def test_min_degree_report_bytes_are_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == MIN_DEGREE_DIGESTS[n]
 
 
+def test_fomin_lulov_sweep_report_bytes_are_pinned():
+    # every partition of 16 at each [r^(16/r)], read from one class-major table
+    reports = sweep_fomin_lulov(16, min_n=16)
+    assert len(reports) == 1155
+    text = json.dumps([rep.to_json_dict() for rep in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "93c7a9a466ce544783a29eff4df3121eded720007107bf00d5c69b9bdb6873d8"
+
+
 def test_min_degree_keeps_no_partition_after_the_call():
     # n = 30 has 5 604 partitions, each at least two live blocks (object and parts tuple)
     # if kept; live small-object blocks are counted, as in the degree cache test

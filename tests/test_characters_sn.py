@@ -346,27 +346,55 @@ def test_columns_equal_rows_on_sampled_columns(n):
         assert row == [col[i] for col in cols], lam
 
 
-def _private_calls(tree):
-    """Module-level private function name -> the other private functions its body names."""
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
-    return {name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in defs and n.id != name}
+@pytest.mark.parametrize("n, selfs", [(6, [(3, 2, 1)]), (10, [(4, 3, 2, 1), (5, 2, 1, 1, 1)])])
+def test_columns_at_self_conjugate_rows_and_all_even_types(n, selfs):
+    # a self-conjugate row is its own pair, and an odd number of even parts makes eps = -1: both
+    # routing rules side by side, every entry against the rows, and chi^lam' = eps * chi^lam
+    lams = enumerate_partitions(n)
+    index = {lam: i for i, lam in enumerate(lams)}
+    selfs = [Partition(p) for p in selfs]
+    assert all(conjugate(lam) == lam for lam in selfs)
+    even = [t for t in _class_lengths(n) if all(k % 2 == 0 for k in t)]
+    types = even + [(2,) + (1,) * (n - 2), (3,) + (1,) * (n - 3), (n - 2, 2)]
+    signs = [(-1) ** sum(k - 1 for k in t) for t in types]
+    assert {1, -1} <= {eps for t, eps in zip(types, signs) if t in even}
+    cols = _columns(lams, types)
+    for lam in lams:
+        row = _chi_row(_beta_set(lam.parts), [tuple(sorted(t, reverse=True)) for t in types])
+        assert row == [col[index[lam]] for col in cols], lam
+    for t, eps, col in zip(types, signs, cols):
+        assert all(col[index[conjugate(lam)]] == eps * col[i] for i, lam in enumerate(lams)), t
+        assert eps == 1 or not any(col[index[lam]] for lam in selfs), t
+    assert all(any(col[index[lam]] for col in cols) for lam in selfs)
+
+
+def _module_calls(tree):
+    """Module-level function name -> the module-level functions, and the names imported from
+    other modules, that its body reads."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    known = set(defs) | {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                         for alias in node.names}
+    return {name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in known and n.id != name}
             for name, node in defs.items()}
 
 
 def _reach(calls, start):
     seen, todo = set(), [start]
     while todo:
-        for name in calls[todo.pop()] - seen:
+        for name in calls.get(todo.pop(), set()) - seen:
             seen.add(name)
             todo.append(name)
     return seen
 
 
 def test_the_two_character_routes_share_no_private_helper():
-    calls = _private_calls(ast.parse(Path(characters_sn.__file__).read_text()))
+    # nothing either route reads, public or private, here or imported, is reachable from the
+    # other: the builder's conjugate masks included, which it carries itself, calling no conjugate
+    calls = _module_calls(ast.parse(Path(characters_sn.__file__).read_text()))
     rows, cols = _reach(calls, "_chi_row"), _reach(calls, "_columns")
     assert "_level" in rows and "_standard_count" in rows
     assert not ({"_chi_row"} | rows) & ({"_columns"} | cols)
+    assert "conjugate" not in rows | cols
 
 
 def _near_single_row(n):

@@ -226,13 +226,15 @@ def test_eigenvalue_one_kernel_powers_each_class_once(monkeypatch):
     classes = [CycleType.from_partition(mu) for mu in enumerate_partitions(10)]
     bound = sum(len(divisors(sigma.order())) for sigma in classes)
     calls = []
-    real = CycleType.power
+    real = partitions._power_cycles
 
-    def counted(self, i):
+    def counted(cycles, i):
         calls.append(i)
-        return real(self, i)
+        return real(cycles, i)
 
-    monkeypatch.setattr(CycleType, "power", counted)
+    # the power plan reads the helper directly, CycleType.power through its module
+    monkeypatch.setattr(partitions, "_power_cycles", counted)
+    monkeypatch.setattr(spectral, "_power_cycles", counted)
     assert verify_eigenvalue_one(10, min_n=10).ok
     assert 0 < len(calls) <= bound
 
@@ -346,6 +348,10 @@ REPORT_DIGESTS = [
     (verify_minpoly_sn, 14, 14, "ad2d9fe8a773a13c759f50b0c82d4907452587545fcd833dbeea4a57bf0f6312"),
     (verify_minpoly_an, 15, 15, "47eeadbd8ae386295b25cdc7cb47118765a3d619fa8662d0b3c6e891b43daa53"),
     (verify_eigenvalue_one, 12, 12, "3d8714955e8492af9959d109f0092db57172343164dfc07a8f0ea3350ed207e8"),
+    # beyond the benchmark sizes, where the column builder meets more conjugate pairs
+    (verify_minpoly_sn, 20, 20, "bc30a5b362c02eeead77e4bee6f8c5a8ed29291098f2e47232061ccf4372094e"),
+    (verify_minpoly_an, 20, 20, "9327da5b2a426e8f72035fdd746020dcc7b941a474e42b78af7cb8baa33464f2"),
+    (verify_eigenvalue_one, 16, 16, "4a60e842b6acc19108880da9c877ff2babec255ccc70219aed5d9c18e1b46725"),
 ]
 
 

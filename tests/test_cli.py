@@ -516,6 +516,27 @@ def test_split_class_at_order_45045_answers_spectrum(capsys, monkeypatch):
     assert [a + b for a, b in zip(*halves, strict=True)] == list(spectrum_sn(lam, sigma).mult)
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_split_class_spectrum_streams_its_text():
+    # r = 1021 * 1019 = 1 040 399 <= MAX_LISTED_R: both halves list 1 211-digit multiplicities, 2.5 GB of
+    # text. A fresh interpreter, its address space capped at 1 GB, so that a build which holds the text
+    # whole fails with exit 2 instead of exhausting the machine
+    code = "\n".join([
+        "import resource, sys",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+        "from snchar.cli import main",
+        "status = main(['spectrum', '--group', 'an', '--lambda', '511^2,2^509', '--shape', '1021^1 1019^1'])",
+        "peak = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))",
+        "print(peak, file=sys.stderr)",
+        "sys.exit(status)",
+    ])
+    with open(os.devnull, "w") as devnull:
+        proc = subprocess.run([sys.executable, "-c", code], stdout=devnull, stderr=subprocess.PIPE, text=True,
+                              env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) < 200 * 1024
+
+
 def test_split_class_above_max_listed_r_answers_text_minpoly_only(capsys):
     # 19*17*13*11*7*5 = 1616615 > 2^20: the hooks of the self conjugate 10^2,9^2,8^2,6^2,4,2 (n = 72);
     # the halves' minimal polynomials are read per divisor, only their listings are refused

@@ -5,8 +5,9 @@ alternating groups in exact arithmetic, turns them into eigenvalue
 multiplicities and minimal polynomials of permutation images, verifies the
 classification of the non generic minimal polynomials exhaustively, and
 certifies the analytic inequalities the theory rests on with outward rounded
-interval arithmetic. An independent Specht module oracle reproduces the same
-spectra from integer matrices alone.
+enclosures in integers, at a stated number of significant bits. An
+independent Specht module oracle reproduces the same spectra from integer
+matrices alone. The package uses the standard library alone.
 
 The public names are those of each library module's __all__, re-exported
 here; the command line module snchar.cli is not part of the library.

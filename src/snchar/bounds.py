@@ -1,12 +1,13 @@
 """Certified inequalities for character values, factorials, and degrees.
 
-Transcendental quantities are evaluated with outward rounded interval
-arithmetic (mpmath.iv) at a configurable working precision, and an inequality
-is reported as holding only when the conservative endpoint comparison already
-decides it: sup(LHS) against inf(RHS). Comparisons that are algebraic after
-clearing roots are decided exactly on integers instead, so those verdicts
-carry no precision caveat; the interval endpoints are still used for the
-human readable margin strings.
+Transcendental quantities are enclosed in integers, each endpoint a dyadic
+number of the working precision's significant bits, lower ends rounded down
+and upper ends up: an integer r-th root by Newton's method, pi by Machin's
+series and e^x by its Taylor sum, each with an explicit tail bound. An
+inequality holds only when the conservative endpoints decide it, sup(LHS) <
+inf(RHS); one left open at the working precision FAILS. Comparisons that are
+algebraic after clearing roots are decided exactly on integers instead, and
+the endpoints only feed the margin strings.
 
 All displayed lhs/rhs/margin values are decimal strings of the conservative
 endpoints actually compared, never of midpoints.
@@ -15,8 +16,6 @@ endpoints actually compared, never of midpoints.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from fractions import Fraction
 from functools import partial
 from itertools import chain
 
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION_BITS = 128
-# at 2^16 bits every single check answers in seconds; at 2^18 estimate takes over a minute
+# at 2^16 bits one check takes up to about 3.5 s: estimate at r = 40, whose 80th root reads 2^22 bits
 MAX_PRECISION_BITS = 1 << 16
 
 
@@ -52,40 +51,121 @@ def _check_bits(bits: int) -> None:
         raise ValueError(f"precision too large: {bits} > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
 
 
-# mpmath is imported where it is used, so that importing the package does not load it
-@contextmanager
-def _interval_precision(bits: int):
-    import mpmath
+# An enclosure is (lo, hi, exp): the value lies in [lo * 2^exp, hi * 2^exp]. An endpoint is a
+# dyadic (man, exp), the value man * 2^exp; an int is an exact integer printed in full.
 
-    _check_bits(bits)
-    old = mpmath.iv.prec
-    mpmath.iv.prec = bits
-    try:
-        yield mpmath.iv
-    finally:
-        mpmath.iv.prec = old
-
-
-def _inf(x) -> Fraction:
-    from mpmath.libmp import to_rational
-
-    return Fraction(*to_rational(x._mpi_[0]))
-
-
-def _sup(x) -> Fraction:
-    from mpmath.libmp import to_rational
-
-    return Fraction(*to_rational(x._mpi_[1]))
+def _iroot(y: int, r: int) -> int:
+    """The largest s with s**r <= y, for y >= 0, by Newton's method on integers: first on the
+    leading bits of y, about doubling how many it reads at each step, then on y itself."""
+    if y < 2 or r == 1:
+        return y
+    top = (y.bit_length() - 1) // r + 1  # the root has at most top bits
+    q = min(top, 48)
+    s = int(2 ** (math.log2(y >> r * (top - q)) / r)) + 1  # a float guess at the root of the leading bits
+    while True:
+        grow = min(q - r.bit_length() - 4, top - q)
+        q, s = q + grow, s << grow
+        s = ((r - 1) * s + (y >> r * (top - q)) // s ** (r - 1)) // r
+        if q == top:  # a step on y itself, from any s > 0, lands at or above the root (AM-GM)
+            break
+    while (t := ((r - 1) * s + y // s ** (r - 1)) // r) < s:
+        s = t
+    return s
 
 
-def _fmt(q: Fraction | int) -> str:
-    q = Fraction(q)
-    if q.denominator == 1 and abs(q.numerator) < 10**15:
-        return str(q.numerator)
-    import mpmath
+def _root(num: int, den: int, r: int, bits: int, exp: int = 0) -> tuple[int, int, int]:
+    """(num/den * 2^exp)^(1/r), num, den > 0, as an enclosure whose lo has bits significant bits
+    and hi = lo + 1, or hi = lo when the root is that dyadic exactly; r = 1 rounds a quotient."""
+    k = bits + 1 - (num.bit_length() + exp - den.bit_length() - 1) // r  # the root * 2^k is >= 2^(bits+1)
+    shift = r * k + exp  # a power of two moves by shifts: long division is quadratic in its quotient
+    y, rem = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    s = _iroot(y, r)
+    t = s.bit_length() - bits
+    exact = not rem and s**r == y and not s & (1 << t) - 1
+    return s >> t, (s >> t) + (not exact), t - k
 
-    with mpmath.workprec(80):
-        return mpmath.nstr(mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator), 12)
+
+def _pi(w: int) -> tuple[int, int, int]:
+    """pi, enclosed at 2^-w by Machin's formula 16 atan(1/5) - 4 atan(1/239). Each series is
+    summed at 2^-(w+20) until its terms vanish: a floored term is low by less than 1, and the
+    first omitted term is below 1, so a sum of k terms is within k + 1 units of its arctangent."""
+    total, slack = 0, 0
+    for x, c in ((5, 16), (239, -4)):
+        power, k, sign = (1 << w + 20) // x, 1, 1
+        while power:
+            total += sign * c * (power // k)
+            power //= x * x
+            k, sign = k + 2, -sign
+        slack += abs(c) * (k + 1) // 2
+    return total - slack >> 20, -(-(total + slack) >> 20), -w
+
+
+def _exp(a: int, b: int, w: int) -> tuple[int, int, int]:
+    """e^(a/b), 0 < a <= b, enclosed at 2^-w by its Taylor sum at 2^-(w+20). Each term is floored
+    from the last, so j terms are low by less than 2j in all, and the tail is below twice the
+    first omitted term, which is below 2."""
+    term, total, j = 1 << w + 20, 0, 0
+    while term:
+        total += term
+        j += 1
+        term = term * a // (b * j)
+    return total >> 20, -(-(total + 2 * j + 4) >> 20), -w
+
+
+def _pow(x: tuple[int, int, int], n: int, w: int) -> tuple[int, int, int]:
+    """x^n, n >= 1, for an enclosure x with positive ends: by squaring, each product rounded
+    outward to w bits, so that no end grows past 2w bits."""
+    lo, hi, e = 1, 1, 0
+    for bit in bin(n)[2:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi, e = lo * x[0], hi * x[1], e + x[2]
+        t = max(hi.bit_length() - w, 0)
+        lo, hi, e = lo >> t, -(-hi >> t), e + t
+    return lo, hi, e
+
+
+def _sub(x, y) -> tuple[int, int]:
+    """x - y, exactly, for endpoints and ints."""
+    (m, e), (n, f) = (v if isinstance(v, tuple) else (v, 0) for v in (x, y))
+    g = min(e, f)
+    return (m << e - g) - (n << f - g), g
+
+
+def _fmt(x) -> str:
+    """An int in full; a dyadic (man, exp) in full when it is an integer below 10^15, and
+    otherwise as mpmath.nstr(x, 12) printed it from x rounded to an 80-bit float: the leading
+    digits truncated as mpmath's to_digits_exp truncates them, then rounded to 12 digits as
+    its to_str rounds them (fixed point for a leading digit at 10^-4 .. 10^11)."""
+    if isinstance(x, int):
+        return str(x)
+    m, e = x
+    v = m << e if e >= 0 else m >> -e
+    if abs(v) < 10**15 and (e >= 0 or v << -e == m):
+        return str(v)
+    sign, m = "-" * (m < 0), abs(m)
+    t = m.bit_length() - 80
+    if t > 0:  # round half to even
+        half = 1 << t - 1
+        m, rest, e = m >> t, m & 2 * half - 1, e + t
+        m += rest > half or (rest == half and m & 1)
+    top = e + m.bit_length()  # 2^(top-1) <= x < 2^top
+    fixprec = max(59 - top, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    fixed = m << e + fixprec if e + fixprec >= 0 else m >> -e - fixprec
+    skip = max(int((top - 1) * math.log10(2)) - 20, 0)  # digits past the 21st are never read
+    digits = str((fixed * 10**fixdps >> fixprec) // 10**skip)
+    exponent = len(digits) + skip - fixdps - 1
+    head = str(int(digits[:12]) + (digits[12] >= "5"))
+    if len(head) > 12:
+        head, exponent = head[:12], exponent + 1
+    split = exponent + 1 if 0 <= exponent < 12 else 1
+    if -5 < exponent < 0:
+        head = "0" * -exponent + head
+    if -5 < exponent < 12:
+        exponent = 0
+    text = (head[:split] + "." + head[split:]).rstrip("0")
+    return sign + text + "0" * text.endswith(".") + (f"e{exponent:+d}" if exponent else "")
 
 
 class BoundClause(_Record):
@@ -112,34 +192,44 @@ def _require_shape(lam: Partition, r: int, m: int) -> None:
         raise ValueError(f"need r*m == n with r, m >= 1; got r={r} m={m} n={lam.n}")
 
 
+def _strict(name: str, lhs, rhs, margin: tuple[int, int]) -> BoundClause:
+    """A strict clause on conservative endpoints: it holds when the margin is positive."""
+    return BoundClause(name, _fmt(lhs), _fmt(rhs), _fmt(margin), margin[0] > 0)
+
+
 def fomin_lulov_check(lam: Partition, r: int, m: int, *, bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
     """|chi(lam at [r^m])| <= m! r^m (deg/n!)^(1/r) for n = r*m.
 
     Both sides are positive, so the verdict is decided exactly by comparing
-    r-th powers as integers; the interval route only feeds the margin string.
+    r-th powers as integers; the enclosure only feeds the margin string.
     At r = 1 the two sides agree identically and the margin is 0.
     """
     _require_shape(lam, r, m)
-    return _fomin_lulov(lam, r, m, abs(chi(lam, CycleType.uniform(r, m, lam.n))), bits)
+    return _fomin_lulov(lam.n, r, m, bits)(lam, abs(chi(lam, CycleType.uniform(r, m, lam.n))))
 
 
-def _fomin_lulov(lam: Partition, r: int, m: int, val: int, bits: int) -> BoundReport:
-    """fomin_lulov_check for a checked shape, given val = |chi(lam at [r^m])|."""
-    _check_bits(bits)  # the exact branch below never enters _interval_precision
-    n = lam.n
-    d = degree(lam)
-    coeff = math.factorial(m) * r**m
-    lhs_pow = val**r * math.factorial(n)
-    rhs_pow = coeff**r * d
-    holds = lhs_pow <= rhs_pow
-    if lhs_pow == rhs_pow:
-        clause = BoundClause("value-bound", str(val), str(val), "0", holds)
-    else:
-        with _interval_precision(bits) as iv:
-            rhs = iv.mpf(coeff) * iv.exp(iv.log(iv.mpf(d) / iv.mpf(math.factorial(n))) / r)
-            rhs_inf = _inf(rhs)
-        clause = BoundClause("value-bound", str(val), _fmt(rhs_inf), _fmt(rhs_inf - val), holds)
-    return BoundReport("fomin-lulov", f"lam={lam} shape={r}^{m}", (clause,), bits)
+def _fomin_lulov(n: int, r: int, m: int, bits: int):
+    """fomin_lulov_check of (lam, val = |chi(lam at [r^m])|) for the shapes lam of n = r*m, with
+    the class's constants computed once."""
+    _check_bits(bits)
+    nf = math.factorial(n)
+    coeff_pow = (math.factorial(m) * r**m) ** r
+
+    def report(lam: Partition, val: int) -> BoundReport:
+        d = degree(lam)
+        lhs_pow = val**r * nf
+        rhs_pow = coeff_pow * d
+        if lhs_pow == rhs_pow:
+            clause = BoundClause("value-bound", str(val), str(val), "0", lhs_pow <= rhs_pow)
+        else:
+            # the root below a point drops to the dyadic under it: mpmath.iv's exp-log route, which
+            # these strings keep, never returned a point here
+            lo, hi, e = _root(coeff_pow * d, nf, r, bits)
+            rhs_inf = (lo - (lo == hi), e)
+            clause = BoundClause("value-bound", str(val), _fmt(rhs_inf), _fmt(_sub(rhs_inf, val)), lhs_pow <= rhs_pow)
+        return BoundReport("fomin-lulov", f"lam={lam} shape={r}^{m}", (clause,), bits)
+
+    return report
 
 
 def estimate_check(lam: Partition, r: int, m: int, *, bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
@@ -148,57 +238,69 @@ def estimate_check(lam: Partition, r: int, m: int, *, bits: int = DEFAULT_PRECIS
     Strict; certified when sup(LHS) < inf(RHS) at the working precision.
     """
     _require_shape(lam, r, m)
-    return _estimate(lam, r, m, abs(chi(lam, CycleType.uniform(r, m, lam.n))), bits)
+    return _estimate(lam.n, r, m, bits)(lam, abs(chi(lam, CycleType.uniform(r, m, lam.n))))
 
 
-def _estimate(lam: Partition, r: int, m: int, val: int, bits: int) -> BoundReport:
-    """estimate_check for a checked shape, given val = |chi(lam at [r^m])|."""
-    n = lam.n
-    d = degree(lam)
-    with _interval_precision(bits) as iv:
+def _estimate(n: int, r: int, m: int, bits: int):
+    """estimate_check of (lam, val = |chi(lam at [r^m])|) for the shapes lam of n = r*m; the
+    right-hand side depends on the class alone and is enclosed once."""
+    _check_bits(bits)
+    w = bits + 8
+    # (2 pi n)^((r-1)/(2r)) r^(-1/2) = ((2 pi n)^(r-1) / r^r)^(1/(2r))
+    lo, _, e = _root((2 * n * _pi(w)[0]) ** (r - 1), r**r, 2 * r, w, -w * (r - 1))
+    x, _, xe = _exp(1, 12 * m, w)
+    rhs_inf = _root(lo * x, 1, 1, bits, e + xe)[::2]
+
+    def report(lam: Partition, val: int) -> BoundReport:
+        d = degree(lam)
         if val == 0:
-            lhs_sup = Fraction(0)
-        else:
-            lhs_sup = _sup(iv.mpf(val) * iv.exp(-iv.log(iv.mpf(d)) / r))
-        expo = iv.mpf(r - 1) / iv.mpf(2 * r)
-        rhs = (
-            iv.exp(iv.log(2 * iv.pi) * expo)
-            / iv.sqrt(iv.mpf(r))
-            * iv.exp(iv.log(iv.mpf(n)) * expo)
-            * iv.exp(iv.mpf(1) / iv.mpf(12 * m))
-        )
-        rhs_inf = _inf(rhs)
-    holds = lhs_sup < rhs_inf
-    clause = BoundClause("normalized-value", _fmt(lhs_sup), _fmt(rhs_inf), _fmt(rhs_inf - lhs_sup), holds)
-    return BoundReport("estimate", f"lam={lam} shape={r}^{m}", (clause,), bits)
+            lhs_sup = 0
+        else:  # val / d^(1/r), widened off a point unless d = 1, as mpmath.iv's exp-log route
+            lo, hi, e = _root(val**r, d, r, bits)
+            lhs_sup = (hi + (lo == hi and d > 1), e)
+        clause = _strict("normalized-value", lhs_sup, rhs_inf, _sub(rhs_inf, lhs_sup))
+        return BoundReport("estimate", f"lam={lam} shape={r}^{m}", (clause,), bits)
+
+    return report
 
 
 def robbins_check(n: int, *, bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
     """sqrt(2 pi) n^(n+1/2) e^(-n) e^(1/(12n+1)) < n! < same with e^(1/(12n))."""
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
-    nf = math.factorial(n)
-    with _interval_precision(bits) as iv:
-        base = iv.sqrt(2 * iv.pi) * iv.exp(iv.log(iv.mpf(n)) * iv.mpf(2 * n + 1) / 2 - n)
-        lower_sup = _sup(base * iv.exp(iv.mpf(1) / iv.mpf(12 * n + 1)))
-        upper_inf = _inf(base * iv.exp(iv.mpf(1) / iv.mpf(12 * n)))
-    c1 = BoundClause("lower", _fmt(lower_sup), _fmt(nf), _fmt(nf - lower_sup), lower_sup < nf)
-    c2 = BoundClause("upper", _fmt(nf), _fmt(upper_inf), _fmt(upper_inf - nf), nf < upper_inf)
+    _check_bits(bits)
+    try:
+        nf = math.factorial(n)
+    except OverflowError:  # n > sys.maxsize
+        raise ValueError(f"n! is out of reach: n = {n}") from None
+    w = bits + n.bit_length() + 8  # e^n from e's enclosure is n times as wide, relatively
+    pi, en = _pi(w), _pow(_exp(1, 1, w), n, w)
+
+    def envelope(q: int, up: bool) -> tuple[int, int]:
+        """sqrt(2 pi n) n^n e^(1/q) / e^n, rounded up (or down) from the upper (lower) ends."""
+        root = _root(2 * n * pi[up], 1, 2, w, -w)
+        value = _root(root[up] * n**n * _exp(1, q, w)[up], en[not up], 1, bits, root[2] - w - en[2])
+        return value[up], value[2]
+
+    lower, upper = envelope(12 * n + 1, True), envelope(12 * n, False)
+    c1 = _strict("lower", lower, (nf, 0), _sub(nf, lower))
+    c2 = _strict("upper", (nf, 0), upper, _sub(upper, nf))
     return BoundReport("robbins", f"n={n}", (c1, c2), bits)
 
 
 def tail_inequalities_check(n: int, *, bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
-    """sqrt(n)(n-2)(n-7) > 54(n-1) and sqrt(n)(n-2)^2(n-7)^2 > 4608(n-1), n >= 23."""
+    """sqrt(n)(n-2)(n-7) > 54(n-1) and sqrt(n)(n-2)^2(n-7)^2 > 4608(n-1), n >= 23.
+
+    Both hold for every n >= 23: with n = 23 + t, n(n-2)^2(n-7)^2 - 2916(n-1)^2 and
+    n(n-2)^4(n-7)^4 - 4608^2(n-1)^2 are polynomials in t with positive coefficients.
+    """
     if n < 23:
         raise ValueError(f"defined for n >= 23: {n}")
-    with _interval_precision(bits) as iv:
-        root = iv.sqrt(iv.mpf(n))
-        l1_inf = _inf(root * ((n - 2) * (n - 7)))
-        l2_inf = _inf(root * ((n - 2) ** 2 * (n - 7) ** 2))
-    r1 = 54 * (n - 1)
-    r2 = 4608 * (n - 1)
-    c1 = BoundClause("factor-54", _fmt(l1_inf), str(r1), _fmt(l1_inf - r1), l1_inf > r1)
-    c2 = BoundClause("factor-4608", _fmt(l2_inf), str(r2), _fmt(l2_inf - r2), l2_inf > r2)
+    _check_bits(bits)
+    k = (n - 2) * (n - 7)
+    l1, l2 = _root(n * k**2, 1, 2, bits)[::2], _root(n * k**4, 1, 2, bits)[::2]
+    c1 = _strict("factor-54", l1, 54 * (n - 1), _sub(l1, 54 * (n - 1)))
+    c2 = _strict("factor-4608", l2, 4608 * (n - 1), _sub(l2, 4608 * (n - 1)))
     return BoundReport("tail", f"n={n}", (c1, c2), bits)
 
 
@@ -266,11 +368,13 @@ def min_degree_check(n: int) -> BoundReport:
 
 
 def _sweep_uniform(check, bits: int, n: int) -> list[BoundReport]:
-    """check(lam, r, n // r, |chi(lam at [r^(n/r)])|, bits) for every r | n and every partition
+    """check(n, r, n // r, bits)(lam, |chi(lam at [r^(n/r)])|) for every r | n and every partition
     lam of n, the values read from one class-major table."""
     lams = enumerate_partitions(n)
-    return [check(lam, r, n // r, abs(val), bits)
-            for r, col in zip(divisors(n), _columns(lams, [(r,) * (n // r) for r in divisors(n)]))
+    divs = divisors(n)
+    return [report(lam, abs(val))
+            for r, col in zip(divs, _columns(lams, [(r,) * (n // r) for r in divs]))
+            for report in [check(n, r, n // r, bits)]
             for lam, val in zip(lams, col)]
 
 

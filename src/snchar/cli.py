@@ -68,18 +68,6 @@ def _print_json(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _print_mult(head: str, mult) -> None:
-    """Print head and then mult comma separated, a slice at a time, so that the line is never
-    held whole. A listed profile repeats a few value objects, at most two per divisor of r:
-    each is formatted once."""
-    text = {key: str(value) for key, value in {id(value): value for value in mult}.items()}
-    write = sys.stdout.write
-    write(head)
-    for start in range(0, len(mult), 4096):
-        write(("," if start else "") + ",".join(map(text.__getitem__, map(id, mult[start:start + 4096]))))
-    write("\n")
-
-
 def _emit(args, payload, text: str) -> None:
     """Print text, or for --format json the dict payload() builds; only then is it built."""
     if args.format == "json":
@@ -131,25 +119,32 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .spectral import spectrum_an, spectrum_sn
+    from .spectral import _print_json as print_spectra, _write_listed, spectrum_an, spectrum_sn
+
+    def print_mult(head: str, profile) -> None:
+        sys.stdout.write(head)
+        _write_listed(sys.stdout.write, profile.mult, ",")
+        sys.stdout.write("\n")
 
     lam = _parse_lam(args)
     sigma = _parse_shape(args, lam.n)
     _check_listed("spectrum", sigma)
+    # in JSON, each profile stands for its mult list, which print_spectra writes one distinct value at a time
     if args.group == "sn":
         profile = spectrum_sn(lam, sigma)
         if args.format == "json":
-            _print_json({"group": "sn", "lambda": str(lam), "shape": str(sigma), **profile.to_json_dict()})
+            print_spectra({"group": "sn", "lambda": str(lam), "shape": str(sigma), **profile.to_json_dict(), "mult": profile})
         else:
-            _print_mult(f"r={profile.r} degree={profile.degree} mult=", profile.mult)
+            print_mult(f"r={profile.r} degree={profile.degree} mult=", profile)
         return 0
     profiles = [(label, spectrum_an(label, sigma)) for label in _an_labels(lam, args.variant)]
     if args.format == "json":
-        _print_json({"group": "an", "lambda": str(lam), "shape": str(sigma),
-                     "spectra": [{"label": str(label), **profile.to_json_dict()} for label, profile in profiles]})
+        print_spectra({"group": "an", "lambda": str(lam), "shape": str(sigma),
+                       "spectra": [{"label": str(label), **profile.to_json_dict(), "mult": profile}
+                                   for label, profile in profiles]})
     else:
         for label, profile in profiles:
-            _print_mult(f"{label} r={profile.r} degree={profile.degree} mult=", profile.mult)
+            print_mult(f"{label} r={profile.r} degree={profile.degree} mult=", profile)
     return 0
 
 

@@ -633,3 +633,31 @@ def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     """Dimension of the fixed space of sigma's image (multiplicity of eigenvalue 1)."""
     _check_sizes(lam, sigma)
     return _sums_at(lam, sigma, _fixed_space_weights)[0]
+
+
+def _write_listed(write, values, sep: str) -> None:
+    """Write values joined by sep, a slice at a time, so that the whole is never held. A listed
+    profile repeats a few value objects, at most two per divisor of r: each is formatted once."""
+    text = {key: str(value) for key, value in {id(value): value for value in values}.items()}
+    for start in range(0, len(values), 4096):
+        write((sep if start else "") + sep.join(map(text.__getitem__, map(id, values[start:start + 4096]))))
+
+
+def _print_json(obj) -> None:
+    """Print json.dump(obj, sys.stdout, sort_keys=True, indent=2) and a newline, where each
+    SpectrumProfile in obj stands for the list of its mult, written by _write_listed."""
+    import json
+    import sys
+
+    held = []
+    # each profile becomes a NUL string, which json escapes and no other value of obj holds
+    pieces = json.dumps(obj, sort_keys=True, indent=2, default=lambda p: held.append(p) or "\0").split('"\\u0000"')
+    write = sys.stdout.write
+    write(pieces[0])
+    for profile, before, after in zip(held, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        write("[" + indent + "  ")
+        _write_listed(write, profile.mult, "," + indent + "  ")
+        write(indent + "]" + after)
+    write("\n")

@@ -12,9 +12,11 @@ import pytest
 from snchar.bounds import (
     DEFAULT_PRECISION_BITS,
     MAX_MIN_DEGREE_N,
-    _inf,
-    _interval_precision,
-    _sup,
+    _exp,
+    _fmt,
+    _pi,
+    _pow,
+    _root,
     estimate_check,
     fomin_lulov_check,
     min_degree_check,
@@ -32,19 +34,90 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
+# the first 100 decimals of pi and e: each constant lies strictly between D/10^100 and (D+1)/10^100
+PI_DIGITS = int("31415926535897932384626433832795028841971693993751"
+                "058209749445923078164062862089986280348253421170679")
+E_DIGITS = int("27182818284590452353602874713526624977572470936999"
+               "595749669676277240766303535475945713821785251664274")
+
+
+def _at(man, exp):
+    return Fraction(man) * Fraction(2) ** exp
+
+
 def test_interval_endpoints_bracket():
-    with _interval_precision(64) as iv:
-        x = iv.mpf(1) / iv.mpf(3)
-        lo, hi = _inf(x), _sup(x)
-    assert lo < Fraction(1, 3) < hi
-    assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
-    assert hi - lo < Fraction(1, 10**15)
+    # each enclosure (lo, hi, exp) holds its value, checked in exact rationals, and is at most
+    # 2^(2 - bits) of the value wide
+    roots = [(1, 3, 1), (2, 1, 2), (10**40 + 7, 3**50, 5), (5, 720, 2), (7**36, 1, 12), (1, 10**30, 3)]
+    for bits in (8, 9, 64, 128, 300):
+        for num, den, r in roots:
+            lo, hi, exp = _root(num, den, r, bits)
+            assert _at(lo, exp) ** r <= Fraction(num, den) <= _at(hi, exp) ** r
+            assert lo.bit_length() == bits and hi - lo == (Fraction(num, den) != _at(lo, exp) ** r)
+            assert (hi - lo) << bits - 2 <= lo
+        for (lo, hi, exp), digits in [(_pi(bits), PI_DIGITS), (_exp(1, 1, bits), E_DIGITS)]:
+            assert _at(lo, exp) * 10**100 < digits and _at(hi, exp) * 10**100 > digits + 1
+            assert (hi - lo) << bits - 2 <= lo
+        # e^3 by squaring, rounded outward at every product
+        lo, hi, exp = _pow(_exp(1, 1, bits + 8), 3, bits + 8)
+        assert _at(lo, exp) * 10**300 < E_DIGITS**3 and _at(hi, exp) * 10**300 > (E_DIGITS + 1) ** 3
+        assert (hi - lo) << bits - 2 <= lo
 
 
 def test_interval_precision_guard():
-    with pytest.raises(ValueError):
-        with _interval_precision(4):
-            pass
+    with pytest.raises(ValueError, match="precision too small: 4"):
+        robbins_check(10, bits=4)
+    with pytest.raises(ValueError, match="precision too small: 4"):
+        estimate_check(parse_partition("3,3"), 2, 3, bits=4)
+    with pytest.raises(ValueError, match="precision too small: 4"):
+        tail_inequalities_check(30, bits=4)
+
+
+# _fmt's strings for dyadics (man, exp), as the mpmath.nstr(x, 12) formatter at 80 bits printed them:
+# zero, integers below and above 10^15, negatives, a leading digit at 10^-7, 10^-5 (exponent form),
+# 10^-4 (fixed), 10^11 (fixed) and 10^12 (exponent form), carries of 9.9999999999995 and
+# 9.99999999999995e20 to the next power of ten, the truncated digits of 9.999999999995 from either
+# side, mantissas and denominators past 80 bits, and exponents past 2^3500 either way
+FMT_TABLE = [
+    ((0, 0), '0'),
+    ((0, -10), '0'),
+    ((999999999999999, 0), '999999999999999'),
+    ((-999999999999999, 0), '-999999999999999'),
+    ((1000000000000000, 0), '1.0e+15'),
+    ((123456789012345678901, 0), '1.23456789012e+20'),
+    ((-3, -1), '-1.5'),
+    ((-5, 0), '-5'),
+    ((-42391158275216203514294433201, -7), '-3.31180924025e+26'),
+    ((1, -20), '9.53674316406e-7'),
+    ((25, -21), '1.19209289551e-5'),
+    ((3, -18), '1.14440917969e-5'),
+    ((1, -13), '0.0001220703125'),
+    ((2199023255553, -1), '1.09951162778e+12'),
+    ((137438953473, -1), '68719476736.5'),
+    ((1099511627776, 0), '1099511627776'),
+    ((11529215046067893300, -60), '10.0'),
+    ((1152921504606789330, -60), '1.0'),
+    ((11529215046062705152, -60), '9.99999999999'),
+    ((11529215046062705153, -60), '9.99999999999'),
+    ((999999999999950000001, 0), '1.0e+21'),
+    ((515377520732011331036461129765621272702107522001, -150), '361.098864175'),
+    ((2417851639229258349412351, -90), '0.001953125'),
+    ((1, -100), '7.88860905221e-31'),
+    ((9094947017729282379150390625, -110), '7.00649232162e-6'),
+    ((1, 4000), '1.31820409343e+1204'),
+    ((3, -4000), '2.27582361104e-1204'),
+    ((-10461838291314357175018899611816813659819188550170233659950140084035125767424262251774382614909364050293065248252546314174063180343683591188150754267339816534637456120001, 0), '-1.04618382913e+169'),
+]
+
+
+@pytest.mark.parametrize("value, text", FMT_TABLE)
+def test_fmt_reproduces_the_mpmath_strings(value, text):
+    assert _fmt(value) == text
+
+
+def test_fmt_prints_ints_in_full():
+    # an int is an exact integer (tail's right-hand side), printed whole at any size
+    assert _fmt(10**20) == "100000000000000000000" and _fmt(-7) == "-7"
 
 
 def test_precision_checked_without_intervals():
@@ -100,6 +173,34 @@ def test_tail_known():
     assert [c.name for c in report.clauses] == ["factor-54", "factor-4608"]
     with pytest.raises(ValueError):
         tail_inequalities_check(22)
+
+
+def _poly_mul(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def test_tail_certificate_holds_for_every_n():
+    # with n = 23 + t, the squared tail inequalities n(n-2)^2(n-7)^2 > 54^2 (n-1)^2 and
+    # n(n-2)^4(n-7)^4 > 4608^2 (n-1)^2 are polynomials in t, highest degree first below, whose
+    # coefficients are all positive: both hold for every n >= 23, at any precision
+    n, n2, n7, n1 = [23, 1], [21, 1], [16, 1], [22, 1]
+
+    def minus(p, q):
+        return [a - b for a, b in zip(p, q + [0] * (len(p) - len(q)))]
+
+    first = minus(_poly_mul(n, n2, n2, n7, n7), [54**2 * c for c in _poly_mul(n1, n1)])
+    second = minus(_poly_mul(n, *[n2] * 4, *[n7] * 4), [4608**2 * c for c in _poly_mul(n1, n1)])
+    assert first[::-1] == [1, 97, 3743, 68891, 556464, 1185264]
+    assert second[::-1][:2] == [1, 171] and second[0] == 282869563392
+    assert all(c > 0 for c in first + second)
+    assert all(tail_inequalities_check(n).holds for n in (23, 24, 100, 10**6, 10**40))
 
 
 def test_min_degree_n15():

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -618,9 +619,18 @@ def test_module_entry_point():
 
 
 def test_import_does_not_load_mpmath():
-    code = "import sys, snchar, snchar.cli; print('mpmath' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    # the package is stdlib only: no module under src/snchar imports mpmath, at any level
+    found = []
+    for path in sorted(Path(SRC, "snchar").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.partition(".")[0] == "mpmath"]
+    assert found == []
 
 
 def test_import_does_not_load_the_process_pool():

@@ -112,10 +112,11 @@ def test_no_module_imports_dataclasses_and_json_only_inside_functions():
     assert found == []
 
 
-def test_bounds_loads_bounds_and_mpmath_only():
+def test_bounds_loads_bounds_without_mpmath():
+    # the enclosures are integer arithmetic: no mpmath, and no fractions (nor the decimal it loads)
     loaded = _verb_loads("bounds", "--check", "robbins", "--n", "10")
-    assert {"snchar.bounds", "mpmath"} <= loaded
-    assert not loaded & {"snchar.classify", "snchar.specht", "snchar.spectral"}
+    assert "snchar.bounds" in loaded
+    assert not loaded & {"snchar.classify", "snchar.specht", "snchar.spectral", "mpmath", "fractions", "decimal"}
 
 
 def test_dir_lists_the_library_names():

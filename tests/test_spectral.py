@@ -664,3 +664,20 @@ QUERY_DIGESTS = [
 def test_query_bytes_are_pinned(query, cases, digest):
     answers = [query(parse_partition(lam), parse_cycle_type(sigma)) for lam, sigma in cases]
     assert hashlib.sha256(json.dumps(answers).encode()).hexdigest() == digest
+
+
+def test_json_writer_matches_json_dumps(capsys):
+    # each profile stands for its mult list; the bytes are json.dumps(sort_keys=True, indent=2) of
+    # the to_json_dict form, on an S_n profile and on both halves of a pair with d != 1 (3,1^2 at 5^1)
+    sn = spectrum_sn(parse_partition("6,3,1"), parse_cycle_type("5^2"))
+    halves = [spectrum_an(label, parse_cycle_type("5^1"))
+              for label in AnCharacterLabel.split_pair(parse_partition("3,1^2"))]
+    assert sn._compact[0] == 1 and all(half._compact[0] == 5 for half in halves)
+    objects = [
+        ({"group": "sn", **sn.to_json_dict(), "mult": sn}, {"group": "sn", **sn.to_json_dict()}),
+        ({"spectra": [{"label": str(i), **half.to_json_dict(), "mult": half} for i, half in enumerate(halves)]},
+         {"spectra": [{"label": str(i), **half.to_json_dict()} for i, half in enumerate(halves)]}),
+    ]
+    for stand_in, plain in objects:
+        spectral._print_json(stand_in)
+        assert capsys.readouterr().out == json.dumps(plain, sort_keys=True, indent=2) + "\n"

@@ -2,8 +2,8 @@
 
 Transcendental quantities are enclosed in integers, each endpoint a dyadic
 number of the working precision's significant bits, lower ends rounded down
-and upper ends up: an integer r-th root by Newton's method, pi by Machin's
-series and e^x by its Taylor sum, each with an explicit tail bound. An
+and upper ends up: r-th roots by Newton's method, pi by Machin's series and
+e^x by its Taylor sum, each with an explicit error bound. An
 inequality holds only when the conservative endpoints decide it, sup(LHS) <
 inf(RHS); one left open at the working precision FAILS. Comparisons that are
 algebraic after clearing roots are decided exactly on integers instead, and
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION_BITS = 128
-# at 2^16 bits one check takes up to about 3.5 s: estimate at r = 40, whose 80th root reads 2^22 bits
+# at 2^16 bits one check takes up to about 1 s (robbins at n = 1000, estimate at r = 10000)
 MAX_PRECISION_BITS = 1 << 16
 
 
@@ -54,35 +54,41 @@ def _check_bits(bits: int) -> None:
 # An enclosure is (lo, hi, exp): the value lies in [lo * 2^exp, hi * 2^exp]. An endpoint is a
 # dyadic (man, exp), the value man * 2^exp; an int is an exact integer printed in full.
 
-def _iroot(y: int, r: int) -> int:
-    """The largest s with s**r <= y, for y >= 0, by Newton's method on integers: first on the
-    leading bits of y, about doubling how many it reads at each step, then on y itself."""
-    if y < 2 or r == 1:
-        return y
-    top = (y.bit_length() - 1) // r + 1  # the root has at most top bits
-    q = min(top, 48)
-    s = int(2 ** (math.log2(y >> r * (top - q)) / r)) + 1  # a float guess at the root of the leading bits
-    while True:
-        grow = min(q - r.bit_length() - 4, top - q)
-        q, s = q + grow, s << grow
-        s = ((r - 1) * s + (y >> r * (top - q)) // s ** (r - 1)) // r
-        if q == top:  # a step on y itself, from any s > 0, lands at or above the root (AM-GM)
-            break
-    while (t := ((r - 1) * s + y // s ** (r - 1)) // r) < s:
-        s = t
-    return s
-
-
 def _root(num: int, den: int, r: int, bits: int, exp: int = 0) -> tuple[int, int, int]:
-    """(num/den * 2^exp)^(1/r), num, den > 0, as an enclosure whose lo has bits significant bits
-    and hi = lo + 1, or hi = lo when the root is that dyadic exactly; r = 1 rounds a quotient."""
-    k = bits + 1 - (num.bit_length() + exp - den.bit_length() - 1) // r  # the root * 2^k is >= 2^(bits+1)
-    shift = r * k + exp  # a power of two moves by shifts: long division is quadratic in its quotient
-    y, rem = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
-    s = _iroot(y, r)
+    """(num/den * 2^exp)^(1/r), num, den > 0, strictly inside (lo * 2^e, hi * 2^e): lo has bits
+    significant bits and hi is lo + 1, or lo + 2 at a near tie. Newton's method runs on floats,
+    about doubling their bits at each step, and each end is checked on _pow's outward enclosure
+    of its r-th power, so that no integer grows with r; r = 1 rounds a quotient. An exact root
+    is still enclosed strictly, as mpmath.iv's exp-log route enclosed it, so it prints as a
+    rounded decimal ("4.0", not "4")."""
+    w = bits + r.bit_length() + 16
+
+    def excess(man: int, e: int, end: int) -> int:
+        """The sign of an end (0 low, 1 high) of the enclosure of (man * 2^e)^r, less num/den * 2^exp."""
+        power = _pow((man, man, e), r, w)
+        return (power[end] * den << max(power[2] - exp, 0)) - (num << max(exp - power[2], 0))
+
+    g = (math.log2(num) - math.log2(den) + exp) / r  # log2 of the root, about
+    q, k = 50, 50 - math.floor(g)
+    s = int(2 ** (g + k))  # the root * 2^k, about, in q bits
+    steps = [w]  # each step about doubles the correct bits, less the r-fold loss
+    while steps[-1] > 50:
+        steps.append((steps[-1] + r.bit_length() + 5) // 2)
+    for p in reversed(steps):
+        if p > q:
+            s, k, q = s << p - q, k + p - q, p
+        low, _, e = _pow((s, s, -k), r, q)
+        shift = exp - e + q  # X / u^r at 2^-q, for u = s * 2^-k
+        ratio = (num << shift) // (den * low) if shift >= 0 else num // (den * low << -shift)
+        s = s * ((r - 1 << q) + ratio) // (r << q)
     t = s.bit_length() - bits
-    exact = not rem and s**r == y and not s & (1 << t) - 1
-    return s >> t, (s >> t) + (not exact), t - k
+    lo, e = s >> t, t - k
+    while excess(lo, e, 1) >= 0:
+        lo -= 1
+    hi = lo + 1
+    while excess(hi, e, 0) <= 0:
+        hi += 1
+    return lo, hi, e
 
 
 def _pi(w: int) -> tuple[int, int, int]:
@@ -114,14 +120,15 @@ def _exp(a: int, b: int, w: int) -> tuple[int, int, int]:
 
 def _pow(x: tuple[int, int, int], n: int, w: int) -> tuple[int, int, int]:
     """x^n, n >= 1, for an enclosure x with positive ends: by squaring, each product rounded
-    outward to w bits, so that no end grows past 2w bits."""
+    outward to w bits, so that no product grows past about 3w bits."""
     lo, hi, e = 1, 1, 0
     for bit in bin(n)[2:]:
         lo, hi, e = lo * lo, hi * hi, 2 * e
         if bit == "1":
             lo, hi, e = lo * x[0], hi * x[1], e + x[2]
-        t = max(hi.bit_length() - w, 0)
-        lo, hi, e = lo >> t, -(-hi >> t), e + t
+        t = hi.bit_length() - w
+        if t > 0:
+            lo, hi, e = lo >> t, -(-hi >> t), e + t
     return lo, hi, e
 
 
@@ -222,10 +229,7 @@ def _fomin_lulov(n: int, r: int, m: int, bits: int):
         if lhs_pow == rhs_pow:
             clause = BoundClause("value-bound", str(val), str(val), "0", lhs_pow <= rhs_pow)
         else:
-            # the root below a point drops to the dyadic under it: mpmath.iv's exp-log route, which
-            # these strings keep, never returned a point here
-            lo, hi, e = _root(coeff_pow * d, nf, r, bits)
-            rhs_inf = (lo - (lo == hi), e)
+            rhs_inf = _root(coeff_pow * d, nf, r, bits)[::2]
             clause = BoundClause("value-bound", str(val), _fmt(rhs_inf), _fmt(_sub(rhs_inf, val)), lhs_pow <= rhs_pow)
         return BoundReport("fomin-lulov", f"lam={lam} shape={r}^{m}", (clause,), bits)
 
@@ -246,18 +250,17 @@ def _estimate(n: int, r: int, m: int, bits: int):
     right-hand side depends on the class alone and is enclosed once."""
     _check_bits(bits)
     w = bits + 8
-    # (2 pi n)^((r-1)/(2r)) r^(-1/2) = ((2 pi n)^(r-1) / r^r)^(1/(2r))
-    lo, _, e = _root((2 * n * _pi(w)[0]) ** (r - 1), r**r, 2 * r, w, -w * (r - 1))
+    # (2 pi)^((r-1)/(2r)) r^(-1/2) n^((r-1)/(2r)) = sqrt(2 pi n / r) / (2 pi n)^(1/(2r))
+    pi = _pi(w)
+    a, _, ae = _root(2 * n * pi[0], r, 2, w, -w)
+    _, b, be = _root(2 * n * pi[1], 1, 2 * r, w, -w)
     x, _, xe = _exp(1, 12 * m, w)
-    rhs_inf = _root(lo * x, 1, 1, bits, e + xe)[::2]
+    rhs_inf = _root(a * x, b, 1, bits, ae + xe - be)[::2]
 
     def report(lam: Partition, val: int) -> BoundReport:
         d = degree(lam)
-        if val == 0:
-            lhs_sup = 0
-        else:  # val / d^(1/r), widened off a point unless d = 1, as mpmath.iv's exp-log route
-            lo, hi, e = _root(val**r, d, r, bits)
-            lhs_sup = (hi + (lo == hi and d > 1), e)
+        # val / d^(1/r), exact where d = 1 as mpmath.iv's exp(log(1)) was
+        lhs_sup = val if val == 0 or d == 1 else _root(val**r, d, r, bits)[1:]
         clause = _strict("normalized-value", lhs_sup, rhs_inf, _sub(rhs_inf, lhs_sup))
         return BoundReport("estimate", f"lam={lam} shape={r}^{m}", (clause,), bits)
 
@@ -297,8 +300,9 @@ def tail_inequalities_check(n: int, *, bits: int = DEFAULT_PRECISION_BITS) -> Bo
     if n < 23:
         raise ValueError(f"defined for n >= 23: {n}")
     _check_bits(bits)
-    k = (n - 2) * (n - 7)
-    l1, l2 = _root(n * k**2, 1, 2, bits)[::2], _root(n * k**4, 1, 2, bits)[::2]
+    k, root = (n - 2) * (n - 7), math.isqrt(n)
+    # sqrt(n) c, rounded down; exact at a square n, as mpmath.iv's sqrt was
+    l1, l2 = ((root * c, 0) if root * root == n else _root(n * c * c, 1, 2, bits)[::2] for c in (k, k * k))
     c1 = _strict("factor-54", l1, 54 * (n - 1), _sub(l1, 54 * (n - 1)))
     c2 = _strict("factor-4608", l2, 4608 * (n - 1), _sub(l2, 4608 * (n - 1)))
     return BoundReport("tail", f"n={n}", (c1, c2), bits)

@@ -47,14 +47,15 @@ def _at(man, exp):
 
 def test_interval_endpoints_bracket():
     # each enclosure (lo, hi, exp) holds its value, checked in exact rationals, and is at most
-    # 2^(2 - bits) of the value wide
-    roots = [(1, 3, 1), (2, 1, 2), (10**40 + 7, 3**50, 5), (5, 720, 2), (7**36, 1, 12), (1, 10**30, 3)]
+    # 2^(2 - bits) of the value wide; a root is strictly inside, exact (343, 4, 1/2) or not
+    roots = [(1, 3, 1), (2, 1, 2), (10**40 + 7, 3**50, 5), (5, 720, 2), (7**36, 1, 12), (1, 10**30, 3),
+             (16, 1, 2), (1, 2**40, 40), (3, 7, 2000)]
     for bits in (8, 9, 64, 128, 300):
         for num, den, r in roots:
             lo, hi, exp = _root(num, den, r, bits)
-            assert _at(lo, exp) ** r <= Fraction(num, den) <= _at(hi, exp) ** r
-            assert lo.bit_length() == bits and hi - lo == (Fraction(num, den) != _at(lo, exp) ** r)
-            assert (hi - lo) << bits - 2 <= lo
+            assert _at(lo, exp) ** r < Fraction(num, den) < _at(hi, exp) ** r
+            assert (_at(hi - lo, exp + bits - 2)) ** r <= Fraction(num, den)
+            assert lo.bit_length() <= bits and hi - lo in (1, 2)
         for (lo, hi, exp), digits in [(_pi(bits), PI_DIGITS), (_exp(1, 1, bits), E_DIGITS)]:
             assert _at(lo, exp) * 10**100 < digits and _at(hi, exp) * 10**100 > digits + 1
             assert (hi - lo) << bits - 2 <= lo

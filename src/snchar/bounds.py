@@ -212,18 +212,17 @@ def fomin_lulov_check(lam: Partition, r: int, m: int, *, bits: int = DEFAULT_PRE
     At r = 1 the two sides agree identically and the margin is 0.
     """
     _require_shape(lam, r, m)
-    return _fomin_lulov(lam.n, r, m, bits)(lam, abs(chi(lam, CycleType.uniform(r, m, lam.n))))
+    return _fomin_lulov(lam.n, r, m, bits)(str(lam), abs(chi(lam, CycleType.uniform(r, m, lam.n))), degree(lam))
 
 
 def _fomin_lulov(n: int, r: int, m: int, bits: int):
-    """fomin_lulov_check of (lam, val = |chi(lam at [r^m])|) for the shapes lam of n = r*m, with
-    the class's constants computed once."""
+    """fomin_lulov_check of (text, val, d) for the shapes lam of n = r*m, with text = str(lam),
+    val = |chi(lam at [r^m])| and d = degree(lam), and the class's constants computed once."""
     _check_bits(bits)
     nf = math.factorial(n)
     coeff_pow = (math.factorial(m) * r**m) ** r
 
-    def report(lam: Partition, val: int) -> BoundReport:
-        d = degree(lam)
+    def report(text: str, val: int, d: int) -> BoundReport:
         lhs_pow = val**r * nf
         rhs_pow = coeff_pow * d
         if lhs_pow == rhs_pow:
@@ -231,7 +230,7 @@ def _fomin_lulov(n: int, r: int, m: int, bits: int):
         else:
             rhs_inf = _root(coeff_pow * d, nf, r, bits)[::2]
             clause = BoundClause("value-bound", str(val), _fmt(rhs_inf), _fmt(_sub(rhs_inf, val)), lhs_pow <= rhs_pow)
-        return BoundReport("fomin-lulov", f"lam={lam} shape={r}^{m}", (clause,), bits)
+        return BoundReport("fomin-lulov", f"lam={text} shape={r}^{m}", (clause,), bits)
 
     return report
 
@@ -242,12 +241,12 @@ def estimate_check(lam: Partition, r: int, m: int, *, bits: int = DEFAULT_PRECIS
     Strict; certified when sup(LHS) < inf(RHS) at the working precision.
     """
     _require_shape(lam, r, m)
-    return _estimate(lam.n, r, m, bits)(lam, abs(chi(lam, CycleType.uniform(r, m, lam.n))))
+    return _estimate(lam.n, r, m, bits)(str(lam), abs(chi(lam, CycleType.uniform(r, m, lam.n))), degree(lam))
 
 
 def _estimate(n: int, r: int, m: int, bits: int):
-    """estimate_check of (lam, val = |chi(lam at [r^m])|) for the shapes lam of n = r*m; the
-    right-hand side depends on the class alone and is enclosed once."""
+    """estimate_check of (text, val, d) as in _fomin_lulov; the right-hand side depends on the
+    class alone and is enclosed once."""
     _check_bits(bits)
     w = bits + 8
     # (2 pi)^((r-1)/(2r)) r^(-1/2) n^((r-1)/(2r)) = sqrt(2 pi n / r) / (2 pi n)^(1/(2r))
@@ -257,12 +256,11 @@ def _estimate(n: int, r: int, m: int, bits: int):
     x, _, xe = _exp(1, 12 * m, w)
     rhs_inf = _root(a * x, b, 1, bits, ae + xe - be)[::2]
 
-    def report(lam: Partition, val: int) -> BoundReport:
-        d = degree(lam)
+    def report(text: str, val: int, d: int) -> BoundReport:
         # val / d^(1/r), exact where d = 1 as mpmath.iv's exp(log(1)) was
         lhs_sup = val if val == 0 or d == 1 else _root(val**r, d, r, bits)[1:]
         clause = _strict("normalized-value", lhs_sup, rhs_inf, _sub(rhs_inf, lhs_sup))
-        return BoundReport("estimate", f"lam={lam} shape={r}^{m}", (clause,), bits)
+        return BoundReport("estimate", f"lam={text} shape={r}^{m}", (clause,), bits)
 
     return report
 
@@ -372,14 +370,16 @@ def min_degree_check(n: int) -> BoundReport:
 
 
 def _sweep_uniform(check, bits: int, n: int) -> list[BoundReport]:
-    """check(n, r, n // r, bits)(lam, |chi(lam at [r^(n/r)])|) for every r | n and every partition
-    lam of n, the values read from one class-major table."""
+    """check(n, r, n // r, bits)(str(lam), |chi(lam at [r^(n/r)])|, degree(lam)) for every r | n and
+    every partition lam of n, read from one class-major table whose first column, [1^n], holds the degrees."""
     lams = enumerate_partitions(n)
     divs = divisors(n)
-    return [report(lam, abs(val))
-            for r, col in zip(divs, _columns(lams, [(r,) * (n // r) for r in divs]))
+    cols = _columns(lams, [(r,) * (n // r) for r in divs])
+    texts = list(map(str, lams))
+    return [report(text, abs(val), d)
+            for r, col in zip(divs, cols)
             for report in [check(n, r, n // r, bits)]
-            for lam, val in zip(lams, col)]
+            for text, val, d in zip(texts, col, cols[0])]
 
 
 def sweep_fomin_lulov(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:

@@ -63,10 +63,6 @@ class AlgebraicValue(_Record):
             a, b = a + b, Fraction(0)
         self._set(a=a, b=b, d=d)
 
-    @classmethod
-    def from_rational(cls, q) -> "AlgebraicValue":
-        return cls(Fraction(q))
-
     @property
     def is_rational(self) -> bool:
         return self.d == 1
@@ -208,11 +204,11 @@ def chi_an(label: AnCharacterLabel, sigma: CycleType, *, other_half: bool = Fals
     _check_alternating(lam, sigma)
     x = chi(lam, sigma)
     if label.variant == RESTRICTED:
-        return AlgebraicValue.from_rational(x)
+        return AlgebraicValue(x)
     if sigma != special_class(lam):
         if x % 2:
             raise RuntimeError("odd parent value away from the distinguished class (internal bug)")
-        return AlgebraicValue.from_rational(Fraction(x, 2))
+        return AlgebraicValue(Fraction(x, 2))
     b, d = _split_surd(x, sigma.lengths())
     coeff = Fraction(b, 2)
     if (label.variant == MINUS) != other_half:

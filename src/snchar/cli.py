@@ -133,14 +133,15 @@ def _cmd_spectrum(args) -> int:
     if args.group == "sn":
         profile = spectrum_sn(lam, sigma)
         if args.format == "json":
-            print_spectra({"group": "sn", "lambda": str(lam), "shape": str(sigma), **profile.to_json_dict(), "mult": profile})
+            print_spectra({"group": "sn", "lambda": str(lam), "shape": str(sigma), "r": profile.r,
+                           "degree": profile.degree, "mult": profile})
         else:
             print_mult(f"r={profile.r} degree={profile.degree} mult=", profile)
         return 0
     profiles = [(label, spectrum_an(label, sigma)) for label in _an_labels(lam, args.variant)]
     if args.format == "json":
         print_spectra({"group": "an", "lambda": str(lam), "shape": str(sigma),
-                       "spectra": [{"label": str(label), **profile.to_json_dict(), "mult": profile}
+                       "spectra": [{"label": str(label), "r": profile.r, "degree": profile.degree, "mult": profile}
                                    for label, profile in profiles]})
     else:
         for label, profile in profiles:

@@ -40,12 +40,14 @@ class _Record:
     Two records are equal when they are of one class with equal fields, and a
     record hashes as the tuple of its fields: every subclass compares, hashes
     and prints through these methods alone. A subclass's __init__ checks its
-    fields and stores each once, except that Partition and CycleType check and
-    store theirs again in __post_init__, a hook that the benchmark tracer
-    (perfbench/tracer.py) wraps by name."""
+    fields and stores each once, through _set (Partition and CycleType check
+    theirs in __post_init__, a hook that the benchmark tracer,
+    perfbench/tracer.py, wraps by name)."""
 
     def _set(self, **fields) -> None:
-        vars(self).update(fields)
+        # one attribute at a time keeps the class's shared-key dict, half the bytes of vars(self).update
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -70,16 +72,15 @@ class Partition(_Record):
     """A partition stored as a weakly decreasing tuple of positive parts."""
 
     def __init__(self, parts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "parts", parts)
+        self._set(parts=tuple(int(p) for p in parts))
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = self.parts
         if any(p < 1 for p in parts):
             raise ValueError(f"parts must be positive: {parts!r}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts!r}")
-        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
@@ -105,16 +106,15 @@ class CycleType(_Record):
     """
 
     def __init__(self, cycles: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "cycles", cycles)
+        self._set(cycles=tuple((int(a), int(b)) for a, b in cycles))
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        cyc = tuple((int(a), int(b)) for a, b in self.cycles)
+        cyc = self.cycles
         if any(a < 1 or b < 1 for a, b in cyc):
             raise ValueError(f"lengths and counts must be positive: {cyc!r}")
         if any(cyc[i][0] <= cyc[i + 1][0] for i in range(len(cyc) - 1)):
             raise ValueError(f"lengths must be strictly decreasing: {cyc!r}")
-        object.__setattr__(self, "cycles", cyc)
 
     @classmethod
     def _unchecked(cls, cycles: tuple[tuple[int, int], ...]) -> "CycleType":
@@ -283,22 +283,25 @@ def _walk_partitions(n: int):
         parts[k - 1:] = [h] * (q + 1) + ([rest] if rest else [])
 
 
-# the largest n each capped sweep accepts, where memory binds (Python 3.11, one n per process). A
-# classification sweep holds class-major columns over every partition of n; its cap is the last n whose
-# peak RSS stays under 256 MB: 191 MB for minpoly-sn at 34 (333 MB at 36), 207 MB for minpoly-an at 36,
-# 247 MB for eigenvalue-one at 28, each step of 2 in n multiplying the peak by 1.5 to 2.1. A uniform
-# bound sweep holds one report per (partition, divisor of n): 298 704 reports and 197 MB at 40, 425 376
-# reports at 42; fomin-lulov takes 69 s at 40. The robbins and tail sweeps hold one report per n.
-MAX_SWEEP_N = {"minpoly-sn": 34, "minpoly-an": 36, "eigenvalue-one": 28, "fomin-lulov": 40, "estimate": 40}
+# the largest n each sweep accepts (Python 3.11, one n per process). A classification sweep holds
+# class-major columns over every partition of n; its cap is the last n whose peak RSS stays under
+# 256 MB: 191 MB for minpoly-sn at 34 (333 MB at 36), 207 MB for minpoly-an at 36, 247 MB for
+# eigenvalue-one at 28, each step of 2 in n multiplying the peak by 1.5 to 2.1. A uniform bound sweep
+# holds one report per (partition, divisor of n): 298 704 reports at 40, 196 MB and 10-12 s for
+# fomin-lulov, 198 MB and 6-11 s for estimate; 425 376 reports at 42. The robbins and tail sweeps hold
+# one report per n: robbins, each check slower with n, takes 53 s to 10 000 at 24 MB, so time binds;
+# tail takes 16 s to 250 000 at 240 MB (258 MB at 270 000), so memory binds.
+MAX_SWEEP_N = {"minpoly-sn": 34, "minpoly-an": 36, "eigenvalue-one": 28, "fomin-lulov": 40, "estimate": 40,
+               "robbins": 10_000, "tail": 250_000}
 
 
 def _sweep(kind: str, per_n, floor: int, min_n: int, max_n: int, threads: int = 1) -> list:
     """[per_n(n) for n = min_n .. max_n], in n order, on at most threads worker processes, once
-    the range, kind's cap in MAX_SWEEP_N (if it has one) and threads are checked."""
+    the range, kind's cap in MAX_SWEEP_N and threads are checked."""
     if min_n < floor or max_n < min_n:
         raise ValueError(f"need {floor} <= min_n <= max_n; got {min_n}..{max_n}")
-    if max_n > MAX_SWEEP_N.get(kind, max_n):
-        raise ValueError(f"{kind} sweeps hold every partition of n, and n = {max_n} > "
+    if max_n > MAX_SWEEP_N[kind]:
+        raise ValueError(f"{kind} sweeps are capped by memory or time, and n = {max_n} > "
                          f"MAX_SWEEP_N = {MAX_SWEEP_N[kind]}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads}")

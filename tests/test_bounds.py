@@ -252,6 +252,14 @@ def test_fomin_lulov_sweep_report_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == "93c7a9a466ce544783a29eff4df3121eded720007107bf00d5c69b9bdb6873d8"
 
 
+def test_estimate_sweep_report_bytes_are_pinned():
+    # the estimate sweep reads the same table, and its right-hand side once per class
+    reports = sweep_estimate(16, min_n=16)
+    assert len(reports) == 1155
+    text = json.dumps([rep.to_json_dict() for rep in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "2a99dfc3523bb18a4f5b1d9cef5aae5b7fab8996fa90489ff833e3c2d09b4875"
+
+
 def test_min_degree_keeps_no_partition_after_the_call():
     # n = 30 has 5 604 partitions, each at least two live blocks (object and parts tuple)
     # if kept; live small-object blocks are counted, as in the degree cache test

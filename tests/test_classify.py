@@ -417,10 +417,10 @@ def test_verify_worker_count_is_clamped(monkeypatch, threads, cpus, max_n, worke
     assert report == verify_minpoly_sn(max_n)
 
 
-# the seven public sweeps: (function, its kind in MAX_SWEEP_N or None when uncapped, the floor of min_n)
+# the seven public sweeps: (function, its kind in MAX_SWEEP_N, the floor of min_n)
 _SWEEPS = [(verify_minpoly_sn, "minpoly-sn", 3), (verify_minpoly_an, "minpoly-an", 5),
            (verify_eigenvalue_one, "eigenvalue-one", 3), (sweep_fomin_lulov, "fomin-lulov", 1),
-           (sweep_estimate, "estimate", 1), (sweep_robbins, None, 1), (sweep_tail, None, 23)]
+           (sweep_estimate, "estimate", 1), (sweep_robbins, "robbins", 1), (sweep_tail, "tail", 23)]
 
 
 @pytest.mark.parametrize("sweep, kind, floor", _SWEEPS, ids=lambda x: getattr(x, "__name__", None))
@@ -428,18 +428,14 @@ def test_every_sweep_checks_its_range_and_cap_in_one_table(monkeypatch, sweep, k
     for min_n, max_n in ((floor, floor - 1), (floor - 1, floor + 1)):
         with pytest.raises(ValueError, match=rf"^need {floor} <= min_n <= max_n; got {min_n}\.\.{max_n}$"):
             sweep(max_n, min_n=min_n)
-    if kind is None:  # robbins and tail have no entry: they run with every cap at 0
-        for capped in partitions.MAX_SWEEP_N:
-            monkeypatch.setitem(partitions.MAX_SWEEP_N, capped, 0)
-        sweep(floor + 1, min_n=floor + 1)
-        return
+    assert set(partitions.MAX_SWEEP_N) == {kind for _, kind, _ in _SWEEPS}
     # lowering one entry makes exactly its sweep refuse
     monkeypatch.setitem(partitions.MAX_SWEEP_N, kind, floor)
     for other, _, other_floor in _SWEEPS:
         if other is not sweep:
             other(other_floor + 1, min_n=other_floor + 1)
     n = floor + 1
-    with pytest.raises(ValueError, match=rf"^{kind} sweeps hold every partition of n, and n = {n} > MAX_SWEEP_N = "):
+    with pytest.raises(ValueError, match=rf"^{kind} sweeps are capped by memory or time, and n = {n} > MAX_SWEEP_N = "):
         sweep(n, min_n=n)
 
 

@@ -93,6 +93,29 @@ def test_spectrum_json(capsys):
     assert parse_cycle_type(obj["shape"]) == parse_cycle_type("6^1")
 
 
+HALVES = [("[3,1^2]+", "(x^5-1)/((x-z5^2)(x-z5^3))", [0, 1, 4], [1, 1, 0, 0, 1]),
+          ("[3,1^2]-", "(x^5-1)/((x-z5^1)(x-z5^4))", [0, 2, 3], [1, 0, 1, 1, 0])]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("minpoly", "--lambda", "2,2,2", "--shape", "6^1"),
+     {"group": "sn", "lambda": "2^3", "shape": "6^1", "r": 6, "roots": [0, 2, 3, 4],
+      "rendered": "(x^6-1)/(x^2-x+1)"}),
+    (("minpoly", "--group", "an", "--lambda", "3,1^2", "--shape", "5^1"),
+     {"group": "an", "lambda": "3,1^2", "shape": "5^1",
+      "minpolys": [{"label": label, "r": 5, "roots": roots, "rendered": rendered}
+                   for label, rendered, roots, _ in HALVES]}),
+    (("spectrum", "--group", "an", "--lambda", "3,1^2", "--shape", "5^1"),
+     {"group": "an", "lambda": "3,1^2", "shape": "5^1",
+      "spectra": [{"label": label, "r": 5, "degree": 3, "mult": mult} for label, _, _, mult in HALVES]}),
+], ids=["minpoly-sn", "minpoly-an", "spectrum-an"])
+def test_json_outputs_are_the_sorted_indented_dump(capsys, argv, expected):
+    # the split pair 3,1^2 at 5^1 has the surd sqrt(5) (d = 5) in its values
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_fixdim(capsys):
     code, out, _ = run_cli(capsys, "fixdim", "--lambda", "2,2,1", "--shape", "3^1 2^1")
     assert code == 0
@@ -218,15 +241,19 @@ def test_bounds_min_degree_above_the_cap_exits_2_at_once(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("verify", "minpoly-sn", "--max-n", "70", "--min-n", "70"),
-     "minpoly-sn sweeps hold every partition of n, and n = 70 > MAX_SWEEP_N = 34"),
+     "minpoly-sn sweeps are capped by memory or time, and n = 70 > MAX_SWEEP_N = 34"),
     (("verify", "minpoly-an", "--max-n", "37"),
-     "minpoly-an sweeps hold every partition of n, and n = 37 > MAX_SWEEP_N = 36"),
+     "minpoly-an sweeps are capped by memory or time, and n = 37 > MAX_SWEEP_N = 36"),
     (("verify", "eigenvalue-one", "--max-n", "29", "--threads", "2"),
-     "eigenvalue-one sweeps hold every partition of n, and n = 29 > MAX_SWEEP_N = 28"),
+     "eigenvalue-one sweeps are capped by memory or time, and n = 29 > MAX_SWEEP_N = 28"),
     (("bounds", "--check", "sweep-fomin-lulov", "--max-n", "41"),
-     "fomin-lulov sweeps hold every partition of n, and n = 41 > MAX_SWEEP_N = 40"),
+     "fomin-lulov sweeps are capped by memory or time, and n = 41 > MAX_SWEEP_N = 40"),
     (("bounds", "--check", "sweep-estimate", "--max-n", "70"),
-     "estimate sweeps hold every partition of n, and n = 70 > MAX_SWEEP_N = 40"),
+     "estimate sweeps are capped by memory or time, and n = 70 > MAX_SWEEP_N = 40"),
+    (("bounds", "--check", "sweep-robbins", "--max-n", "1" + "0" * 30),
+     f"robbins sweeps are capped by memory or time, and n = {10**30} > MAX_SWEEP_N = 10000"),
+    (("bounds", "--check", "sweep-tail", "--max-n", "250001"),
+     "tail sweeps are capped by memory or time, and n = 250001 > MAX_SWEEP_N = 250000"),
 ])
 def test_sweeps_above_their_cap_exit_2_at_once(capsys, argv, message):
     # verify minpoly-sn --max-n 70 --min-n 70 used to grow until memory ran out (72 s under a 1.5 GB ulimit -v)

@@ -54,10 +54,7 @@ def _argv(rng: random.Random) -> list[str]:
     # a check at more than 4 096 bits runs only where it is refused: min-degree takes no precision
     if int(options.get("--precision-bits", "0")) in range(4097, 65537):
         options["--check"] = "min-degree"
-    # sweeps stop at --max-n 8; a huge one is refused by the cap of MAX_SWEEP_N, which the robbins
-    # and tail sweeps do not have, so they would run every n up to it
-    if options.get("--check") in ("sweep-robbins", "sweep-tail") and options.get("--max-n") == HUGE:
-        options["--max-n"] = "8"
+    # sweeps stop at --max-n 8; a huge one is refused by its cap in MAX_SWEEP_N
     for option, value in options.items():
         argv += [option, value]
     return argv

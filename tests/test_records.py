@@ -1,8 +1,9 @@
-"""The package's frozen records: constructor, equality, hash, immutability, repr and copies."""
+"""The package's frozen records: constructor, equality, hash, immutability, repr, copies and layout."""
 
 import ast
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,3 +143,34 @@ def test_records_share_one_protocol():
                     residue_types.add(node.name)
     assert comparing == {"partitions._Record", "spectral._Residues"}
     assert residue_types == {"SpectrumProfile", "MinPoly"}
+
+
+def _bytes_each(build) -> float:
+    """Traced bytes per object of 10 000 built by build(), kept alive while measured."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [build() for _ in range(10_000)]
+        return (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+
+
+class _PlainClause:
+    def __init__(self, name, lhs, rhs, margin, holds):
+        self.name, self.lhs, self.rhs, self.margin, self.holds = name, lhs, rhs, margin, holds
+
+
+class _PlainValue:
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), int(d)
+
+
+@pytest.mark.parametrize("record, plain, fields", [
+    (BoundClause, _PlainClause, ("value-bound", "1.5", "2.25", "0.75", True)),
+    (AlgebraicValue, _PlainValue, (Fraction(1, 2), Fraction(3, 2), 5)),
+], ids=["BoundClause", "AlgebraicValue"])
+def test_records_keep_the_shared_key_layout_of_a_plain_class(record, plain, fields):
+    # _set stores one attribute at a time, so an instance's dict shares its keys with its class's,
+    # as one filled by self.x = ...; a dict filled by update costs about twice the bytes
+    assert _bytes_each(lambda: record(*fields)) <= 1.2 * _bytes_each(lambda: plain(*fields))

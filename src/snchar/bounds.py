@@ -191,7 +191,7 @@ class BoundReport(_Record):
         return all(c.holds for c in self.clauses)
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "clauses": [vars(c).copy() for c in self.clauses], "holds": self.holds}
+        return {**self._asdict(), "clauses": [c._asdict() for c in self.clauses], "holds": self.holds}
 
 
 def _require_shape(lam: Partition, r: int, m: int) -> None:
@@ -382,18 +382,27 @@ def _sweep_uniform(check, bits: int, n: int) -> list[BoundReport]:
             for text, val, d in zip(texts, col, cols[0])]
 
 
+def _sweep_reports(kind: str, max_n: int, min_n: int | None = None, bits: int = DEFAULT_PRECISION_BITS):
+    """kind's sweep from min_n (by default its first n), each n's reports built as the caller iterates."""
+    if kind in ("robbins", "tail"):
+        floor, check = (23, tail_inequalities_check) if kind == "tail" else (1, robbins_check)
+        return _sweep(kind, partial(check, bits=bits), floor, floor if min_n is None else min_n, max_n)
+    per_n = partial(_sweep_uniform, _fomin_lulov if kind == "fomin-lulov" else _estimate, bits)
+    return chain.from_iterable(_sweep(kind, per_n, 1, 1 if min_n is None else min_n, max_n))
+
+
 def sweep_fomin_lulov(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
     """Every partition of every n in range, against every [r^m] with rm = n."""
-    return list(chain(*_sweep("fomin-lulov", partial(_sweep_uniform, _fomin_lulov, bits), 1, min_n, max_n)))
+    return list(_sweep_reports("fomin-lulov", max_n, min_n, bits))
 
 
 def sweep_estimate(max_n: int, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
-    return list(chain(*_sweep("estimate", partial(_sweep_uniform, _estimate, bits), 1, min_n, max_n)))
+    return list(_sweep_reports("estimate", max_n, min_n, bits))
 
 
 def sweep_robbins(max_n: int = 200, *, min_n: int = 1, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
-    return _sweep("robbins", partial(robbins_check, bits=bits), 1, min_n, max_n)
+    return list(_sweep_reports("robbins", max_n, min_n, bits))
 
 
 def sweep_tail(max_n: int = 200, *, min_n: int = 23, bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
-    return _sweep("tail", partial(tail_inequalities_check, bits=bits), 23, min_n, max_n)
+    return list(_sweep_reports("tail", max_n, min_n, bits))

@@ -3,17 +3,18 @@
 Two Murnaghan-Nakayama routes run on beta sets (James & Kerber 2.7), a
 partition as an int bitmask with a bead at bit lam_i + l - 1 - i for each of
 l rows; neither uses the other's helpers, and each checks the other in tests.
-chi() reads one row: from {beta set of lam: 1} it removes the non-fixed
-cycles longest first, one level at a time (a k-rim hook moves a bead from b to
-the empty slot b - k, with sign (-1)^(beads between), and equal beta sets add
-their coefficients), then weighs each remaining shape by its standard tableaux
-from the hook product, cached for one call. Sweeps and full_table read
-columns: p_mu = sum_lam chi^lam(mu) s_lam, built up from the empty shape by
-adding hooks over a trie of the wanted cycle types. Since chi^lam' = sgn *
-chi^lam holds at every level, a level keeps one shape per conjugate pair, next
-to its conjugate's mask (moved along with it), and the sign eps of the parts
-added so far gives the other; each type adds its last level straight into its
-column. Nothing is kept between calls. degree() computes the hook product.
+chi() reads one row: from {beta set of lam: 1} it removes the non-fixed cycles
+of each class asked a level at a time (a k-rim hook moves a bead from b to the
+empty slot b - k, with sign (-1)^(beads between); equal beta sets add), over a
+trie of the classes' removal orders, so classes that begin alike share levels,
+then weighs each shape left by its standard tableaux from the hook product,
+cached for one call. Sweeps and full_table read columns: p_mu = sum_lam
+chi^lam(mu) s_lam, built up from the empty shape by adding hooks over a trie
+of the wanted cycle types. Since chi^lam' = sgn * chi^lam holds at every
+level, a level keeps one shape per conjugate pair, next to its conjugate's
+mask (moved along with it), and the sign eps of the parts added so far gives
+the other; each type adds its last level straight into its column. Nothing is
+kept between calls. degree() computes the hook product.
 
 Independent evaluation routes are provided so values can be cross checked:
 coefficient extraction from the generating product (chi_frobenius), closed
@@ -103,16 +104,23 @@ def _standard_count(mask: int) -> int:
 
 
 def _chi_row(mask: int, columns) -> list[int]:
-    """chi of the beta set mask at each column: cycle lengths, longest first, summing to its size."""
+    """chi of the beta set mask at each column, a class's cycle lengths in any order, fixed points last or left
+    out: a trie of removals walked depth first, each level expanded once and held while a column below needs it."""
+    trie: dict = {}
+    for i, cycles in enumerate(columns):
+        node = trie
+        for k in itertools.takewhile((1).__lt__, cycles):
+            node = node.setdefault(k, {})
+        node.setdefault(0, []).append(i)
     tail = cache(_standard_count)  # the fixed-point tails, for this call only
-    row = []
-    for cycles in columns:
-        states = {mask: 1}
-        for k in cycles:
-            if k == 1:
-                break
-            states = _level(states, k)
-        row.append(sum(coef * tail(sub) for sub, coef in states.items() if coef))
+    row = [0] * len(columns)
+    stack = [(trie, 0, {mask: 1})]
+    while stack:
+        node, k, states = stack.pop()
+        states = _level(states, k) if k else states
+        stack.extend((child, part, states) for part, child in node.items() if part)  # each expands when popped
+        for i in node.get(0, ()):
+            row[i] = sum(coef * tail(sub) for sub, coef in states.items() if coef)
     return row
 
 

@@ -177,8 +177,7 @@ class VerificationReport(_Record):
         return not self.mismatches
 
     def to_json_dict(self) -> dict:
-        # a shallow copy of the fields (tuples dump as JSON arrays), never the instance's own dict
-        return {**vars(self), "ok": self.ok}
+        return {**self._asdict(), "ok": self.ok}
 
 
 def _uniform_shapes(n: int, *, even_only: bool = False) -> list[tuple[int, int]]:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain, islice
 
 # the other library modules are imported by the handlers that call them, and
-# json by _print_json, so a query compiles and runs only what it uses
+# json by its writers, so a query compiles and runs only what it uses
 from .characters_sn import chi, degree, full_table
 from .partitions import CycleType, Partition, parse_cycle_type, parse_partition
 
@@ -181,18 +182,18 @@ def _cmd_fixdim(args) -> int:
     return 0
 
 
-# --check name: (the argument it needs, the bounds function, whether that takes bits);
-# functions are looked up by name on each call, so a rebound bounds attribute is what runs
+# --check name: (the argument it needs, the bounds function or for a sweep its kind, whether that
+# takes bits); functions are looked up by name on each call, so a rebound bounds attribute is what runs
 _BOUND_CHECKS = {
     "fomin-lulov": ("shape", "fomin_lulov_check", True),
     "estimate": ("shape", "estimate_check", True),
     "robbins": ("n", "robbins_check", True),
     "tail": ("n", "tail_inequalities_check", True),
     "min-degree": ("n", "min_degree_check", False),
-    "sweep-fomin-lulov": ("max_n", "sweep_fomin_lulov", True),
-    "sweep-estimate": ("max_n", "sweep_estimate", True),
-    "sweep-robbins": ("max_n", "sweep_robbins", True),
-    "sweep-tail": ("max_n", "sweep_tail", True),
+    "sweep-fomin-lulov": ("max_n", "fomin-lulov", True),
+    "sweep-estimate": ("max_n", "estimate", True),
+    "sweep-robbins": ("max_n", "robbins", True),
+    "sweep-tail": ("max_n", "tail", True),
 }
 
 
@@ -215,19 +216,25 @@ def _cmd_bounds(args) -> int:
     else:
         positional = (getattr(args, needs),)
     kwargs = {} if args.precision_bits is None else {"bits": args.precision_bits}
-    result = getattr(bounds, name)(*positional, **kwargs)
-    reports = result if needs == "max_n" else [result]
-    ok = all(rep.holds for rep in reports)
+    reports = iter(bounds._sweep_reports(name, args.max_n, **kwargs) if needs == "max_n"  # one n at a time
+                   else [getattr(bounds, name)(*positional, **kwargs)])
+    ahead = list(islice(reports, 2))  # a lone report is printed whole, holding or not
     if args.format == "json":
-        _print_json([rep.to_json_dict() for rep in reports])
+        import json
+    count, ok = 0, True
+    for count, rep in enumerate(chain(ahead, reports), 1):
+        ok &= rep.holds
+        if args.format == "json":  # item by item, the bytes of json.dump(the list, sort_keys=True, indent=2)
+            item = json.dumps(rep.to_json_dict(), sort_keys=True, indent=2).replace("\n", "\n  ")
+            sys.stdout.write(("[" if count == 1 else ",") + "\n  " + item)
+        elif not rep.holds or len(ahead) == 1:
+            for c in rep.clauses:
+                state = "holds" if c.holds else "FAILS"
+                print(f"{rep.check} {rep.context} [{c.name}] lhs={c.lhs} rhs={c.rhs} margin={c.margin}: {state}")
+    if args.format == "json":
+        sys.stdout.write("\n]\n" if count else "[]\n")
     else:
-        for rep in reports:
-            if len(reports) == 1 or not rep.holds:
-                for c in rep.clauses:
-                    state = "holds" if c.holds else "FAILS"
-                    print(f"{rep.check} {rep.context} [{c.name}] lhs={c.lhs} rhs={c.rhs} margin={c.margin}: {state}")
-        verdict = "all hold" if ok else "FAILURES above"
-        print(f"{len(reports)} report(s): {verdict}")
+        print(f"{count} report(s): {'all hold' if ok else 'FAILURES above'}")
     return 0 if ok else 1
 
 

@@ -37,17 +37,23 @@ class _Record:
     """Base of the package's frozen records. An instance's __dict__ holds its
     fields in declaration order and nothing else: only construction sets
     them, and assigning or deleting an attribute raises AttributeError.
-    Two records are equal when they are of one class with equal fields, and a
-    record hashes as the tuple of its fields: every subclass compares, hashes
-    and prints through these methods alone. A subclass's __init__ checks its
-    fields and stores each once, through _set (Partition and CycleType check
-    theirs in __post_init__, a hook that the benchmark tracer,
-    perfbench/tracer.py, wraps by name)."""
+    Records are equal when of one class with equal fields and hash as the
+    tuple of their fields. Every subclass compares, hashes and prints here,
+    reading the fields by the names of its __init__'s parameters (vars would
+    attach a dict to the instance); that __init__ checks them and stores each
+    once, in order, through _set (Partition and CycleType check theirs in
+    __post_init__, a hook that perfbench/tracer.py wraps by name)."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__init__.__code__.co_varnames[1:cls.__init__.__code__.co_argcount]
 
     def _set(self, **fields) -> None:
         # one attribute at a time keeps the class's shared-key dict, half the bytes of vars(self).update
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -57,14 +63,14 @@ class _Record:
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
+            return self._asdict() == other._asdict()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
+        return hash(tuple([getattr(self, name) for name in self._fields]))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -295,9 +301,9 @@ MAX_SWEEP_N = {"minpoly-sn": 34, "minpoly-an": 36, "eigenvalue-one": 28, "fomin-
                "robbins": 10_000, "tail": 250_000}
 
 
-def _sweep(kind: str, per_n, floor: int, min_n: int, max_n: int, threads: int = 1) -> list:
-    """[per_n(n) for n = min_n .. max_n], in n order, on at most threads worker processes, once
-    the range, kind's cap in MAX_SWEEP_N and threads are checked."""
+def _sweep(kind: str, per_n, floor: int, min_n: int, max_n: int, threads: int = 1):
+    """per_n(n) for n = min_n .. max_n in n order, on at most threads worker processes (on one, as
+    the caller iterates), once the range, kind's cap in MAX_SWEEP_N and threads are checked."""
     if min_n < floor or max_n < min_n:
         raise ValueError(f"need {floor} <= min_n <= max_n; got {min_n}..{max_n}")
     if max_n > MAX_SWEEP_N[kind]:
@@ -308,7 +314,7 @@ def _sweep(kind: str, per_n, floor: int, min_n: int, max_n: int, threads: int = 
     ns = range(min_n, max_n + 1)
     workers = 1 if threads == 1 else min(threads, os.cpu_count() or 1, len(ns))
     if workers == 1:
-        return [per_n(n) for n in ns]
+        return map(per_n, ns)
     # imported here, so that importing the package does not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

@@ -20,18 +20,19 @@ once per divisor g of r,
 
 from a per-r table of the integers c_{r/d}(g), each by Hoelder's closed form
 c_q(j) = mu(q/g') * phi(q) / phi(q/g') with g' = gcd(q, j). The fixed space
-dimension is the row g = r alone, where c_{r/d}(r) = phi(r/d). _power_plan
-lists the classes sigma^d that the classes asked about reach, whose character
-values are summed by the whole table, or for the fixed space by phi(r/d)
-alone: one row of lam cell by cell for spectrum_sn and fixed_space_dim, and
-for the sweeps in classify the class-major columns of every partition of n, a
-whole column at a time, checked by class column (_check_counts; _check_case
-checks one case the same way). Each plan lists the cycle lengths of the
-powers sigma^d of its classes afresh, from partitions._power_cycles, without
-building a CycleType for them. A SpectrumProfile and its support, a MinPoly
-(whether each j is a root), share one store, _Residues: values that depend on
-j only through g and the sign of a quadratic character are held as one entry
-per divisor g and sign, as they are computed, so min_poly and render_min_poly
+dimension is the row g = r alone, where c_{r/d}(r) = phi(r/d). The values at
+the powers sigma^d, each listed as cycle lengths from
+partitions._power_cycles, are summed by the whole table, or for the fixed
+space by phi(r/d) alone. spectrum_sn and fixed_space_dim read one row of lam,
+listing each power by origin (sigma's cycles longest first, each replaced by
+its pieces, fixed points dropped), so that powers which keep a cycle whole
+share the hook removals before it. The sweeps in classify read the class-major
+columns of every partition of n for the classes _power_plan lists, a whole
+column at a time, checked by class column (_check_counts; _check_case checks
+one case the same way). A SpectrumProfile and its support, a MinPoly (whether
+each j is a root), share one store, _Residues: values that depend on j only
+through g and the sign of a quadratic character are held as one entry per
+divisor g and sign, as they are computed, so min_poly and render_min_poly
 never scan range(r) for them. The integer arithmetic (divisors, Moebius, phi,
 cyclotomic polynomials) lives in arith.
 
@@ -348,11 +349,11 @@ def _sweep_sums(lams, classes: list[CycleType], weights):
 
 
 def _sums_at(lam: Partition, sigma: CycleType, weights) -> list[int]:
-    """_weigh's sums at one class over one character row of lam, summed cell by cell."""
-    columns, ((r, cols, rows),) = _power_plan([sigma], weights)
-    row = _chi_row(_beta_set(lam.parts), columns)
-    cell = [row[k] for k in cols]
-    return _divide([sum(map(operator.mul, w, cell)) for w in rows], r)
+    """_weigh's sums at one class over one character row of lam, its powers listed by origin."""
+    r = sigma.order()
+    cell = _chi_row(_beta_set(lam.parts), [[c for cycle in sigma.cycles for c, m in _power_cycles((cycle,), d)
+                                            if c > 1 for _ in range(m)] for d in divisors(r)])
+    return _divide([sum(map(operator.mul, w, cell)) for w in weights(r)], r)
 
 
 def _fixed_space_weights(r: int) -> tuple[tuple[int, ...]]:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -300,6 +301,53 @@ def test_memo_holds_no_fixed_point_tails(monkeypatch):
     made.clear()
     gc.collect()
     assert all(ref() is None for ref in refs)  # no call's tail cache outlives it
+
+
+def test_no_level_outlives_a_row_call(monkeypatch):
+    # the trie walk drops each level once no column below it needs it, and all of them with the call
+    refs = []
+
+    class Level(dict):
+        pass
+
+    def recording_level(states, k):
+        level = Level(real(states, k))
+        refs.append(weakref.ref(level))
+        return level
+
+    real = characters_sn._level
+    monkeypatch.setattr(characters_sn, "_level", recording_level)
+    spectrum_sn(parse_partition("7,5,4,3,2^2,1"), parse_cycle_type("7^1 5^1 3^1 2^1 1^7"))
+    assert refs
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_one_column_row_holds_one_level_at_a_time():
+    # 32 levels of 2-hooks from 8^8, each computed from the last and the last dropped: before the
+    # trie walk the traced peak was 94 240 bytes (0.09 MB), and a walk that kept every level
+    # of the column until the call returned peaked at 0.50 MB
+    lam, sigma = parse_partition("8^8"), parse_cycle_type("2^32")
+    chi(lam, sigma)  # warm: the first call's imports and caches are not the row's
+    tracemalloc.start()
+    try:
+        value = chi(lam, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 346915095471584640
+    assert peak <= 1.5 * 94_240
+
+
+def test_powers_share_their_first_removals(monkeypatch):
+    # r = 210: the 16 powers keep the cycles 7, 5, 3, 2 of any subset whole, listed in that order,
+    # so their removals form a trie of 15 levels below the root, against 32 levels one power at a time
+    calls = []
+    real = characters_sn._level
+    monkeypatch.setattr(characters_sn, "_level", lambda states, k: calls.append(k) or real(states, k))
+    prof = spectrum_sn(parse_partition("7,5,4,3,2^2,1"), parse_cycle_type("7^1 5^1 3^1 2^1 1^7"))
+    assert sum(prof.mult) == degree(parse_partition("7,5,4,3,2^2,1"))
+    assert len(calls) <= 15
 
 
 @given(st.integers(min_value=1, max_value=10).flatmap(partitions_of))

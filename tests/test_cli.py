@@ -269,6 +269,38 @@ def test_bounds_sweep(capsys):
     assert out.strip().endswith("20 report(s): all hold")
 
 
+def _listed_then_dumped(check, max_n, bits, fmt):
+    """A bound sweep's output as printed from the whole list of its reports."""
+    from snchar import bounds
+
+    reports = getattr(bounds, "sweep_" + check.replace("-", "_"))(max_n, **({"bits": bits} if bits else {}))
+    if fmt == "json":
+        return json.dumps([rep.to_json_dict() for rep in reports], sort_keys=True, indent=2) + "\n"
+    lines = [f"{rep.check} {rep.context} [{c.name}] lhs={c.lhs} rhs={c.rhs} margin={c.margin}: "
+             f"{'holds' if c.holds else 'FAILS'}"
+             for rep in reports if len(reports) == 1 or not rep.holds for c in rep.clauses]
+    verdict = "all hold" if all(rep.holds for rep in reports) else "FAILURES above"
+    return "".join(line + "\n" for line in lines) + f"{len(reports)} report(s): {verdict}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("check, max_n, bits", [
+    ("fomin-lulov", 1, None),  # one report: printed whole
+    ("fomin-lulov", 12, None),
+    ("estimate", 12, 8),  # 8 bits fail two reports at n = 12
+    ("robbins", 12, 8),
+    ("robbins", 1, None),
+    ("tail", 23, None),
+])
+def test_streamed_bound_sweeps_match_the_listed_output(capsys, fmt, check, max_n, bits):
+    # the CLI writes each n's reports before building the next; the bytes are those of the whole list
+    argv = ["bounds", "--check", f"sweep-{check}", "--max-n", str(max_n), "--format", fmt]
+    code, out, err = run_cli(capsys, *argv, *(["--precision-bits", str(bits)] if bits else []))
+    expected = _listed_then_dumped(check, max_n, bits, fmt)
+    assert (out, err) == (expected, "")
+    assert code == (1 if "FAILS" in expected or '"holds": false' in expected else 0)
+
+
 def test_bounds_failure_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "bounds", "--check", "robbins", "--n", "200", "--precision-bits", "8",

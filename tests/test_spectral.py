@@ -6,7 +6,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from snchar import spectral
@@ -681,3 +681,37 @@ def test_json_writer_matches_json_dumps(capsys):
     for stand_in, plain in objects:
         spectral._print_json(stand_in)
         assert capsys.readouterr().out == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def _query_pairs(draw):
+    """(lam, sigma) at n = 20..40, sigma of order at most 2000: a drawn cycle that would lift the
+    order past it becomes a fixed point."""
+    n = draw(st.integers(min_value=20, max_value=40))
+    parts, rest = [], n
+    while rest:
+        parts.append(draw(st.integers(min_value=1, max_value=min(rest, parts[-1] if parts else rest))))
+        rest -= parts[-1]
+    lengths, order = [], 1
+    while sum(lengths) < n:
+        k = draw(st.integers(min_value=1, max_value=n - sum(lengths)))
+        k = k if math.lcm(order, k) <= 2000 else 1
+        lengths.append(k)
+        order = math.lcm(order, k)
+    return Partition(tuple(parts)), CycleType.from_lengths(lengths)
+
+
+@seed(20)
+@settings(max_examples=40, deadline=None)
+@given(_query_pairs())
+def test_shared_row_equals_one_row_per_power(pair):
+    # spectrum_sn and fixed_space_dim read every power from one trie of removals; here each power
+    # sigma^d is a separate chi call, and r * mult[j] = sum_{d | r} chi(sigma^d) * c_{r/d}(j) for every j
+    lam, sigma = pair
+    r = sigma.order()
+    assert r <= 2000
+    values = {d: chi(lam, sigma.power(d)) for d in divisors(r)}
+    sums = [sum(v * ramanujan_sum(r // d, j) for d, v in values.items()) for j in range(r)]
+    assert not any(total % r for total in sums)
+    assert spectrum_sn(lam, sigma).mult == tuple(total // r for total in sums)
+    assert fixed_space_dim(lam, sigma) == sums[0] // r

@@ -96,8 +96,38 @@ def test_spectrum_json(capsys):
 HALVES = [("[3,1^2]+", "(x^5-1)/((x-z5^2)(x-z5^3))", [0, 1, 4], [1, 1, 0, 0, 1]),
           ("[3,1^2]-", "(x^5-1)/((x-z5^1)(x-z5^4))", [0, 2, 3], [1, 0, 1, 1, 0])]
 
+# verify minpoly-sn --max-n 5: (n, lambda, cycle length, multiplicity, family) of each exceptional case
+EXCEPTIONAL_TO_5 = [
+    [3, "2,1", 3, 1, "standard"], [3, "1^3", 2, 1, "sign"], [3, "1^3", 3, 1, "sign"],
+    [4, "3,1", 4, 1, "standard"], [4, "2^2", 2, 2, "2,2@4"], [4, "2^2", 3, 1, "2,2@4"],
+    [4, "2^2", 4, 1, "2,2@4"], [4, "2,1^2", 4, 1, "standard-twist"], [4, "1^4", 2, 1, "sign"],
+    [4, "1^4", 2, 2, "sign"], [4, "1^4", 3, 1, "sign"], [4, "1^4", 4, 1, "sign"],
+    [5, "4,1", 5, 1, "standard"], [5, "2,1^3", 5, 1, "standard-twist"], [5, "1^5", 2, 1, "sign"],
+    [5, "1^5", 2, 2, "sign"], [5, "1^5", 3, 1, "sign"], [5, "1^5", 4, 1, "sign"], [5, "1^5", 5, 1, "sign"],
+]
+
 
 @pytest.mark.parametrize("argv, expected", [
+    (("char", "--lambda", "3,3", "--shape", "2^3"),
+     {"group": "sn", "lambda": "3^2", "shape": "2^3", "value": "-3"}),
+    (("char", "--group", "an", "--lambda", "2,1", "--shape", "3^1"),
+     {"group": "an", "lambda": "2,1", "shape": "3^1",
+      "values": [{"label": f"[2,1]{tag}", "rendered": f"-1/2{tag}1/2√-3",
+                  "value": {"D": -3, "a_den": 2, "a_num": -1, "b_den": 2, "b_num": sign}}
+                 for tag, sign in (("+", 1), ("-", -1))]}),
+    (("degree", "--lambda", "3,2"), {"degree": "5", "lambda": "3,2"}),
+    (("fixdim", "--lambda", "3,2", "--shape", "2^2 1^1"), {"fixdim": "3", "lambda": "3,2", "shape": "2^2 1^1"}),
+    (("spectrum", "--lambda", "3,3", "--shape", "6^1"),
+     {"group": "sn", "lambda": "3^2", "shape": "6^1", "r": 6, "degree": 5, "mult": [1, 1, 0, 2, 0, 1]}),
+    (("verify", "minpoly-sn", "--max-n", "5"),
+     {"cases": 50, "exceptional": EXCEPTIONAL_TO_5, "kind": "minpoly-sn", "mismatches": [], "n_max": 5,
+      "n_min": 3, "ok": True}),
+    (("bounds", "--check", "robbins", "--n", "10"),
+     [{"check": "robbins", "context": "n=10", "holds": True, "precision_bits": 128,
+       "clauses": [{"holds": True, "lhs": "3628560.14199", "margin": "239.85801489", "name": "lower",
+                    "rhs": "3628800"},
+                   {"holds": True, "lhs": "3628800", "margin": "10.0514269335", "name": "upper",
+                    "rhs": "3628810.05143"}]}]),
     (("minpoly", "--lambda", "2,2,2", "--shape", "6^1"),
      {"group": "sn", "lambda": "2^3", "shape": "6^1", "r": 6, "roots": [0, 2, 3, 4],
       "rendered": "(x^6-1)/(x^2-x+1)"}),
@@ -108,7 +138,8 @@ HALVES = [("[3,1^2]+", "(x^5-1)/((x-z5^2)(x-z5^3))", [0, 1, 4], [1, 1, 0, 0, 1])
     (("spectrum", "--group", "an", "--lambda", "3,1^2", "--shape", "5^1"),
      {"group": "an", "lambda": "3,1^2", "shape": "5^1",
       "spectra": [{"label": label, "r": 5, "degree": 3, "mult": mult} for label, _, _, mult in HALVES]}),
-], ids=["minpoly-sn", "minpoly-an", "spectrum-an"])
+], ids=["char-sn", "char-an", "degree", "fixdim", "spectrum-sn", "verify", "bounds", "minpoly-sn", "minpoly-an",
+        "spectrum-an"])
 def test_json_outputs_are_the_sorted_indented_dump(capsys, argv, expected):
     # the split pair 3,1^2 at 5^1 has the surd sqrt(5) (d = 5) in its values
     code, out, err = run_cli(capsys, *argv, "--format", "json")

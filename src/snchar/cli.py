@@ -18,7 +18,7 @@ import sys
 from itertools import chain, islice
 
 # the other library modules are imported by the handlers that call them, and
-# json by its writers, so a query compiles and runs only what it uses
+# json by its writer, so a query compiles and runs only what it uses
 from .characters_sn import chi, degree, full_table
 from .partitions import CycleType, Partition, parse_cycle_type, parse_partition
 
@@ -62,17 +62,49 @@ def _check_listed(what: str, sigma: CycleType) -> None:
                          f"r = {r} > MAX_LISTED_R = {MAX_LISTED_R}; use minpoly (text format) or fixdim")
 
 
-def _print_json(obj) -> None:
+def _by_id(values: tuple, form):
+    """form of each item of values, a held tuple that repeats a few objects (a profile's mult, at
+    most two per divisor of r): each object is formatted once, by id, as the tuple keeps it alive."""
+    text = {key: form(value) for key, value in {id(value): value for value in values}.items()}
+    return map(text.__getitem__, map(id, values))
+
+
+def _write_joined(texts, sep: str, first: str = "") -> bool:
+    """Write first and the strings texts joined by sep, a slice at a time, so that they are never
+    held whole; for no texts, write nothing and return False."""
+    wrote = False
+    while chunk := list(islice(texts, 256)):
+        sys.stdout.write((sep if wrote else first) + sep.join(chunk))
+        wrote = True
+    return wrote
+
+
+def _write_json(obj) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline, where a SpectrumProfile stands
+    for the list of its mult and any iterator for the list of its items, each written by _write_joined."""
     import json
 
-    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
+    held = []
+    # each stand-in becomes a NUL string, which json escapes and no other value of obj holds
+    pieces = json.dumps(obj, sort_keys=True, indent=2, default=lambda o: held.append(o) or "\0").split('"\\u0000"')
+    sys.stdout.write(pieces[0])
+    for stand_in, before, after in zip(held, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))  # the stand-in's line; its items sit 2 deeper
+
+        def form(item, inner=indent + "  "):
+            return json.dumps(item, sort_keys=True, indent=2).replace("\n", inner)
+
+        texts = _by_id(stand_in.mult, form) if hasattr(stand_in, "mult") else map(form, stand_in)
+        wrote = _write_joined(texts, "," + indent + "  ", "[" + indent + "  ")
+        sys.stdout.write((indent + "]" if wrote else "[]") + after)
     sys.stdout.write("\n")
 
 
 def _emit(args, payload, text: str) -> None:
     """Print text, or for --format json the dict payload() builds; only then is it built."""
     if args.format == "json":
-        _print_json(payload())
+        _write_json(payload())
     else:
         print(text)
 
@@ -120,30 +152,29 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .spectral import _print_json as print_spectra, _write_listed, spectrum_an, spectrum_sn
+    from .spectral import spectrum_an, spectrum_sn
 
     def print_mult(head: str, profile) -> None:
-        sys.stdout.write(head)
-        _write_listed(sys.stdout.write, profile.mult, ",")
+        _write_joined(_by_id(profile.mult, str), ",", head)  # a mult lists at least one value
         sys.stdout.write("\n")
 
     lam = _parse_lam(args)
     sigma = _parse_shape(args, lam.n)
     _check_listed("spectrum", sigma)
-    # in JSON, each profile stands for its mult list, which print_spectra writes one distinct value at a time
+    # in JSON, each profile stands for its mult list, which _write_json formats one distinct value at a time
     if args.group == "sn":
         profile = spectrum_sn(lam, sigma)
         if args.format == "json":
-            print_spectra({"group": "sn", "lambda": str(lam), "shape": str(sigma), "r": profile.r,
-                           "degree": profile.degree, "mult": profile})
+            _write_json({"group": "sn", "lambda": str(lam), "shape": str(sigma), "r": profile.r,
+                         "degree": profile.degree, "mult": profile})
         else:
             print_mult(f"r={profile.r} degree={profile.degree} mult=", profile)
         return 0
     profiles = [(label, spectrum_an(label, sigma)) for label in _an_labels(lam, args.variant)]
     if args.format == "json":
-        print_spectra({"group": "an", "lambda": str(lam), "shape": str(sigma),
-                       "spectra": [{"label": str(label), "r": profile.r, "degree": profile.degree, "mult": profile}
-                                   for label, profile in profiles]})
+        _write_json({"group": "an", "lambda": str(lam), "shape": str(sigma),
+                     "spectra": [{"label": str(label), "r": profile.r, "degree": profile.degree, "mult": profile}
+                                 for label, profile in profiles]})
     else:
         for label, profile in profiles:
             print_mult(f"{label} r={profile.r} degree={profile.degree} mult=", profile)
@@ -219,21 +250,22 @@ def _cmd_bounds(args) -> int:
     reports = iter(bounds._sweep_reports(name, args.max_n, **kwargs) if needs == "max_n"  # one n at a time
                    else [getattr(bounds, name)(*positional, **kwargs)])
     ahead = list(islice(reports, 2))  # a lone report is printed whole, holding or not
-    if args.format == "json":
-        import json
     count, ok = 0, True
-    for count, rep in enumerate(chain(ahead, reports), 1):
-        ok &= rep.holds
-        if args.format == "json":  # item by item, the bytes of json.dump(the list, sort_keys=True, indent=2)
-            item = json.dumps(rep.to_json_dict(), sort_keys=True, indent=2).replace("\n", "\n  ")
-            sys.stdout.write(("[" if count == 1 else ",") + "\n  " + item)
-        elif not rep.holds or len(ahead) == 1:
-            for c in rep.clauses:
-                state = "holds" if c.holds else "FAILS"
-                print(f"{rep.check} {rep.context} [{c.name}] lhs={c.lhs} rhs={c.rhs} margin={c.margin}: {state}")
+
+    def tallied():
+        nonlocal count, ok
+        for count, rep in enumerate(chain(ahead, reports), 1):
+            ok &= rep.holds
+            yield rep
+
     if args.format == "json":
-        sys.stdout.write("\n]\n" if count else "[]\n")
+        _write_json(rep.to_json_dict() for rep in tallied())
     else:
+        for rep in tallied():
+            if not rep.holds or len(ahead) == 1:
+                for c in rep.clauses:
+                    state = "holds" if c.holds else "FAILS"
+                    print(f"{rep.check} {rep.context} [{c.name}] lhs={c.lhs} rhs={c.rhs} margin={c.margin}: {state}")
         print(f"{count} report(s): {'all hold' if ok else 'FAILURES above'}")
     return 0 if ok else 1
 
@@ -251,7 +283,7 @@ def _cmd_verify(args) -> int:
         kwargs["min_n"] = args.min_n
     report = getattr(classify, _VERIFY_SUBJECTS[args.subject])(args.max_n, **kwargs)
     if args.format == "json":
-        _print_json(report.to_json_dict())
+        _write_json(report.to_json_dict())
     else:
         print(f"{report.kind} n={report.n_min}..{report.n_max}: {report.cases} cases, "
               f"{len(report.mismatches)} mismatches, {len(report.exceptional)} exceptional")

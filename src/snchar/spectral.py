@@ -1,76 +1,45 @@
 """Eigenvalue multiplicities and minimal polynomials of permutation images.
 
 A permutation sigma of order r maps, under the irreducible representation
-labeled by lam, to a matrix of finite order, hence diagonalizable with
-eigenvalues among the r-th roots of unity zeta^j. Averaging characters over
-the cyclic group generated by sigma gives
-
-    r * mult[j] = sum_{i=0}^{r-1} chi(sigma^i) * zeta^{-ij}.
-
-Since the cycle type of sigma^i only depends on gcd(i, r), the inner sums
-collapse to Ramanujan sums and the whole computation stays in the integers:
+labeled by lam, to a matrix of finite order, diagonalizable with eigenvalues
+among the r-th roots of unity zeta^j. Averaging characters over the cyclic
+group generated by sigma, and since the cycle type of sigma^i depends on i
+only through gcd(i, r), the multiplicity of zeta^j is a sum of Ramanujan sums:
 
     r * mult[j] = sum_{d | r} chi(type of sigma^d) * c_{r/d}(j).
 
-A Ramanujan sum c_q(j) depends on j only through gcd(j, q), so mult[j]
-depends on j only through g = gcd(j, r). Each profile is therefore computed
-once per divisor g of r,
-
-    r * mult_g = sum_{d | r} chi(type of sigma^d) * c_{r/d}(g),
-
-from a per-r table of the integers c_{r/d}(g), each by Hoelder's closed form
-c_q(j) = mu(q/g') * phi(q) / phi(q/g') with g' = gcd(q, j). The fixed space
-dimension is the row g = r alone, where c_{r/d}(r) = phi(r/d). The values at
-the powers sigma^d, each listed as cycle lengths from
-partitions._power_cycles, are summed by the whole table, or for the fixed
-space by phi(r/d) alone. spectrum_sn and fixed_space_dim read one row of lam,
-listing each power by origin (sigma's cycles longest first, each replaced by
-its pieces, fixed points dropped), so that powers which keep a cycle whole
-share the hook removals before it. The sweeps in classify read the class-major
-columns of every partition of n for the classes _power_plan lists, a whole
-column at a time, checked by class column (_check_counts; _check_case checks
-one case the same way). A SpectrumProfile and its support, a MinPoly (whether
-each j is a root), share one store, _Residues: values that depend on j only
-through g and the sign of a quadratic character are held as one entry per
-divisor g and sign, as they are computed, so min_poly and render_min_poly
-never scan range(r) for them. The integer arithmetic (divisors, Moebius, phi,
-cyclotomic polynomials) lives in arith.
-
-Every division is checked to be exact; a remainder signals a bug, never a
-rounding problem. spectrum_sn_direct recomputes profiles by reducing the
-defining sums in the cyclotomic ring (no Ramanujan sums) and is kept as an
-independent slow route for tests.
+c_q(j) depends on j only through gcd(j, q), so mult[j] is computed once per
+divisor g = gcd(j, r), from a per-r table of the integers c_{r/d}(g) by
+Hoelder's closed form; the fixed space dimension is the row g = r alone,
+c_{r/d}(r) = phi(r/d). spectrum_sn and fixed_space_dim read one character row
+of lam, listing each power sigma^d by origin so that powers which keep a cycle
+whole share the hook removals before it; the sweeps in classify read whole
+class-major columns (_power_plan, _check_counts). SpectrumProfile and MinPoly
+share one store, _Residues, which holds values that depend on j only through g
+and the sign of a quadratic character as one entry per divisor and sign. The
+integer arithmetic lives in arith. Every division is checked to be exact; a
+remainder signals a bug, never a rounding problem.
 
 For a split alternating group label at its distinguished class, the powers
-sigma^i with gcd(i, r) = 1 stay in that class, and there chi_plus - chi_minus
-= b * sqrt(d) * psi(i), with b^2 d = eps * (product of diagonal hooks),
-eps = chi(sigma) = +-1 (read off the parent profile as the trace), d = 1 mod 4
-squarefree and psi = (d | .) of conductor f = |d|. The diagonal hooks are the
-cycle lengths of that class, and arith._split_surd forms and checks b and d
-from eps and those lengths, for chi_an as for the halves here. So
-r * mult_plus/minus[j] = (r * mult_lam[j] +- T(j)) / 2, where T(j) is b*sqrt(d)
-times the Gauss sum of psi induced to modulus r. Its closed form (Montgomery &
-Vaughan, Multiplicative Number Theory I, Thm 9.10), with g = gcd(j, r),
-r' = r/g and t = r'/f, is
+sigma^i with gcd(i, r) = 1 stay in that class, where chi_plus - chi_minus
+= b * sqrt(d) * psi(i): b^2 d = eps * (product of diagonal hooks), eps =
+chi(sigma) = +-1, d = 1 mod 4 squarefree and psi = (d | .) of conductor f = |d|,
+formed and checked by arith._split_surd. So r * mult_plus/minus[j] =
+(r * mult_lam[j] +- T(j)) / 2, where T(j) is b*sqrt(d) times the Gauss sum of
+psi induced to modulus r. With g = gcd(j, r), r' = r/g and t = r'/f (Montgomery
+& Vaughan, Multiplicative Number Theory I, Thm 9.10),
 
     T(j) = b * f * (phi(r) / phi(r')) * mu(t) * psi(t) * psi(j/g)  if f | r', else 0.
 
-T is not confined to the primitive r-th roots (for 5,1^4 at 9^1 the halves
-already differ at j = 0, 3 and 6), but it depends on j only through g and
-psi(j/g) = +-1. _halves builds both halves of a pair from one parent spectrum
-in O(d(r)) steps, as at most 2 * d(r) multiplicities (r * m_g +- T) / (2r),
-each division checked to be exact; spectrum_an reads the pair through a
-two-entry cache, so the second half evaluates no character row. A half is the
-compact form (d, pos, neg) itself: one entry per (g, sign of psi(j/g)). For
-d = 1, psi is trivial, T is shared by the j of equal gcd, and the form stores
-pos alone, like any Galois-stable profile. min_poly takes the support of the
-stored form entry by entry, and render_min_poly counts the missing roots from
-it; only mult lists the entries per residue, repeating one row of psi per gcd,
-with orders above MAX_LISTED_R, the listing cap, refused for d != 1.
-_gauss_correction recomputes T from products of quadratic Gauss sum vectors
-in about r^2 steps, as an independent slow route for tests, and
-spectrum_an_numeric cross checks the path in floating point, by a discrete
-Fourier transform of chi_an over the powers of sigma.
+T depends on j only through g and psi(j/g) = +-1, so _halves builds both halves
+of a pair from one parent spectrum as at most 2 * d(r) multiplicities, and
+min_poly reads their support from those; only mult lists one entry per
+residue, refused above MAX_LISTED_R for d != 1.
+
+Independent slow routes, kept for tests: spectrum_sn_direct reduces the
+defining sums in the cyclotomic ring, _gauss_correction recomputes T from
+quadratic Gauss sum vectors in about r^2 steps, and spectrum_an_numeric takes
+a floating point discrete Fourier transform of chi_an over the powers of sigma.
 """
 
 from __future__ import annotations
@@ -362,9 +331,14 @@ def _fixed_space_weights(r: int) -> tuple[tuple[int, ...]]:
 
 
 def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
-    """Exact eigenvalue multiplicities of a symmetric group irreducible at sigma."""
+    """Exact eigenvalue multiplicities of a symmetric group irreducible at sigma. The Ramanujan
+    table it weighs by lists d(r)^2 sums, refused above MAX_LISTED_R like any other listing."""
     _check_sizes(lam, sigma)
-    return SpectrumProfile._from_gcd(sigma.order(), _sums_at(lam, sigma, _ramanujan_table), degree(lam))
+    r = sigma.order()
+    if (k := len(divisors(r))) ** 2 > MAX_LISTED_R:
+        raise ValueError(f"a spectrum lists d(r)^2 Ramanujan sums, and class {sigma} has d(r) = {k} divisors of "
+                         f"r = {r}: {k * k} > MAX_LISTED_R = {MAX_LISTED_R}; use fixdim")
+    return SpectrumProfile._from_gcd(r, _sums_at(lam, sigma, _ramanujan_table), degree(lam))
 
 
 def spectrum_sn_direct(lam: Partition, sigma: CycleType) -> SpectrumProfile:
@@ -466,7 +440,8 @@ def _quadratic_character(d: int) -> tuple[int, ...]:
 
 # listings of one multiplicity per residue are refused above this order r: a split
 # half at its distinguished class here, and cli's spectrum and minpoly --format json;
-# so is a rendered minimal polynomial that divides out more roots than this
+# so is a rendered minimal polynomial that divides out more roots than this, and a
+# Ramanujan table of more entries (spectrum_sn at d(r) > 2^10)
 MAX_LISTED_R = 1 << 20
 
 
@@ -635,30 +610,3 @@ def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     _check_sizes(lam, sigma)
     return _sums_at(lam, sigma, _fixed_space_weights)[0]
 
-
-def _write_listed(write, values, sep: str) -> None:
-    """Write values joined by sep, a slice at a time, so that the whole is never held. A listed
-    profile repeats a few value objects, at most two per divisor of r: each is formatted once."""
-    text = {key: str(value) for key, value in {id(value): value for value in values}.items()}
-    for start in range(0, len(values), 4096):
-        write((sep if start else "") + sep.join(map(text.__getitem__, map(id, values[start:start + 4096]))))
-
-
-def _print_json(obj) -> None:
-    """Print json.dump(obj, sys.stdout, sort_keys=True, indent=2) and a newline, where each
-    SpectrumProfile in obj stands for the list of its mult, written by _write_listed."""
-    import json
-    import sys
-
-    held = []
-    # each profile becomes a NUL string, which json escapes and no other value of obj holds
-    pieces = json.dumps(obj, sort_keys=True, indent=2, default=lambda p: held.append(p) or "\0").split('"\\u0000"')
-    write = sys.stdout.write
-    write(pieces[0])
-    for profile, before, after in zip(held, pieces, pieces[1:]):
-        line = before[before.rfind("\n") + 1:]
-        indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        write("[" + indent + "  ")
-        _write_listed(write, profile.mult, "," + indent + "  ")
-        write(indent + "]" + after)
-    write("\n")

@@ -569,6 +569,25 @@ def test_listing_above_max_listed_r_exits_2(capsys, argv, what):
     assert run_cli(capsys, "fixdim", "--lambda", "71,1", "--shape", BIG_ORDER_SHAPE)[:2] == (0, "5\n")
 
 
+# the first ten and twelve primes, on 129 and 197 points: d(r) = 2^10 and 2^12 divisors
+TEN_PRIMES = "2^1 3^1 5^1 7^1 11^1 13^1 17^1 19^1 23^1 29^1"
+TWELVE_PRIMES = TEN_PRIMES + " 31^1 37^1"
+
+
+def test_ramanujan_table_above_max_listed_r_exits_2_at_once(capsys):
+    # the table would hold d(r)^2 = 2^24 sums (5 s and 543 MB to build); it is refused before any character work
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "minpoly", "--lambda", "195,2", "--shape", TWELVE_PRIMES)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: a spectrum lists d(r)^2 Ramanujan sums, and class 37^1 31^1 29^1 23^1 19^1 17^1 13^1 11^1 "
+                   "7^1 5^1 3^1 2^1 has d(r) = 4096 divisors of r = 7420738134810: 16777216 > MAX_LISTED_R = 1048576; "
+                   "use fixdim\n")
+    # the fixed space weighs by one row of the table, and d(r)^2 = MAX_LISTED_R still lists
+    assert run_cli(capsys, "fixdim", "--lambda", "195,2", "--shape", TWELVE_PRIMES)[:2] == (0, "147\n")
+    assert run_cli(capsys, "minpoly", "--lambda", "65,64", "--shape", TEN_PRIMES) == (0, "x^6469693230-1\n", "")
+
+
 def test_max_listed_r_admits_order_1021020():
     assert spectral.MAX_LISTED_R == 1 << 20
     assert not hasattr(cli, "MAX_LISTED_R")  # the command line reads spectral's cap, keeps no copy
@@ -608,15 +627,17 @@ def test_split_class_at_order_45045_answers_spectrum(capsys, monkeypatch):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_split_class_spectrum_streams_its_text():
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_split_class_spectrum_streams_its_text(fmt):
     # r = 1021 * 1019 = 1 040 399 <= MAX_LISTED_R: both halves list 1 211-digit multiplicities, 2.5 GB of
-    # text. A fresh interpreter, its address space capped at 1 GB, so that a build which holds the text
-    # whole fails with exit 2 instead of exhausting the machine
+    # text in either format. A fresh interpreter, its address space capped at 1 GB, so that a build which
+    # holds the text whole fails with exit 2 instead of exhausting the machine
     code = "\n".join([
         "import resource, sys",
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
         "from snchar.cli import main",
-        "status = main(['spectrum', '--group', 'an', '--lambda', '511^2,2^509', '--shape', '1021^1 1019^1'])",
+        "status = main(['spectrum', '--group', 'an', '--lambda', '511^2,2^509', '--shape', '1021^1 1019^1',",
+        f"               '--format', '{fmt}'])",
         "peak = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))",
         "print(peak, file=sys.stderr)",
         "sys.exit(status)",

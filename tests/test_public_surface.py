@@ -112,6 +112,19 @@ def test_no_module_imports_dataclasses_and_json_only_inside_functions():
     assert found == []
 
 
+def test_only_cli_writes_to_stdout():
+    # the output formats belong to cli: no other module names sys.stdout or calls print
+    found = []
+    for path in sorted(Path(SRC, "snchar").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_bounds_loads_bounds_without_mpmath():
     # the enclosures are integer arithmetic: no mpmath, and no fractions (nor the decimal it loads)
     loaded = _verb_loads("bounds", "--check", "robbins", "--n", "10")

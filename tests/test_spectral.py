@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from snchar import spectral
+from snchar import cli, spectral
+from snchar.bounds import sweep_robbins
 from snchar.characters_an import AnCharacterLabel, an_irreducible_labels, is_split, special_class
 from snchar.characters_sn import chi, degree
 from snchar.partitions import (
@@ -502,6 +503,22 @@ def test_split_half_above_the_listing_cap_refuses_mult():
             prof.mult
 
 
+def test_ramanujan_table_above_the_listing_cap_is_refused_before_any_row(monkeypatch):
+    # the eleven odd primes to 37, an even class on 195 points: d(r) = 2^11, a table of 2^22 >
+    # MAX_LISTED_R sums, refused before the table or a character row is made
+    built = []
+    for name in ("_ramanujan_table", "_chi_row"):
+        monkeypatch.setattr(spectral, name, lambda *args, name=name: built.append(name))
+    sigma = CycleType.from_lengths([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+    lam = parse_partition("193,2")
+    message = r"has d\(r\) = 2048 divisors of r = 3710369067405: 4194304 > MAX_LISTED_R = 1048576; use fixdim"
+    with pytest.raises(ValueError, match=message):
+        spectrum_sn(lam, sigma)
+    with pytest.raises(ValueError, match=message):
+        spectrum_an(AnCharacterLabel.restricted(lam), sigma)
+    assert built == []
+
+
 def test_spectrum_an_split_min_polys():
     plus, minus = AnCharacterLabel.split_pair(parse_partition("3,1,1"))
     five = parse_cycle_type("5^1")
@@ -667,19 +684,24 @@ def test_query_bytes_are_pinned(query, cases, digest):
 
 
 def test_json_writer_matches_json_dumps(capsys):
-    # each profile stands for its mult list; the bytes are json.dumps(sort_keys=True, indent=2) of
-    # the to_json_dict form, on an S_n profile and on both halves of a pair with d != 1 (3,1^2 at 5^1)
+    # the command line's one JSON writer: each profile stands for its mult list and each iterator for
+    # the list of its items; the bytes are json.dumps(sort_keys=True, indent=2) of the plain form, on an
+    # S_n profile, both halves of a pair with d != 1 (3,1^2 at 5^1), a stream of bound report dicts (as
+    # bounds --format json writes them) and an empty stream
     sn = spectrum_sn(parse_partition("6,3,1"), parse_cycle_type("5^2"))
     halves = [spectrum_an(label, parse_cycle_type("5^1"))
               for label in AnCharacterLabel.split_pair(parse_partition("3,1^2"))]
     assert sn._compact[0] == 1 and all(half._compact[0] == 5 for half in halves)
+    reports = [rep.to_json_dict() for rep in sweep_robbins(3)]
     objects = [
         ({"group": "sn", **sn.to_json_dict(), "mult": sn}, {"group": "sn", **sn.to_json_dict()}),
         ({"spectra": [{"label": str(i), **half.to_json_dict(), "mult": half} for i, half in enumerate(halves)]},
          {"spectra": [{"label": str(i), **half.to_json_dict()} for i, half in enumerate(halves)]}),
+        ((rep for rep in reports), reports),
+        (iter(()), []),
     ]
     for stand_in, plain in objects:
-        spectral._print_json(stand_in)
+        cli._write_json(stand_in)
         assert capsys.readouterr().out == json.dumps(plain, sort_keys=True, indent=2) + "\n"
 
 

@@ -45,12 +45,17 @@ def _factorize(q: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1024)
-def divisors(q: int) -> tuple[int, ...]:
+def _divisors_by_exponent(q: int) -> list[int]:
+    """The divisors of q in exponent order: the exponent of the last prime of _factorize(q) runs fastest."""
     divs = [1]
     for p, e in _factorize(q):
         divs = [d * p**i for d in divs for i in range(e + 1)]
-    return tuple(sorted(divs))
+    return divs
+
+
+@lru_cache(maxsize=1024)
+def divisors(q: int) -> tuple[int, ...]:
+    return tuple(sorted(_divisors_by_exponent(q)))
 
 
 def moebius(q: int) -> int:

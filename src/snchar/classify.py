@@ -24,8 +24,8 @@ from itertools import chain, compress, count
 
 from .characters_an import RESTRICTED, AnCharacterLabel, special_class
 from .partitions import CycleType, Partition, _Record, _sweep, conjugate, enumerate_partitions
-from .spectral import (MinPoly, SpectrumProfile, _check_counts, _fixed_space_weights, _full_min_poly, _halves,
-                       _ramanujan_table, _sweep_sums, min_poly)
+from .spectral import (MinPoly, SpectrumProfile, _check_counts, _fixed_space, _full_min_poly, _halves, _ramanujan,
+                       _sweep_sums, min_poly)
 
 __all__ = [
     "Prediction",
@@ -212,7 +212,7 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
         text = lambda i: f"[{parts[i]}]+/-" if i in split else f"[{parts[i]}]"
     classes = [CycleType.uniform(r, m, n) for r, m in shapes]
     # per class, per divisor g of its order: one multiplicity per partition of n; last, the identity's
-    sums = list(_sweep_sums(parts, classes + [CycleType.uniform(1, n, n)], _ramanujan_table))
+    sums = list(_sweep_sums(parts, classes + [CycleType.uniform(1, n, n)], _ramanujan))
     (degrees,) = sums.pop()
     render = lambda polys: " | ".join(p.rendered for p in polys)
     mismatches, exceptional = [], []  # (label row, class index, entry)
@@ -245,7 +245,7 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     sort ascending."""
     lams = enumerate_partitions(n)
     classes = [CycleType.from_partition(mu) for mu in lams]
-    computed = {(i, k) for k, (dims,) in enumerate(_sweep_sums(lams, classes, _fixed_space_weights))
+    computed = {(i, k) for k, (dims,) in enumerate(_sweep_sums(lams, classes, _fixed_space))
                 for i in compress(count(), map(operator.not_, dims))}
     row = {lam.parts: i for i, lam in enumerate(lams)}
     col = {sigma.cycles: k for k, sigma in enumerate(classes)}

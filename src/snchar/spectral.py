@@ -9,16 +9,17 @@ only through gcd(i, r), the multiplicity of zeta^j is a sum of Ramanujan sums:
     r * mult[j] = sum_{d | r} chi(type of sigma^d) * c_{r/d}(j).
 
 c_q(j) depends on j only through gcd(j, q), so mult[j] is computed once per
-divisor g = gcd(j, r), from a per-r table of the integers c_{r/d}(g) by
-Hoelder's closed form; the fixed space dimension is the row g = r alone,
-c_{r/d}(r) = phi(r/d). spectrum_sn and fixed_space_dim read one character row
-of lam, listing each power sigma^d by origin so that powers which keep a cycle
-whole share the hook removals before it; the sweeps in classify read whole
-class-major columns (_power_plan, _check_counts). SpectrumProfile and MinPoly
-share one store, _Residues, which holds values that depend on j only through g
-and the sign of a quadratic character as one entry per divisor and sign. The
-integer arithmetic lives in arith. Every division is checked to be exact; a
-remainder signals a bug, never a rounding problem.
+divisor g = gcd(j, r). c_q(g) is multiplicative in q, so _ramanujan weighs by
+one block per p^e || r at a time, in d(r) * sum (e + 1) products; the fixed
+space dimension is the sum g = r alone, c_{r/d}(r) = phi(r/d). spectrum_sn and
+fixed_space_dim read one character row of lam, listing each power sigma^d by
+origin so that powers which keep a cycle whole share the hook removals before
+it; the sweeps in classify read whole class-major columns (_power_plan,
+_check_counts). SpectrumProfile and MinPoly share one store, _Residues, which
+holds values that depend on j only through g and the sign of a quadratic
+character as one entry per divisor and sign. The integer arithmetic lives in
+arith. Every division is checked to be exact; a remainder signals a bug, never
+a rounding problem.
 
 For a split alternating group label at its distinguished class, the powers
 sigma^i with gcd(i, r) = 1 stay in that class, where chi_plus - chi_minus
@@ -50,7 +51,8 @@ import operator
 from functools import lru_cache
 from itertools import compress, repeat
 
-from .arith import _factorize, _polydivmod, _split_surd, cyclotomic, divisors, euler_phi, kronecker_symbol, moebius
+from .arith import (_divisors_by_exponent, _factorize, _polydivmod, _split_surd, cyclotomic, divisors, euler_phi,
+                    kronecker_symbol, moebius)
 from .characters_sn import _beta_set, _chi_row, _columns, chi, degree
 from .partitions import CycleType, Partition, _check_alternating, _check_sizes, _power_cycles
 
@@ -264,30 +266,46 @@ def _full_min_poly(r: int) -> MinPoly:
 
 
 @lru_cache(maxsize=256)
-def _ramanujan_table(r: int) -> tuple[tuple[int, ...], ...]:
-    """Row k lists c_{r/d}(g) for the k-th divisor g of r, over the divisors d of r."""
-    divs = divisors(r)
-    mu = {q: moebius(q) for q in divs}
-    phi = {q: euler_phi(q) for q in divs}
-    # Hoelder's form with q = r/d (down the divisors as d runs up) and m = q / gcd(g, q), both dividing r
-    return tuple(tuple(mu[m := q // math.gcd(g, q)] * phi[q] // phi[m] for q in reversed(divs)) for g in divs)
+def _ramanujan_plan(r: int) -> tuple[list[int], list[int], list]:
+    """The exponent order of divisors(r) as positions there, its inverse, and per p^e || r, last prime first,
+    the block c_{p^(e-b)}(p^a) at [a][b]: c_{r/d}(g) is the product of the blocks at a = v_p(g), b = v_p(d)."""
+    order = list(map({g: k for k, g in enumerate(divisors(r))}.__getitem__, _divisors_by_exponent(r)))
+    blocks = [[[ramanujan_sum(p ** (e - b), p**a) for b in range(e + 1)] for a in range(e + 1)]
+              for p, e in reversed(_factorize(r))]
+    return order, sorted(range(len(order)), key=order.__getitem__), blocks
 
 
-def _power_plan(classes: list[CycleType], weights) -> tuple[list[tuple[int, ...]], list]:
+def _ramanujan(r: int, entries, combine) -> list:
+    """sum_{d | r} c_{r/d}(g) * entries[d] per divisor g of r, aligned with divisors(r), as combine(weights, values)
+    adds, in d(r) * sum (e + 1) products: a block weighs the runs of the fastest exponent and makes it the slowest."""
+    order, inverse, blocks = _ramanujan_plan(r)
+    x = list(map(entries.__getitem__, order))
+    for block in blocks:
+        fibers = list(zip(*[iter(x)] * len(block)))  # the consecutive runs of len(block) entries
+        x = [combine(w, fiber) for w in block for fiber in fibers]
+    return list(map(x.__getitem__, inverse))
+
+
+def _fixed_space(r: int, entries, combine) -> list:
+    """The g = r sum of _ramanujan alone: c_{r/d}(r) = phi(r/d)."""
+    return [combine(_phis(r), entries)]
+
+
+def _power_plan(classes: list[CycleType]) -> tuple[list[tuple[int, ...]], list]:
     """The classes sigma^d reached, as cycle lengths longest first, and per
-    sigma of order r: (r, the indices of its powers in divisor order, weights(r))."""
+    sigma of order r: (r, the indices of its powers in divisor order)."""
     column: dict[tuple[int, ...], int] = {}
     plan = []
     for sigma in classes:
         r = sigma.order()
         powers = (tuple(a for a, b in _power_cycles(sigma.cycles, d) for _ in range(b)) for d in divisors(r))
-        plan.append((r, [column.setdefault(lengths, len(column)) for lengths in powers], weights(r)))
+        plan.append((r, [column.setdefault(lengths, len(column)) for lengths in powers]))
     return list(column), plan
 
 
 def _combine(weights, columns) -> list[int]:
-    """sum_k weights[k] * columns[k], entry by entry over aligned columns: one
-    C-level map per nonzero weight, and no multiply for a weight of +-1."""
+    """sum_k weights[k] * columns[k], entry by entry over aligned columns: one C-level map per
+    nonzero weight, nested (so never over a long row of integers), no multiply for a weight of +-1."""
     total = None
     for w, column in zip(weights, columns):
         if w:
@@ -303,42 +321,32 @@ def _divide(sums: list[int], r: int) -> list[int]:
     return list(map(operator.floordiv, sums, repeat(r)))
 
 
-def _weigh(table: list[list[int]], plan):
-    """Yield per planned sigma of order r, one column per weight row w: the sums
-    (1/r) * sum_{d | r} w(d) * chi(sigma^d), added a whole column of table at a time."""
-    for r, cols, rows in plan:
-        picked = [table[k] for k in cols]
-        yield [_divide(_combine(w, picked), r) for w in rows]
+def _weigh(table: list[list[int]], plan, weigh):
+    """Yield per planned sigma of order r the columns (1/r) * weigh(r, chi(sigma^d) over d | r), a column at a time."""
+    for r, cols in plan:
+        yield [_divide(column, r) for column in weigh(r, [table[k] for k in cols], _combine)]
 
 
-def _sweep_sums(lams, classes: list[CycleType], weights):
+def _sweep_sums(lams, classes: list[CycleType], weigh):
     """_weigh over the class-major columns, aligned with lams, the caller's enumerate_partitions(n)."""
-    columns, plan = _power_plan(classes, weights)
-    return _weigh(_columns(lams, columns), plan)
+    columns, plan = _power_plan(classes)
+    return _weigh(_columns(lams, columns), plan, weigh)
 
 
-def _sums_at(lam: Partition, sigma: CycleType, weights) -> list[int]:
-    """_weigh's sums at one class over one character row of lam, its powers listed by origin."""
+def _sums_at(lam: Partition, sigma: CycleType, weigh) -> list[int]:
+    """_weigh's sums at one class over one character row of lam, its powers listed by origin: d(r) of them."""
     r = sigma.order()
+    if (k := math.prod(e + 1 for _, e in _factorize(r))) > MAX_DIVISORS:
+        raise ValueError(f"class {sigma} has d(r) = {k} divisors of its order, over MAX_DIVISORS = {MAX_DIVISORS}")
     cell = _chi_row(_beta_set(lam.parts), [[c for cycle in sigma.cycles for c, m in _power_cycles((cycle,), d)
                                             if c > 1 for _ in range(m)] for d in divisors(r)])
-    return _divide([sum(map(operator.mul, w, cell)) for w in weights(r)], r)
-
-
-def _fixed_space_weights(r: int) -> tuple[tuple[int, ...]]:
-    """The g = r row of the Ramanujan table alone: c_{r/d}(r) = phi(r/d)."""
-    return (_phis(r),)
+    return _divide(weigh(r, cell, lambda w, values: sum(map(operator.mul, w, values))), r)
 
 
 def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:
-    """Exact eigenvalue multiplicities of a symmetric group irreducible at sigma. The Ramanujan
-    table it weighs by lists d(r)^2 sums, refused above MAX_LISTED_R like any other listing."""
+    """Exact eigenvalue multiplicities of a symmetric group irreducible at sigma."""
     _check_sizes(lam, sigma)
-    r = sigma.order()
-    if (k := len(divisors(r))) ** 2 > MAX_LISTED_R:
-        raise ValueError(f"a spectrum lists d(r)^2 Ramanujan sums, and class {sigma} has d(r) = {k} divisors of "
-                         f"r = {r}: {k * k} > MAX_LISTED_R = {MAX_LISTED_R}; use fixdim")
-    return SpectrumProfile._from_gcd(r, _sums_at(lam, sigma, _ramanujan_table), degree(lam))
+    return SpectrumProfile._from_gcd(sigma.order(), _sums_at(lam, sigma, _ramanujan), degree(lam))
 
 
 def spectrum_sn_direct(lam: Partition, sigma: CycleType) -> SpectrumProfile:
@@ -415,8 +423,8 @@ def _gauss_correction(hooks: tuple[int, ...], r: int) -> list[int]:
     residue j, as sum_k g_k * c_r(k - j) over the Gauss-sum exponent vector g
     of the principal square root. About r^2 steps."""
     g = _principal_sqrt_vector(hooks, r)
-    # c_r(m) depends on m only through gcd(m, r): column d = 1 of the table
-    c_r_res = _spread(r, [row[0] for row in _ramanujan_table(r)])
+    # c_r(m) depends on m only through gcd(m, r)
+    c_r_res = _spread(r, [ramanujan_sum(r, g) for g in divisors(r)])
     terms = [(k, c) for k, c in enumerate(g) if c]
     return [sum(c * c_r_res[k - j] for k, c in terms) for j in range(r)]  # a negative index wraps mod r
 
@@ -440,9 +448,11 @@ def _quadratic_character(d: int) -> tuple[int, ...]:
 
 # listings of one multiplicity per residue are refused above this order r: a split
 # half at its distinguished class here, and cli's spectrum and minpoly --format json;
-# so is a rendered minimal polynomial that divides out more roots than this, and a
-# Ramanujan table of more entries (spectrum_sn at d(r) > 2^10)
+# so is a rendered minimal polynomial that divides out more roots than this
 MAX_LISTED_R = 1 << 20
+# spectrum_sn, spectrum_an and fixed_space_dim refuse an order r of more divisors, one power sigma^d each:
+# the row of (n - 2, 2) at the first 18 primes (n = 501) peaks at 170 MB, at the first 19 at 329 MB
+MAX_DIVISORS = 1 << 18
 
 
 def spectrum_an(label: AnCharacterLabel, sigma: CycleType) -> SpectrumProfile:
@@ -608,5 +618,5 @@ def render_min_poly(mp: MinPoly) -> str:
 def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     """Dimension of the fixed space of sigma's image (multiplicity of eigenvalue 1)."""
     _check_sizes(lam, sigma)
-    return _sums_at(lam, sigma, _fixed_space_weights)[0]
+    return _sums_at(lam, sigma, _fixed_space)[0]
 

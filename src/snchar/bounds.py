@@ -21,8 +21,7 @@ from itertools import chain
 
 from .arith import divisors
 from .characters_sn import _columns, chi, degree
-from .partitions import (CycleType, Partition, _Record, _sweep, _walk_partitions, conjugate,
-                         enumerate_partitions)
+from .partitions import CycleType, Partition, _Record, _sweep, _walk_partitions, _walk_parts, conjugate
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -372,10 +371,10 @@ def min_degree_check(n: int) -> BoundReport:
 def _sweep_uniform(check, bits: int, n: int) -> list[BoundReport]:
     """check(n, r, n // r, bits)(str(lam), |chi(lam at [r^(n/r)])|, degree(lam)) for every r | n and
     every partition lam of n, read from one class-major table whose first column, [1^n], holds the degrees."""
-    lams = enumerate_partitions(n)
+    parts = list(_walk_parts(n))
     divs = divisors(n)
-    cols = _columns(lams, [(r,) * (n // r) for r in divs])
-    texts = list(map(str, lams))
+    cols = _columns(parts, [(r,) * (n // r) for r in divs])
+    texts = list(map(str, map(Partition._unchecked, parts)))
     return [report(text, abs(val), d)
             for r, col in zip(divs, cols)
             for report in [check(n, r, n // r, bits)]

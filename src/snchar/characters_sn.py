@@ -28,12 +28,14 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import operator
 from functools import cache
 
 from .partitions import (
     CycleType,
     Partition,
     _check_sizes,
+    _cycle_pairs,
     _Record,
     conjugate,
     enumerate_partitions,
@@ -107,7 +109,8 @@ def _standard_count(mask: int) -> int:
 
 def _chi_row(mask: int, columns) -> list[int]:
     """chi of the beta set mask at each column, a class's cycle lengths in any order, fixed points last or left
-    out: a trie of removals walked depth first, each level expanded once and held while a column below needs it."""
+    out: a trie of removals walked depth first, each level expanded once, held while a column below needs it, or empty
+    and so ending its subtree."""
     trie: dict = {}
     for i, cycles in enumerate(columns):
         node = trie
@@ -120,6 +123,8 @@ def _chi_row(mask: int, columns) -> list[int]:
     while stack:
         node, k, states = stack.pop()
         states = _level(states, k) if k else states
+        if not states:
+            continue  # every column at or below this level is 0, as row holds already
         stack.extend((child, part, states) for part, child in node.items() if part)  # each expands when popped
         for i in node.get(0, ()):
             row[i] = sum(coef * tail(sub) for sub, coef in states.items() if coef)
@@ -128,7 +133,7 @@ def _chi_row(mask: int, columns) -> list[int]:
 
 def _columns(lams, types) -> list[list[int]]:
     """For each cycle type in types (lengths summing to n), chi^lam there for
-    every lam in lams, the caller's enumerate_partitions(n). From the empty
+    every part tuple lam in lams, the caller's _walk_parts(n). From the empty
     shape as n beads at 0 .. n - 1, p_k moves a bead b to an empty slot b + k;
     the types are a trie of their parts, ascending, so shared smaller parts
     expand once. Each level is omega-symmetric: with eps the product of
@@ -147,11 +152,13 @@ def _columns(lams, types) -> list[list[int]]:
         for k in sorted(cycles):
             node = node.setdefault(k, {})
         node.setdefault(0, []).append(t)
-    n = lams[0].n
+    n = sum(lams[0])
     if not n:
         return [[1] for _ in types]
-    rows = {sum(1 << (p + n - 1 - j) for j, p in enumerate(lam.parts)) | (1 << (n - len(lam.parts))) - 1: i
-            for i, lam in enumerate(lams)}
+    # the row index: beads at parts[j] + n - 1 - j, and the n - len(parts) empty rows at the bottom
+    bits, shifts, fill = [1 << b for b in range(2 * n)], range(n - 1, -1, -1), [(1 << n - h) - 1 for h in range(n + 1)]
+    rows = {sum(map(bits.__getitem__, map(operator.add, parts, shifts))) | fill[len(parts)]: i
+            for i, parts in enumerate(lams)}
     top = 1 << 2 * n >> 1  # a bead at b is a hole at 2n - 1 - b of the conjugate, the mask top >> b
     out: list = [None] * len(types)
     empty = (1 << n) - 1
@@ -348,6 +355,6 @@ def full_table(n: int) -> CharacterTable:
     if n > MAX_TABLE_N:
         raise ValueError(f"n={n} above limit={MAX_TABLE_N}")
     lams = tuple(enumerate_partitions(n))
-    classes = tuple(CycleType.from_partition(mu) for mu in lams)
-    values = tuple(zip(*_columns(lams, [mu.parts for mu in lams])))
-    return CharacterTable(n, lams, classes, values)
+    parts = [lam.parts for lam in lams]
+    classes = tuple(CycleType._unchecked(_cycle_pairs(mu)) for mu in parts)
+    return CharacterTable(n, lams, classes, tuple(zip(*_columns(parts, parts))))

@@ -23,7 +23,8 @@ from functools import partial
 from itertools import chain, compress, count
 
 from .characters_an import RESTRICTED, AnCharacterLabel, special_class
-from .partitions import CycleType, Partition, _Record, _sweep, conjugate, enumerate_partitions
+from .partitions import (CycleType, Partition, _conjugate_parts, _cycle_pairs, _Record, _sweep, _uniform_cycles,
+                         _walk_parts)
 from .spectral import (MinPoly, SpectrumProfile, _check_counts, _fixed_space, _full_min_poly, _halves, _ramanujan,
                        _sweep_sums, min_poly)
 
@@ -143,21 +144,15 @@ def predict_no_eigenvalue_one(n: int) -> set[tuple[Partition, CycleType]]:
     """
     if n < 3:
         raise ValueError(f"needs n >= 3: {n}")
-    out = {(Partition(key), CycleType.uniform(r, m, n)) for r, m in _uniform_shapes(n)
-           for key, (polys, _) in _exceptions_sn(n, r, m).items() if all(0 not in p.roots for p in polys)}
-    sign_char = Partition((1,) * n)
-    for mu in enumerate_partitions(n):
-        if (n - len(mu.parts)) % 2:  # an odd class: n minus the number of cycles is odd
-            out.add((sign_char, CycleType.from_partition(mu)))
-    if n % 2 and n >= 5:
-        out.add((Partition((2, 2) + (1,) * (n - 4)), CycleType.from_lengths([n - 2, 2])))
-    if n == 6:
-        out.add((Partition((2, 2, 2)), CycleType.from_lengths([3, 2, 1])))
-    if n == 8:
-        out.add((Partition((4, 4)), CycleType.from_lengths([5, 3])))
-        out.add((Partition((2, 2, 2, 2)), CycleType.from_lengths([5, 3])))
-    if n == 10:
-        out.add((Partition((2,) * 5), CycleType.from_lengths([5, 3, 2])))
+    # the root 1 is j = 0, read from each polynomial's compact form
+    out = {(Partition._unchecked(key), CycleType._unchecked(_uniform_cycles(r, m, n))) for r, m in _uniform_shapes(n)
+           for key, (polys, _) in _exceptions_sn(n, r, m).items() if not any(p._at_zero() for p in polys)}
+    sign_char = Partition._unchecked((1,) * n)  # at each odd class: n minus the number of cycles is odd
+    out.update((sign_char, CycleType._unchecked(_cycle_pairs(mu))) for mu in _walk_parts(n) if (n - len(mu)) % 2)
+    listed = {6: [((2, 2, 2), (3, 2, 1))], 8: [((4, 4), (5, 3)), ((2, 2, 2, 2), (5, 3))], 10: [((2,) * 5, (5, 3, 2))]}
+    if n % 2 and n >= 5:  # the near uniform family
+        listed[n] = [((2, 2) + (1,) * (n - 4), (n - 2, 2))]
+    out.update((Partition(lam), CycleType.from_lengths(mu)) for lam, mu in listed.get(n, ()))
     return out
 
 
@@ -194,26 +189,28 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
     predict_an sorts them. Entries found per (label row, class) are sorted
     back into label-major order. An A_n pair {lam, lam'} is labelled by the
     row of its larger member, and a self-conjugate row stands for both halves.
+    Rows are part tuples and classes (length, count) pairs: records only name entries and split classes.
     """
-    parts = enumerate_partitions(n)
-    index = {lam.parts: i for i, lam in enumerate(parts)}
+    parts = list(_walk_parts(n))
+    index = dict(zip(parts, count()))
+    lam = lambda i: Partition._unchecked(parts[i])
     if group == "sn":
         shapes, exceptions, split = _uniform_shapes(n), _exceptions_sn, {}
         labels = range(1, len(parts))  # (n) comes first: the trivial character is excluded
-        text = lambda i: str(parts[i])
+        text = lambda i: str(lam(i))
     else:
         shapes, exceptions = _uniform_shapes(n, even_only=True), _exceptions_an
-        conjugates = [conjugate(lam).parts for lam in parts]
-        labels = {i for i in range(1, len(parts)) if parts[i].parts >= conjugates[i]}
-        split = {i: special_class(parts[i]) for i in labels if parts[i].parts == conjugates[i]}
-        text = lambda i: f"[{parts[i]}]+/-" if i in split else f"[{parts[i]}]"
-    classes = [CycleType.uniform(r, m, n) for r, m in shapes]
+        conjugates = list(map(_conjugate_parts, parts))
+        labels = {i for i in range(1, len(parts)) if parts[i] >= conjugates[i]}
+        split = {i: special_class(lam(i)) for i in labels if parts[i] == conjugates[i]}
+        text = lambda i: f"[{lam(i)}]+/-" if i in split else f"[{lam(i)}]"
+    classes = [_uniform_cycles(r, m, n) for r, m in shapes]
     # per class, per divisor g of its order: one multiplicity per partition of n; last, the identity's
-    sums = list(_sweep_sums(parts, classes + [CycleType.uniform(1, n, n)], _ramanujan))
+    sums = list(_sweep_sums(parts, classes + [((1, n),)], _ramanujan))
     (degrees,) = sums.pop()
     render = lambda polys: " | ".join(p.rendered for p in polys)
     mismatches, exceptional = [], []  # (label row, class index, entry)
-    for k, ((r, m), sigma, by_gcd) in enumerate(zip(shapes, classes, sums)):
+    for k, ((r, m), cycles, by_gcd) in enumerate(zip(shapes, classes, sums)):
         _check_counts(r, by_gcd, degrees)
         table = {index[key]: entry for key, entry in exceptions(n, r, m).items()}
         zero = set().union(*(compress(count(), map(operator.not_, column)) for column in by_gcd))
@@ -223,7 +220,7 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
             got = (full,)
             if i in split or i in zero:
                 base = SpectrumProfile._from_gcd(r, [column[i] for column in by_gcd], degrees[i])
-                got = tuple(sorted(map(min_poly, _halves(sigma, base, split[i])),
+                got = tuple(sorted(map(min_poly, _halves(cycles, base, split[i])),
                                    key=_pair_key)) if i in split else (min_poly(base),)
             if got != polys:
                 mismatches.append((i, k, (n, text(i), r, m, render(polys), render(got))))
@@ -236,20 +233,20 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
 def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     """Pairs without eigenvalue 1, read off the character table of S_n: one
     column of fixed space dimensions per class, over every partition, against
-    predict_no_eigenvalue_one(n). Pairs are held as (row, class) indices, and
-    both orders are lexicographically decreasing, so descending indices sort
-    ascending."""
-    lams = enumerate_partitions(n)
-    classes = [CycleType.from_partition(mu) for mu in lams]
-    computed = {(i, k) for k, (dims,) in enumerate(_sweep_sums(lams, classes, _fixed_space))
+    predict_no_eigenvalue_one(n). Pairs are held as (row, class) indices, part tuples and (length, count)
+    pairs index them, and both orders are lexicographically decreasing, so descending indices sort ascending;
+    records are built only to name report entries."""
+    parts = list(_walk_parts(n))
+    classes = list(map(_cycle_pairs, parts))
+    computed = {(i, k) for k, (dims,) in enumerate(_sweep_sums(parts, classes, _fixed_space))
                 for i in compress(count(), map(operator.not_, dims))}
-    row = {lam.parts: i for i, lam in enumerate(lams)}
-    col = {sigma.cycles: k for k, sigma in enumerate(classes)}
+    row, col = dict(zip(parts, count())), dict(zip(classes, count()))
     predicted = {(row[lam.parts], col[sigma.cycles]) for lam, sigma in predict_no_eigenvalue_one(n)}
-    entries = lambda pairs, *tag: [(n, str(lams[i]), str(classes[k]), *tag) for i, k in sorted(pairs, reverse=True)]
+    entries = lambda pairs, *tag: [(n, str(Partition._unchecked(parts[i])), str(CycleType._unchecked(classes[k])), *tag)
+                                   for i, k in sorted(pairs, reverse=True)]
     mismatches = entries(computed - predicted, "unpredicted")
     mismatches += entries(predicted - computed, "predicted-but-eigenvalue-1-present")
-    return len(lams) ** 2, mismatches, entries(computed)
+    return len(parts) ** 2, mismatches, entries(computed)
 
 
 def _verify(kind: str, per_n, floor: int, min_n: int, max_n: int, threads: int) -> VerificationReport:

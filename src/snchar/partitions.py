@@ -17,7 +17,6 @@ import math
 import operator
 import os
 import re
-from collections import Counter
 
 __all__ = [
     "Partition",
@@ -133,26 +132,18 @@ class CycleType(_Record):
 
     @classmethod
     def from_lengths(cls, lengths) -> "CycleType":
-        return cls(tuple(sorted(Counter(lengths).items(), reverse=True)))
+        return cls(_cycle_pairs(sorted(lengths, reverse=True)))
 
     @classmethod
     def from_partition(cls, lam: Partition) -> "CycleType":
-        return cls.from_lengths(lam.parts)
+        return cls(_cycle_pairs(lam.parts))
 
     @classmethod
     def uniform(cls, r: int, m: int, n: int) -> "CycleType":
         """The class [r^m 1^(n-rm)] inside the symmetric group on n points."""
         if r < 1 or m < 0 or r * m > n:
             raise ValueError(f"need 1 <= r, 0 <= m, r*m <= n; got r={r} m={m} n={n}")
-        fixed = n - r * m
-        if r == 1:
-            m, fixed = m + fixed, 0
-        pairs = []
-        if m:
-            pairs.append((r, m))
-        if fixed:
-            pairs.append((1, fixed))
-        return cls(tuple(pairs))
+        return cls(_uniform_cycles(r, m, n))
 
     @property
     def n(self) -> int:
@@ -163,10 +154,7 @@ class CycleType(_Record):
         return tuple(a for a, b in self.cycles for _ in range(b))
 
     def count_of(self, length: int) -> int:
-        for a, b in self.cycles:
-            if a == length:
-                return b
-        return 0
+        return dict(self.cycles).get(length, 0)
 
     def order(self) -> int:
         return math.lcm(*(a for a, _ in self.cycles)) if self.cycles else 1
@@ -178,10 +166,7 @@ class CycleType(_Record):
         return self.sign() == 1
 
     def class_size(self) -> int:
-        z = 1
-        for a, b in self.cycles:
-            z *= a**b * math.factorial(b)
-        return math.factorial(self.n) // z
+        return math.factorial(self.n) // math.prod(a**b * math.factorial(b) for a, b in self.cycles)
 
     def splits_in_alternating(self) -> bool:
         """True when the class lies in A_n and breaks into two A_n classes.
@@ -202,18 +187,24 @@ class CycleType(_Record):
     def permutation(self) -> tuple[int, ...]:
         """Canonical representative on {1..n}: consecutive increasing cycles,
         longest cycle first. Entry k-1 of the result is the image of k."""
-        img = list(range(1, self.n + 1))
-        start = 1
-        for a, b in self.cycles:
-            for _ in range(b):
-                for off in range(a - 1):
-                    img[start - 1 + off] = start + off + 1
-                img[start + a - 2] = start
-                start += a
+        img: list[int] = []
+        for a in self.lengths():  # the cycle start -> start + 1 -> ... -> start + a - 1 -> start
+            start = len(img) + 1
+            img += [*range(start + 1, start + a), start]
         return tuple(img)
 
     def __str__(self) -> str:
         return format_cycle_type(self)
+
+
+def _uniform_cycles(r: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The (length, count) pairs of [r^m 1^(n-rm)], for 1 <= r, 0 <= m and r*m <= n: at r = 1, all n are fixed."""
+    return ((1, n),) if r == 1 and n else tuple(pair for pair in ((r, m), (1, n - r * m)) if pair[1])
+
+
+def _cycle_pairs(parts) -> tuple[tuple[int, int], ...]:
+    """The (length, count) pairs of the class whose cycle lengths are the weakly decreasing parts."""
+    return tuple((a, len(list(run))) for a, run in itertools.groupby(parts))
 
 
 def _power_cycles(cycles, i: int) -> list[tuple[int, int]]:
@@ -241,26 +232,25 @@ def _check_alternating(lam: Partition, sigma: CycleType) -> None:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """The transposed diagram, in one pass up the rows: the columns that end
-    in row i (past the end of row i + 1) have height i + 1."""
-    parts = lam.parts
+    """The transposed diagram."""
+    return Partition._unchecked(_conjugate_parts(lam.parts))
+
+
+def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of the transposed diagram, in one pass up the rows: the columns
+    that end in row i (past the end of row i + 1) have height i + 1."""
     out: list[int] = []
     below = 0
     for i in range(len(parts) - 1, -1, -1):
         out += [i + 1] * (parts[i] - below)
         below = parts[i]
-    return Partition._unchecked(tuple(out))
+    return tuple(out)
 
 
 def diagonal_hooks(lam: Partition) -> tuple[int, ...]:
     """Hook lengths of the main diagonal boxes, strictly decreasing."""
-    conj = conjugate(lam).parts
-    out = []
-    for i, p in enumerate(lam.parts, start=1):
-        if p < i:
-            break
-        out.append(p - i + conj[i - 1] - i + 1)
-    return tuple(out)
+    conj = _conjugate_parts(lam.parts)
+    return tuple(p + conj[i] - 2 * i - 1 for i, p in enumerate(lam.parts) if p > i)  # box (i, i) is in row i
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -270,17 +260,23 @@ def enumerate_partitions(n: int) -> list[Partition]:
     drops by one to h, and the boxes it and the trailing 1s free are refilled
     greedily with parts of size at most h. The walk only yields valid
     partitions, so they are built unchecked."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return list(_walk_partitions(n))
 
 
 def _walk_partitions(n: int):
-    """enumerate_partitions(n), one partition at a time, for n >= 0: a caller
-    that keeps only a few holds O(1) of them."""
+    """enumerate_partitions(n), one partition at a time: a caller
+    that keeps only a few holds O(1) of them: records of _walk_parts' tuples."""
+    return map(Partition._unchecked, _walk_parts(n))
+
+
+def _walk_parts(n: int):
+    """The part tuples of enumerate_partitions(n), one at a time: the sweeps'
+    inner loops read these and build no record."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     parts = [n] if n else []
     while True:
-        yield Partition._unchecked(tuple(parts))
+        yield tuple(parts)
         k = parts.index(1) if 1 in parts else len(parts)  # the trailing 1s start at k
         if not k:
             return
@@ -341,11 +337,7 @@ def partition_count(n: int) -> int:
 
 
 def format_partition(lam: Partition) -> str:
-    out = []
-    for part, group in itertools.groupby(lam.parts):
-        k = sum(1 for _ in group)
-        out.append(f"{part}^{k}" if k > 1 else str(part))
-    return ",".join(out)
+    return ",".join(f"{part}^{k}" if k > 1 else str(part) for part, k in _cycle_pairs(lam.parts))
 
 
 _ATOM = re.compile(r"(\d+)(?:\^(\d+))?")

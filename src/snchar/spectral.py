@@ -147,6 +147,9 @@ class _Residues:
     def _hold_compact(self, r: int, pos: tuple, neg: tuple, d: int) -> None:
         self.r, self._values, self._compact = r, None, (1, pos, pos) if pos == neg else (d, pos, neg)
 
+    def _at_zero(self):  # the value at j = 0, whose gcd with r is r: pos[-1] of the compact form
+        return self._compact[1][-1] if self._compact else self._values[0]
+
     def _listed(self) -> tuple:
         """One value per residue, spread from the compact form on first access."""
         if self._values is None:
@@ -307,22 +310,22 @@ def _combine(weights, columns) -> list[int]:
 
 
 def _divide(sums: list[int], r: int) -> list[int]:
-    """sums / r entry by entry, each division checked to be exact."""
-    if any(map(operator.mod, sums, repeat(r))):
+    """sums / r entry by entry, checked exact: each x - r * (x // r) is in [0, r), so all vanish iff their sum does."""
+    out = list(map(operator.floordiv, sums, repeat(r)))
+    if sum(sums) != r * sum(out):
         raise RuntimeError("non-integer multiplicity (internal bug)")
-    return list(map(operator.floordiv, sums, repeat(r)))
+    return out
 
 
-def _sweep_sums(lams, classes: list[CycleType], weigh):
-    """Yield per class sigma of order r the columns (1/r) * weigh(r, chi(sigma^d) over d | r), aligned with lams (the
-    caller's enumerate_partitions(n)), from one _columns table of each power reached, as cycle lengths longest first."""
-    column: dict[tuple[int, ...], int] = {}
+def _sweep_sums(lams, classes, weigh):
+    """Yield per class sigma of order r, as (length, count) pairs, the columns (1/r) * weigh(r, chi(sigma^d) over
+    d | r), aligned with the part tuples lams (the caller's _walk_parts(n)), from one _columns table of the powers."""
+    column: dict[tuple[tuple[int, int], ...], int] = {}
     plan = []
-    for sigma in classes:
-        r = sigma.order()
-        powers = (tuple(a for a, b in _power_cycles(sigma.cycles, d) for _ in range(b)) for d in divisors(r))
-        plan.append((r, [column.setdefault(lengths, len(column)) for lengths in powers]))
-    table = _columns(lams, list(column))
+    for cycles in classes:
+        r = math.lcm(*(a for a, _ in cycles))
+        plan.append((r, [column.setdefault(tuple(_power_cycles(cycles, d)), len(column)) for d in divisors(r)]))
+    table = _columns(lams, [[a for a, b in pairs for _ in range(b)] for pairs in column])
     for r, cols in plan:
         yield [_divide(sums, r) for sums in weigh(r, [table[k] for k in cols], _combine)]
 
@@ -476,14 +479,14 @@ def _split_pair(lam: Partition, sigma: CycleType) -> tuple[SpectrumProfile, Spec
     """The plus and minus halves of the split pair of lam at sigma, for checked arguments."""
     from .characters_an import special_class
 
-    return _halves(sigma, spectrum_sn(lam, sigma), special_class(lam))
+    return _halves(sigma.cycles, spectrum_sn(lam, sigma), special_class(lam))
 
 
-def _halves(sigma: CycleType, base: SpectrumProfile, special: CycleType) -> tuple[SpectrumProfile, SpectrumProfile]:
-    """The plus and minus halves of a split pair at sigma, from base, the parent's
-    spectrum_sn at sigma, and special, the pair's distinguished class."""
+def _halves(cycles, base: SpectrumProfile, special: CycleType) -> tuple[SpectrumProfile, SpectrumProfile]:
+    """The plus and minus halves of a split pair at the class of the (length, count) pairs
+    cycles, from base, the parent's spectrum_sn there, and special, the pair's distinguished class."""
     r, half_degree, by_gcd = base.r, base.degree // 2, base._compact[1]  # base is Galois stable: d = 1
-    if sigma != special:
+    if cycles != special.cycles:
         if any(m % 2 for m in by_gcd):
             raise RuntimeError("odd multiplicity away from the distinguished class (internal bug)")
         half = SpectrumProfile._from_gcd(r, [m // 2 for m in by_gcd], half_degree)

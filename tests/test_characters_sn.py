@@ -358,6 +358,17 @@ def test_powers_share_their_first_removals(level_inputs):
     assert len(level_inputs) <= 15
 
 
+def test_an_empty_level_ends_its_subtree(level_inputs):
+    # (4,2) has no 3-hook: the first removal leaves nothing, and the second 3-cycle expands no level
+    assert chi(parse_partition("4,2"), parse_cycle_type("3^2")) == 0
+    assert level_inputs == [1]
+    # an 11-hook level empties here, and 16 empty levels ran below it (53 calls) before they were skipped
+    level_inputs.clear()
+    lam, sigma = parse_partition("8,8,7,3,2^7"), parse_cycle_type("15^1 11^1 4^1 2^2 1^6")
+    assert fixed_space_dim(lam, sigma) == 617311447563157516
+    assert 0 not in level_inputs and len(level_inputs) == 37
+
+
 def test_removal_orders_agree_and_the_shipped_order_stays_small(monkeypatch, level_inputs):
     # 240 seeded (lam, sigma) pairs at each of n = 20, 24, 28. Murnaghan-Nakayama allows any removal
     # order, so the row a spectrum reads, its cycle groups (a, b) by a * b, equals the rows with each
@@ -421,7 +432,7 @@ def test_columns_equal_rows_on_every_cell_to_n_16():
     # the class-major builder and the single-query rows share no helper: each checks the other
     for n in range(17):
         lams = enumerate_partitions(n)
-        cols, classes = _columns(lams, [mu.parts for mu in lams]), _class_lengths(n)
+        cols, classes = _columns([lam.parts for lam in lams], [mu.parts for mu in lams]), _class_lengths(n)
         rows = [_chi_row(_beta_set(lam.parts), classes) for lam in lams]
         assert [list(col) for col in zip(*rows)] == cols, n
 
@@ -431,7 +442,7 @@ def test_columns_equal_rows_on_sampled_columns(n):
     # every 97th class, in any part order; a repeated type gets its column twice
     types = _class_lengths(n)[::97]
     types = [tuple(reversed(t)) for t in types] + types[:1]
-    cols = _columns(enumerate_partitions(n), types)
+    cols = _columns([lam.parts for lam in enumerate_partitions(n)], types)
     assert cols[-1] == cols[0]
     for i, lam in enumerate(enumerate_partitions(n)):
         row = _chi_row(_beta_set(lam.parts), [tuple(sorted(t, reverse=True)) for t in types])
@@ -450,7 +461,7 @@ def test_columns_at_self_conjugate_rows_and_all_even_types(n, selfs):
     types = even + [(2,) + (1,) * (n - 2), (3,) + (1,) * (n - 3), (n - 2, 2)]
     signs = [(-1) ** sum(k - 1 for k in t) for t in types]
     assert {1, -1} <= {eps for t, eps in zip(types, signs) if t in even}
-    cols = _columns(lams, types)
+    cols = _columns([lam.parts for lam in lams], types)
     for lam in lams:
         row = _chi_row(_beta_set(lam.parts), [tuple(sorted(t, reverse=True)) for t in types])
         assert row == [col[index[lam]] for col in cols], lam

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import hashlib
 import json
@@ -230,6 +231,29 @@ def test_eigenvalue_one_kernel_matches_cyclotomic_ring_route():
     }
     assert set(report.exceptional) == expected
     assert len(report.exceptional) == len(expected)
+
+
+@pytest.mark.parametrize("verify, n", [(verify_eigenvalue_one, 12), (verify_minpoly_an, 15)])
+def test_sweeps_build_records_only_for_their_report(monkeypatch, verify, n):
+    # the kernels run on part tuples and (length, count) pairs: a Partition or CycleType is built to
+    # name a report entry, a split row's distinguished class or a member of the eigenvalue-1
+    # statement, not once per (partition, class), which is p(n) * p(n) = 5 929 cases at n = 12
+    listed = len(predict_no_eigenvalue_one(n)) if verify is verify_eigenvalue_one else 0
+    built = collections.Counter()
+
+    def counting(cls, build):
+        def counted(*args):
+            built[cls.__name__] += 1
+            return build(*args)
+        return counted
+
+    for cls in (Partition, CycleType):
+        monkeypatch.setattr(cls, "__init__", counting(cls, vars(cls)["__init__"]))
+        monkeypatch.setattr(cls, "_unchecked", classmethod(counting(cls, vars(cls)["_unchecked"].__func__)))
+    report = verify(n, min_n=n)
+    assert report.ok
+    entries = len(report.mismatches) + len(report.exceptional)
+    assert built["Partition"] <= entries + listed + 16 and built["CycleType"] <= entries + listed + 16, built
 
 
 def test_eigenvalue_one_kernel_powers_each_class_once(monkeypatch):

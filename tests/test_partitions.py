@@ -15,6 +15,8 @@ from snchar.partitions import (
     MAX_PARSE_N,
     CycleType,
     Partition,
+    _walk_partitions,
+    _walk_parts,
     conjugate,
     diagonal_hooks,
     enumerate_partitions,
@@ -182,6 +184,13 @@ def test_enumerated_partitions_equal_validated_ones():
             assert type(lam.parts) is tuple and all(type(p) is int for p in lam.parts)
     with pytest.raises(ValueError, match="weakly decreasing"):
         Partition((1, 2))
+
+
+@pytest.mark.parametrize("walk", [enumerate_partitions, _walk_partitions, _walk_parts])
+def test_every_partition_walk_refuses_a_negative_n(walk):
+    # unchecked, the walk would start at [n] and grow without end
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        list(walk(-3))
 
 
 def test_enumerate_partitions_keeps_nothing_after_the_call():

@@ -694,6 +694,32 @@ def test_a_ramanujan_sum_off_by_one_is_caught_by_the_exact_division(monkeypatch)
         classify.verify_minpoly_sn(6, min_n=6)
 
 
+def test_sweep_sums_agree_with_single_queries_on_every_class():
+    # the sweep's plan keys each power sigma^d by its (length, count) pairs; every class of S_7
+    # and S_8, as pairs, gives per partition the per-divisor multiplicities of spectrum_sn
+    for n in (7, 8):
+        lams = enumerate_partitions(n)
+        classes = [CycleType.from_partition(mu) for mu in lams]
+        sweep = spectral._sweep_sums([lam.parts for lam in lams], [sigma.cycles for sigma in classes],
+                                     spectral._ramanujan)
+        for sigma, by_gcd in zip(classes, sweep, strict=True):
+            assert [list(col) for col in zip(*by_gcd)] == [list(spectrum_sn(lam, sigma)._compact[1]) for lam in lams]
+
+
+@pytest.mark.parametrize("sums", [[-3, 3], [1, -1], [5, 0, -1], [1], [0, 0, 3]])
+def test_divide_refuses_a_remainder_on_mixed_sign_columns(sums):
+    # floor quotients make every slack x - 2 * (x // 2) lie in [0, 2), so opposite remainders cannot cancel
+    with pytest.raises(RuntimeError, match=r"^non-integer multiplicity \(internal bug\)$"):
+        spectral._divide(sums, 2)
+
+
+def test_divide_returns_the_quotients_of_exact_columns():
+    assert spectral._divide([4, -6, 0, 2], 2) == [2, -3, 0, 1]
+    assert spectral._divide([-9, 3, 27], 3) == [-3, 1, 9]
+    assert spectral._divide([7, -5], 1) == [7, -5]
+    assert spectral._divide([], 5) == []
+
+
 def test_spectrum_an_restricted_equals_parent():
     label = AnCharacterLabel.restricted(parse_partition("4,1"))
     sigma = parse_cycle_type("5^1")

@@ -20,8 +20,8 @@ from functools import partial
 from itertools import chain
 
 from .arith import divisors
-from .characters_sn import _columns, chi, degree
-from .partitions import CycleType, Partition, _Record, _sweep, _walk_partitions, _walk_parts, conjugate
+from .characters_sn import _beta_set, _columns, _standard_count, chi, degree
+from .partitions import MAX_SWEEP_N, CycleType, Partition, _conjugate_parts, _Record, _sweep, _walk_parts
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -268,11 +268,10 @@ def robbins_check(n: int, *, bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
     """sqrt(2 pi) n^(n+1/2) e^(-n) e^(1/(12n+1)) < n! < same with e^(1/(12n))."""
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
+    if n > MAX_SWEEP_N["robbins"]:  # each check slows as about n^1.7: 80 s at 1.6 * 10^6
+        raise ValueError(f"robbins checks are capped by time, and n = {n} > MAX_SWEEP_N = {MAX_SWEEP_N['robbins']}")
     _check_bits(bits)
-    try:
-        nf = math.factorial(n)
-    except OverflowError:  # n > sys.maxsize
-        raise ValueError(f"n! is out of reach: n = {n}") from None
+    nf = math.factorial(n)
     w = bits + n.bit_length() + 8  # e^n from e's enclosure is n times as wide, relatively
     pi, en = _pi(w), _pow(_exp(1, 1, w), n, w)
 
@@ -343,24 +342,24 @@ def min_degree_check(n: int) -> BoundReport:
         raise ValueError(f"table starts at n = 15: {n}")
     if n > MAX_MIN_DEGREE_N:
         raise ValueError(f"min-degree walks every partition of n, and n = {n} > MAX_MIN_DEGREE_N = {MAX_MIN_DEGREE_N}")
-    rows = [(name, Partition(shape), stated) for name, shape, stated in _min_degree_rows(n)]
-    listed = {Partition((n,)), Partition((1,) * n)}
-    for _, lam, _ in rows:
-        listed |= {lam, conjugate(lam)}
+    rows = _min_degree_rows(n)  # shapes as part tuples, as the walk yields them
+    listed = {(n,), (1,) * n}
+    for _, shape, _ in rows:
+        listed |= {shape, _conjugate_parts(shape)}
     # one pass: the shapes at each stated degree, and the smallest degree of an unlisted shape
-    at_degree: dict[int, set[Partition]] = {stated: set() for _, _, stated in rows}
+    at_degree: dict[int, set[tuple[int, ...]]] = {stated: set() for _, _, stated in rows}
     outside = None
-    for lam in _walk_partitions(n):
-        d = degree(lam)
+    for parts in _walk_parts(n):
+        d = _standard_count(_beta_set(parts))
         if d in at_degree:
-            at_degree[d].add(lam)
-        if lam not in listed and (outside is None or d < outside):
+            at_degree[d].add(parts)
+        if parts not in listed and (outside is None or d < outside):
             outside = d
     clauses = []
     prev = 1
-    for name, lam, stated in rows:
-        actual = degree(lam)
-        ok = actual == stated and at_degree[stated] == {lam, conjugate(lam)} and stated > prev
+    for name, shape, stated in rows:
+        actual = _standard_count(_beta_set(shape))
+        ok = actual == stated and at_degree[stated] == {shape, _conjugate_parts(shape)} and stated > prev
         clauses.append(BoundClause(name, str(actual), str(stated), "0" if ok else str(actual - stated), ok))
         prev = stated
     sep_ok = outside > prev

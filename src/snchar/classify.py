@@ -238,8 +238,11 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     records are built only to name report entries."""
     parts = list(_walk_parts(n))
     classes = list(map(_cycle_pairs, parts))
-    computed = {(i, k) for k, (dims,) in enumerate(_sweep_sums(parts, classes, _fixed_space))
-                for i in compress(count(), map(operator.not_, dims))}
+    computed = set()
+    for k, (dims,) in enumerate(_sweep_sums(parts, classes, _fixed_space)):  # one class column held at a time
+        if min(dims) < 0:
+            raise RuntimeError("negative fixed space dimension (internal bug)")
+        computed.update((i, k) for i in compress(count(), map(operator.not_, dims)))
     row, col = dict(zip(parts, count())), dict(zip(classes, count()))
     predicted = {(row[lam.parts], col[sigma.cycles]) for lam, sigma in predict_no_eigenvalue_one(n)}
     entries = lambda pairs, *tag: [(n, str(Partition._unchecked(parts[i])), str(CycleType._unchecked(classes[k])), *tag)

@@ -42,17 +42,6 @@ def _parse_query(args) -> tuple[Partition, CycleType]:
     return lam, sigma
 
 
-def _an_labels(lam: Partition, variant: str | None) -> list:
-    """The labels a query addresses: one, or both halves of a split pair."""
-    from .characters_an import AnCharacterLabel, is_split
-
-    if variant is None:
-        if is_split(lam):
-            return list(AnCharacterLabel.split_pair(lam))
-        return [AnCharacterLabel.restricted(lam)]
-    return [AnCharacterLabel(lam, variant)]
-
-
 def _check_listed(what: str, sigma: CycleType) -> None:
     from .spectral import MAX_LISTED_R
 
@@ -72,7 +61,7 @@ def _by_id(values: tuple, form):
 def _write_joined(texts, sep: str, first: str = "") -> bool:
     """Write first and the strings texts joined by sep, a slice at a time, so that they are never
     held whole; for no texts, write nothing and return False."""
-    wrote = False
+    texts, wrote = iter(texts), False
     while chunk := list(islice(texts, 256)):
         sys.stdout.write((sep if wrote else first) + sep.join(chunk))
         wrote = True
@@ -109,23 +98,47 @@ def _emit(args, payload, text: str) -> None:
         print(text)
 
 
-def _cmd_char(args) -> int:
+def _labelled(args, sn, an, key: str, fields, text, listed: str | None = None, label_one: bool = False) -> int:
+    """The flow of a labelled query (char, spectrum, minpoly): parse lambda and the class; where listed names
+    the listing, refuse a class above MAX_LISTED_R before any character work; compute sn(lam, sigma), or
+    an(label, sigma) for every label the query addresses (both halves of a split pair unless --variant names
+    one); then write one JSON object, the query with fields(result) for sn or a list of them under key for
+    an, or a text line per result, its head and texts joined by "," as text(result) gives them. An an line
+    leads with its label when there are several results or label_one is set. Every result, and every
+    line's head and texts, exists before the first byte is written."""
     lam, sigma = _parse_query(args)
+    if listed is not None:
+        _check_listed(listed, sigma)
     if args.group == "sn":
-        value = chi(lam, sigma)
-        _emit(args, lambda: {"group": "sn", "lambda": str(lam), "shape": str(sigma), "value": str(value)}, str(value))
-        return 0
-    from .characters_an import chi_an
+        results = [(None, sn(lam, sigma))]
+    else:
+        from .characters_an import AnCharacterLabel, is_split
 
-    labels = _an_labels(lam, args.variant)
-    rows = []
-    lines = []
-    for label in labels:
-        value = chi_an(label, sigma)
-        rows.append({"label": str(label), "value": value.to_json_dict(), "rendered": str(value)})
-        lines.append(f"{label} {value}" if len(labels) > 1 else str(value))
-    _emit(args, lambda: {"group": "an", "lambda": str(lam), "shape": str(sigma), "values": rows}, "\n".join(lines))
+        labels = ([AnCharacterLabel(lam, args.variant)] if args.variant is not None
+                  else AnCharacterLabel.split_pair(lam) if is_split(lam) else [AnCharacterLabel.restricted(lam)])
+        results = [(label, an(label, sigma)) for label in labels]
+    query = {"group": args.group, "lambda": str(lam), "shape": str(sigma)}
+    if args.format == "json":
+        _write_json({**query, **fields(results[0][1])} if args.group == "sn"
+                    else {**query, key: [{"label": str(label), **fields(result)} for label, result in results]})
+        return 0
+    tagged = len(results) > 1 or label_one
+    lines = [(f"{label} " if label is not None and tagged else "", *text(result)) for label, result in results]
+    for tag, head, texts in lines:
+        _write_joined(texts, ",", tag + head)
+        sys.stdout.write("\n")
     return 0
+
+
+def _cmd_char(args) -> int:
+    def an(label, sigma):
+        from .characters_an import chi_an  # here, so that an sn query never loads characters_an
+
+        return chi_an(label, sigma)
+
+    # an sn value is an integer, an an value an AlgebraicValue, written in JSON as its fields and its text
+    fields = lambda v: {"value": str(v)} if isinstance(v, int) else {"value": v.to_json_dict(), "rendered": str(v)}
+    return _labelled(args, chi, an, "values", fields, lambda v: ("", [str(v)]))
 
 
 def _cmd_degree(args) -> int:
@@ -153,51 +166,17 @@ def _cmd_table(args) -> int:
 def _cmd_spectrum(args) -> int:
     from .spectral import spectrum_an, spectrum_sn
 
-    def print_mult(head: str, profile) -> None:
-        _write_joined(_by_id(profile.mult, str), ",", head)  # a mult lists at least one value
-        sys.stdout.write("\n")
-
-    lam, sigma = _parse_query(args)
-    _check_listed("spectrum", sigma)
     # in JSON, each profile stands for its mult list, which _write_json formats one distinct value at a time
-    if args.group == "sn":
-        profile = spectrum_sn(lam, sigma)
-        if args.format == "json":
-            _write_json({"group": "sn", "lambda": str(lam), "shape": str(sigma), "r": profile.r,
-                         "degree": profile.degree, "mult": profile})
-        else:
-            print_mult(f"r={profile.r} degree={profile.degree} mult=", profile)
-        return 0
-    profiles = [(label, spectrum_an(label, sigma)) for label in _an_labels(lam, args.variant)]
-    if args.format == "json":
-        _write_json({"group": "an", "lambda": str(lam), "shape": str(sigma),
-                     "spectra": [{"label": str(label), "r": profile.r, "degree": profile.degree, "mult": profile}
-                                 for label, profile in profiles]})
-    else:
-        for label, profile in profiles:
-            print_mult(f"{label} r={profile.r} degree={profile.degree} mult=", profile)
-    return 0
+    return _labelled(args, spectrum_sn, spectrum_an, "spectra", lambda p: {"r": p.r, "degree": p.degree, "mult": p},
+                     lambda p: (f"r={p.r} degree={p.degree} mult=", _by_id(p.mult, str)), "spectrum", label_one=True)
 
 
 def _cmd_minpoly(args) -> int:
     from .spectral import min_poly, spectrum_an, spectrum_sn
 
-    lam, sigma = _parse_query(args)
-    if args.format == "json":
-        _check_listed("minpoly --format json", sigma)
-    if args.group == "sn":
-        poly = min_poly(spectrum_sn(lam, sigma))
-        _emit(args, lambda: {"group": "sn", "lambda": str(lam), "shape": str(sigma), **poly.to_json_dict()},
-              poly.rendered)
-        return 0
-    labels = _an_labels(lam, args.variant)
-    polys = [(label, min_poly(spectrum_an(label, sigma))) for label in labels]
-    lines = [f"{label} {poly.rendered}" if len(labels) > 1 else poly.rendered for label, poly in polys]
-    _emit(args,
-          lambda: {"group": "an", "lambda": str(lam), "shape": str(sigma),
-                   "minpolys": [{"label": str(label), **poly.to_json_dict()} for label, poly in polys]},
-          "\n".join(lines))
-    return 0
+    return _labelled(args, lambda lam, sigma: min_poly(spectrum_sn(lam, sigma)),
+                     lambda label, sigma: min_poly(spectrum_an(label, sigma)), "minpolys", lambda p: p.to_json_dict(),
+                     lambda p: ("", [p.rendered]), "minpoly --format json" if args.format == "json" else None)
 
 
 def _cmd_fixdim(args) -> int:

@@ -260,13 +260,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     drops by one to h, and the boxes it and the trailing 1s free are refilled
     greedily with parts of size at most h. The walk only yields valid
     partitions, so they are built unchecked."""
-    return list(_walk_partitions(n))
-
-
-def _walk_partitions(n: int):
-    """enumerate_partitions(n), one partition at a time: a caller
-    that keeps only a few holds O(1) of them: records of _walk_parts' tuples."""
-    return map(Partition._unchecked, _walk_parts(n))
+    return list(map(Partition._unchecked, _walk_parts(n)))
 
 
 def _walk_parts(n: int):
@@ -291,8 +285,8 @@ def _walk_parts(n: int):
 # eigenvalue-one at 28, each step of 2 in n multiplying the peak by 1.5 to 2.1. A uniform bound sweep
 # holds one report per (partition, divisor of n): 298 704 reports at 40, 196 MB and 10-12 s for
 # fomin-lulov, 198 MB and 6-11 s for estimate; 425 376 reports at 42. The robbins and tail sweeps hold
-# one report per n: robbins, each check slower with n, takes 53 s to 10 000 at 24 MB, so time binds;
-# tail takes 16 s to 250 000 at 240 MB (258 MB at 270 000), so memory binds.
+# one report per n: robbins, each check slower with n, takes 53 s to 10 000 at 24 MB, so time binds, and
+# one robbins_check obeys it too; tail takes 16 s to 250 000 at 240 MB (258 MB at 270 000), so memory binds.
 MAX_SWEEP_N = {"minpoly-sn": 34, "minpoly-an": 36, "eigenvalue-one": 28, "fomin-lulov": 40, "estimate": 40,
                "robbins": 10_000, "tail": 250_000}
 

@@ -34,8 +34,8 @@ psi induced to modulus r. With g = gcd(j, r), r' = r/g and t = r'/f (Montgomery
 
 T depends on j only through g and psi(j/g) = +-1, so _halves builds both halves
 of a pair from one parent spectrum as at most 2 * d(r) multiplicities, and
-min_poly reads their support from those; only mult lists one entry per
-residue, refused above MAX_LISTED_R for every profile held per divisor.
+min_poly reads their support from those; only mult and roots list the
+residues, refused above MAX_LISTED_R for values held per divisor.
 
 Independent slow routes, kept for tests: spectrum_sn_direct reduces the
 defining sums in the cyclotomic ring, _gauss_correction recomputes T from
@@ -110,7 +110,7 @@ def _check_counts(r: int, columns, degrees: list[int]) -> None:
     sweeps): none negative, and weighted by phi(r/g) they sum to the degrees."""
     phis = _phis(r)
     if len(columns) != len(phis):
-        raise ValueError("columns must list one column per divisor of r")
+        raise RuntimeError("columns must list one column per divisor of r (internal bug)")
     if min(map(min, columns)) < 0:
         raise RuntimeError("negative multiplicity (internal bug)")
     if _combine(phis, columns) != degrees:
@@ -126,14 +126,14 @@ def _check_case(mult, weights, degree: int) -> None:
 
 
 class _Residues:
-    """One value per residue j in range(r): the store of SpectrumProfile and MinPoly, and
-    the only code that knows its format. Values that depend on j only through g = gcd(j, r)
-    and the sign of (d | j/g), for a squarefree d = 1 mod 4, are held compactly as
-    (d, pos, neg), aligned with divisors(r): pos[k] where (d | j/g) = 1 and neg[k] where it
-    is -1, spread over the residues on first access. The form is canonical: pos == neg
-    stores d = 1, values shared by every j of equal gcd (a union of Galois orbits). Any
-    other values are held per residue. Equality and hashing compare the values within one
-    class, whichever form holds them."""
+    """One value per residue j in range(r): the store of SpectrumProfile and MinPoly (min_poly,
+    render_min_poly, _halves and MinPoly.is_full read its compact form too). Values that
+    depend on j only through g = gcd(j, r) and the sign of (d | j/g), for a squarefree
+    d = 1 mod 4, are held compactly as (d, pos, neg), aligned with divisors(r): pos[k] where
+    (d | j/g) = 1 and neg[k] where it is -1, spread over the residues on first access. The
+    form is canonical: pos == neg stores d = 1, values shared by every j of equal gcd (a
+    union of Galois orbits). Any other values are held per residue. Equality and hashing
+    compare the values within one class, whichever form holds them."""
 
     __slots__ = ("r", "_values", "_compact")
 
@@ -150,9 +150,12 @@ class _Residues:
     def _at_zero(self):  # the value at j = 0, whose gcd with r is r: pos[-1] of the compact form
         return self._compact[1][-1] if self._compact else self._values[0]
 
-    def _listed(self) -> tuple:
-        """One value per residue, spread from the compact form on first access."""
+    def _listed(self, refusal: str = "") -> tuple:
+        """One value per residue, spread from the compact form on first access; a listing that states
+        its refusal is refused for values held per divisor when r > MAX_LISTED_R, whatever their d."""
         if self._values is None:
+            if refusal and self.r > MAX_LISTED_R:
+                raise ValueError(f"{refusal}, and r = {self.r} > MAX_LISTED_R = {MAX_LISTED_R}")
             d, pos, neg = self._compact
             self._values = tuple(_spread(self.r, pos, neg, d))
         return self._values
@@ -170,6 +173,13 @@ class _Residues:
         # the value at j = g for each divisor g: pos in the compact form, as j = g has j/g = 1
         r = self.r
         return hash((r, self._compact[1] if self._compact else tuple(self._values[g % r] for g in divisors(r))))
+
+    def _shown(self, listing: str) -> str:
+        """listing=its value for repr, or above the listing cap the compact form (d, pos, neg)."""
+        try:
+            return f"{listing}={getattr(self, listing)!r}"
+        except ValueError:
+            return f"compact={self._compact}"
 
 
 class SpectrumProfile(_Residues):
@@ -209,10 +219,7 @@ class SpectrumProfile(_Residues):
 
     @property
     def mult(self) -> tuple[int, ...]:
-        if self._values is None and self.r > MAX_LISTED_R:
-            raise ValueError(f"a profile held per divisor of r lists one multiplicity per residue, "
-                             f"and r = {self.r} > MAX_LISTED_R = {MAX_LISTED_R}")
-        return self._listed()
+        return self._listed("a profile held per divisor of r lists one multiplicity per residue")
 
     def support(self) -> frozenset[int]:
         return min_poly(self).roots
@@ -221,11 +228,7 @@ class SpectrumProfile(_Residues):
         return {"r": self.r, "degree": self.degree, "mult": list(self.mult)}
 
     def __repr__(self) -> str:
-        try:
-            held = f"mult={self.mult}"
-        except ValueError:  # above the listing cap: the compact form (d, pos, neg)
-            held = f"compact={self._compact}"
-        return f"SpectrumProfile(r={self.r}, {held}, degree={self.degree})"
+        return f"SpectrumProfile(r={self.r}, {self._shown('mult')}, degree={self.degree})"
 
 
 class MinPoly(_Residues):
@@ -242,7 +245,8 @@ class MinPoly(_Residues):
 
     @property
     def roots(self) -> frozenset[int]:
-        return frozenset(compress(range(self.r), self._listed()))
+        return frozenset(compress(range(self.r), self._listed("a minimal polynomial held per divisor of r lists "
+                                                              "its roots one residue at a time")))
 
     @property
     def rendered(self) -> str:
@@ -255,7 +259,7 @@ class MinPoly(_Residues):
         return {"r": self.r, "roots": sorted(self.roots), "rendered": self.rendered}
 
     def __repr__(self) -> str:
-        return f"MinPoly(r={self.r}, roots={self.roots!r})"
+        return f"MinPoly(r={self.r}, {self._shown('roots')})"
 
 
 def _support(r: int, pos, neg, d: int) -> MinPoly:
@@ -445,9 +449,9 @@ def _quadratic_character(d: int) -> tuple[int, ...]:
     return psi
 
 
-# listings of one multiplicity per residue are refused above this order r: the mult of
-# any profile held per divisor (repr prints that form), and cli's spectrum and minpoly
-# --format json; so is a rendered minimal polynomial that divides out more roots than this
+# listings of one value per residue are refused above this order r: the mult and roots of
+# any profile or minimal polynomial held per divisor (repr prints that form), and cli's spectrum
+# and minpoly --format json; so is a rendered minimal polynomial that divides out more roots than this
 MAX_LISTED_R = 1 << 20
 # spectrum_sn, spectrum_an and fixed_space_dim refuse an order r of more divisors, one power sigma^d each:
 # the row of (n - 2, 2) at the first 18 primes (n = 501) peaks at 170 MB, at the first 19 at 329 MB
@@ -617,5 +621,8 @@ def render_min_poly(mp: MinPoly) -> str:
 def fixed_space_dim(lam: Partition, sigma: CycleType) -> int:
     """Dimension of the fixed space of sigma's image (multiplicity of eigenvalue 1)."""
     _check_sizes(lam, sigma)
-    return _sums_at(lam, sigma, _fixed_space)[0]
+    (dim,) = _sums_at(lam, sigma, _fixed_space)
+    if not 0 <= dim <= degree(lam):
+        raise RuntimeError(f"fixed space dimension {dim} outside 0..degree (internal bug)")
+    return dim
 

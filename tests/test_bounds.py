@@ -166,6 +166,10 @@ def test_robbins_structure():
     assert names == ["lower", "upper"]
     with pytest.raises(ValueError):
         robbins_check(0)
+    # the cap of the robbins sweep binds one check too: n = 10 000 holds, one more is refused
+    assert robbins_check(10_000).holds
+    with pytest.raises(ValueError, match="capped by time"):
+        robbins_check(10_001)
 
 
 def test_tail_known():

@@ -17,6 +17,7 @@ from snchar.classify import (
     verify_minpoly_an,
     verify_minpoly_sn,
 )
+from snchar.cli import main
 from snchar.partitions import CycleType, Partition, enumerate_partitions, parse_cycle_type, parse_partition
 from snchar.spectral import (MinPoly, SpectrumProfile, _full_min_poly, divisors, min_poly, spectrum_an, spectrum_sn,
                              spectrum_sn_direct)
@@ -311,6 +312,33 @@ def test_sweep_column_checks_fire(monkeypatch, verify, n, corrupt):
     monkeypatch.setattr(classify, "_sweep_sums", corrupted)
     with pytest.raises(RuntimeError, match="internal bug"):
         verify(n, min_n=n)
+
+
+def _corrupt_first_class(monkeypatch, change):
+    real = classify._sweep_sums
+
+    def corrupted(size, classes, weigh):
+        sums = list(real(size, classes, weigh))
+        change(sums[0])
+        return sums
+
+    monkeypatch.setattr(classify, "_sweep_sums", corrupted)
+
+
+def test_negative_fixed_space_dimension_is_an_internal_error(monkeypatch, capsys):
+    # (n - 1, 1) at the n-cycle has no eigenvalue 1; a -1 there would read as "present", a mismatch (exit 1)
+    _corrupt_first_class(monkeypatch, lambda columns: columns[0].__setitem__(1, -1))
+    with pytest.raises(RuntimeError, match=r"^negative fixed space dimension \(internal bug\)$"):
+        verify_eigenvalue_one(8, min_n=8)
+    assert main(["verify", "eigenvalue-one", "--max-n", "8", "--min-n", "8"]) == 3
+    assert capsys.readouterr().err == "internal error: negative fixed space dimension (internal bug)\n"
+
+
+def test_misaligned_sweep_columns_are_an_internal_error(monkeypatch):
+    # a class column short of one divisor of r is a bug of the sweep, not a usage error (exit 2)
+    _corrupt_first_class(monkeypatch, list.pop)
+    with pytest.raises(RuntimeError, match="one column per divisor"):
+        verify_minpoly_sn(8, min_n=8)
 
 
 def test_sweep_builds_profiles_only_where_a_multiplicity_is_zero(monkeypatch):

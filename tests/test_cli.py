@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import io
 import json
 import math
@@ -294,6 +295,15 @@ def test_sweeps_above_their_cap_exit_2_at_once(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("n", ["10001", "1000000000000"])
+def test_one_robbins_check_above_the_sweep_cap_exits_2_at_once(capsys, n):
+    # each check slows as about n^1.7 (80 s at 1.6 * 10^6), so one check obeys the sweep's cap
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--check", "robbins", "--n", n)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: robbins checks are capped by time, and n = {n} > MAX_SWEEP_N = 10000\n")
+
+
 def test_bounds_sweep(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--check", "sweep-robbins", "--max-n", "20")
     assert code == 0
@@ -527,6 +537,53 @@ def test_variant_choices_are_the_label_variants():
     for verb in ("char", "spectrum", "minpoly"):
         (variant,) = [a for a in verbs[verb]._actions if a.dest == "variant"]
         assert variant.choices == (RESTRICTED, PLUS, MINUS)
+
+
+# (lambda, class) pairs of the labelled queries: split pairs on and off their distinguished class, plain
+# labels, an odd class, a bad partition, a size mismatch, and both listing prechecks at r = 1 441 440
+QUERY_PAIRS = [
+    ("3,1,1", "5^1"), ("3,1,1", "3^1 1^2"), ("2,2", "2^2"), ("2,2", "3^1 1^1"), ("3,2,1", "5^1 1^1"),
+    ("3,2,1", "3^2"), ("4,2", "3^1 1^3"), ("4,2", "2^2 1^2"), ("4,2", "2^1 1^4"), ("1", "1^1"),
+    ("junk", "3^1"), ("3,1", "3^1"), ("76,1", "32^1 13^1 11^1 9^1 7^1 5^1"), ("76,1", "13^1 11^1 9^1 7^1 5^1 1^32"),
+]
+# sha256 of json.dumps of (argv, exit status, stdout, stderr) per query in order: the bytes must not drift
+QUERY_CORPUS_DIGEST = "12a6c8788af39a6450ade76bcba1c6e3dddf81c13e916291dd150d0a6f2181d7"
+
+
+def test_labelled_query_corpus_is_byte_identical(capsys):
+    answers = []
+    for verb in ("char", "spectrum", "minpoly"):
+        for lam, shape in QUERY_PAIRS:
+            for group in ("sn", "an"):
+                for variant in (None, "restricted", "plus", "minus"):
+                    for fmt in ("text", "json"):
+                        argv = [verb, "--lambda", lam, "--shape", shape, "--group", group, "--format", fmt]
+                        argv += [] if variant is None else ["--variant", variant]
+                        answers.append([argv, *run_cli(capsys, *argv)])
+    assert hashlib.sha256(json.dumps(answers).encode()).hexdigest() == QUERY_CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("verb, module, name", [("char", "characters_an", "chi_an"),
+                                                ("spectrum", "spectral", "spectrum_an"),
+                                                ("minpoly", "spectral", "spectrum_an")])
+def test_a_failing_second_label_writes_nothing(capsys, monkeypatch, verb, module, name, fmt):
+    # every result of a split pair is computed before the first byte is written
+    import importlib
+
+    mod = importlib.import_module(f"snchar.{module}")
+    real, calls = getattr(mod, name), []
+
+    def second_fails(label, sigma):
+        calls.append(label)
+        if len(calls) == 2:
+            raise RuntimeError("second half (internal bug)")
+        return real(label, sigma)
+
+    monkeypatch.setattr(mod, name, second_fails)
+    code, out, err = run_cli(capsys, verb, "--group", "an", "--lambda", "3,1,1", "--shape", "5^1", "--format", fmt)
+    assert (code, out, err) == (3, "", "internal error: second half (internal bug)\n")
+    assert len(calls) == 2
 
 
 def test_broken_diagonal_hooks_exit_3_on_the_an_path(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from snchar.partitions import (
     MAX_PARSE_N,
     CycleType,
     Partition,
-    _walk_partitions,
     _walk_parts,
     conjugate,
     diagonal_hooks,
@@ -186,7 +185,7 @@ def test_enumerated_partitions_equal_validated_ones():
         Partition((1, 2))
 
 
-@pytest.mark.parametrize("walk", [enumerate_partitions, _walk_partitions, _walk_parts])
+@pytest.mark.parametrize("walk", [enumerate_partitions, _walk_parts])
 def test_every_partition_walk_refuses_a_negative_n(walk):
     # unchecked, the walk would start at [n] and grow without end
     with pytest.raises(ValueError, match="n must be nonnegative"):

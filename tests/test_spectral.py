@@ -528,6 +528,14 @@ def test_split_half_above_the_listing_cap_refuses_mult():
         assert min_poly(prof).rendered == "x^1616615-1"
         with pytest.raises(ValueError, match="lists one multiplicity per residue, and r = 1616615 > MAX_LISTED_R"):
             prof.mult
+        # the roots list the residues too: each refusal comes before a 1 616 615-element set is built
+        mp = min_poly(prof)
+        for listing in (lambda: mp.roots, mp.to_json_dict, prof.support):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="lists its roots one residue at a time, and r = 1616615 > "):
+                listing()
+            assert time.perf_counter() - start < 0.1
+        assert repr(mp) == f"MinPoly(r=1616615, compact={mp._compact})" and mp._values is None
 
 
 
@@ -671,6 +679,14 @@ def test_fixed_space_dim_large_n(monkeypatch):
     # the fixed space needs phi(r/d) alone, not the Ramanujan transform of a whole spectrum
     monkeypatch.setattr(spectral, "_ramanujan", None)
     assert fixed_space_dim(lam, sigma) == 1252728188828998435411086655244520
+
+
+@pytest.mark.parametrize("dim", [-1, 6], ids=["negative", "above-degree"])
+def test_fixed_space_dim_outside_zero_to_degree_is_an_internal_error(monkeypatch, dim):
+    # 3,2 has degree 5: a fixed space of -1 or 6 dimensions is a bug of the sums, not an answer
+    monkeypatch.setattr(spectral, "_sums_at", lambda lam, sigma, weigh: [dim])
+    with pytest.raises(RuntimeError, match=rf"^fixed space dimension {dim} outside 0..degree \(internal bug\)$"):
+        fixed_space_dim(parse_partition("3,2"), parse_cycle_type("2^2 1^1"))
 
 
 def test_a_ramanujan_sum_off_by_one_is_caught_by_the_exact_division(monkeypatch):

@@ -18,9 +18,8 @@ predict_no_eigenvalue_one states it, reading the table for the first part.
 
 from __future__ import annotations
 
-import operator
 from functools import partial
-from itertools import chain, compress, count
+from itertools import chain, count
 
 from .characters_an import RESTRICTED, AnCharacterLabel, special_class
 from .partitions import (CycleType, Partition, _conjugate_parts, _cycle_pairs, _Record, _sweep, _uniform_cycles,
@@ -205,21 +204,20 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
         split = {i: special_class(lam(i)) for i in labels if parts[i] == conjugates[i]}
         text = lambda i: f"[{lam(i)}]+/-" if i in split else f"[{lam(i)}]"
     classes = [_uniform_cycles(r, m, n) for r, m in shapes]
-    # per class, per divisor g of its order: one multiplicity per partition of n; last, the identity's
-    sums = list(_sweep_sums(parts, classes + [((1, n),)], _ramanujan))
-    (degrees,) = sums.pop()
+    # per class, per divisor g of its order: one multiplicity per partition of n, packed in lanes with the degrees
+    lanes, sums = _sweep_sums(parts, classes, _ramanujan)
     render = lambda polys: " | ".join(p.rendered for p in polys)
     mismatches, exceptional = [], []  # (label row, class index, entry)
     for k, ((r, m), cycles, by_gcd) in enumerate(zip(shapes, classes, sums)):
-        _check_counts(r, by_gcd, degrees)
+        _check_counts(r, by_gcd, lanes)
         table = {index[key]: entry for key, entry in exceptions(n, r, m).items()}
-        zero = set().union(*(compress(count(), map(operator.not_, column)) for column in by_gcd))
+        zero = set().union(*map(lanes.zeros, by_gcd))
         full = _full_min_poly(r)
         for i in {i for i in zero if i in labels} | table.keys() | split.keys():
             polys, clause = table.get(i, ((full, full) if i in split else (full,), None))
             got = (full,)
             if i in split or i in zero:
-                base = SpectrumProfile._from_gcd(r, [column[i] for column in by_gcd], degrees[i])
+                base = SpectrumProfile._from_gcd(r, [lanes.lane(q, i) for q in by_gcd], lanes.lane(lanes.degrees, i))
                 got = tuple(sorted(map(min_poly, _halves(cycles, base, split[i])),
                                    key=_pair_key)) if i in split else (min_poly(base),)
             if got != polys:
@@ -239,10 +237,11 @@ def _eigenvalue_one_single_n(n: int) -> tuple[int, list, list]:
     parts = list(_walk_parts(n))
     classes = list(map(_cycle_pairs, parts))
     computed = set()
-    for k, (dims,) in enumerate(_sweep_sums(parts, classes, _fixed_space)):  # one class column held at a time
-        if min(dims) < 0:
+    lanes, sums = _sweep_sums(parts, classes, _fixed_space)
+    for k, (dims,) in enumerate(sums):  # one packed class column held at a time
+        if not lanes.fits(dims):
             raise RuntimeError("negative fixed space dimension (internal bug)")
-        computed.update((i, k) for i in compress(count(), map(operator.not_, dims)))
+        computed.update((i, k) for i in lanes.zeros(dims))
     row, col = dict(zip(parts, count())), dict(zip(classes, count()))
     predicted = {(row[lam.parts], col[sigma.cycles]) for lam, sigma in predict_no_eigenvalue_one(n)}
     entries = lambda pairs, *tag: [(n, str(Partition._unchecked(parts[i])), str(CycleType._unchecked(classes[k])), *tag)

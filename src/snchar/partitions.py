@@ -279,12 +279,12 @@ def _walk_parts(n: int):
         parts[k - 1:] = [h] * (q + 1) + ([rest] if rest else [])
 
 
-# the largest n each sweep accepts (Python 3.11, one n per process). A classification sweep holds
-# class-major columns over every partition of n; its cap is the last n whose peak RSS stays under
-# 256 MB: 191 MB for minpoly-sn at 34 (333 MB at 36), 207 MB for minpoly-an at 36, 247 MB for
-# eigenvalue-one at 28, each step of 2 in n multiplying the peak by 1.5 to 2.1. A uniform bound sweep
-# holds one report per (partition, divisor of n): 298 704 reports at 40, 196 MB and 10-12 s for
-# fomin-lulov, 198 MB and 6-11 s for estimate; 425 376 reports at 42. The robbins and tail sweeps hold
+# the largest n each sweep accepts (Python 3.11.7, 2 shared cores, one n per process). A classification sweep holds
+# class-major columns over every partition of n; its cap was the last n whose peak RSS stayed under 256 MB.
+# Packed, at the caps: minpoly-sn at 34 61 MB and 2.3-3.9 s (85 MB at 36), minpoly-an at 36 70 MB and 2.9-3.7 s,
+# eigenvalue-one at 28 243 MB and 8.8-9.1 s, each step of 2 in n multiplying its peak by 1.4 to 2.1. A uniform
+# bound sweep holds one report per (partition, divisor of n): 298 704 reports at 40, 193 MB and 8.2 s for
+# fomin-lulov, 193 MB and 6.1 s for estimate; 425 376 reports at 42. The robbins and tail sweeps hold
 # one report per n: robbins, each check slower with n, takes 53 s to 10 000 at 24 MB, so time binds, and
 # one robbins_check obeys it too; tail takes 16 s to 250 000 at 240 MB (258 MB at 270 000), so memory binds.
 MAX_SWEEP_N = {"minpoly-sn": 34, "minpoly-an": 36, "eigenvalue-one": 28, "fomin-lulov": 40, "estimate": 40,

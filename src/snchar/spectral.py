@@ -15,7 +15,8 @@ space dimension is the sum g = r alone, c_{r/d}(r) = phi(r/d). spectrum_sn and
 fixed_space_dim read one character row of lam, listing each power sigma^d by
 sigma's cycle groups, most points first, so that powers which keep a group whole
 share the hook removals before it; the sweeps in classify read whole class-major
-columns, weighed a class at a time by _sweep_sums, checked by _check_counts.
+columns, packed as ints of w-bit lanes (_Lanes), weighed by _sweep_sums and
+checked whole.
 SpectrumProfile and MinPoly share one store, _Residues, which holds values that
 depend on j only through g and the sign of a quadratic character as one entry
 per divisor and sign. The integer arithmetic lives in arith. Every division is
@@ -48,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, repeat
 
 from .arith import (_divisors_by_exponent, _factorize, _polydivmod, _split_surd, cyclotomic, divisors, euler_phi,
@@ -105,15 +106,15 @@ def _spread(r: int, pos, neg=None, d: int = 1) -> list:
     return out
 
 
-def _check_counts(r: int, columns, degrees: list[int]) -> None:
-    """Check aligned columns of multiplicities, one per divisor g of r, of a class column (the
-    sweeps): none negative, and weighted by phi(r/g) they sum to the degrees."""
+def _check_counts(r: int, columns, lanes: _Lanes) -> None:
+    """Check the packed columns of multiplicities of a class column, one per divisor g of r (the sweeps): every lane
+    within 0 .. lanes.bound, so each is a row's exact quotient, and weighted by phi(r/g) they sum to the degrees."""
     phis = _phis(r)
     if len(columns) != len(phis):
         raise RuntimeError("columns must list one column per divisor of r (internal bug)")
-    if min(map(min, columns)) < 0:
+    if not all(map(lanes.fits, columns)):
         raise RuntimeError("negative multiplicity (internal bug)")
-    if _combine(phis, columns) != degrees:
+    if _dot(phis, columns) != lanes.degrees:
         raise RuntimeError("multiplicities must sum to the degree (internal bug)")
 
 
@@ -286,52 +287,91 @@ def _ramanujan_plan(r: int) -> tuple[list[int], list[int], list]:
     return order, sorted(range(len(order)), key=order.__getitem__), blocks
 
 
-def _ramanujan(r: int, entries, combine) -> list:
-    """sum_{d | r} c_{r/d}(g) * entries[d] per divisor g of r, aligned with divisors(r), as combine(weights, values)
-    adds, in d(r) * sum (e + 1) products: a block weighs the runs of the fastest exponent and makes it the slowest."""
+def _dot(weights, values):
+    """sum_k weights[k] * values[k]: the one combine of every weighing, of integers or of packed columns."""
+    return sum(map(operator.mul, weights, values))
+
+
+def _ramanujan(r: int, entries) -> list:
+    """sum_{d | r} c_{r/d}(g) * entries[d] per divisor g of r, aligned with divisors(r), in d(r) * sum (e + 1)
+    products: a block weighs the runs of the fastest exponent and makes it the slowest."""
     order, inverse, blocks = _ramanujan_plan(r)
     x = list(map(entries.__getitem__, order))
     for block in blocks:
         fibers = list(zip(*[iter(x)] * len(block)))  # the consecutive runs of len(block) entries
-        x = [combine(w, fiber) for w in block for fiber in fibers]
+        x = [_dot(w, fiber) for w in block for fiber in fibers]
     return list(map(x.__getitem__, inverse))
 
 
-def _fixed_space(r: int, entries, combine) -> list:
+def _fixed_space(r: int, entries) -> list:
     """The g = r sum of _ramanujan alone: c_{r/d}(r) = phi(r/d)."""
-    return [combine(_phis(r), entries)]
-
-
-def _combine(weights, columns) -> list[int]:
-    """sum_k weights[k] * columns[k], entry by entry over aligned columns: one C-level map per
-    nonzero weight, nested (so never over a long row of integers), no multiply for a weight of +-1."""
-    total = None
-    for w, column in zip(weights, columns):
-        if w:
-            term = column if w == 1 else map(operator.neg, column) if w == -1 else map(operator.mul, repeat(w), column)
-            total = term if total is None else map(operator.add, total, term)
-    return list(total)
+    return [_dot(_phis(r), entries)]
 
 
 def _divide(sums: list[int], r: int) -> list[int]:
-    """sums / r entry by entry, checked exact: each x - r * (x // r) is in [0, r), so all vanish iff their sum does."""
+    """sums / r entry by entry, checked exact: each x - r * (x // r) is in [0, r), so all vanish iff their sum does
+    (a packed column's row whose remainder r | 2^w hides leaves a lane that _Lanes.fits refuses)."""
     out = list(map(operator.floordiv, sums, repeat(r)))
     if sum(sums) != r * sum(out):
         raise RuntimeError("non-integer multiplicity (internal bug)")
     return out
 
 
-def _sweep_sums(lams, classes, weigh):
-    """Yield per class sigma of order r, as (length, count) pairs, the columns (1/r) * weigh(r, chi(sigma^d) over
-    d | r), aligned with the part tuples lams (the caller's _walk_parts(n)), from one _columns table of the powers."""
+class _Lanes:
+    """Columns of integers as one int each, row i at bits w * i: w is the smallest multiple of 64 with r * bound <
+    2^(w - 1), r the largest order weighed and bound = max(degrees) >= |chi(sigma)|, so the exact sums of a weighing
+    have one lane representation, and whole-int tests decide every row at once. Made from the lists columns, which it
+    packs in place, with degrees = columns[identity]; top marks the top bit of each lane and low the bits below it."""
+
+    def __init__(self, r: int, columns: list, identity: int) -> None:
+        self.bound = max(columns[identity])
+        self.w = w = (r * self.bound).bit_length() // 64 * 64 + 64
+        ones = int.from_bytes((b"\1" + bytes(w // 8 - 1)) * len(columns[identity]), "little")  # a 1 in every lane
+        self.top, self.low, self.pad = ones << w - 1, (ones << w - 1) - ones, ((1 << w - 1) - 1 - self.bound) * ones
+        self.degrees = self.pack(columns)[identity]
+
+    def pack(self, columns: list) -> list:
+        """The lists columns as ints, in place, each entry checked within +-bound: every list first gives way to its
+        two's complement lanes (an array the size of its buffer, for w = 64); each top bit flipped reads v + 2^(w-1)."""
+        from array import array  # imported here, so that importing the package does not load it
+
+        for k, column in enumerate(columns):
+            if max(column) > self.bound or -min(column) > self.bound:
+                raise RuntimeError("character value above the degree bound (internal bug)")
+            columns[k] = array("q", column) if self.w == 64 else b"".join(
+                map(partial(int.to_bytes, length=self.w // 8, byteorder="little", signed=True), column))
+        for k, column in enumerate(columns):
+            columns[k] = (int.from_bytes(column, "little") ^ self.top) - self.top
+        return columns
+
+    def fits(self, q: int) -> bool:
+        """Whether q holds its lanes alone, each in 0 .. bound: pad lifts one above bound to its top bit, carry-free."""
+        return 0 <= q <= self.low and not ((q & self.low) + self.pad | q) & self.top
+
+    def zeros(self, q: int):
+        """The rows, last first, where q, which fits, is 0: a nonzero lane carries into its top bit."""
+        zero = ~((q & self.low) + self.low | q) & self.top
+        while zero:
+            zero ^= 1 << (b := zero.bit_length()) - 1
+            yield b // self.w - 1
+
+    def lane(self, q: int, i: int) -> int:
+        """Row i of q, which fits."""
+        return q >> self.w * i & (1 << self.w) - 1
+
+
+def _sweep_sums(lams, classes, weigh) -> tuple[_Lanes, object]:
+    """The lanes of one _columns table of the powers sigma^d, aligned with the part tuples lams (the caller's
+    _walk_parts(n)) and packed in place, and a generator of, per class sigma of order r, as (length, count) pairs,
+    the packed columns (1/r) * weigh(r, chi(sigma^d) over d | r), divided exactly."""
     column: dict[tuple[tuple[int, int], ...], int] = {}
     plan = []
     for cycles in classes:
         r = math.lcm(*(a for a, _ in cycles))
         plan.append((r, [column.setdefault(tuple(_power_cycles(cycles, d)), len(column)) for d in divisors(r)]))
     table = _columns(lams, [[a for a, b in pairs for _ in range(b)] for pairs in column])
-    for r, cols in plan:
-        yield [_divide(sums, r) for sums in weigh(r, [table[k] for k in cols], _combine)]
+    lanes = _Lanes(max(r for r, _ in plan), table, column[((1, sum(lams[0])),)])  # sigma^r, the identity
+    return lanes, (_divide(weigh(r, [table[k] for k in cols]), r) for r, cols in plan)
 
 
 def _sums_at(lam: Partition, sigma: CycleType, weigh) -> list[int]:
@@ -343,7 +383,7 @@ def _sums_at(lam: Partition, sigma: CycleType, weigh) -> list[int]:
     groups = sorted(sigma.cycles, key=lambda group: group[0] * group[1], reverse=True)  # stable: ties by origin
     cell = _chi_row(_beta_set(lam.parts), [[a // g for a, b in groups if a // (g := math.gcd(a, d)) > 1
                                             for _ in range(b * g)] for d in divisors(r)])
-    return _divide(weigh(r, cell, lambda w, values: sum(map(operator.mul, w, values))), r)
+    return _divide(weigh(r, cell), r)
 
 
 def spectrum_sn(lam: Partition, sigma: CycleType) -> SpectrumProfile:

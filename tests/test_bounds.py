@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -63,6 +64,28 @@ def test_interval_endpoints_bracket():
         lo, hi, exp = _pow(_exp(1, 1, bits + 8), 3, bits + 8)
         assert _at(lo, exp) * 10**300 < E_DIGITS**3 and _at(hi, exp) * 10**300 > (E_DIGITS + 1) ** 3
         assert (hi - lo) << bits - 2 <= lo
+
+
+def _chudnovsky(bits):
+    # pi * 2^bits, within one unit: the Chudnovsky series in integers at 64 guard bits, a route _pi does not share
+    one = 1 << bits + 64
+    k, term, a_sum, b_sum = 1, one, one, 0
+    while term:
+        term = term * -(6 * k - 5) * (2 * k - 1) * (6 * k - 1) // (k**3 * 10939058860032000)  # 640320^3 / 24
+        a_sum, b_sum, k = a_sum + term, b_sum + k * term, k + 1
+    return (426880 * math.isqrt(10005 * one * one) * one) // (13591409 * a_sum + 545140134 * b_sum) >> 64
+
+
+def test_machin_pi_encloses_an_independent_pi():
+    # Machin's sums are floored at 2^-(w+20), and the slack of k + 1 units per series covers that: at w = 8375 the
+    # floored sums alone round to an enclosure that misses pi, which the spread to 3000 bits never meets
+    top = 8375
+    ref = _chudnovsky(top + 64)
+    assert ref >> top + 64 - 300 == PI_DIGITS * 2**300 // 10**100  # the first 100 decimals, to 2^-300
+    for w in [*range(1, 3001, 7), top]:
+        lo, hi, exp = _pi(w)
+        r = ref >> top - w  # pi * 2^(w + 64) lies in (r - 1, r + 2)
+        assert exp == -w and lo << 64 <= r - 1 and hi << 64 >= r + 2 and hi - lo <= 2
 
 
 def test_interval_precision_guard():

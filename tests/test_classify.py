@@ -305,9 +305,11 @@ def test_sweep_column_checks_fire(monkeypatch, verify, n, corrupt):
     real = classify._sweep_sums
 
     def corrupted(size, classes, weights):
-        sums = list(real(size, classes, weights))
-        sums[0][0][1] = corrupt(sums[0][0][1])
-        return sums
+        lanes, sums = real(size, classes, weights)
+        sums = list(sums)
+        lane = lanes.lane(sums[0][0], 1)
+        sums[0][0] += corrupt(lane) - lane << lanes.w
+        return lanes, sums
 
     monkeypatch.setattr(classify, "_sweep_sums", corrupted)
     with pytest.raises(RuntimeError, match="internal bug"):
@@ -318,16 +320,18 @@ def _corrupt_first_class(monkeypatch, change):
     real = classify._sweep_sums
 
     def corrupted(size, classes, weigh):
-        sums = list(real(size, classes, weigh))
-        change(sums[0])
-        return sums
+        lanes, sums = real(size, classes, weigh)
+        sums = list(sums)
+        change(lanes, sums[0])
+        return lanes, sums
 
     monkeypatch.setattr(classify, "_sweep_sums", corrupted)
 
 
 def test_negative_fixed_space_dimension_is_an_internal_error(monkeypatch, capsys):
     # (n - 1, 1) at the n-cycle has no eigenvalue 1; a -1 there would read as "present", a mismatch (exit 1)
-    _corrupt_first_class(monkeypatch, lambda columns: columns[0].__setitem__(1, -1))
+    _corrupt_first_class(monkeypatch, lambda lanes, columns: columns.__setitem__(
+        0, columns[0] + (-1 - lanes.lane(columns[0], 1) << lanes.w)))
     with pytest.raises(RuntimeError, match=r"^negative fixed space dimension \(internal bug\)$"):
         verify_eigenvalue_one(8, min_n=8)
     assert main(["verify", "eigenvalue-one", "--max-n", "8", "--min-n", "8"]) == 3
@@ -336,7 +340,7 @@ def test_negative_fixed_space_dimension_is_an_internal_error(monkeypatch, capsys
 
 def test_misaligned_sweep_columns_are_an_internal_error(monkeypatch):
     # a class column short of one divisor of r is a bug of the sweep, not a usage error (exit 2)
-    _corrupt_first_class(monkeypatch, list.pop)
+    _corrupt_first_class(monkeypatch, lambda lanes, columns: columns.pop())
     with pytest.raises(RuntimeError, match="one column per divisor"):
         verify_minpoly_sn(8, min_n=8)
 

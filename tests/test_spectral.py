@@ -80,9 +80,9 @@ def _check_transform(r, rng, c):
     divs = divisors(r)
     x, y = ([rng.randrange(-10**6, 10**6) for _ in divs] for _ in range(2))
     weights = [[c(q, math.gcd(q, g)) for q in (r // d for d in divs)] for g in divs]
-    assert spectral._ramanujan(r, x, _dot) == [_dot(w, x) for w in weights], r
-    columns = [[a, b] for a, b in zip(x, y)]
-    assert spectral._ramanujan(r, columns, spectral._combine) == [[_dot(w, x), _dot(w, y)] for w in weights], r
+    assert spectral._ramanujan(r, x) == [_dot(w, x) for w in weights], r
+    packed = [a + (b << 64) for a, b in zip(x, y)]  # x_d and y_d in two 64-bit lanes, as the sweeps pack them
+    assert spectral._ramanujan(r, packed) == [_dot(w, x) + (_dot(w, y) << 64) for w in weights], r
 
 
 def test_ramanujan_transform_equals_ramanujan_sum_to_10000():
@@ -693,12 +693,9 @@ def test_a_ramanujan_sum_off_by_one_is_caught_by_the_exact_division(monkeypatch)
     # one sum moved by 1 is no longer divisible by r > 1, and _divide says so, in one query and in a sweep
     real = spectral._ramanujan
 
-    def off_by_one(r, entries, combine):
-        sums = real(r, entries, combine)
-        if isinstance(sums[0], list):  # a sweep's class column
-            sums[0][0] += 1
-        else:
-            sums[0] += 1
+    def off_by_one(r, entries):
+        sums = real(r, entries)
+        sums[0] += 1  # the first row's sum: in a sweep's packed column, its lowest lane
         return sums
 
     monkeypatch.setattr(spectral, "_ramanujan", off_by_one)
@@ -716,10 +713,12 @@ def test_sweep_sums_agree_with_single_queries_on_every_class():
     for n in (7, 8):
         lams = enumerate_partitions(n)
         classes = [CycleType.from_partition(mu) for mu in lams]
-        sweep = spectral._sweep_sums([lam.parts for lam in lams], [sigma.cycles for sigma in classes],
-                                     spectral._ramanujan)
+        lanes, sweep = spectral._sweep_sums([lam.parts for lam in lams], [sigma.cycles for sigma in classes],
+                                            spectral._ramanujan)
         for sigma, by_gcd in zip(classes, sweep, strict=True):
-            assert [list(col) for col in zip(*by_gcd)] == [list(spectrum_sn(lam, sigma)._compact[1]) for lam in lams]
+            assert all(map(lanes.fits, by_gcd))
+            assert [[lanes.lane(q, i) for q in by_gcd] for i in range(len(lams))] == [
+                list(spectrum_sn(lam, sigma)._compact[1]) for lam in lams]
 
 
 @pytest.mark.parametrize("sums", [[-3, 3], [1, -1], [5, 0, -1], [1], [0, 0, 3]])
@@ -734,6 +733,62 @@ def test_divide_returns_the_quotients_of_exact_columns():
     assert spectral._divide([-9, 3, 27], 3) == [-3, 1, 9]
     assert spectral._divide([7, -5], 1) == [7, -5]
     assert spectral._divide([], 5) == []
+
+
+def test_sweep_fixed_space_agrees_with_single_queries_on_every_class():
+    # the eigenvalue-one sweep's weighing: per class of S_7 and S_8, each row's packed dimension is fixed_space_dim
+    for n in (7, 8):
+        lams = enumerate_partitions(n)
+        classes = [CycleType.from_partition(mu) for mu in lams]
+        lanes, sweep = spectral._sweep_sums([lam.parts for lam in lams], [sigma.cycles for sigma in classes],
+                                            spectral._fixed_space)
+        for sigma, (dims,) in zip(classes, sweep, strict=True):
+            assert lanes.fits(dims)
+            assert [lanes.lane(dims, i) for i in range(len(lams))] == [fixed_space_dim(lam, sigma) for lam in lams]
+
+
+def _signed_lanes(lanes, packed, rows):
+    # packed + top holds each entry v as v + 2^(w - 1), in 0 .. 2^w: one unsigned lane each
+    return [lanes.lane(packed + lanes.top, i) - (1 << lanes.w - 1) for i in range(rows)]
+
+
+@pytest.mark.parametrize("r, scale, w", [(3, 1 << 40, 64), (3, 1 << 100, 128), (1 << 30, 1 << 100, 192)])
+def test_lanes_pack_divide_and_refuse_at_every_width(r, scale, w):
+    # synthetic columns near +-scale, so r * bound takes 42, 102 or 131 bits: 64-bit lanes (from an array) or 128-
+    # and 192-bit lanes (from joined bytes), which the sweeps first need at n = 34; checked as a class of order r
+    degrees = [scale + 7, scale - 3, 12, 1]
+    lanes = spectral._Lanes(r, [degrees], 0)
+    pack = lambda column: lanes.pack([column])[0]
+    assert lanes.w == w and lanes.bound == scale + 7 and lanes.degrees == pack(degrees)
+    for column in (degrees, [scale + 7, -scale - 7, 0, -1], [-1, 1, -scale, scale]):
+        assert _signed_lanes(lanes, pack(column), 4) == column
+    # the exact sums r * degrees divide back lane by lane, and the quotient fits
+    q = spectral._divide([r * lanes.degrees], r)[0]
+    assert q == lanes.degrees and lanes.fits(q) and [lanes.lane(q, i) for i in range(4)] == degrees
+    assert list(lanes.zeros(pack([0, 5, 0, 1]))) == [2, 0] and list(lanes.zeros(lanes.degrees)) == []
+    # one column per divisor g of r, all 0 but the one at g = r, weighed by phi(1) = 1: the degrees
+    columns = [0] * (len(spectral._phis(r)) - 1) + [lanes.degrees]
+    spectral._check_counts(r, columns, lanes)
+    bug = r" \(internal bug\)$"
+    with pytest.raises(RuntimeError, match="^non-integer multiplicity" + bug):
+        spectral._divide([r * lanes.degrees + 1], r)
+    # a row's remainder in lane 1 leaves one in the int unless r divides 2^w; then lane 0 of the quotient takes
+    # 2^w / r, far above the bound
+    if (1 << w) % r:
+        with pytest.raises(RuntimeError, match="^non-integer multiplicity" + bug):
+            spectral._divide([r * lanes.degrees + (1 << w)], r)
+    else:
+        assert not lanes.fits(spectral._divide([r * lanes.degrees + (1 << w)], r)[0])
+    # a negative lane; a lane just above the bound, or at 2^(w - 1) / r; a negative quotient; one past the lanes
+    for wrong in (pack([0, 0, -1, 0]), scale + 8 << 2 * w, (1 << w - 1) // r << 3 * w, -1, 1 << 4 * w):
+        assert not lanes.fits(wrong)
+        with pytest.raises(RuntimeError, match="^negative multiplicity" + bug):
+            spectral._check_counts(r, [wrong] + columns[1:], lanes)
+    with pytest.raises(RuntimeError, match="^multiplicities must sum to the degree" + bug):
+        spectral._check_counts(r, columns[:-1] + [lanes.degrees + (1 << w)], lanes)
+    for column in ([scale + 8, 0, 0, 0], [0, 0, 0, -scale - 8]):
+        with pytest.raises(RuntimeError, match="^character value above the degree bound" + bug):
+            lanes.pack([column])
 
 
 def test_spectrum_an_restricted_equals_parent():

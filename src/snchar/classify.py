@@ -6,7 +6,9 @@ x^r - 1, and what the smaller polynomial is. One table per group and class,
 _exceptions_sn and _exceptions_an, codes the classified cases; predict_sn,
 predict_an and the sweeps all read it. The verify_* sweeps recompute every
 minimal polynomial from character data and compare, reporting mismatches in
-both directions.
+both directions; the minimal polynomial sweeps read a polynomial off each
+row's zero multiplicities and build spectra only at a split pair's
+distinguished class, where its halves differ.
 
 verify_eigenvalue_one cross checks the companion statement about eigenvalue 1: over
 all partitions and all cycle types (not only uniform ones), the pairs whose
@@ -18,14 +20,14 @@ predict_no_eigenvalue_one states it, reading the table for the first part.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import chain, count
 
 from .characters_an import RESTRICTED, AnCharacterLabel, special_class
 from .partitions import (CycleType, Partition, _conjugate_parts, _cycle_pairs, _Record, _sweep, _uniform_cycles,
                          _walk_parts)
 from .spectral import (MinPoly, SpectrumProfile, _check_counts, _fixed_space, _full_min_poly, _halves, _ramanujan,
-                       _sweep_sums, min_poly)
+                       _support, _sweep_sums, divisors, min_poly)
 
 __all__ = [
     "Prediction",
@@ -39,8 +41,14 @@ __all__ = [
 ]
 
 
+def _classes(r: int, roots, keep: bool = True) -> MinPoly:
+    """x^r - 1 with (keep) or without the roots in roots, whole gcd classes, held compactly: each divisor g of r,
+    as a residue mod r, stands for the j with gcd(j, r) = g, so no residue is listed."""
+    return _support(r, [(g % r in roots) == keep for g in divisors(r)])
+
+
 def _without(r: int, removed) -> MinPoly:
-    return MinPoly(r, frozenset(range(r)) - frozenset(removed))
+    return _classes(r, removed, False)
 
 
 def _pair_key(p: MinPoly) -> tuple[int, ...]:
@@ -88,7 +96,7 @@ def predict_sn(lam: Partition, r: int, m: int) -> Prediction:
 def _exceptions_sn(n: int, r: int, m: int) -> dict[tuple[int, ...], tuple[tuple[MinPoly, ...], str]]:
     """The classification of S_n at [r^m 1^(n-rm)], for checked arguments: the parts of each label
     it singles out, with its (polys, clause). Every other nontrivial label has x^r - 1."""
-    table = {(1,) * n: ((MinPoly(r, frozenset({r // 2 if m * (r - 1) % 2 else 0})),), "sign")}
+    table = {(1,) * n: ((_classes(r, {r // 2 if m * (r - 1) % 2 else 0}),), "sign")}
     if r == n:  # hooks at the n-cycle
         table[r - 1, 1] = (_without(r, {0}),), "standard"
         if r >= 4:
@@ -97,7 +105,7 @@ def _exceptions_sn(n: int, r: int, m: int) -> dict[tuple[int, ...], tuple[tuple[
         table[3, 3] = (_without(6, {2, 4}),), "3,3@6"
         table[2, 2, 2] = (_without(6, {1, 5}),), "2,2,2@6"
     if n == 4 and (roots := {(4, 1): {0, 2}, (3, 1): {1, 2}, (2, 2): {0}}.get((r, m))):
-        table[2, 2] = (MinPoly(r, frozenset(roots)),), "2,2@4"
+        table[2, 2] = (_classes(r, roots),), "2,2@4"
     return table
 
 
@@ -176,19 +184,18 @@ def _uniform_shapes(n: int, *, even_only: bool = False) -> list[tuple[int, int]]
 
 
 def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
-    """Predicted against computed minimal polynomials of every nontrivial
-    irreducible of S_n or A_n (group "sn" or "an") at every uniform class.
+    """Predicted against computed minimal polynomials of every nontrivial irreducible of S_n or A_n (group "sn" or
+    "an") at every uniform class.
 
-    The parent spectra come from one _sweep_sums pass over the class-major
-    columns of every partition of n, and the degrees from its identity
-    column. Each class column is checked whole, then decided at once: a
-    label is x^r - 1 on both sides unless it has a zero multiplicity there,
-    is in the class's table of exceptions, or is a split pair. Profiles are
-    built only for a zero and for the halves of a split pair, sorted as
-    predict_an sorts them. Entries found per (label row, class) are sorted
-    back into label-major order. An A_n pair {lam, lam'} is labelled by the
-    row of its larger member, and a self-conjugate row stands for both halves.
-    Rows are part tuples and classes (length, count) pairs: records only name entries and split classes.
+    The parent spectra come from one _sweep_sums pass over the class-major columns of every partition of n, and the
+    degrees from its identity column. Each class column is checked whole, then decided from its lanes: a row's zero
+    pattern (a bit per divisor of r where its multiplicity is 0) gives its polynomial, one object per (r, pattern).
+    Away from its distinguished class a split pair's halves are equal, each half of its parent, so one AND per column
+    checks those rows even; profiles are built only at that class, for _halves, sorted as predict_an sorts them.
+    Every other case off the class's table is x^r - 1 on both sides. Entries found per (label row, class) are sorted
+    back into label-major order. An A_n pair {lam, lam'} is labelled by the row of its larger member, and a
+    self-conjugate row stands for both halves. Rows are part tuples and classes (length, count) pairs: records only
+    name entries and split classes.
     """
     parts = list(_walk_parts(n))
     index = dict(zip(parts, count()))
@@ -206,20 +213,31 @@ def _minpoly_single_n(group: str, n: int) -> tuple[int, list, list]:
     classes = [_uniform_cycles(r, m, n) for r, m in shapes]
     # per class, per divisor g of its order: one multiplicity per partition of n, packed in lanes with the degrees
     lanes, sums = _sweep_sums(parts, classes, _ramanujan)
+    ones = lambda rows: sum(1 << lanes.w * i for i in rows)  # the low bit of each row's lane
+    split_ones = ones(split)
+    # per call, the polynomial of a row whose multiplicity is 0 at the b-th divisor of r for each bit b of pattern
+    support = cache(lambda r, pattern: _support(r, [not pattern >> b & 1 for b in range(len(divisors(r)))]))
     render = lambda polys: " | ".join(p.rendered for p in polys)
     mismatches, exceptional = [], []  # (label row, class index, entry)
     for k, ((r, m), cycles, by_gcd) in enumerate(zip(shapes, classes, sums)):
         _check_counts(r, by_gcd, lanes)
+        at = {i for i in split if split[i].cycles == cycles}  # the split rows at their distinguished class
+        odd = split_ones - ones(at) if at else split_ones  # no copy at the other classes
+        if any(q & odd for q in by_gcd):
+            raise RuntimeError("odd multiplicity away from the distinguished class (internal bug)")
+        zero = {}
+        for b, q in enumerate(by_gcd):
+            for i in lanes.zeros(q):
+                zero[i] = zero.get(i, 0) | 1 << b
         table = {index[key]: entry for key, entry in exceptions(n, r, m).items()}
-        zero = set().union(*map(lanes.zeros, by_gcd))
         full = _full_min_poly(r)
-        for i in {i for i in zero if i in labels} | table.keys() | split.keys():
+        for i in {i for i in zero if i in labels} | table.keys() | at:
             polys, clause = table.get(i, ((full, full) if i in split else (full,), None))
-            got = (full,)
-            if i in split or i in zero:
+            if i in at:
                 base = SpectrumProfile._from_gcd(r, [lanes.lane(q, i) for q in by_gcd], lanes.lane(lanes.degrees, i))
-                got = tuple(sorted(map(min_poly, _halves(cycles, base, split[i])),
-                                   key=_pair_key)) if i in split else (min_poly(base),)
+                got = tuple(sorted(map(min_poly, _halves(cycles, base, split[i])), key=_pair_key))
+            else:
+                got = (support(r, zero.get(i, 0)),) * (2 if i in split else 1)
             if got != polys:
                 mismatches.append((i, k, (n, text(i), r, m, render(polys), render(got))))
             if clause:

@@ -281,7 +281,7 @@ def _walk_parts(n: int):
 
 # the largest n each sweep accepts (Python 3.11.7, 2 shared cores, one n per process). A classification sweep holds
 # class-major columns over every partition of n; its cap was the last n whose peak RSS stayed under 256 MB.
-# Packed, at the caps: minpoly-sn at 34 61 MB and 2.3-3.9 s (85 MB at 36), minpoly-an at 36 70 MB and 2.9-3.7 s,
+# Packed, at the caps: minpoly-sn at 34 61 MB and 2.3-3.9 s (84 MB at 36), minpoly-an at 36 68 MB and 2.5-2.8 s,
 # eigenvalue-one at 28 243 MB and 8.8-9.1 s, each step of 2 in n multiplying its peak by 1.4 to 2.1. A uniform
 # bound sweep holds one report per (partition, divisor of n): 298 704 reports at 40, 193 MB and 8.2 s for
 # fomin-lulov, 193 MB and 6.1 s for estimate; 425 376 reports at 42. The robbins and tail sweeps hold

@@ -263,18 +263,18 @@ class MinPoly(_Residues):
         return f"MinPoly(r={self.r}, {self._shown('roots')})"
 
 
-def _support(r: int, pos, neg, d: int) -> MinPoly:
-    """The minimal polynomial whose roots are where the compact form (d, pos, neg) is nonzero."""
+def _support(r: int, pos, neg=None, d: int = 1) -> MinPoly:
+    """The minimal polynomial whose roots are where the compact form (d, pos, neg) is nonzero; neg defaults to pos."""
     mp = object.__new__(MinPoly)
-    mp._hold_compact(r, tuple(map(bool, pos)), tuple(map(bool, neg)), d)
+    pos = tuple(map(bool, pos))
+    mp._hold_compact(r, pos, pos if neg is None else tuple(map(bool, neg)), d)
     return mp
 
 
 @lru_cache(maxsize=256)
 def _full_min_poly(r: int) -> MinPoly:
     """x^r - 1, shared by every full spectrum of order r."""
-    ones = (1,) * len(divisors(r))
-    return _support(r, ones, ones, 1)
+    return _support(r, (1,) * len(divisors(r)))
 
 
 @lru_cache(maxsize=256)

@@ -7,7 +7,8 @@ import pytest
 
 from snchar import classify, partitions, spectral
 from snchar.bounds import sweep_estimate, sweep_fomin_lulov, sweep_robbins, sweep_tail
-from snchar.characters_an import RESTRICTED, AnCharacterLabel, an_irreducible_labels
+from snchar.characters_an import RESTRICTED, AnCharacterLabel, an_irreducible_labels, special_class
+from snchar.characters_sn import degree
 from snchar.classify import (
     Prediction,
     predict_an,
@@ -18,7 +19,8 @@ from snchar.classify import (
     verify_minpoly_sn,
 )
 from snchar.cli import main
-from snchar.partitions import CycleType, Partition, enumerate_partitions, parse_cycle_type, parse_partition
+from snchar.partitions import (CycleType, Partition, conjugate, enumerate_partitions, parse_cycle_type,
+                               parse_partition)
 from snchar.spectral import (MinPoly, SpectrumProfile, _full_min_poly, divisors, min_poly, spectrum_an, spectrum_sn,
                              spectrum_sn_direct)
 
@@ -338,6 +340,26 @@ def test_negative_fixed_space_dimension_is_an_internal_error(monkeypatch, capsys
     assert capsys.readouterr().err == "internal error: negative fixed space dimension (internal bug)\n"
 
 
+def test_odd_split_multiplicity_away_from_the_distinguished_class_is_an_internal_error(monkeypatch, capsys):
+    # at 2^2 1^5, the first even class of n = 9, move one eigenvalue of the split row 5,1^4 (distinguished
+    # class: the 9-cycle) from -1 (g = 1) to 1 (g = 2): every lane stays in range and the degree sum holds,
+    # so only the parity of the split rows catches it
+    row = list(partitions._walk_parts(9)).index((5, 1, 1, 1, 1))
+
+    def moved(lanes, columns):
+        assert lanes.lane(columns[0], row) > 0
+        columns[0] -= 1 << lanes.w * row
+        columns[1] += 1 << lanes.w * row
+
+    _corrupt_first_class(monkeypatch, moved)
+    message = "odd multiplicity away from the distinguished class (internal bug)"
+    with pytest.raises(RuntimeError) as raised:
+        verify_minpoly_an(9, min_n=9)
+    assert str(raised.value) == message
+    assert main(["verify", "minpoly-an", "--max-n", "9", "--min-n", "9"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
+
+
 def test_misaligned_sweep_columns_are_an_internal_error(monkeypatch):
     # a class column short of one divisor of r is a bug of the sweep, not a usage error (exit 2)
     _corrupt_first_class(monkeypatch, lambda lanes, columns: columns.pop())
@@ -345,19 +367,31 @@ def test_misaligned_sweep_columns_are_an_internal_error(monkeypatch):
         verify_minpoly_sn(8, min_n=8)
 
 
-def test_sweep_builds_profiles_only_where_a_multiplicity_is_zero(monkeypatch):
-    # every other case is the shared x^r - 1; at n = 12 those are exactly the classified clauses
+def test_sweep_builds_profiles_only_at_a_split_pairs_distinguished_class(monkeypatch):
+    # a row with a zero multiplicity reads its polynomial off its zero pattern, and a split pair away from
+    # its distinguished class is that polynomial twice: only the parent there and its two halves are profiles
     calls = []
     real = SpectrumProfile._from_gcd.__func__
 
-    def counted(cls, r, pos, degree, neg=None, d=1):
-        calls.append(r)
-        return real(cls, r, pos, degree, neg, d)
+    def counted(cls, r, pos, deg, neg=None, d=1):
+        calls.append((r, deg))
+        return real(cls, r, pos, deg, neg, d)
 
     monkeypatch.setattr(SpectrumProfile, "_from_gcd", classmethod(counted))
     report = verify_minpoly_sn(12, min_n=12)
-    assert report.ok
-    assert len(calls) == len(report.exceptional) == 25
+    assert report.ok and len(report.exceptional) == 25
+    assert calls == []
+    for n in (9, 15):
+        uniform = {sigma for *_, sigma in _uniform_cases(n, even_only=True)}
+        expected = collections.Counter()
+        for lam in enumerate_partitions(n):
+            if lam == conjugate(lam) and special_class(lam) in uniform:
+                expected.update({(special_class(lam).order(), degree(lam)): 1,
+                                 (special_class(lam).order(), degree(lam) // 2): 2})
+        assert expected  # 5,1^4 at the 9-cycle, 8,1^7 at the 15-cycle
+        calls.clear()
+        assert verify_minpoly_an(n, min_n=n).ok
+        assert collections.Counter(calls) == expected
 
 
 def _uniform_cases(n, even_only=False):
@@ -597,6 +631,26 @@ def test_predictions_are_pinned():
     assert len(answers) == 5817
     digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
     assert digest == "11a621dfa1f5ca010b3b30d564bf88792e0b8c0d8b4a60dac0ec7f49b7cb8566"
+
+
+def test_exception_polynomials_are_held_compactly_and_match_their_roots():
+    # every clause keeps whole gcd classes, so each table polynomial is built from one flag per divisor of r,
+    # with no residue listed, and equals and hashes like MinPoly(r, roots) built one residue at a time; the one
+    # exception is the 3,1,1@5 pair, whose halves split the units mod 5 and are built per residue
+    seen = 0
+    for n in range(3, 13):
+        for r, m in classify._uniform_shapes(n):
+            tables = [classify._exceptions_sn(n, r, m)]
+            if n >= 5 and m * (r - 1) % 2 == 0:
+                tables.append(classify._exceptions_an(n, r, m))
+            for table in tables:
+                for polys, clause in table.values():
+                    for p in polys:
+                        assert (p._values is None) == (clause != "3,1,1@5"), (n, r, m, clause)
+                        per_residue = MinPoly(r, p.roots)
+                        assert p == per_residue and per_residue == p and hash(p) == hash(per_residue)
+                        seen += 1
+    assert seen == 142
 
 
 def test_eigenvalue_one_mismatches_name_both_directions(monkeypatch):

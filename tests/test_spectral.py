@@ -607,6 +607,23 @@ def test_spectrum_an_halves_sum_to_parent():
                 assert combined == parent.mult
 
 
+def test_odd_parent_multiplicity_away_from_the_distinguished_class_is_an_internal_error(monkeypatch):
+    # a split pair's halves are equal away from its distinguished class, each half of the parent's
+    # multiplicities; move one eigenvalue of the parent 3,1,1 at 2^2 1^1 from -1 to 1, keeping the degree
+    real = spectral.spectrum_sn
+
+    def moved(lam, sigma):
+        parent = real(lam, sigma)
+        minus_one, one = parent._compact[1]  # at the divisors g = 1, 2 of r = 2: j = 1 and j = 0
+        return SpectrumProfile._from_gcd(2, [minus_one - 1, one + 1], parent.degree)
+
+    monkeypatch.setattr(spectral, "spectrum_sn", moved)
+    spectral._split_pair.cache_clear()
+    plus, _ = AnCharacterLabel.split_pair(parse_partition("3,1,1"))
+    with pytest.raises(RuntimeError, match=r"^odd multiplicity away from the distinguished class \(internal bug\)$"):
+        spectrum_an(plus, parse_cycle_type("2^2 1^1"))  # raises, so the cache keeps nothing
+
+
 def test_spectrum_an_matches_numeric():
     samples = [
         ("3,1,1", "5^1"),

@@ -47,6 +47,15 @@ MUTANTS = {
         "    d, rem = divmod(math.factorial(n), den)\n    if 0:", ["tests/test_characters_sn.py"]),
     "machin-slack": (
         "bounds.py", "slack += abs(c) * (k + 1) // 2", "slack += 0", ["tests/test_bounds.py"]),
+    "split-parity": (  # the sweeps' whole-column evenness of split rows away from their distinguished class
+        "classify.py", "if any(q & odd for q in by_gcd):", "if 0:", ["tests/test_classify.py"]),
+    "halves-parity": (  # the same check on one parent profile, for single spectrum_an queries
+        "spectral.py", "if any(m % 2 for m in by_gcd):", "if 0:", ["tests/test_spectral.py"]),
+    "builder-eps-flip": (  # the column builder's sign of a level's conjugate: an even part flips it
+        "characters_sn.py", "eps if part & 1 else -eps", "eps", ["tests/test_characters_sn.py"]),
+    "self-conjugate-share": (  # a self-conjugate parent's children come in pairs: it adds no conjugate share
+        "characters_sn.py", "ecoef = eps * coef if mask != cmask else 0", "ecoef = eps * coef",
+        ["tests/test_characters_sn.py"]),
 }
 
 # name: why no finite test can kill it (none at present)
